@@ -27,6 +27,7 @@ from .evariables import (
     POST_HOC_LEVEL,
     combine_evalues,
     decide,
+    e_or_none,
     e_power,
     log_e_gro_can,
     log_e_gro_mic,
@@ -272,6 +273,11 @@ def cmd_continue(args) -> dict:
             value = float(item)
         except ValueError:
             payload = json.loads(open(item).read())
+            if payload.get("is_evariable") is False:
+                raise ValueError(
+                    f"{item}: {payload.get('statistic_kind')} report is not an "
+                    "e-variable and cannot be combined"
+                )
             log_es.append(float(payload["log_e"]))
             continue
         if value <= 0:
@@ -280,7 +286,7 @@ def cmd_continue(args) -> dict:
     log_e = combine_evalues(log_es)
     return {
         "log_e": log_e,
-        "e": float(np.exp(log_e)),
+        "e": e_or_none(log_e),
         "alpha": args.alpha,
         "decision": decide(log_e, args.alpha),
         "post_hoc_level": POST_HOC_LEVEL,

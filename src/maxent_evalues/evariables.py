@@ -48,6 +48,16 @@ POST_HOC_LEVEL = float(np.exp(-1.0))
 _EVARIABLE_KINDS = {"gro_mic": True, "gro_can": True, "gro_point": True, "pseudo": False}
 
 
+def e_or_none(log_e: float) -> float | None:
+    """exp(log_e) for a JSON report; None where it overflows a float.
+
+    log_e stays the authoritative value: JSON has no infinity.
+    """
+    with np.errstate(over="ignore"):
+        e = float(np.exp(log_e))
+    return e if np.isfinite(e) else None
+
+
 @dataclass(frozen=True)
 class EValueReport:
     """One evaluated statistic, split into log numerator and denominator."""
@@ -79,7 +89,7 @@ class EValueReport:
         return {
             "statistic_kind": self.statistic_kind,
             "log_e": self.log_e,
-            "e": self.e,
+            "e": e_or_none(self.log_e),
             "is_evariable": self.is_evariable,
             "c1": list(self.c1),
             "c0": self.c0,
@@ -112,13 +122,16 @@ class RiprSolution:
         if g.shape != lw.shape or g.ndim != 1:
             raise ValueError("grid and log_weights must be matching 1-D arrays")
 
-    def log_marginal_count_pmf(self, n: int) -> np.ndarray:
-        """Log pmf of the total one-count under the mixture of Binomial(n, p)."""
-        c0 = np.arange(n + 1)
+    def log_marginal_count_pmf(self, n: int, counts=None) -> np.ndarray:
+        """Log pmf of the total one-count under the mixture of Binomial(n, p).
+
+        Evaluated at the given counts, or at every count 0..n by default.
+        """
+        c0 = np.arange(n + 1) if counts is None else np.atleast_1d(counts)
         ll = (
             xlogy(c0[:, None], self.grid[None, :])
             + xlogy((n - c0)[:, None], 1.0 - self.grid[None, :])
-            + log_binomial_row(n)[:, None]
+            + log_binomial_row(n)[c0][:, None]
             + self.log_weights[None, :]
         )
         m = ll.max(axis=1, keepdims=True)
@@ -322,7 +335,7 @@ def ripr_solve(
 def _mixture_log_config_prob(solution: RiprSolution, n: int, n1: int) -> float:
     # Mixture probability of one configuration: mixture pmf of the total
     # count divided by the number of configurations realizing that count.
-    return float(solution.log_marginal_count_pmf(n)[n1]) - log_binomial(n, n1)
+    return float(solution.log_marginal_count_pmf(n, n1)[0]) - log_binomial(n, n1)
 
 
 def log_e_gro_can(

@@ -9,12 +9,15 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft
 from scipy.special import gammaln, xlogy
 
 from .numerics import (
+    FFT_CLAMP,
     GridDensity,
     Pmf,
     convolve_all,
@@ -23,10 +26,14 @@ from .numerics import (
     nml_log_normalizer,
 )
 
-# Resolution multipliers used throughout: the coarser one for r and sweep
-# diagnostics, the finer one for r' evaluations.
+# Resolution multiplier of the pseudo density's high-resolution route.
 DEFAULT_SCALE = 10_000
-DEFAULT_SCALE_R_PRIME = 100_000
+
+# Largest high-resolution support pseudo_null_density builds (scale * n + 1
+# points). A build holds about 73 bytes a point at its peak (measured: 819 MB
+# at 1.024e7 points, 1531 MB at 2.048e7), so this keeps it below about 2 GB
+# and still admits n = 1024 at the default scale.
+MAX_PSEUDO_POINTS = 25_000_000
 
 # Default resample target when a high-resolution density grid gets large.
 DEFAULT_DENSITY_GRID = 20_001
@@ -173,6 +180,31 @@ def _scalable(spec: PriorSpec) -> None:
         raise ValueError("no high-resolution extension for explicit priors")
 
 
+def _one_pass_convolution(specs, sizes, scale: int, total: int) -> Pmf:
+    """Convolution of the groups' induced pmfs at size scale*n_i, in one FFT pass.
+
+    Each distinct (prior, size) pair is built and transformed once, at the
+    final length, and enters the product raised to its multiplicity.
+    """
+    length = fft.next_fast_len(total + 1, real=True)
+    spectrum = None
+    for (spec, n), count in Counter(zip(specs, sizes)).items():
+        f = fft.rfft(induced_group_pmf(spec, scale * n).weights(), length)
+        if count > 1:
+            np.power(f, count, out=f)
+        # In place, and each array freed as soon as it is spent: at scale
+        # 1e4 these are 1e7-point arrays, and copies raise the peak memory.
+        if spectrum is None:
+            spectrum = f
+        else:
+            spectrum *= f
+        del f
+    out = fft.irfft(spectrum, length)[: total + 1]
+    del spectrum
+    out[out < FFT_CLAMP * out.max()] = 0.0
+    return Pmf.from_weights(out)
+
+
 def pseudo_null_density(
     specs,
     sizes,
@@ -182,8 +214,9 @@ def pseudo_null_density(
     """High-resolution-limit density of the optimal null prior on p0 = n1/n.
 
     Each group's induced pmf is computed at size scale*n_i, the pmfs are
-    convolved, the support is mapped onto [0, 1], and the result is
-    normalized as a density. If grid_size is given, the density is resampled
+    convolved in one FFT pass, the support is mapped onto [0, 1], and the
+    result is normalized as a density. Supports above MAX_PSEUDO_POINTS
+    points are refused before anything is built. If grid_size is given, the density is resampled
     onto that many points. Beta priors with a parameter below 1 diverge at
     the boundary; their endpoint grid cells are dropped before renormalizing.
     """
@@ -191,13 +224,21 @@ def pseudo_null_density(
     sizes = list(sizes)
     if len(specs) != len(sizes):
         raise ValueError("specs and sizes length mismatch")
+    if not sizes:
+        raise ValueError("no groups")
+    if min(sizes) < 1:
+        raise ValueError("group size must be at least 1")
     if scale < 10:
         raise ValueError("scale must be at least 10")
     for s in specs:
         _scalable(s)
-    pmfs = [induced_group_pmf(s, scale * n) for s, n in zip(specs, sizes)]
-    conv = convolve_all(pmfs)
-    total = conv.support_size - 1
+    total = scale * sum(int(n) for n in sizes)
+    if total + 1 > MAX_PSEUDO_POINTS:
+        raise ValueError(
+            f"pseudo density needs {total + 1} points at scale {scale} "
+            f"(limit {MAX_PSEUDO_POINTS}); lower scale or the group sizes"
+        )
+    conv = _one_pass_convolution(specs, sizes, scale, total)
     grid = np.arange(conv.support_size) / total
     clip_boundary = any(
         s.kind == "beta" and (s.alpha < 1 or s.beta < 1) for s in specs

@@ -240,6 +240,17 @@ class TestRipr:
             kl_pert = float(np.dot(t, np.log(t) - np.log(q_pert)))
             assert kl_pert >= base - 1e-6
 
+    def test_marginal_count_pmf_rows(self):
+        # The rows asked for are bit-identical to those of the whole pmf.
+        n = 12
+        sol = ripr_solve(null_optimal_prior([Pmf.uniform(6), Pmf.uniform(6)]), n,
+                         grid_size=201)
+        full = sol.log_marginal_count_pmf(n)
+        counts = [0, 5, n]
+        np.testing.assert_array_equal(sol.log_marginal_count_pmf(n, counts), full[counts])
+        for c in counts:
+            assert sol.log_marginal_count_pmf(n, c)[0] == full[c]
+
     def test_bad_target_support(self):
         with pytest.raises(ValueError):
             ripr_solve(binomial_pmf(5, 0.5), 7)

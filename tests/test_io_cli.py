@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -198,6 +199,59 @@ class TestCli:
         payload = json.loads(out)
         assert payload["e"] == pytest.approx(6.0, rel=1e-12)
         assert payload["decision"] == "reject"
+
+    def test_overflowing_e_is_strict_json(self, tmp_path, capsys):
+        path = tmp_path / "t.json"
+        path.write_text('{"groups":[{"n":5000,"ones":100},{"n":5000,"ones":4900}]}')
+
+        def strict(text):
+            return json.loads(text, parse_constant=lambda c: pytest.fail(f"non-JSON {c}"))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run_cli("test", "--table", str(path), capsys=capsys)
+            assert code == 0
+            payload = strict(out)
+            assert payload["log_e"] == pytest.approx(5944.1568, rel=1e-8)
+            assert payload["e"] is None
+            assert payload["decision"] == "reject"
+            code, out, _ = run_cli("continue", "1e300", "1e300", capsys=capsys)
+            assert code == 0
+            payload = strict(out)
+            assert payload["log_e"] == pytest.approx(600 * math.log(10))
+            assert payload["e"] is None
+
+    def test_continue_refuses_non_evariables(self, tmp_path, capsys):
+        table = tmp_path / "t.json"
+        table.write_text('{"groups":[{"n":6,"ones":0},{"n":6,"ones":6}]}')
+        reports = {}
+        for statistic in ("mic", "pseudo"):
+            code, out, _ = run_cli(
+                "test", "--table", str(table), "--statistic", statistic,
+                "--scale", "100", capsys=capsys,
+            )
+            assert code == 0
+            reports[statistic] = tmp_path / f"{statistic}.json"
+            reports[statistic].write_text(out)
+        code, out, _ = run_cli("continue", *[str(reports["mic"])] * 3, capsys=capsys)
+        assert code == 0
+        assert json.loads(out)["components"] == 3
+        code, out, err = run_cli(
+            "continue", "2.0", *[str(reports["pseudo"])] * 3, capsys=capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert "not an e-variable" in json.loads(err)["error"]
+
+    def test_pseudo_too_large_fails_fast(self, tmp_path, capsys):
+        path = tmp_path / "t.json"
+        path.write_text('{"groups":[{"n":1000000,"ones":1},{"n":1000000,"ones":2}]}')
+        code, out, err = run_cli(
+            "test", "--table", str(path), "--statistic", "pseudo", capsys=capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert "points" in json.loads(err)["error"]
 
     def test_gap_matches_library(self, capsys):
         from maxent_evalues.diagnostics import gap_r

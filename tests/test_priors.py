@@ -7,8 +7,15 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import betabinom
 
-from maxent_evalues.numerics import Pmf, kl_divergence
+from maxent_evalues.numerics import (
+    FFT_THRESHOLD,
+    GridDensity,
+    Pmf,
+    convolve_all,
+    kl_divergence,
+)
 from maxent_evalues.priors import (
+    MAX_PSEUDO_POINTS,
     PriorSpec,
     PseudoDensity,
     direct_convolution_density,
@@ -194,9 +201,60 @@ class TestPseudoNullDensity:
         with pytest.raises(ValueError, match="mismatch"):
             pseudo_null_density([PriorSpec.uniform()], [3, 3], scale=100)
 
+    def test_bad_sizes_rejected(self):
+        with pytest.raises(ValueError, match="no groups"):
+            pseudo_null_density([], [], scale=100)
+        with pytest.raises(ValueError, match="at least 1"):
+            pseudo_null_density([PriorSpec.uniform()] * 2, [-5, 3], scale=100)
+
     def test_small_scale_rejected(self):
         with pytest.raises(ValueError, match="scale"):
             pseudo_null_density([PriorSpec.uniform()] * 2, [3, 3], scale=5)
+
+    def test_too_large_rejected_before_building(self):
+        # 2e10 points: without the guard this fails at allocation.
+        assert 2 * 10**10 > MAX_PSEUDO_POINTS
+        with pytest.raises(ValueError, match="points"):
+            pseudo_null_density([PriorSpec.uniform()] * 2, [10**6] * 2)
+
+    def test_limit_admits_fixed_n_cells(self):
+        # n = 1024 at the default scale: criterion 6 and the gap benchmark.
+        assert 10_000 * 1024 + 1 <= MAX_PSEUDO_POINTS
+
+    @pytest.mark.parametrize(
+        "specs, sizes, scale",
+        [
+            # Repeated (prior, size) pairs of unequal sizes, past FFT_THRESHOLD.
+            (
+                [PriorSpec.uniform(), PriorSpec.uniform(), PriorSpec.from_beta(2, 3),
+                 PriorSpec.uniform(), PriorSpec.from_beta(2, 3), PriorSpec.nml()],
+                [3, 3, 5, 3, 5, 4],
+                500,
+            ),
+            # Below FFT_THRESHOLD, where the left fold sums in log space.
+            ([PriorSpec.uniform(), PriorSpec.from_beta(2, 3), PriorSpec.uniform()],
+             [3, 5, 3], 10),
+            # Beta(<1) priors: the endpoint cells are clipped.
+            ([PriorSpec.from_beta(0.5, 0.5)] * 3, [4, 4, 6], 500),
+        ],
+    )
+    def test_one_pass_matches_left_fold(self, specs, sizes, scale):
+        pmfs = [induced_group_pmf(s, scale * n) for s, n in zip(specs, sizes)]
+        conv = convolve_all(pmfs)
+        total = conv.support_size - 1
+        assert (total + 1 > FFT_THRESHOLD) == (scale > 10)
+        grid = np.arange(total + 1) / total
+        density = conv.weights() * total
+        if any(s.kind == "beta" and min(s.alpha, s.beta) < 1 for s in specs):
+            grid, density = grid[1:-1], density[1:-1]
+        ref = GridDensity.from_density(grid, density)
+        got = pseudo_null_density(specs, sizes, scale=scale).density
+        np.testing.assert_array_equal(got.grid, ref.grid)
+        # Pointwise relative, except in tails near FFT_CLAMP of the peak,
+        # where both routes are at the FFT round-off floor.
+        np.testing.assert_allclose(
+            got.density(), ref.density(), rtol=1e-9, atol=1e-12 * ref.density().max()
+        )
 
 
 class TestDirectConvolutionDensity:
