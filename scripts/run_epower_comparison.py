@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Compare mic / can / pseudo e-powers across group sizes and priors.
 
-Evaluates the three statistics by exact enumeration over the table support
-and reports their e-powers per cell, together with the sandwich slack
+Computes the three statistics' exact e-powers per cell, by the same library
+route as the `epower` command, together with the sandwich slack
 (can - mic and pseudo - can, both of which should be nonnegative).
 """
 
@@ -11,15 +11,11 @@ import sys
 from dataclasses import dataclass
 
 from maxent_evalues.cli import parse_prior
-from maxent_evalues.evariables import (
-    e_power,
-    log_e_gro_can,
-    log_e_gro_mic,
-    log_e_pseudo,
-    ripr_solve,
-)
-from maxent_evalues.models import Table
+from maxent_evalues.diagnostics import e_powers
+from maxent_evalues.evariables import ripr_solve
 from maxent_evalues.priors import (
+    DEFAULT_DENSITY_GRID,
+    DEFAULT_SCALE,
     induced_group_pmf,
     null_optimal_prior,
     pseudo_null_density,
@@ -31,8 +27,8 @@ class EPowerConfig:
     priors: tuple[str, ...] = ("beta:1,1", "beta:3,3", "nml")
     k: int = 2
     m_values: tuple[int, ...] = (5, 10, 20)
-    scale: int = 10_000
-    grid_size: int = 20_001
+    scale: int = DEFAULT_SCALE
+    grid_size: int = DEFAULT_DENSITY_GRID
 
 
 def run(config: EPowerConfig, out=sys.stdout) -> None:
@@ -42,26 +38,14 @@ def run(config: EPowerConfig, out=sys.stdout) -> None:
         for m in config.m_values:
             sizes = (m,) * config.k
             priors = [spec] * config.k
-            group_pmfs = [induced_group_pmf(spec, m) for _ in range(config.k)]
             density = pseudo_null_density(
                 priors, sizes, scale=config.scale, grid_size=config.grid_size
             )
-            solution = ripr_solve(null_optimal_prior(group_pmfs), config.k * m)
-
-            def table_of(ones):
-                return Table(tuple(zip(sizes, ones)))
-
-            mic = e_power(
-                lambda o: log_e_gro_mic(table_of(o), priors).log_e, group_pmfs
+            solution = ripr_solve(
+                null_optimal_prior([induced_group_pmf(spec, m)] * config.k), config.k * m
             )
-            can = e_power(
-                lambda o: log_e_gro_can(table_of(o), priors, solution).log_e,
-                group_pmfs,
-            )
-            pse = e_power(
-                lambda o: log_e_pseudo(table_of(o), priors, density).log_e,
-                group_pmfs,
-            )
+            powers = e_powers(priors, sizes, density, solution)
+            mic, can, pse = powers["mic"], powers["can"], powers["pseudo"]
             print(
                 f"{spec.describe()}\t{config.k}\t{m}\t{mic:.8f}\t{can:.8f}"
                 f"\t{pse:.8f}\t{can - mic:.3e}\t{pse - can:.3e}",
@@ -72,26 +56,16 @@ def run(config: EPowerConfig, out=sys.stdout) -> None:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--priors", default="beta:1,1,beta:3,3,nml",
-                        help="semicolon- or comma-grouped prior labels")
-    parser.add_argument("--k", type=int, default=2)
+    parser.add_argument("--priors", default=";".join(EPowerConfig.priors),
+                        help="semicolon-separated prior labels, e.g. 'beta:2,2;nml'")
+    parser.add_argument("--k", type=int, default=EPowerConfig.k)
     parser.add_argument("--m-values", default="5,10,20")
-    parser.add_argument("--scale", type=int, default=10_000)
-    parser.add_argument("--grid-size", type=int, default=20_001)
+    parser.add_argument("--scale", type=int, default=DEFAULT_SCALE)
+    parser.add_argument("--grid-size", type=int, default=DEFAULT_DENSITY_GRID)
     parser.add_argument("--out", default=None)
     args = parser.parse_args(argv)
-    # Prior labels may themselves contain commas, so split on semicolons
-    # when present.
-    sep = ";" if ";" in args.priors else None
-    labels = (
-        tuple(p for p in args.priors.split(";") if p)
-        if sep
-        else EPowerConfig.priors
-        if args.priors == "beta:1,1,beta:3,3,nml"
-        else (args.priors,)
-    )
     config = EPowerConfig(
-        priors=labels,
+        priors=tuple(p for p in args.priors.split(";") if p),
         k=args.k,
         m_values=tuple(int(v) for v in args.m_values.split(",")),
         scale=args.scale,

@@ -16,19 +16,21 @@ import numpy as np
 from .diagnostics import (
     WORST_CASE_BOUNDS,
     WORST_CASE_STEP,
-    fit_log_slope,
+    e_powers,
     gap_r,
     gap_r_prime,
-    regret,
+    regret_curve,
     theorem1_diagnostic,
     worst_case_r_prime,
 )
 from .evariables import (
     POST_HOC_LEVEL,
+    RIPR_GRID_SIZE,
+    RIPR_MAX_ITER,
+    RIPR_TOL,
     combine_evalues,
     decide,
     e_or_none,
-    e_power,
     log_e_gro_can,
     log_e_gro_mic,
     log_e_gro_point,
@@ -37,6 +39,7 @@ from .evariables import (
 )
 from .models import Table
 from .priors import (
+    DEFAULT_DENSITY_GRID,
     DEFAULT_SCALE,
     PriorSpec,
     induced_group_pmf,
@@ -141,39 +144,36 @@ def cmd_net_test(args) -> dict:
     return payload
 
 
+def _sizes(args) -> tuple[int, ...]:
+    if args.sizes is None:
+        return (args.m,) * args.k
+    return tuple(int(s) for s in args.sizes.split(","))
+
+
 def cmd_epower(args) -> dict:
-    sizes = tuple(args.m for _ in range(args.k)) if args.sizes is None else tuple(
-        int(s) for s in args.sizes.split(",")
-    )
+    sizes = _sizes(args)
     priors = _priors_for(args, len(sizes))
-    group_pmfs = [induced_group_pmf(s, n) for s, n in zip(priors, sizes)]
     density = pseudo_null_density(
         priors, sizes, scale=args.scale, grid_size=args.density_grid
     )
     solution = ripr_solve(
-        null_optimal_prior(group_pmfs), sum(sizes),
+        null_optimal_prior([induced_group_pmf(s, n) for s, n in zip(priors, sizes)]),
+        sum(sizes),
         grid_size=args.ripr_grid, tol=args.ripr_tol, max_iter=args.ripr_max_iter,
     )
-
-    def as_fn(evaluate):
-        return lambda ones: evaluate(Table(tuple(zip(sizes, ones)))).log_e
-
-    mic = e_power(as_fn(lambda t: log_e_gro_mic(t, priors)), group_pmfs)
-    can = e_power(as_fn(lambda t: log_e_gro_can(t, priors, solution=solution)), group_pmfs)
-    pseudo = e_power(as_fn(lambda t: log_e_pseudo(t, priors, density)), group_pmfs)
+    powers = e_powers(priors, sizes, density, solution)
+    mic, can, pseudo = powers["mic"], powers["can"], powers["pseudo"]
     return {
         "sizes": list(sizes),
         "priors": [s.describe() for s in priors],
-        "e_power": {"mic": mic, "can": can, "pseudo": pseudo},
+        "e_power": powers,
         "sandwich_ok": bool(mic <= can + 1e-8 and can <= pseudo + 2e-8),
         "achieved_kl": solution.achieved_kl,
     }
 
 
 def _gap_inputs(args):
-    sizes = tuple(args.m for _ in range(args.k)) if args.sizes is None else tuple(
-        int(s) for s in args.sizes.split(",")
-    )
+    sizes = _sizes(args)
     priors = _priors_for(args, len(sizes))
     density = pseudo_null_density(
         priors, sizes, scale=args.scale, grid_size=args.density_grid
@@ -183,12 +183,11 @@ def _gap_inputs(args):
 
 def cmd_gap(args) -> dict:
     sizes, priors, density = _gap_inputs(args)
-    report = gap_r(priors, sizes, density)
     return {
         "sizes": list(sizes),
         "priors": [s.describe() for s in priors],
         "scale": args.scale,
-        "r": report.r,
+        "r": gap_r(priors, sizes, density),
     }
 
 
@@ -215,30 +214,26 @@ def cmd_rprime(args) -> dict:
     return payload
 
 
+def _single_prior(args) -> PriorSpec:
+    if args.gamma is not None:
+        return PriorSpec.from_beta(args.gamma, args.gamma)
+    return parse_prior(args.prior[0])
+
+
 def cmd_regret(args) -> dict:
     ms = [int(m) for m in args.m_list.split(",")]
-    palts = [_parse_palt(p, args.k) for p in args.palt]
-    prior = (
-        PriorSpec.from_beta(args.gamma, args.gamma)
-        if args.gamma is not None
-        else parse_prior(args.prior[0])
-    )
+    prior = _single_prior(args)
     rows = []
     curves = []
-    for palt in palts:
-        points = []
-        for m in sorted(ms):
-            value = regret(
-                palt, [prior] * args.k, [m] * args.k, args.candidate,
-                grid_size=args.ripr_grid, tol=args.ripr_tol,
-                max_iter=args.ripr_max_iter,
-            )
-            points.append((m, value))
-            rows.append({"p_alt": list(palt), "m": m, "regret": value})
-        a, b, resid = fit_log_slope(points)
-        curves.append(
-            {"p_alt": list(palt), "fitted_a": a, "fitted_b": b, "residual": resid}
+    for text in args.palt:
+        curve = regret_curve(
+            _parse_palt(text, args.k), prior, ms, args.candidate,
+            grid_size=args.ripr_grid, tol=args.ripr_tol, max_iter=args.ripr_max_iter,
         )
+        palt = list(curve.p_alt)
+        rows += [{"p_alt": palt, "m": m, "regret": v} for m, v in curve.points]
+        curves.append({"p_alt": palt, "fitted_a": curve.fitted_a,
+                       "fitted_b": curve.fitted_b, "residual": curve.residual})
     payload = {
         "prior": prior.describe(),
         "candidate": args.candidate,
@@ -257,11 +252,7 @@ def cmd_regret(args) -> dict:
 
 
 def cmd_theorem1(args) -> dict:
-    spec = (
-        PriorSpec.from_beta(args.gamma, args.gamma)
-        if args.gamma is not None
-        else parse_prior(args.prior[0])
-    )
+    spec = _single_prior(args)
     tv = theorem1_diagnostic(spec, args.m, args.bins)
     return {"prior": spec.describe(), "m": args.m, "bins": args.bins, "tv": tv}
 
@@ -302,12 +293,15 @@ def _add_prior_args(p):
                    help="shorthand for symmetric beta:g,g priors")
 
 
-def _add_solver_args(p):
-    p.add_argument("--ripr-grid", type=int, default=2001)
-    p.add_argument("--ripr-tol", type=float, default=1e-10)
-    p.add_argument("--ripr-max-iter", type=int, default=50000)
+def _add_ripr_args(p):
+    p.add_argument("--ripr-grid", type=int, default=RIPR_GRID_SIZE)
+    p.add_argument("--ripr-tol", type=float, default=RIPR_TOL)
+    p.add_argument("--ripr-max-iter", type=int, default=RIPR_MAX_ITER)
+
+
+def _add_density_args(p):
     p.add_argument("--scale", type=int, default=DEFAULT_SCALE)
-    p.add_argument("--density-grid", type=int, default=20001)
+    p.add_argument("--density-grid", type=int, default=DEFAULT_DENSITY_GRID)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -325,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--palt", default=None, help="comma-separated alternative means")
     p.add_argument("--alpha", type=float, default=0.05)
     _add_prior_args(p)
-    _add_solver_args(p)
+    _add_ripr_args(p)
+    _add_density_args(p)
     p.set_defaults(fn=cmd_test)
 
     p = sub.add_parser("net-test", help="network test via table reduction")
@@ -338,7 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--palt", default=None)
     p.add_argument("--alpha", type=float, default=0.05)
     _add_prior_args(p)
-    _add_solver_args(p)
+    _add_ripr_args(p)
+    _add_density_args(p)
     p.set_defaults(fn=cmd_net_test)
 
     p = sub.add_parser("epower", help="exact e-powers of mic/can/pseudo")
@@ -346,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=10)
     p.add_argument("--sizes", default=None, help="comma-separated group sizes")
     _add_prior_args(p)
-    _add_solver_args(p)
+    _add_ripr_args(p)
+    _add_density_args(p)
     p.set_defaults(fn=cmd_epower)
 
     p = sub.add_parser("gap", help="exact-vs-pseudo gap r")
@@ -354,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=50)
     p.add_argument("--sizes", default=None)
     _add_prior_args(p)
-    _add_solver_args(p)
+    _add_density_args(p)
     p.set_defaults(fn=cmd_gap)
 
     p = sub.add_parser("rprime", help="gap under a point alternative")
@@ -367,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lo", type=float, default=WORST_CASE_BOUNDS[0])
     p.add_argument("--hi", type=float, default=WORST_CASE_BOUNDS[1])
     _add_prior_args(p)
-    _add_solver_args(p)
+    _add_density_args(p)
     p.set_defaults(fn=cmd_rprime)
 
     p = sub.add_parser("regret", help="regret curve and fitted log-slope")
@@ -378,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="gro_mic")
     p.add_argument("--tsv", default=None)
     _add_prior_args(p)
-    _add_solver_args(p)
+    _add_ripr_args(p)
     p.set_defaults(fn=cmd_regret)
 
     p = sub.add_parser("theorem1", help="prior-convergence TV diagnostic")

@@ -10,29 +10,30 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, xlogy
+from scipy.special import betainc
 
 from .evariables import (
     RIPR_GRID_SIZE,
     RIPR_MAX_ITER,
     RIPR_TOL,
     RiprSolution,
-    log_w_pseudo0,
+    Statistic,
+    e_power,
     point_alt_count_pmf,
     ripr_solve,
 )
 from .numerics import (
     NEG_INF,
-    Pmf,
     binomial_pmf,
     kl_divergence,
-    log_binomial_row,
     total_variation,
 )
 from .priors import (
+    DEFAULT_DENSITY_GRID,
+    DEFAULT_SCALE,
     PriorSpec,
     PseudoDensity,
     induced_group_pmf,
@@ -45,17 +46,6 @@ WORKERS_ENV = "MAXENT_EVALUES_WORKERS"
 # Worst-case search protocol: interior product grid.
 WORST_CASE_BOUNDS = (0.02, 0.98)
 WORST_CASE_STEP = 0.02
-
-
-@dataclass(frozen=True)
-class GapReport:
-    """Gap between the exact and pseudo null priors, as a KL divergence."""
-
-    r: float
-    m: int
-    k: int
-    prior: str
-    per_point: tuple[float, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -74,38 +64,41 @@ class RegretCurve:
             raise ValueError("points must be sorted by m")
 
 
-def _log_ratio_exact_vs_pseudo(specs, sizes, density) -> tuple[Pmf, np.ndarray]:
-    """Exact null prior on the total count and its pointwise log-ratio to the
-    pseudo-induced total-count law."""
-    specs = list(specs)
+def e_powers(specs, sizes, density: PseudoDensity, solution: RiprSolution) -> dict:
+    """Exact e-powers of the mic, can and pseudo statistics under the Bayes
+    marginal of specs; they should satisfy mic <= can <= pseudo.
+
+    solution is the projection of the optimal null prior for these specs and
+    sizes, density their pseudo null density.
+    """
+    group_pmfs = [induced_group_pmf(s, n) for s, n in zip(specs, sizes)]
+    statistics = {
+        "mic": Statistic.mic(sizes, specs),
+        "can": Statistic.can(sizes, specs, solution),
+        "pseudo": Statistic.pseudo(sizes, specs, density),
+    }
+    return {name: e_power(s, group_pmfs) for name, s in statistics.items()}
+
+
+def _count_term_gap(specs, sizes, density) -> tuple[np.ndarray, np.ndarray]:
+    """log W0 of the exact null prior at every total count, and h_pseudo - h_mic.
+
+    Both count terms are log C(n, c) - log W0(c), so their difference is
+    that of the null masses, taken directly.
+    """
     sizes = list(sizes)
-    if len(specs) != len(sizes):
-        raise ValueError("specs and sizes length mismatch")
-    w0 = null_optimal_prior([induced_group_pmf(s, n) for s, n in zip(specs, sizes)])
-    n = sum(sizes)
-    log_pseudo = log_w_pseudo0(density, n, np.arange(n + 1))
-    mask = w0.log_weights > NEG_INF
-    if (np.asarray(log_pseudo)[mask] == NEG_INF).any():
-        raise ValueError("density vanished where the exact prior has mass")
-    with np.errstate(invalid="ignore"):
-        ratio = w0.log_weights - log_pseudo
-    ratio[~mask] = 0.0
-    return w0, ratio
+    c = np.arange(sum(sizes) + 1)
+    log_w0 = Statistic.mic(sizes, specs).log_null_mass(c)
+    gap = log_w0 - Statistic.pseudo(sizes, specs, density).log_null_mass(c)
+    gap[log_w0 == NEG_INF] = 0.0
+    return log_w0, gap
 
 
-def gap_r(specs, sizes, density: PseudoDensity) -> GapReport:
-    """KL divergence from the exact null prior to the pseudo null prior, on the
-    total-count space. Equals the pseudo-minus-exact e-power difference."""
-    w0, ratio = _log_ratio_exact_vs_pseudo(specs, sizes, density)
-    r = float(np.dot(w0.weights(), ratio))
-    specs = list(specs)
-    return GapReport(
-        r=r,
-        m=max(sizes),
-        k=len(specs),
-        prior=";".join(s.describe() for s in specs),
-        per_point=tuple(ratio),
-    )
+def gap_r(specs, sizes, density: PseudoDensity) -> float:
+    """KL divergence r from the exact null prior to the pseudo null prior, on
+    the total-count space. Equals the pseudo-minus-exact e-power difference."""
+    log_w0, gap = _count_term_gap(specs, sizes, density)
+    return float(np.dot(np.exp(log_w0), gap))
 
 
 def gap_r_prime(p_alt, specs, sizes, density: PseudoDensity) -> float:
@@ -117,9 +110,8 @@ def gap_r_prime(p_alt, specs, sizes, density: PseudoDensity) -> float:
     pvec = np.atleast_1d(np.asarray(p_alt, dtype=float))
     if pvec.size != len(list(sizes)):
         raise ValueError("p_alt length must match the number of groups")
-    _, ratio = _log_ratio_exact_vs_pseudo(specs, sizes, density)
-    law = point_alt_count_pmf(sizes, pvec)
-    return float(np.dot(law.weights(), ratio))
+    _, gap = _count_term_gap(specs, sizes, density)
+    return float(np.dot(point_alt_count_pmf(sizes, pvec).weights(), gap))
 
 
 def worst_case_r_prime(
@@ -139,7 +131,7 @@ def worst_case_r_prime(
         raise ValueError("bounds must satisfy 0 < lo < hi < 1")
     sizes = list(sizes)
     k = len(sizes)
-    _, ratio = _log_ratio_exact_vs_pseudo(specs, sizes, density)
+    _, gap = _count_term_gap(specs, sizes, density)
     axis = np.arange(lo, hi + grid_step / 2, grid_step)
     # Per-group binomial pmfs at every grid value, convolved incrementally
     # across groups; the full k-dimensional grid is swept in lexicographic
@@ -153,7 +145,7 @@ def worst_case_r_prime(
     def recurse(depth, conv, point):
         nonlocal best, best_point
         if depth == k:
-            val = float(np.dot(conv, ratio))
+            val = float(np.dot(conv, gap))
             if val > best:
                 best = val
                 best_point = point
@@ -163,39 +155,6 @@ def worst_case_r_prime(
 
     recurse(0, np.array([1.0]), ())
     return best, best_point
-
-
-def _group_loglik_terms(n: int, p: float) -> np.ndarray:
-    j = np.arange(n + 1)
-    return xlogy(j, p) + xlogy(n - j, 1.0 - p)
-
-
-def _candidate_h(kind, specs, sizes, density, solution, n,
-                 grid_size, tol, max_iter) -> np.ndarray:
-    """Total-count term of log S_cand, as a vector over c0 = 0..n.
-
-    All candidate statistics share the per-group part log W_i(c1_i) minus
-    the group multiplicity; they differ only in how the null mass at the
-    total count is computed.
-    """
-    c0 = np.arange(n + 1)
-    if kind == "gro_mic":
-        w0 = null_optimal_prior([induced_group_pmf(s, m) for s, m in zip(specs, sizes)])
-        return log_binomial_row(n) - w0.log_weights
-    if kind == "pseudo":
-        if density is None:
-            raise ValueError("pseudo candidate requires a density")
-        return log_binomial_row(n) - np.asarray(log_w_pseudo0(density, n, c0))
-    if kind == "gro_can":
-        if solution is None:
-            w0 = null_optimal_prior(
-                [induced_group_pmf(s, m) for s, m in zip(specs, sizes)]
-            )
-            solution = ripr_solve(w0, n, grid_size=grid_size, tol=tol, max_iter=max_iter)
-        if not solution.converged:
-            raise ValueError("refine solver")
-        return -solution.log_marginal_count_pmf(n) + log_binomial_row(n)
-    raise ValueError(f"unknown candidate kind {kind!r}")
 
 
 def regret(
@@ -212,34 +171,34 @@ def regret(
 ) -> float:
     """Expected log-growth loss of a candidate statistic against the point GRO.
 
-    candidate is one of "gro_mic", "gro_can", "pseudo". The expectation under
-    the point alternative is exact: per-group terms sum against binomials and
-    total-count terms against their convolution.
+    candidate is one of "gro_mic", "gro_can", "pseudo"; "pseudo" needs the
+    density. Both e-powers are exact under the point alternative.
     """
     specs = list(specs)
     sizes = list(sizes)
     pvec = np.atleast_1d(np.asarray(p_alt, dtype=float))
     if pvec.size != len(sizes):
         raise ValueError("p_alt length must match the number of groups")
+    if candidate not in ("gro_mic", "gro_can", "pseudo"):
+        raise ValueError(f"unknown candidate kind {candidate!r}")
+    if candidate == "pseudo" and density is None:
+        raise ValueError("pseudo candidate requires a density")
     n = sum(sizes)
-    law = point_alt_count_pmf(sizes, pvec)
+    solve = {"grid_size": grid_size, "tol": tol, "max_iter": max_iter}
     if point_solution is None:
-        point_solution = ripr_solve(law, n, grid_size=grid_size, tol=tol, max_iter=max_iter)
-    if not point_solution.converged:
-        raise ValueError("refine solver")
-    # Per-group part of E[log S_point - log S_cand]: the point numerator
-    # minus the shared Bayes-marginal numerator.
-    group_part = 0.0
-    for m, p, s in zip(sizes, pvec, specs):
-        b = binomial_pmf(m, p)
-        wi = induced_group_pmf(s, m)
-        terms = _group_loglik_terms(m, p) + log_binomial_row(m) - wi.log_weights
-        group_part += float(np.dot(b.weights(), terms))
-    h_point = -point_solution.log_marginal_count_pmf(n) + log_binomial_row(n)
-    h_cand = _candidate_h(
-        candidate, specs, sizes, density, solution, n, grid_size, tol, max_iter
-    )
-    return group_part + float(np.dot(law.weights(), h_point - h_cand))
+        point_solution = ripr_solve(point_alt_count_pmf(sizes, pvec), n, **solve)
+    if candidate == "gro_mic":
+        cand = Statistic.mic(sizes, specs)
+    elif candidate == "pseudo":
+        cand = Statistic.pseudo(sizes, specs, density)
+    else:
+        if solution is None:
+            target = null_optimal_prior([induced_group_pmf(s, m) for s, m in zip(specs, sizes)])
+            solution = ripr_solve(target, n, **solve)
+        cand = Statistic.can(sizes, specs, solution)
+    binomials = [binomial_pmf(m, p) for m, p in zip(sizes, pvec)]
+    point = Statistic.point(sizes, pvec, point_solution)
+    return e_power(point, binomials) - e_power(cand, binomials)
 
 
 def redundancy(p_alt, specs, sizes) -> float:
@@ -296,12 +255,16 @@ def regret_curve(
 
 def _regret_cell(job):
     p_alt, spec, m, candidate, grid_size, tol, max_iter = job
-    k = len(p_alt)
+    specs, sizes = [spec] * len(p_alt), [m] * len(p_alt)
+    density = None
+    if candidate == "pseudo":
+        density = pseudo_null_density(specs, sizes, DEFAULT_SCALE, DEFAULT_DENSITY_GRID)
     return regret(
         p_alt,
-        [spec] * k,
-        [m] * k,
+        specs,
+        sizes,
         candidate,
+        density=density,
         grid_size=grid_size,
         tol=tol,
         max_iter=max_iter,
@@ -355,8 +318,8 @@ class SweepConfig:
     diagnostic: str  # "gap_r" | "gap_r_prime" | "worst_case_r_prime" | "theorem1" | "gaussian_tv"
     prior: PriorSpec
     cells: tuple[tuple[int, int], ...]
-    scale: int = 10_000
-    grid_size: int | None = 20_001
+    scale: int = DEFAULT_SCALE
+    grid_size: int | None = DEFAULT_DENSITY_GRID
     p_alt: float | None = None
     bins: int = 20
     size_ratio: tuple[int, ...] | None = None
@@ -415,7 +378,7 @@ def _sweep_cell(job):
         specs, sizes, scale=config.scale, grid_size=config.grid_size
     )
     if config.diagnostic == "gap_r":
-        return gap_r(specs, sizes, density).r
+        return gap_r(specs, sizes, density)
     if config.diagnostic == "gap_r_prime":
         if config.p_alt is None:
             raise ValueError("gap_r_prime sweep requires p_alt")

@@ -1,38 +1,48 @@
 """E-variables for testing the equal-rate null against group-specific alternatives.
 
-Three statistics are provided for an observed 2xk table:
+Every statistic here is one `Statistic`: on a 2xk table with per-group
+one-counts c1 and total one-count c0 = sum(c1),
 
-- the exact microcanonical growth-rate-optimal (GRO) e-variable, available in
-  closed form from multiplicities and the optimal null prior;
-- the canonical GRO e-variable, obtained by numerically projecting the Bayes
-  marginal alternative onto the null model (reverse information projection),
-  and its point-alternative variant;
-- the pseudo statistic, which replaces the discrete optimal null prior with
-  its high-resolution limit density. It is a close upper proxy but not an
-  e-variable.
+    log S(c1) = sum_i a_i[c1_i] + h(c0),    h(c0) = log C(n, c0) - log W0(c0),
+
+where W0 is the null's mass at the total count. The statistics are
+
+- the exact microcanonical growth-rate-optimal (GRO) e-variable: a_i is the
+  group's induced prior mass over its multiplicity, W0 the optimal null
+  prior (the convolution of the group priors);
+- the canonical GRO e-variable: the same a_i, with W0 the projection of the
+  Bayes marginal onto binomial mixtures (reverse information projection);
+- its point-alternative variant: a_i is the group's Bernoulli
+  log-likelihood at a fixed alternative;
+- the pseudo statistic: the microcanonical a_i, with W0 the high-resolution
+  limit density of the optimal null prior. It is a close upper proxy but not
+  an e-variable.
+
+The e-value of one table evaluates h at one count; an expectation under a
+product law evaluates it at every count.
 """
 
 from __future__ import annotations
 
-import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import xlogy
 
-from .models import Table, canonical_loglik, log_multiplicity
+from .models import Table
 from .numerics import (
     NEG_INF,
     GridDensity,
     Pmf,
     binomial_pmf,
     convolve_all,
-    log_binomial,
+    log_binomial_mixture,
     log_binomial_row,
     log_sum_exp,
     trapezoid_log_weights,
 )
-from .priors import PriorSpec, PseudoDensity, induced_group_pmf, null_optimal_prior
+from .priors import PseudoDensity, induced_group_pmf, null_optimal_prior
 
 # Defaults for the numerical reverse information projection.
 RIPR_GRID_SIZE = 2001
@@ -58,24 +68,23 @@ def e_or_none(log_e: float) -> float | None:
     return e if np.isfinite(e) else None
 
 
+def _check_kind(kind: str) -> None:
+    if kind not in _EVARIABLE_KINDS:
+        raise ValueError(f"unknown statistic kind {kind!r}")
+
+
 @dataclass(frozen=True)
 class EValueReport:
-    """One evaluated statistic, split into log numerator and denominator."""
+    """One statistic evaluated at one table."""
 
     statistic_kind: str  # "gro_mic" | "gro_can" | "gro_point" | "pseudo"
-    log_numerator: float
-    log_denominator: float
+    log_e: float
     c1: tuple[int, ...]
     c0: int
     achieved_kl: float | None = None
 
     def __post_init__(self):
-        if self.statistic_kind not in _EVARIABLE_KINDS:
-            raise ValueError(f"unknown statistic kind {self.statistic_kind!r}")
-
-    @property
-    def log_e(self) -> float:
-        return self.log_numerator - self.log_denominator
+        _check_kind(self.statistic_kind)
 
     @property
     def e(self) -> float:
@@ -122,62 +131,107 @@ class RiprSolution:
         if g.shape != lw.shape or g.ndim != 1:
             raise ValueError("grid and log_weights must be matching 1-D arrays")
 
-    def log_marginal_count_pmf(self, n: int, counts=None) -> np.ndarray:
-        """Log pmf of the total one-count under the mixture of Binomial(n, p).
 
-        Evaluated at the given counts, or at every count 0..n by default.
-        """
-        c0 = np.arange(n + 1) if counts is None else np.atleast_1d(counts)
-        ll = (
-            xlogy(c0[:, None], self.grid[None, :])
-            + xlogy((n - c0)[:, None], 1.0 - self.grid[None, :])
-            + log_binomial_row(n)[c0][:, None]
-            + self.log_weights[None, :]
-        )
-        m = ll.max(axis=1, keepdims=True)
-        m[m == NEG_INF] = 0.0
-        with np.errstate(divide="ignore"):
-            return m[:, 0] + np.log(np.exp(ll - m).sum(axis=1))
-
-
-def _check_compatible(table: Table, priors) -> list[PriorSpec]:
+def _group_pmfs(sizes, priors) -> list[Pmf]:
     priors = list(priors)
-    if len(priors) != table.k:
-        raise ValueError(f"expected {table.k} priors, got {len(priors)}")
-    return priors
+    if len(priors) != len(sizes):
+        raise ValueError(f"expected {len(sizes)} priors, got {len(priors)}")
+    return [induced_group_pmf(s, n) for s, n in zip(priors, sizes)]
 
 
-def log_marginal_alt(table: Table, priors) -> float:
-    """Log Bayes marginal alternative probability of one configuration.
+def _bayes_terms(group_pmfs) -> tuple[np.ndarray, ...]:
+    # Bayes marginal probability of one group configuration: the induced
+    # prior mass at its one-count over the number of such configurations.
+    return tuple(p.log_weights - log_binomial_row(p.support_size - 1) for p in group_pmfs)
 
-    Factorizes over groups: each group contributes its induced prior mass at
-    the observed one-count minus the group multiplicity.
+
+def _alt_params(sizes, alt_params) -> np.ndarray:
+    pvec = np.atleast_1d(np.asarray(alt_params, dtype=float))
+    if pvec.size != len(sizes):
+        raise ValueError(f"expected {len(sizes)} parameters, got {pvec.size}")
+    if ((pvec < 0) | (pvec > 1)).any():
+        raise ValueError("mean parameters must lie in [0, 1]")
+    return pvec
+
+
+def _mixture_mass(solution: RiprSolution, n: int):
+    if not solution.converged:
+        raise ValueError("refine solver")
+    return lambda c: log_binomial_mixture(solution.grid, solution.log_weights, n, c)
+
+
+@dataclass(frozen=True, eq=False)
+class Statistic:
+    """log S(c1) = sum_i group_terms[i][c1_i] + count_term(sum(c1)).
+
+    group_terms[i] is indexed by group i's one-count 0..n_i. log_null_mass
+    gives log W0, the null's mass at a total count, at the counts asked
+    for only, and count_term(c0) = log C(n, c0) - log W0(c0).
     """
-    priors = _check_compatible(table, priors)
-    total = 0.0
-    for (n, ones), spec in zip(table.groups, priors):
-        pmf = induced_group_pmf(spec, n)
-        total += float(pmf.log_weights[ones]) - log_binomial(n, ones)
-    return total
+
+    kind: str
+    group_terms: tuple[np.ndarray, ...]
+    log_null_mass: Callable[[np.ndarray], np.ndarray]
+    achieved_kl: float | None
+
+    def __post_init__(self):
+        _check_kind(self.kind)
+
+    @property
+    def is_evariable(self) -> bool:
+        return _EVARIABLE_KINDS[self.kind]
+
+    @property
+    def sizes(self) -> tuple[int, ...]:
+        return tuple(a.size - 1 for a in self.group_terms)
+
+    def count_term(self, counts) -> np.ndarray:
+        c = np.atleast_1d(np.asarray(counts, dtype=np.int64))
+        return log_binomial_row(sum(self.sizes))[c] - self.log_null_mass(c)
+
+    def report(self, ones) -> EValueReport:
+        """The statistic at one table, given its per-group one-counts."""
+        ones = tuple(int(o) for o in ones)
+        log_e = sum(float(a[o]) for a, o in zip(self.group_terms, ones, strict=True))
+        log_e += float(self.count_term(sum(ones))[0])
+        return EValueReport(self.kind, log_e, ones, sum(ones), self.achieved_kl)
+
+    @staticmethod
+    def mic(sizes, priors) -> "Statistic":
+        """Exact microcanonical GRO e-variable: W0 is the optimal null prior."""
+        pmfs = _group_pmfs(sizes, priors)
+        log_w0 = null_optimal_prior(pmfs).log_weights
+        return Statistic("gro_mic", _bayes_terms(pmfs), lambda c: log_w0[c], None)
+
+    @staticmethod
+    def pseudo(sizes, priors, density: PseudoDensity) -> "Statistic":
+        """The microcanonical form with the pseudo null prior; not an e-variable."""
+        n = sum(sizes)
+        terms = _bayes_terms(_group_pmfs(sizes, priors))
+        return Statistic("pseudo", terms, lambda c: log_w_pseudo0(density, n, c), None)
+
+    @staticmethod
+    def can(sizes, priors, solution: RiprSolution) -> "Statistic":
+        """Canonical GRO e-variable: W0 is the projected binomial mixture."""
+        terms = _bayes_terms(_group_pmfs(sizes, priors))
+        mass = _mixture_mass(solution, sum(sizes))
+        return Statistic("gro_can", terms, mass, solution.achieved_kl)
+
+    @staticmethod
+    def point(sizes, alt_params, solution: RiprSolution) -> "Statistic":
+        """GRO e-variable against a point alternative: the group terms are the
+        Bernoulli log-likelihoods at alt_params (0^0 = 1 at the boundary)."""
+        terms = []
+        for n, p in zip(sizes, _alt_params(sizes, alt_params)):
+            c = np.arange(n + 1)
+            terms.append(xlogy(c, p) + xlogy(n - c, 1.0 - p))
+        mass = _mixture_mass(solution, sum(sizes))
+        return Statistic("gro_point", tuple(terms), mass, solution.achieved_kl)
 
 
 def log_e_gro_mic(table: Table, priors) -> EValueReport:
-    """Exact microcanonical GRO e-value.
-
-    Closed form: the null-to-alternative multiplicity ratio times the
-    alternative-to-optimal-null prior mass ratio at the observed counts.
-    """
-    priors = _check_compatible(table, priors)
-    group_pmfs = [induced_group_pmf(s, n) for s, n in zip(priors, table.sizes)]
-    w0 = null_optimal_prior(group_pmfs)
-    log_w1 = sum(float(p.log_weights[o]) for p, o in zip(group_pmfs, table.ones))
-    log_w0 = float(w0.log_weights[table.n1])
-    # The optimal null prior is the convolution of the group priors, so it
-    # cannot vanish at a total count the group priors jointly realize.
-    assert not (log_w0 == NEG_INF and log_w1 > NEG_INF)
-    num = log_multiplicity(table, "null") + log_w1
-    den = log_multiplicity(table, "alt") + log_w0
-    return EValueReport("gro_mic", num, den, table.ones, table.n1)
+    """Exact microcanonical GRO e-value of one table."""
+    return Statistic.mic(table.sizes, priors).report(table.ones)
 
 
 def log_w_pseudo0(density: GridDensity | PseudoDensity, n: int, n1) -> np.ndarray | float:
@@ -191,41 +245,17 @@ def log_w_pseudo0(density: GridDensity | PseudoDensity, n: int, n1) -> np.ndarra
     c0 = np.atleast_1d(np.asarray(n1, dtype=np.int64))
     if ((c0 < 0) | (c0 > n)).any():
         raise ValueError("total count out of range")
-    p = density.grid
     base = density.log_density + trapezoid_log_weights(density)
-    lrow = log_binomial_row(n)
-    out = np.empty(c0.size)
-    chunk = max(1, 4_000_000 // max(p.size, 1))
-    for start in range(0, c0.size, chunk):
-        cc = c0[start : start + chunk]
-        ll = (
-            xlogy(cc[:, None], p[None, :])
-            + xlogy((n - cc)[:, None], 1.0 - p[None, :])
-            + base[None, :]
-        )
-        m = ll.max(axis=1, keepdims=True)
-        m[m == NEG_INF] = 0.0
-        with np.errstate(divide="ignore"):
-            out[start : start + chunk] = (
-                m[:, 0] + np.log(np.exp(ll - m).sum(axis=1)) + lrow[cc]
-            )
+    out = log_binomial_mixture(density.grid, base, n, c0)
     if (out == NEG_INF).any():
         raise ValueError("quadrature underflow")
     return out if np.ndim(n1) else float(out[0])
 
 
 def log_e_pseudo(table: Table, priors, density: PseudoDensity) -> EValueReport:
-    """Pseudo statistic: the microcanonical form with the pseudo null prior.
-
-    Not an e-value; its null expectation can exceed 1.
-    """
-    priors = _check_compatible(table, priors)
-    group_pmfs = [induced_group_pmf(s, n) for s, n in zip(priors, table.sizes)]
-    log_w1 = sum(float(p.log_weights[o]) for p, o in zip(group_pmfs, table.ones))
-    log_w0 = log_w_pseudo0(density, table.n, table.n1)
-    num = log_multiplicity(table, "null") + log_w1
-    den = log_multiplicity(table, "alt") + log_w0
-    return EValueReport("pseudo", num, den, table.ones, table.n1)
+    """Pseudo statistic of one table. Not an e-value; its null expectation
+    can exceed 1."""
+    return Statistic.pseudo(table.sizes, priors, density).report(table.ones)
 
 
 def ripr_solve(
@@ -332,12 +362,6 @@ def ripr_solve(
     return RiprSolution(p, full, kl, it, converged)
 
 
-def _mixture_log_config_prob(solution: RiprSolution, n: int, n1: int) -> float:
-    # Mixture probability of one configuration: mixture pmf of the total
-    # count divided by the number of configurations realizing that count.
-    return float(solution.log_marginal_count_pmf(n, n1)[0]) - log_binomial(n, n1)
-
-
 def log_e_gro_can(
     table: Table,
     priors,
@@ -346,29 +370,20 @@ def log_e_gro_can(
     tol: float = RIPR_TOL,
     max_iter: int = RIPR_MAX_ITER,
 ) -> EValueReport:
-    """Canonical GRO e-value for the observed table.
+    """Canonical GRO e-value of one table.
 
-    The alternative is the Bayes marginal over the given priors; the null is
-    the projected mixture. A precomputed projection may be passed to avoid
-    re-solving for the same priors and sizes.
+    The projection of the Bayes marginal is solved here unless a
+    precomputed one for the same priors and sizes is passed.
     """
-    priors = _check_compatible(table, priors)
     if solution is None:
-        group_pmfs = [induced_group_pmf(s, n) for s, n in zip(priors, table.sizes)]
         solution = ripr_solve(
-            null_optimal_prior(group_pmfs),
+            null_optimal_prior(_group_pmfs(table.sizes, priors)),
             table.n,
             grid_size=grid_size,
             tol=tol,
             max_iter=max_iter,
         )
-    if not solution.converged:
-        raise ValueError("refine solver")
-    num = log_marginal_alt(table, priors)
-    den = _mixture_log_config_prob(solution, table.n, table.n1)
-    return EValueReport(
-        "gro_can", num, den, table.ones, table.n1, achieved_kl=solution.achieved_kl
-    )
+    return Statistic.can(table.sizes, priors, solution).report(table.ones)
 
 
 def point_alt_count_pmf(sizes, alt_params) -> Pmf:
@@ -385,14 +400,12 @@ def log_e_gro_point(
     tol: float = RIPR_TOL,
     max_iter: int = RIPR_MAX_ITER,
 ) -> EValueReport:
-    """GRO e-value against a point alternative with the given mean parameters.
+    """GRO e-value of one table against a point alternative.
 
     The projection target is the exact law of the total count under the
     point alternative: the convolution of the per-group binomials.
     """
-    pvec = np.atleast_1d(np.asarray(alt_params, dtype=float))
-    if pvec.size != table.k:
-        raise ValueError(f"expected {table.k} parameters, got {pvec.size}")
+    pvec = _alt_params(table.sizes, alt_params)
     if solution is None:
         solution = ripr_solve(
             point_alt_count_pmf(table.sizes, pvec),
@@ -401,33 +414,28 @@ def log_e_gro_point(
             tol=tol,
             max_iter=max_iter,
         )
-    if not solution.converged:
-        raise ValueError("refine solver")
-    num = canonical_loglik(table, pvec, "alt")
-    den = _mixture_log_config_prob(solution, table.n, table.n1)
-    return EValueReport(
-        "gro_point", num, den, table.ones, table.n1, achieved_kl=solution.achieved_kl
-    )
+    return Statistic.point(table.sizes, pvec, solution).report(table.ones)
 
 
-def e_power(log_e_fn, group_pmfs) -> float:
-    """Expected log e-value under a product law on the per-group one-counts.
+def e_power(statistic: Statistic, group_pmfs) -> float:
+    """Expected log statistic under a product law on the per-group one-counts.
 
-    Enumerates the full product support exactly; log_e_fn takes a tuple of
-    per-group one-counts. The statistic must be positive wherever the
-    reference law puts mass.
+    Exact: each group term is summed against its group's law and the count
+    term against the convolution of the group laws. The statistic must be
+    positive wherever the reference law puts mass.
     """
     group_pmfs = list(group_pmfs)
-    log_ws = [p.log_weights for p in group_pmfs]
+    if tuple(p.support_size - 1 for p in group_pmfs) != statistic.sizes:
+        raise ValueError("group laws do not match the statistic's group sizes")
+    law = convolve_all(group_pmfs)
+    pairs = list(zip(group_pmfs, statistic.group_terms))
+    pairs.append((law, statistic.count_term(np.arange(law.support_size))))
     total = 0.0
-    for idx in itertools.product(*[range(p.support_size) for p in group_pmfs]):
-        lp = sum(float(lw[i]) for lw, i in zip(log_ws, idx))
-        if lp == NEG_INF:
-            continue
-        ls = log_e_fn(idx)
-        if ls == NEG_INF:
+    for pmf, values in pairs:
+        mass = pmf.log_weights > NEG_INF
+        if (values[mass] == NEG_INF).any():
             raise ValueError("statistic vanishes on support")
-        total += np.exp(lp) * ls
+        total += float(np.dot(np.exp(pmf.log_weights[mass]), values[mass]))
     return total
 
 

@@ -6,7 +6,6 @@ binary sequences are never materialized.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,10 +26,10 @@ class Table:
         if len(groups) < 1:
             raise ValueError("no groups")
         for i, (n, ones) in enumerate(groups):
-            if n < 0 or not 0 <= ones <= n:
+            if n < 1:
+                raise ValueError(f"table row {i}: group size must be at least 1")
+            if not 0 <= ones <= n:
                 raise ValueError(f"invalid table row {i}: n={n}, ones={ones}")
-        if self.n < 1:
-            raise ValueError("table has no observations")
 
     @property
     def k(self) -> int:
@@ -51,11 +50,6 @@ class Table:
     @property
     def n1(self) -> int:
         return sum(self.ones)
-
-
-def suff_stats(t: Table) -> tuple[tuple[int, ...], int]:
-    """(per-group one-counts, total one-count)."""
-    return t.ones, t.n1
 
 
 def log_multiplicity(t: Table, hypothesis: str) -> float:
@@ -94,23 +88,3 @@ def canonical_loglik(t: Table, params, hypothesis: str) -> float:
             return NEG_INF
         total += float(xlogy(ones, pi) + xlogy(n - ones, 1.0 - pi))
     return total
-
-
-def theta_to_p(theta) -> np.ndarray:
-    """Natural to mean-value parameters: p = e^-theta / (1 + e^-theta)."""
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
-    if not np.isfinite(th).all():
-        raise ValueError("natural parameters must be finite")
-    out = np.empty_like(th)
-    pos = th >= 0
-    out[pos] = np.exp(-th[pos]) / (1 + np.exp(-th[pos]))
-    out[~pos] = 1 / (1 + np.exp(th[~pos]))
-    return out
-
-
-def p_to_theta(p) -> np.ndarray:
-    """Mean-value to natural parameters; boundary p has no finite preimage."""
-    pv = np.atleast_1d(np.asarray(p, dtype=float))
-    if ((pv <= 0) | (pv >= 1)).any():
-        raise ValueError("boundary has no natural parameter")
-    return np.log((1 - pv) / pv)

@@ -260,6 +260,30 @@ class GridDensity:
         return GridDensity.from_density(g, d)
 
 
+def log_binomial_mixture(p, log_w, n: int, counts) -> np.ndarray:
+    """log sum_j w_j C(n, c) p_j^c (1 - p_j)^(n - c) at each count c.
+
+    The log pmf of the total count of n trials under a mixture of
+    Binomial(n, p_j) with log weights log_w, evaluated at the given counts
+    only, in chunks of about 4e6 cells.
+    """
+    c = np.atleast_1d(np.asarray(counts, dtype=np.int64))
+    out = np.empty(c.size)
+    chunk = max(1, 4_000_000 // max(p.size, 1))
+    for start in range(0, c.size, chunk):
+        cc = c[start : start + chunk]
+        ll = (
+            xlogy(cc[:, None], p[None, :])
+            + xlogy((n - cc)[:, None], 1.0 - p[None, :])
+            + log_w[None, :]
+        )
+        m = ll.max(axis=1, keepdims=True)
+        m[m == NEG_INF] = 0.0
+        with np.errstate(divide="ignore"):
+            out[start : start + chunk] = m[:, 0] + np.log(np.exp(ll - m).sum(axis=1))
+    return out + log_binomial_row(n)[c]
+
+
 def trapezoid_log_weights(density: GridDensity) -> np.ndarray:
     """Log trapezoid quadrature weights for the density's grid."""
     lw = np.full(density.grid.size, np.log(density.step))

@@ -30,9 +30,10 @@ from .numerics import (
 DEFAULT_SCALE = 10_000
 
 # Largest high-resolution support pseudo_null_density builds (scale * n + 1
-# points). A build holds about 73 bytes a point at its peak (measured: 819 MB
-# at 1.024e7 points, 1531 MB at 2.048e7), so this keeps it below about 2 GB
-# and still admits n = 1024 at the default scale.
+# points). A build holds about 24 bytes a point at its peak (tracemalloc:
+# 235 MiB at 1.024e7 points, k = 8, n = 1024; peak RSS of the process 429 MB
+# there and 750 MB at 2.048e7), so this keeps it below about 1 GB and still
+# admits n = 1024 at the default scale.
 MAX_PSEUDO_POINTS = 25_000_000
 
 # Default resample target when a high-resolution density grid gets large.
@@ -180,11 +181,13 @@ def _scalable(spec: PriorSpec) -> None:
         raise ValueError("no high-resolution extension for explicit priors")
 
 
-def _one_pass_convolution(specs, sizes, scale: int, total: int) -> Pmf:
+def _one_pass_convolution(specs, sizes, scale: int, total: int) -> np.ndarray:
     """Convolution of the groups' induced pmfs at size scale*n_i, in one FFT pass.
 
     Each distinct (prior, size) pair is built and transformed once, at the
-    final length, and enters the product raised to its multiplicity.
+    final length, and enters the product raised to its multiplicity. The
+    result is unnormalized, with round-off below FFT_CLAMP of its peak
+    clamped to zero.
     """
     length = fft.next_fast_len(total + 1, real=True)
     spectrum = None
@@ -202,7 +205,7 @@ def _one_pass_convolution(specs, sizes, scale: int, total: int) -> Pmf:
     out = fft.irfft(spectrum, length)[: total + 1]
     del spectrum
     out[out < FFT_CLAMP * out.max()] = 0.0
-    return Pmf.from_weights(out)
+    return out
 
 
 def pseudo_null_density(
@@ -214,11 +217,12 @@ def pseudo_null_density(
     """High-resolution-limit density of the optimal null prior on p0 = n1/n.
 
     Each group's induced pmf is computed at size scale*n_i, the pmfs are
-    convolved in one FFT pass, the support is mapped onto [0, 1], and the
-    result is normalized as a density. Supports above MAX_PSEUDO_POINTS
-    points are refused before anything is built. If grid_size is given, the density is resampled
-    onto that many points. Beta priors with a parameter below 1 diverge at
-    the boundary; their endpoint grid cells are dropped before renormalizing.
+    convolved in one FFT pass, and the weights are placed on the grid
+    i/(scale*n) of [0, 1]. Supports above MAX_PSEUDO_POINTS points are
+    refused before anything is built. Beta priors with a parameter below 1
+    diverge at the boundary; their endpoint grid cells are dropped. If
+    grid_size is given and smaller, the weights are linearly resampled onto
+    that many points. The result is normalized as a density once, at the end.
     """
     specs = list(specs)
     sizes = list(sizes)
@@ -238,19 +242,17 @@ def pseudo_null_density(
             f"pseudo density needs {total + 1} points at scale {scale} "
             f"(limit {MAX_PSEUDO_POINTS}); lower scale or the group sizes"
         )
-    conv = _one_pass_convolution(specs, sizes, scale, total)
-    grid = np.arange(conv.support_size) / total
-    clip_boundary = any(
-        s.kind == "beta" and (s.alpha < 1 or s.beta < 1) for s in specs
-    )
-    density = conv.weights() * total  # pmf / step
-    if clip_boundary:
-        grid = grid[1:-1]
-        density = density[1:-1]
-    gd = GridDensity.from_density(grid, density)
-    if grid_size is not None and gd.grid.size > grid_size:
-        gd = gd.resampled(grid_size)
-    return PseudoDensity(gd, "high_resolution", scale=scale)
+    weights = _one_pass_convolution(specs, sizes, scale, total)
+    grid = np.arange(total + 1) / total
+    if any(s.kind == "beta" and (s.alpha < 1 or s.beta < 1) for s in specs):
+        grid, weights = grid[1:-1], weights[1:-1]
+    if grid_size is not None and grid.size > grid_size:
+        if grid_size < 2:
+            raise ValueError("grid_size must be at least 2")
+        resampled = np.linspace(grid[0], grid[-1], grid_size)
+        weights = np.interp(resampled, grid, weights)
+        grid = resampled
+    return PseudoDensity(GridDensity.from_density(grid, weights), "high_resolution", scale=scale)
 
 
 def direct_convolution_density(specs, grid_size: int = DEFAULT_DENSITY_GRID) -> PseudoDensity:

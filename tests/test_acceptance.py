@@ -23,10 +23,9 @@ from maxent_evalues.diagnostics import (
     theorem1_diagnostic,
 )
 from maxent_evalues.evariables import (
+    Statistic,
     e_power,
-    log_e_gro_can,
     log_e_gro_mic,
-    log_e_pseudo,
     ripr_solve,
 )
 from maxent_evalues.models import Table
@@ -184,16 +183,9 @@ def test_criterion_04_sandwich():
             solution = ripr_solve(null_optimal_prior(gp), 2 * m,
                                   grid_size=2001, tol=1e-10)
 
-            def table_of(ones):
-                return Table(tuple(zip(sizes, ones)))
-
-            mic = e_power(lambda o: log_e_gro_mic(table_of(o), priors).log_e, gp)
-            can = e_power(
-                lambda o: log_e_gro_can(table_of(o), priors, solution).log_e, gp
-            )
-            pse = e_power(
-                lambda o: log_e_pseudo(table_of(o), priors, density).log_e, gp
-            )
+            mic = e_power(Statistic.mic(sizes, priors), gp)
+            can = e_power(Statistic.can(sizes, priors, solution), gp)
+            pse = e_power(Statistic.pseudo(sizes, priors, density), gp)
             assert can - mic >= -1e-8, (spec.describe(), m, mic, can)
             assert pse - can >= -1e-8, (spec.describe(), m, can, pse)
     _passed(4, "sandwich", started, 120.0)
@@ -206,7 +198,7 @@ def _gap_sequence(spec, size_of_m):
         priors = [spec] * len(sizes)
         density = pseudo_null_density(priors, sizes, scale=10_000,
                                       grid_size=20_001)
-        values.append(gap_r(priors, sizes, density).r)
+        values.append(gap_r(priors, sizes, density))
     return values
 
 
@@ -323,7 +315,7 @@ def test_criterion_06_two_by_k_regimes():
         priors = [uniform] * len(sizes)
         density = pseudo_null_density(priors, sizes, scale=10_000,
                                       grid_size=20_001)
-        return gap_r(priors, sizes, density).r
+        return gap_r(priors, sizes, density)
 
     fixed_k = [r_of((m,) * k) for k, m in FIXED_K_CELLS]
     fixed_n = [r_of((m,) * k) for k, m in FIXED_N_CELLS]

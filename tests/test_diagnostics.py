@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -21,8 +22,8 @@ from maxent_evalues.diagnostics import (
     theorem1_diagnostic,
     worst_case_r_prime,
 )
-from maxent_evalues.evariables import e_power, log_e_gro_mic, log_e_pseudo
-from maxent_evalues.models import Table
+from maxent_evalues.cli import main
+from maxent_evalues.evariables import Statistic, e_power
 from maxent_evalues.numerics import binomial_pmf, kl_divergence
 from maxent_evalues.priors import (
     PriorSpec,
@@ -38,43 +39,36 @@ def make_density(priors, sizes, scale=2000):
 class TestGapR:
     def test_nonnegative(self):
         priors = [PriorSpec.uniform()] * 2
-        g = gap_r(priors, (8, 8), make_density(priors, (8, 8)))
-        assert g.r >= -1e-10
+        assert gap_r(priors, (8, 8), make_density(priors, (8, 8))) >= -1e-10
 
     def test_equals_epower_difference(self):
         priors = [PriorSpec.from_beta(2, 2)] * 2
         sizes = (5, 5)
         density = make_density(priors, sizes)
-        g = gap_r(priors, sizes, density)
+        r = gap_r(priors, sizes, density)
         gp = [induced_group_pmf(s, n) for s, n in zip(priors, sizes)]
-        mic = e_power(
-            lambda ones: log_e_gro_mic(Table(tuple(zip(sizes, ones))), priors).log_e,
-            gp,
-        )
-        pse = e_power(
-            lambda ones: log_e_pseudo(
-                Table(tuple(zip(sizes, ones))), priors, density
-            ).log_e,
-            gp,
-        )
-        assert g.r == pytest.approx(pse - mic, abs=1e-10)
+        mic = e_power(Statistic.mic(sizes, priors), gp)
+        pse = e_power(Statistic.pseudo(sizes, priors, density), gp)
+        assert r == pytest.approx(pse - mic, abs=1e-10)
 
     def test_decreases_with_m(self):
         priors = [PriorSpec.uniform()] * 2
         values = []
         for m in (10, 20, 40):
             sizes = (m, m)
-            values.append(gap_r(priors, sizes, make_density(priors, sizes)).r)
+            values.append(gap_r(priors, sizes, make_density(priors, sizes)))
         assert values[0] > values[1] > values[2]
 
-    def test_report_metadata(self):
+    def test_report_metadata(self, capsys):
+        # gap_r returns r alone; the gap command's report carries its inputs.
+        code = main(["gap", "--sizes", "4,6", "--prior", "uniform", "nml",
+                     "--scale", "2000"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert payload["sizes"] == [4, 6]
+        assert payload["priors"] == ["uniform", "nml"]
         priors = [PriorSpec.uniform(), PriorSpec.nml()]
-        sizes = (4, 6)
-        g = gap_r(priors, sizes, make_density(priors, sizes))
-        assert g.k == 2
-        assert g.m == 6
-        assert "uniform" in g.prior and "nml" in g.prior
-        assert len(g.per_point) == 11
+        assert payload["r"] == gap_r(priors, (4, 6), make_density(priors, (4, 6)))
 
 
 class TestGapRPrime:
@@ -270,7 +264,7 @@ class TestSweep:
         sizes = (10, 10)
         direct = gap_r(
             priors, sizes, pseudo_null_density(priors, sizes, scale=2000, grid_size=20001)
-        ).r
+        )
         cfg = SweepConfig(
             "gap_r", PriorSpec.uniform(), ((2, 10),), scale=2000, workers=1
         )

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maxent_evalues.cli import parse_prior
 from maxent_evalues.evariables import (
     EValueReport,
+    Statistic,
     combine_evalues,
     decide,
     e_power,
@@ -15,17 +17,19 @@ from maxent_evalues.evariables import (
     log_e_gro_mic,
     log_e_gro_point,
     log_e_pseudo,
-    log_marginal_alt,
     log_w_pseudo0,
     point_alt_count_pmf,
     ripr_solve,
 )
-from maxent_evalues.models import Table
+from maxent_evalues.models import Table, log_multiplicity
 from maxent_evalues.numerics import (
+    NEG_INF,
     GridDensity,
     Pmf,
     binomial_pmf,
     log_binomial,
+    log_binomial_mixture,
+    log_binomial_row,
 )
 from maxent_evalues.priors import (
     PriorSpec,
@@ -52,19 +56,35 @@ def exact_null_expectation_micro(sizes, priors, c0):
     return total
 
 
+def log_marginal_alt(table, priors):
+    """Bayes marginal log probability of one configuration: the sum of the
+    statistics' shared per-group terms."""
+    terms = Statistic.mic(table.sizes, priors).group_terms
+    return sum(float(a[o]) for a, o in zip(terms, table.ones))
+
+
 class TestEValueReport:
     def test_log_e_is_difference(self):
-        r = EValueReport("gro_mic", 1.0, 0.3, (1,), 1)
-        assert r.log_e == pytest.approx(0.7)
-        assert r.e == pytest.approx(math.exp(0.7))
+        # The decomposed statistic equals the microcanonical ratio of the
+        # null and alternative multiplicities times prior masses.
+        t = Table(((4, 1), (6, 5)))
+        priors = [PriorSpec.from_beta(2, 2)] * 2
+        pmfs = [induced_group_pmf(s, n) for s, n in zip(priors, t.sizes)]
+        num = log_multiplicity(t, "null") + sum(
+            float(p.log_weights[o]) for p, o in zip(pmfs, t.ones)
+        )
+        den = log_multiplicity(t, "alt") + float(null_optimal_prior(pmfs).log_weights[t.n1])
+        r = log_e_gro_mic(t, priors)
+        assert r.log_e == pytest.approx(num - den, abs=1e-13)
+        assert r.e == pytest.approx(math.exp(num - den), rel=1e-13)
 
     def test_pseudo_not_evariable(self):
-        assert not EValueReport("pseudo", 0.0, 0.0, (0,), 0).is_evariable
-        assert EValueReport("gro_can", 0.0, 0.0, (0,), 0).is_evariable
+        assert not EValueReport("pseudo", 0.0, (0,), 0).is_evariable
+        assert EValueReport("gro_can", 0.0, (0,), 0).is_evariable
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            EValueReport("other", 0.0, 0.0, (0,), 0)
+            EValueReport("other", 0.0, (0,), 0)
 
 
 class TestMarginalAlt:
@@ -84,7 +104,7 @@ class TestMarginalAlt:
         assert math.exp(value) == pytest.approx(1 / 9, rel=1e-13)
 
     def test_arity_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="priors"):
             log_marginal_alt(Table(((2, 1),)), [PriorSpec.uniform()] * 2)
 
     @given(
@@ -245,11 +265,16 @@ class TestRipr:
         n = 12
         sol = ripr_solve(null_optimal_prior([Pmf.uniform(6), Pmf.uniform(6)]), n,
                          grid_size=201)
-        full = sol.log_marginal_count_pmf(n)
+        def rows(counts):
+            return log_binomial_mixture(sol.grid, sol.log_weights, n, counts)
+
+        full = rows(np.arange(n + 1))
         counts = [0, 5, n]
-        np.testing.assert_array_equal(sol.log_marginal_count_pmf(n, counts), full[counts])
+        np.testing.assert_array_equal(rows(counts), full[counts])
         for c in counts:
-            assert sol.log_marginal_count_pmf(n, c)[0] == full[c]
+            assert rows(c)[0] == full[c]
+        # The mixture pmf of the total count is normalized.
+        assert np.exp(full).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_bad_target_support(self):
         with pytest.raises(ValueError):
@@ -330,15 +355,50 @@ class TestGroPoint:
             log_e_gro_point(Table(((5, 2), (5, 3))), (0.5,))
 
 
+def enumerated_e_power(log_e_fn, group_pmfs) -> float:
+    """Oracle: the expected log statistic by enumerating the product support;
+    log_e_fn takes a tuple of per-group one-counts."""
+    log_ws = [p.log_weights for p in group_pmfs]
+    total = 0.0
+    for idx in itertools.product(*[range(p.support_size) for p in group_pmfs]):
+        lp = sum(float(lw[i]) for lw, i in zip(log_ws, idx))
+        if lp == NEG_INF:
+            continue
+        total += math.exp(lp) * log_e_fn(idx)
+    return total
+
+
+def count_only_statistic(sizes, h):
+    """A statistic with zero group terms and the count term h over 0..n."""
+    lrow = log_binomial_row(sum(sizes))
+    return Statistic(
+        "gro_point", tuple(np.zeros(n + 1) for n in sizes), lambda c: lrow[c] - h[c], None
+    )
+
+
+# The nine cells of acceptance criterion 4, a three-group cell and two
+# unequal two-group cells.
+ORACLE_CELLS = [
+    *[((m, m), spec) for spec in ("beta:1,1", "beta:3,3", "nml") for m in (5, 10, 20)],
+    ((5, 5, 5), "beta:3,3"),
+    ((3, 8), "beta:1,1"),
+    ((12, 4), "nml"),
+]
+
+
 class TestEPower:
     def test_constant_statistic(self):
         gp = [binomial_pmf(3, 0.4), binomial_pmf(3, 0.6)]
-        assert e_power(lambda ones: 0.0, gp) == pytest.approx(0.0)
+        assert e_power(count_only_statistic((3, 3), np.zeros(7)), gp) == pytest.approx(0.0)
 
     def test_vanishing_statistic_rejected(self):
         gp = [binomial_pmf(2, 0.5)]
         with pytest.raises(ValueError, match="vanishes"):
-            e_power(lambda ones: float("-inf"), gp)
+            e_power(count_only_statistic((2,), np.array([0.0, NEG_INF, 0.0])), gp)
+
+    def test_sizes_must_match(self):
+        with pytest.raises(ValueError, match="sizes"):
+            e_power(count_only_statistic((2,), np.zeros(3)), [binomial_pmf(3, 0.5)])
 
     def test_gro_mic_beats_other_evariables(self):
         # The mic statistic maximizes e-power among the tested e-variables
@@ -346,22 +406,36 @@ class TestEPower:
         sizes = (4, 4)
         priors = [PriorSpec.from_beta(2, 1)] * 2
         gp = [induced_group_pmf(s, n) for s, n in zip(priors, sizes)]
-        mic = e_power(
-            lambda ones: log_e_gro_mic(
-                Table(tuple(zip(sizes, ones))), priors
-            ).log_e,
-            gp,
-        )
+        mic = e_power(Statistic.mic(sizes, priors), gp)
         # Competitor: mic statistic built for the wrong priors; it remains
         # an e-variable but has lower e-power.
-        other_priors = [PriorSpec.uniform()] * 2
-        other = e_power(
-            lambda ones: log_e_gro_mic(
-                Table(tuple(zip(sizes, ones))), other_priors
-            ).log_e,
-            gp,
-        )
+        other = e_power(Statistic.mic(sizes, [PriorSpec.uniform()] * 2), gp)
         assert mic >= other - 1e-12
+
+    @pytest.mark.parametrize(
+        "sizes, label", ORACLE_CELLS,
+        ids=[f"{','.join(map(str, sizes))}-{label}" for sizes, label in ORACLE_CELLS],
+    )
+    def test_matches_enumeration(self, sizes, label):
+        priors = [parse_prior(label)] * len(sizes)
+        gp = [induced_group_pmf(s, n) for s, n in zip(priors, sizes)]
+        density = pseudo_null_density(priors, sizes, scale=10_000, grid_size=20_001)
+        # Any converged projection serves: the check is of the decomposition.
+        solution = ripr_solve(null_optimal_prior(gp), sum(sizes), grid_size=501)
+        cases = [
+            (Statistic.mic(sizes, priors), lambda t: log_e_gro_mic(t, priors)),
+            (Statistic.can(sizes, priors, solution),
+             lambda t: log_e_gro_can(t, priors, solution)),
+            (Statistic.pseudo(sizes, priors, density),
+             lambda t: log_e_pseudo(t, priors, density)),
+        ]
+        for statistic, evaluate in cases:
+            oracle = enumerated_e_power(
+                lambda ones: evaluate(Table(tuple(zip(sizes, ones)))).log_e, gp
+            )
+            assert e_power(statistic, gp) == pytest.approx(oracle, abs=1e-10), (
+                statistic.kind
+            )
 
 
 class TestCombineAndDecide:

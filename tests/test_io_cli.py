@@ -48,6 +48,17 @@ class TestParseTable:
         with pytest.raises(ValueError, match="no groups"):
             parse_table_text("", "csv")
 
+    def test_zero_size_group(self, tmp_path, capsys):
+        text = '{"groups":[{"n":0,"ones":0},{"n":4,"ones":1}]}'
+        with pytest.raises(ValueError, match="group size must be at least 1"):
+            parse_table_text(text, "json")
+        path = tmp_path / "t.json"
+        path.write_text(text)
+        code, out, err = run_cli("test", "--table", str(path), capsys=capsys)
+        assert code == 1
+        assert out == ""
+        assert "at least 1" in json.loads(err)["error"]
+
     def test_round_trip(self):
         t = Table(((8, 3), (10, 4), (2, 0)))
         assert parse_table_text(serialize_table(t), "json") == t
@@ -265,7 +276,16 @@ class TestCli:
         payload = json.loads(out)
         priors = [PriorSpec.from_beta(1, 1)] * 2
         density = pseudo_null_density(priors, (20, 20), scale=2000, grid_size=20001)
-        assert payload["r"] == gap_r(priors, (20, 20), density).r
+        assert payload["r"] == gap_r(priors, (20, 20), density)
+
+    def test_unread_flags_rejected(self, capsys):
+        # gap and rprime take no RIPR flags; regret takes no density flags.
+        for argv in (["gap", "--ripr-grid", "5"], ["rprime", "--ripr-tol", "1e-8"],
+                     ["regret", "--palt", "0.5", "--m-list", "1,2,3", "--scale", "100"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        capsys.readouterr()
 
     def test_epower_sandwich(self, capsys):
         code, out, _ = run_cli(
@@ -328,6 +348,24 @@ class TestCli:
         lines = tsv.read_text().strip().splitlines()
         assert lines[0] == "p_alt\tm\tregret"
         assert len(lines) == 4
+
+    def test_regret_pseudo_candidate(self, capsys):
+        from maxent_evalues.diagnostics import regret
+        from maxent_evalues.priors import pseudo_null_density
+
+        code, out, _ = run_cli(
+            "regret", "--candidate", "pseudo", "--palt", "0.3,0.6",
+            "--m-list", "10,20,40", capsys=capsys,
+        )
+        assert code == 0
+        points = json.loads(out)["points"]
+        assert [p["m"] for p in points] == [10, 20, 40]
+        specs = [PriorSpec.uniform()] * 2
+        for point in points:
+            sizes = (point["m"],) * 2
+            density = pseudo_null_density(specs, sizes, 10_000, 20_001)
+            expect = regret((0.3, 0.6), specs, sizes, "pseudo", density=density)
+            assert point["regret"] == pytest.approx(expect, abs=1e-12)
 
     def test_reproducible_output(self, tmp_path, capsys):
         path = tmp_path / "t.json"

@@ -5,14 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from maxent_evalues.models import (
-    Table,
-    canonical_loglik,
-    log_multiplicity,
-    p_to_theta,
-    suff_stats,
-    theta_to_p,
-)
+from maxent_evalues.models import Table, canonical_loglik, log_multiplicity
 from maxent_evalues.numerics import NEG_INF
 
 
@@ -45,10 +38,6 @@ class TestTable:
     def test_empty(self):
         with pytest.raises(ValueError, match="no groups"):
             Table(())
-
-    def test_suff_stats(self):
-        t = Table(((3, 1), (5, 4)))
-        assert suff_stats(t) == ((1, 4), 5)
 
 
 class TestMultiplicity:
@@ -101,37 +90,3 @@ class TestCanonicalLoglik:
             o * math.log(p) + (n - o) * math.log(1 - p) for n, o in t.groups
         )
         assert canonical_loglik(t, p, "null") == pytest.approx(expect, rel=1e-10)
-
-
-class TestParameterMaps:
-    def test_zero_theta_is_half(self):
-        assert theta_to_p(0.0)[0] == pytest.approx(0.5)
-
-    def test_known_value(self):
-        # p = e^-theta / (1 + e^-theta) at theta = log 3 gives 1/4.
-        assert theta_to_p(math.log(3))[0] == pytest.approx(0.25, rel=1e-13)
-
-    def test_extreme_theta_no_overflow(self):
-        p = theta_to_p([-800.0, 800.0])
-        assert p[0] == pytest.approx(1.0)
-        assert 0.0 <= p[1] < 1e-300
-
-    def test_boundary_p_rejected(self):
-        with pytest.raises(ValueError, match="boundary"):
-            p_to_theta(0.0)
-        with pytest.raises(ValueError, match="boundary"):
-            p_to_theta(1.0)
-
-    def test_nonfinite_theta_rejected(self):
-        with pytest.raises(ValueError):
-            theta_to_p(np.inf)
-
-    @given(st.floats(min_value=-15, max_value=15))
-    def test_round_trip(self, theta):
-        # Beyond |theta| ~ 36 the sigmoid saturates in double precision, so
-        # the property is only meaningful on the representable range.
-        assert p_to_theta(theta_to_p(theta))[0] == pytest.approx(theta, abs=1e-9)
-
-    @given(st.floats(min_value=-30, max_value=30))
-    def test_monotone_decreasing(self, theta):
-        assert theta_to_p(theta + 1.0)[0] < theta_to_p(theta)[0]
