@@ -76,8 +76,10 @@ def _priors_for(args, k: int) -> list[PriorSpec]:
 
 
 def _emit(payload: dict, args=None) -> None:
-    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    # Serialized whole before writing, so a NaN or an infinity raises a
+    # ValueError with nothing printed.
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    sys.stdout.write(text + "\n")
 
 
 def _report_payload(report, alpha: float, inputs: dict) -> dict:
@@ -115,6 +117,12 @@ def _run_test(table: Table, args) -> dict:
         if args.palt is None:
             raise ValueError("--statistic point requires --palt")
         palt = _parse_palt(args.palt, table.k)
+        for i, ((n, ones), p) in enumerate(zip(table.groups, palt)):
+            if (p == 0.0 and ones > 0) or (p == 1.0 and ones < n):
+                raise ValueError(
+                    f"group {i}: an alternative mean of {p:g} cannot produce "
+                    f"{ones} ones in {n} trials"
+                )
         inputs["p_alt"] = list(palt)
         report = log_e_gro_point(
             table, palt, grid_size=args.ripr_grid, tol=args.ripr_tol,
@@ -397,12 +405,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        payload = args.fn(args)
+        _emit(args.fn(args), args)
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         json.dump({"error": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 1
-    _emit(payload, args)
     return 0
 
 

@@ -123,8 +123,12 @@ def worst_case_r_prime(
 ) -> tuple[float, tuple[float, ...]]:
     """Maximum of gap_r_prime over an interior product grid of alternatives.
 
-    Ties resolve to the lexicographically smallest grid point, so the result
-    does not depend on evaluation order.
+    The grid is swept in lexicographic order and a point replaces the best
+    only if its value is strictly larger, so of points with equal float
+    values the first is kept. Points tied in exact arithmetic, such as
+    permutations of one alternative among equal groups, are convolved in
+    different orders and can differ in the last bits; then the largest float
+    wins, which need not be the lexicographically smallest point.
     """
     lo, hi = bounds
     if not 0 < lo < hi < 1:

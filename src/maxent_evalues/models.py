@@ -1,4 +1,4 @@
-"""2xk binary contingency-table data model and likelihoods.
+"""2xk binary contingency-table data model and configuration counts.
 
 All computations work on sufficient statistics (per-group one-counts); raw
 binary sequences are never materialized.
@@ -8,10 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.special import xlogy
-
-from .numerics import NEG_INF, log_binomial
+from .numerics import log_binomial
 
 
 @dataclass(frozen=True)
@@ -62,29 +59,3 @@ def log_multiplicity(t: Table, hypothesis: str) -> float:
     if hypothesis == "alt":
         return sum(log_binomial(n, o) for n, o in t.groups)
     raise ValueError(f"unknown hypothesis {hypothesis!r}")
-
-
-def canonical_loglik(t: Table, params, hypothesis: str) -> float:
-    """Log-likelihood of one configuration under the product-Bernoulli model.
-
-    Boundary parameters use the 0^0 = 1 convention; a count contradicting a
-    degenerate parameter yields -inf.
-    """
-    p = np.atleast_1d(np.asarray(params, dtype=float))
-    if ((p < 0) | (p > 1)).any():
-        raise ValueError("mean parameters must lie in [0, 1]")
-    if hypothesis == "null":
-        if p.size != 1:
-            raise ValueError("null hypothesis takes a single parameter")
-        p = np.repeat(p, t.k)
-    elif hypothesis == "alt":
-        if p.size != t.k:
-            raise ValueError(f"expected {t.k} parameters, got {p.size}")
-    else:
-        raise ValueError(f"unknown hypothesis {hypothesis!r}")
-    total = 0.0
-    for (n, ones), pi in zip(t.groups, p):
-        if (pi == 0.0 and ones > 0) or (pi == 1.0 and ones < n):
-            return NEG_INF
-        total += float(xlogy(ones, pi) + xlogy(n - ones, 1.0 - pi))
-    return total

@@ -49,8 +49,9 @@ def log_binomial_row(n: int) -> np.ndarray:
     """log C(n, k) for all k in 0..n."""
     if n < 0:
         raise ValueError(f"invalid binomial row n={n}")
-    k = np.arange(n + 1)
-    return gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+    # gammaln(n - k + 1) is gammaln(k + 1) reversed.
+    lg = gammaln(np.arange(1, n + 2))
+    return gammaln(n + 1) - lg - lg[::-1]
 
 
 def log_beta_fn(a: float, b: float) -> float:
@@ -251,36 +252,41 @@ class GridDensity:
         with np.errstate(divide="ignore"):
             return GridDensity(g, np.log(d / integral))
 
-    def resampled(self, grid_size: int) -> "GridDensity":
-        """Linear-interpolation resample onto a grid_size-point grid over the same span."""
-        if grid_size < 2:
-            raise ValueError("grid_size must be at least 2")
-        g = np.linspace(self.grid[0], self.grid[-1], grid_size)
-        d = np.interp(g, self.grid, self.density())
-        return GridDensity.from_density(g, d)
-
 
 def log_binomial_mixture(p, log_w, n: int, counts) -> np.ndarray:
     """log sum_j w_j C(n, c) p_j^c (1 - p_j)^(n - c) at each count c.
 
     The log pmf of the total count of n trials under a mixture of
     Binomial(n, p_j) with log weights log_w, evaluated at the given counts
-    only, in chunks of about 4e6 cells.
+    only, in chunks of about 1e6 cells. Each cell is c log p_j +
+    (n - c) log(1 - p_j) + log w_j with the logs taken once, as xlogy takes
+    them, and the 0 log 0 = 0 convention at c = 0 and c = n, so the result
+    equals the cellwise xlogy form bit for bit.
     """
     c = np.atleast_1d(np.asarray(counts, dtype=np.int64))
     out = np.empty(c.size)
-    chunk = max(1, 4_000_000 // max(p.size, 1))
-    for start in range(0, c.size, chunk):
-        cc = c[start : start + chunk]
-        ll = (
-            xlogy(cc[:, None], p[None, :])
-            + xlogy((n - cc)[:, None], 1.0 - p[None, :])
-            + log_w[None, :]
-        )
+    log_p = xlogy(1.0, p)
+    log_q = xlogy(1.0, 1.0 - p)
+    rows = max(1, 1_000_000 // max(p.size, 1))
+    cells = np.empty((min(rows, c.size), p.size))
+    tail = np.empty_like(cells)
+    for start in range(0, c.size, rows):
+        cc = c[start : start + rows]
+        ll, tl = cells[: cc.size], tail[: cc.size]
+        # 0 * -inf is NaN at the grid ends; those rows are zeroed next.
+        with np.errstate(invalid="ignore"):
+            np.multiply.outer(cc.astype(float), log_p, out=ll)
+            np.multiply.outer((n - cc).astype(float), log_q, out=tl)
+        ll[cc == 0] = 0.0
+        tl[cc == n] = 0.0
+        ll += tl
+        ll += log_w
         m = ll.max(axis=1, keepdims=True)
         m[m == NEG_INF] = 0.0
+        ll -= m
+        np.exp(ll, out=ll)
         with np.errstate(divide="ignore"):
-            out[start : start + chunk] = m[:, 0] + np.log(np.exp(ll - m).sum(axis=1))
+            out[start : start + rows] = m[:, 0] + np.log(ll.sum(axis=1))
     return out + log_binomial_row(n)[c]
 
 

@@ -23,7 +23,6 @@ from .numerics import (
     convolve_all,
     log_beta_fn,
     log_binomial_row,
-    nml_log_normalizer,
 )
 
 # Resolution multiplier of the pseudo density's high-resolution route.
@@ -96,32 +95,36 @@ class PseudoDensity:
             raise ValueError(f"unknown provenance {self.source!r}")
 
 
+def _induced_log_weights(spec: PriorSpec, n: int) -> np.ndarray:
+    """Log weights of a uniform, beta or NML group's induced pmf on 0..n.
+
+    Beta weights are normalized in exact arithmetic, uniform and NML ones up
+    to a constant.
+    """
+    if spec.kind == "uniform":
+        return np.zeros(n + 1)
+    j = np.arange(n + 1)
+    if spec.kind == "beta":
+        a, b = spec.alpha, spec.beta
+        # gammaln(j + x) once per distinct offset x, since gammaln(n - j + x)
+        # is its reverse; log C(n, j) is built as log_binomial_row builds it.
+        lg = {x: gammaln(j + x) for x in {1, a, b}}
+        lw = gammaln(n + 1) - lg[1] - lg[1][::-1] + lg[a] + lg[b][::-1]
+        return lw - gammaln(n + a + b) - log_beta_fn(a, b)
+    if spec.kind == "nml":
+        return log_binomial_row(n) + xlogy(j, j / n) + xlogy(n - j, 1.0 - j / n)
+    raise ValueError(f"unknown prior kind {spec.kind!r}")
+
+
 def induced_group_pmf(spec: PriorSpec, n: int) -> Pmf:
     """Distribution induced on one group's one-count by the alternative marginal."""
     if n < 1:
         raise ValueError("group size must be at least 1")
-    if spec.kind == "uniform":
-        return Pmf.uniform(n)
-    if spec.kind == "beta":
-        j = np.arange(n + 1)
-        a, b = spec.alpha, spec.beta
-        lw = (
-            log_binomial_row(n)
-            + gammaln(j + a)
-            + gammaln(n - j + b)
-            - gammaln(n + a + b)
-            - log_beta_fn(a, b)
-        )
-        return Pmf.from_log_weights(lw)
-    if spec.kind == "nml":
-        j = np.arange(n + 1)
-        lw = log_binomial_row(n) + xlogy(j, j / n) + xlogy(n - j, 1.0 - j / n)
-        return Pmf(lw - nml_log_normalizer(n))
     if spec.kind == "explicit":
         if spec.pmf.support_size != n + 1:
             raise ValueError(f"explicit pmf support {spec.pmf.support_size} != n+1 = {n + 1}")
         return spec.pmf
-    raise ValueError(f"unknown prior kind {spec.kind!r}")
+    return Pmf.from_log_weights(_induced_log_weights(spec, n))
 
 
 def null_optimal_prior(group_pmfs) -> Pmf:
@@ -192,7 +195,11 @@ def _one_pass_convolution(specs, sizes, scale: int, total: int) -> np.ndarray:
     length = fft.next_fast_len(total + 1, real=True)
     spectrum = None
     for (spec, n), count in Counter(zip(specs, sizes)).items():
-        f = fft.rfft(induced_group_pmf(spec, scale * n).weights(), length)
+        # Unnormalized: pseudo_null_density normalizes the density once.
+        w = _induced_log_weights(spec, scale * n)
+        w -= w.max()
+        f = fft.rfft(np.exp(w, out=w), length)
+        del w
         if count > 1:
             np.power(f, count, out=f)
         # In place, and each array freed as soon as it is spent: at scale

@@ -185,6 +185,10 @@ class TestPriorParsing:
             parse_prior("cauchy")
 
 
+def strict(text):
+    return json.loads(text, parse_constant=lambda c: pytest.fail(f"non-JSON {c}"))
+
+
 def run_cli(*argv, capsys):
     code = main(list(argv))
     out, err = capsys.readouterr()
@@ -214,9 +218,6 @@ class TestCli:
     def test_overflowing_e_is_strict_json(self, tmp_path, capsys):
         path = tmp_path / "t.json"
         path.write_text('{"groups":[{"n":5000,"ones":100},{"n":5000,"ones":4900}]}')
-
-        def strict(text):
-            return json.loads(text, parse_constant=lambda c: pytest.fail(f"non-JSON {c}"))
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -263,6 +264,48 @@ class TestCli:
         assert code == 1
         assert out == ""
         assert "points" in json.loads(err)["error"]
+
+    def test_point_contradiction_fails_fast(self, tmp_path, capsys):
+        # A mean of 0 or 1 gives probability 0 to a table that contradicts
+        # it, whose log_e would be -inf; the CLI refuses it before solving.
+        path = tmp_path / "t.json"
+        for ones, palt in (((2, 3), "0,0.5"), ((5, 4), "0.5,1")):
+            path.write_text(json.dumps({"groups": [{"n": 5, "ones": o} for o in ones]}))
+            code, out, err = run_cli(
+                "test", "--table", str(path), "--statistic", "point", "--palt", palt,
+                capsys=capsys,
+            )
+            assert code == 1, ones
+            assert out == ""
+            assert "cannot produce" in strict(err)["error"]
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps({
+            "edges": [["1", "2"], ["2", "3"], ["1", "3"]],
+            "partition": {"1": "A", "2": "A", "3": "B"},
+        }))
+        code, out, err = run_cli(
+            "net-test", "--network", str(net), "--mode", "sbm_vs_er_undirected",
+            "--statistic", "point", "--palt", "0,0.5", capsys=capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert "cannot produce" in strict(err)["error"]
+        path.write_text('{"groups":[{"n":5,"ones":0},{"n":5,"ones":3}]}')
+        code, out, _ = run_cli(
+            "test", "--table", str(path), "--statistic", "point", "--palt", "0,0.5",
+            capsys=capsys,
+        )
+        assert code == 0
+        assert math.isfinite(strict(out)["log_e"])
+
+    def test_non_finite_report_is_an_error(self, monkeypatch, capsys):
+        from maxent_evalues import cli
+
+        monkeypatch.setattr(cli, "cmd_theorem1", lambda args: {"tv": float("nan")})
+        code, out, err = run_cli("theorem1", "--m", "5", capsys=capsys)
+        assert code == 1
+        assert out == ""
+        assert "JSON" in json.loads(err)["error"]
 
     def test_gap_matches_library(self, capsys):
         from maxent_evalues.diagnostics import gap_r

@@ -1,12 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from maxent_evalues.models import Table, canonical_loglik, log_multiplicity
-from maxent_evalues.numerics import NEG_INF
+from maxent_evalues.models import Table, log_multiplicity
 
 
 def table_strategy(max_k=4, max_n=10):
@@ -58,35 +55,3 @@ class TestMultiplicity:
         # Configurations realizing the per-group counts are a subset of those
         # realizing the total count.
         assert log_multiplicity(t, "alt") <= log_multiplicity(t, "null") + 1e-12
-
-
-class TestCanonicalLoglik:
-    def test_null_vs_alt_consistency(self):
-        t = Table(((4, 2), (3, 1)))
-        assert canonical_loglik(t, 0.4, "null") == pytest.approx(
-            canonical_loglik(t, [0.4, 0.4], "alt"), rel=1e-13
-        )
-
-    def test_boundary_zero_convention(self):
-        t = Table(((4, 0), (3, 0)))
-        assert canonical_loglik(t, 0.0, "null") == pytest.approx(0.0, abs=1e-15)
-
-    def test_boundary_contradiction(self):
-        t = Table(((4, 1), (3, 0)))
-        assert canonical_loglik(t, 0.0, "null") == NEG_INF
-        assert canonical_loglik(t, 1.0, "null") == NEG_INF
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            canonical_loglik(Table(((2, 1),)), 1.2, "null")
-
-    def test_wrong_arity(self):
-        with pytest.raises(ValueError):
-            canonical_loglik(Table(((2, 1), (2, 1))), [0.3], "alt")
-
-    @given(table_strategy(), st.floats(min_value=0.01, max_value=0.99))
-    def test_matches_direct_formula(self, t, p):
-        expect = sum(
-            o * math.log(p) + (n - o) * math.log(1 - p) for n, o in t.groups
-        )
-        assert canonical_loglik(t, p, "null") == pytest.approx(expect, rel=1e-10)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import xlogy
 
 from maxent_evalues.numerics import (
     NEG_INF,
@@ -15,6 +16,7 @@ from maxent_evalues.numerics import (
     kl_divergence,
     log_beta_fn,
     log_binomial,
+    log_binomial_mixture,
     log_binomial_row,
     log_sum_exp,
     nml_log_normalizer,
@@ -208,15 +210,48 @@ class TestGridDensity:
         with pytest.raises(ValueError):
             GridDensity.from_density(g, np.ones(4))
 
-    def test_resample_preserves_mass(self):
-        g = np.linspace(0, 1, 1001)
-        tri = np.minimum(g, 1 - g)
-        d = GridDensity.from_density(g, tri)
-        r = d.resampled(101)
-        assert np.trapezoid(r.density(), r.grid) == pytest.approx(1.0, abs=1e-12)
-
     def test_trapezoid_weights_integrate(self):
         g = np.linspace(0, 1, 51)
         d = GridDensity.from_density(g, np.ones(51))
         lw = trapezoid_log_weights(d)
         assert np.exp(lw).sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def cellwise_binomial_mixture(p, log_w, n, counts):
+    """log_binomial_mixture as one matrix of cellwise xlogy terms: the
+    reference its in-place chunks must equal bit for bit."""
+    c = np.asarray(counts, dtype=np.int64)
+    ll = (
+        xlogy(c[:, None], p[None, :])
+        + xlogy((n - c)[:, None], 1.0 - p[None, :])
+        + log_w[None, :]
+    )
+    m = ll.max(axis=1, keepdims=True)
+    m[m == NEG_INF] = 0.0
+    with np.errstate(divide="ignore"):
+        return m[:, 0] + np.log(np.exp(ll - m).sum(axis=1)) + log_binomial_row(n)[c]
+
+
+class TestLogBinomialMixture:
+    # The 20001-point grid takes 49 counts a chunk, so n = 120 spans three.
+    @pytest.mark.parametrize("n, grid", [(1, 5), (7, 5), (120, 20_001)])
+    def test_matches_cellwise_xlogy(self, n, grid):
+        rng = np.random.default_rng(n)
+        p = np.linspace(0.0, 1.0, grid)  # both ends, where the logs are -inf
+        log_w = rng.normal(size=grid)
+        log_w[1] = NEG_INF
+        log_w[-2] = NEG_INF
+        counts = np.r_[np.arange(n + 1), [n, 0, n // 2]]
+        got = log_binomial_mixture(p, log_w, n, counts)
+        assert np.array_equal(got, cellwise_binomial_mixture(p, log_w, n, counts))
+
+    def test_point_mass_at_one(self):
+        # Every count below n has no mass: those rows are all -inf.
+        p = np.linspace(0.0, 1.0, 11)
+        log_w = np.full(11, NEG_INF)
+        log_w[-1] = 0.0
+        counts = np.arange(7)
+        got = log_binomial_mixture(p, log_w, 6, counts)
+        assert np.array_equal(got, cellwise_binomial_mixture(p, log_w, 6, counts))
+        assert got[-1] == 0.0
+        assert (got[:-1] == NEG_INF).all()

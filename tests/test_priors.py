@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import gammaln, xlogy
 from scipy.stats import betabinom
 
 from maxent_evalues.numerics import (
@@ -13,11 +14,14 @@ from maxent_evalues.numerics import (
     Pmf,
     convolve_all,
     kl_divergence,
+    log_beta_fn,
+    nml_log_normalizer,
 )
 from maxent_evalues.priors import (
     MAX_PSEUDO_POINTS,
     PriorSpec,
     PseudoDensity,
+    _induced_log_weights,
     direct_convolution_density,
     discrete_gaussian_approx,
     induced_group_pmf,
@@ -90,6 +94,51 @@ class TestInducedGroupPmf:
     def test_invalid_size(self):
         with pytest.raises(ValueError):
             induced_group_pmf(PriorSpec.uniform(), 0)
+
+
+def formula_group_pmf(spec, n):
+    """The induced pmf as written out term by term, with log C(n, j) from
+    three log-gamma arrays: the reference induced_group_pmf must equal bit
+    for bit."""
+    j = np.arange(n + 1)
+    if spec.kind == "uniform":
+        return Pmf.uniform(n)
+    log_binom = gammaln(n + 1) - gammaln(j + 1) - gammaln(n - j + 1)
+    if spec.kind == "beta":
+        a, b = spec.alpha, spec.beta
+        return Pmf.from_log_weights(
+            log_binom + gammaln(j + a) + gammaln(n - j + b) - gammaln(n + a + b)
+            - log_beta_fn(a, b)
+        )
+    lw = log_binom + xlogy(j, j / n) + xlogy(n - j, 1.0 - j / n)
+    return Pmf(lw - nml_log_normalizer(n))
+
+
+GROUP_PRIORS = [
+    PriorSpec.uniform(),
+    PriorSpec.from_beta(1, 1),
+    PriorSpec.from_beta(2.5, 2.5),
+    PriorSpec.from_beta(0.5, 3),
+    PriorSpec.from_beta(1, 2.5),
+    PriorSpec.nml(),
+]
+
+
+class TestInducedLogWeights:
+    @pytest.mark.parametrize("spec", GROUP_PRIORS, ids=PriorSpec.describe)
+    @pytest.mark.parametrize("n", [1, 7, 1000])
+    def test_pmf_matches_formula(self, spec, n):
+        got = induced_group_pmf(spec, n).log_weights
+        assert np.array_equal(got, formula_group_pmf(spec, n).log_weights)
+
+    @pytest.mark.parametrize("spec", GROUP_PRIORS, ids=PriorSpec.describe)
+    def test_high_resolution_weights(self, spec):
+        # What pseudo_null_density transforms, normalized only at the end.
+        lw = _induced_log_weights(spec, 20_000)
+        w = np.exp(lw - lw.max())
+        np.testing.assert_allclose(
+            w / w.sum(), induced_group_pmf(spec, 20_000).weights(), rtol=1e-12, atol=0
+        )
 
 
 class TestNullOptimalPrior:
