@@ -271,13 +271,19 @@ def cmd_continue(args) -> dict:
         try:
             value = float(item)
         except ValueError:
-            payload = json.loads(open(item).read())
+            with open(item) as fh:
+                payload = json.load(fh)
+            if not isinstance(payload, dict):
+                raise ValueError(f"{item}: a report file must hold a JSON object")
             if payload.get("is_evariable") is False:
                 raise ValueError(
                     f"{item}: {payload.get('statistic_kind')} report is not an "
                     "e-variable and cannot be combined"
                 )
-            log_es.append(float(payload["log_e"]))
+            log_e = payload.get("log_e")
+            if isinstance(log_e, bool) or not isinstance(log_e, (int, float)):
+                raise ValueError(f"{item}: report needs a numeric log_e, got {log_e!r}")
+            log_es.append(float(log_e))
             continue
         if value <= 0:
             raise ValueError(f"e-value must be positive: {item}")

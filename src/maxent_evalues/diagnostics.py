@@ -133,6 +133,8 @@ def worst_case_r_prime(
     lo, hi = bounds
     if not 0 < lo < hi < 1:
         raise ValueError("bounds must satisfy 0 < lo < hi < 1")
+    if not grid_step > 0:
+        raise ValueError(f"grid_step must be positive, got {grid_step}")
     sizes = list(sizes)
     k = len(sizes)
     _, gap = _count_term_gap(specs, sizes, density)

@@ -24,6 +24,7 @@ product law evaluates it at every count.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -35,6 +36,7 @@ from .numerics import (
     NEG_INF,
     GridDensity,
     Pmf,
+    _binomial_log_cells,
     binomial_pmf,
     convolve_all,
     log_binomial_mixture,
@@ -292,33 +294,37 @@ def ripr_solve(
     # Component likelihood matrix L[j, i] = Binomial(n, p_i).pmf(c0_j); kept
     # in linear space, which is safe because each row attains its maximum
     # near p = c0/n where the pmf is polynomially small, not exp(-n) small.
-    logL = (
-        xlogy(c0[:, None], p[None, :])
-        + xlogy((n - c0)[:, None], 1.0 - p[None, :])
-        + log_binomial_row(n)[keep][:, None]
-    )
+    # It is built transposed, grid x counts in C order, so that L is
+    # column-major: BLAS sums L @ w in an order that depends on the layout,
+    # and the iterates (and where the iteration stops) depend on those sums.
+    cells = np.empty((grid_size, c0.size))
+    _binomial_log_cells(cells.T, c0, n, xlogy(1.0, p), xlogy(1.0, 1.0 - p))
+    cells += log_binomial_row(n)[keep]
     # Components that are vanishingly unlikely against every kept row decay
     # to zero weight anyway; exclude them from the iteration.
-    col_max = logL.max(axis=0)
+    col_max = cells.max(axis=1)
     active = col_max > col_max.max() - 350.0
-    logL = logL[:, active]
-    L = np.exp(logL)
+    cells = cells[active]
+    L = np.exp(cells, out=cells).T
     log_t = np.log(t)
 
-    def em_step(weights):
+    def mixture(weights):
         q = L @ weights
-        np.clip(q, _WEIGHT_FLOOR, None, out=q)
-        nxt = weights * (L.T @ (t / q))
-        return nxt / nxt.sum()
+        return np.maximum(q, _WEIGHT_FLOOR, out=q)
 
-    def objective(weights):
-        q = L @ weights
-        np.clip(q, _WEIGHT_FLOOR, None, out=q)
+    def em_step(weights, q):
+        # q is mixture(weights), which the caller has already formed.
+        nxt = weights * (L.T @ (t / q))
+        nxt /= nxt.sum()
+        return nxt
+
+    def objective(q):
         return float(np.dot(t, log_t - np.log(q)))
 
     n_active = int(active.sum())
     w = np.full(n_active, 1.0 / n_active)
-    kl = objective(w)
+    q = mixture(w)
+    kl = objective(q)
     converged = False
     it = 0
     active_idx = np.flatnonzero(active)
@@ -332,29 +338,36 @@ def ripr_solve(
                 w /= w.sum()
                 L = L[:, live]
                 active_idx = active_idx[live]
-                kl = objective(w)
-        w1 = em_step(w)
-        w2 = em_step(w1)
+                q = mixture(w)
+                kl = objective(q)
+        w1 = em_step(w, q)
+        w2 = em_step(w1, mixture(w1))
         r = w1 - w
         v = w2 - w1 - r
-        norm_v = float(np.linalg.norm(v))
+        norm_v = math.sqrt(v @ v)
         if norm_v == 0.0:
             cand = w2
         else:
-            step = -float(np.linalg.norm(r)) / norm_v
+            step = -math.sqrt(r @ r) / norm_v
             cand = w - 2.0 * step * r + step * step * v
-            np.clip(cand, 0.0, None, out=cand)
+            np.maximum(cand, 0.0, out=cand)
             total = cand.sum()
-            cand = w2 if total <= 0.0 else em_step(cand / total)
-        kl_cand = objective(cand)
-        if not np.isfinite(kl_cand) or kl_cand > kl:
+            if total <= 0.0:
+                cand = w2
+            else:
+                cand /= total
+                cand = em_step(cand, mixture(cand))
+        q_cand = mixture(cand)
+        kl_cand = objective(q_cand)
+        if not math.isfinite(kl_cand) or kl_cand > kl:
             cand = w2
-            kl_cand = objective(w2)
+            q_cand = mixture(w2)
+            kl_cand = objective(q_cand)
         if kl - kl_cand <= tol * max(abs(kl_cand), 1.0):
             w, kl = cand, kl_cand
             converged = True
             break
-        w, kl = cand, kl_cand
+        w, kl, q = cand, kl_cand, q_cand
     full = np.full(grid_size, NEG_INF)
     with np.errstate(divide="ignore"):
         lw = np.log(w)

@@ -61,19 +61,6 @@ def log_beta_fn(a: float, b: float) -> float:
     return float(gammaln(a) + gammaln(b) - gammaln(a + b))
 
 
-def nml_log_normalizer(n: int) -> float:
-    """Log of the Bernoulli maximized-likelihood sum over all datasets of size n.
-
-    Direct O(n) log-space summation of C(n,j) (j/n)^j (1-j/n)^(n-j) with the
-    0^0 = 1 convention.
-    """
-    if n < 1:
-        raise ValueError("normalizer undefined for n < 1")
-    j = np.arange(n + 1)
-    terms = log_binomial_row(n) + xlogy(j, j / n) + xlogy(n - j, 1.0 - j / n)
-    return log_sum_exp(terms)
-
-
 @dataclass(frozen=True)
 class Pmf:
     """Normalized pmf on integer support 0..N, stored as log weights."""
@@ -253,26 +240,25 @@ class GridDensity:
             return GridDensity(g, np.log(d / integral))
 
 
-def log_binomial_mixture(p, log_w, n: int, counts) -> np.ndarray:
-    """log sum_j w_j C(n, c) p_j^c (1 - p_j)^(n - c) at each count c.
+# Cells per block of the binomial log-likelihood builds, which bounds their
+# temporary arrays.
+_BLOCK_CELLS = 1_000_000
 
-    The log pmf of the total count of n trials under a mixture of
-    Binomial(n, p_j) with log weights log_w, evaluated at the given counts
-    only, in chunks of about 1e6 cells. Each cell is c log p_j +
-    (n - c) log(1 - p_j) + log w_j with the logs taken once, as xlogy takes
-    them, and the 0 log 0 = 0 convention at c = 0 and c = n, so the result
-    equals the cellwise xlogy form bit for bit.
+
+def _binomial_log_cells(out, counts, n: int, log_p, log_q) -> None:
+    """Fill out[i, j] = c_i log p_j + (n - c_i) log(1 - p_j) in place.
+
+    out is any (counts x grid) float array, in either memory order. log_p and
+    log_q are the grid's log p and log(1 - p) as xlogy(1.0, .) takes them,
+    and 0 log 0 = 0 at c = 0 and c = n, so every cell equals the cellwise
+    xlogy form bit for bit. The (n - c) term is formed in blocks of about
+    _BLOCK_CELLS cells, in out's memory order so that adding it streams.
     """
-    c = np.atleast_1d(np.asarray(counts, dtype=np.int64))
-    out = np.empty(c.size)
-    log_p = xlogy(1.0, p)
-    log_q = xlogy(1.0, 1.0 - p)
-    rows = max(1, 1_000_000 // max(p.size, 1))
-    cells = np.empty((min(rows, c.size), p.size))
-    tail = np.empty_like(cells)
-    for start in range(0, c.size, rows):
-        cc = c[start : start + rows]
-        ll, tl = cells[: cc.size], tail[: cc.size]
+    rows = max(1, _BLOCK_CELLS // max(log_p.size, 1))
+    tail = np.empty_like(out[:rows])
+    for start in range(0, counts.size, rows):
+        cc = counts[start : start + rows]
+        ll, tl = out[start : start + rows], tail[: cc.size]
         # 0 * -inf is NaN at the grid ends; those rows are zeroed next.
         with np.errstate(invalid="ignore"):
             np.multiply.outer(cc.astype(float), log_p, out=ll)
@@ -280,6 +266,26 @@ def log_binomial_mixture(p, log_w, n: int, counts) -> np.ndarray:
         ll[cc == 0] = 0.0
         tl[cc == n] = 0.0
         ll += tl
+
+
+def log_binomial_mixture(p, log_w, n: int, counts) -> np.ndarray:
+    """log sum_j w_j C(n, c) p_j^c (1 - p_j)^(n - c) at each count c.
+
+    The log pmf of the total count of n trials under a mixture of
+    Binomial(n, p_j) with log weights log_w, evaluated at the given counts
+    only, in blocks of about _BLOCK_CELLS cells built by _binomial_log_cells,
+    so the result equals the cellwise xlogy form bit for bit.
+    """
+    c = np.atleast_1d(np.asarray(counts, dtype=np.int64))
+    out = np.empty(c.size)
+    log_p = xlogy(1.0, p)
+    log_q = xlogy(1.0, 1.0 - p)
+    rows = max(1, _BLOCK_CELLS // max(p.size, 1))
+    cells = np.empty((min(rows, c.size), p.size))
+    for start in range(0, c.size, rows):
+        cc = c[start : start + rows]
+        ll = cells[: cc.size]
+        _binomial_log_cells(ll, cc, n, log_p, log_q)
         ll += log_w
         m = ll.max(axis=1, keepdims=True)
         m[m == NEG_INF] = 0.0

@@ -29,10 +29,10 @@ from .numerics import (
 DEFAULT_SCALE = 10_000
 
 # Largest high-resolution support pseudo_null_density builds (scale * n + 1
-# points). A build holds about 24 bytes a point at its peak (tracemalloc:
-# 235 MiB at 1.024e7 points, k = 8, n = 1024; peak RSS of the process 429 MB
-# there and 750 MB at 2.048e7), so this keeps it below about 1 GB and still
-# admits n = 1024 at the default scale.
+# points). A build holds about 20 bytes a point at its peak (tracemalloc:
+# 168-197 MiB at 1.024e7 points, k = 8 and 2, n = 1024; peak RSS of the
+# process 421 MB there and 730 MB at 2.048e7, k = 8), so this keeps it below
+# about 1 GB and still admits n = 1024 at the default scale.
 MAX_PSEUDO_POINTS = 25_000_000
 
 # Default resample target when a high-resolution density grid gets large.
@@ -250,15 +250,26 @@ def pseudo_null_density(
             f"(limit {MAX_PSEUDO_POINTS}); lower scale or the group sizes"
         )
     weights = _one_pass_convolution(specs, sizes, scale, total)
-    grid = np.arange(total + 1) / total
-    if any(s.kind == "beta" and (s.alpha < 1 or s.beta < 1) for s in specs):
-        grid, weights = grid[1:-1], weights[1:-1]
-    if grid_size is not None and grid.size > grid_size:
+    # The points i/total kept, lo <= i <= hi: all but the end cells of beta
+    # priors with a parameter below 1.
+    lo = int(any(s.kind == "beta" and (s.alpha < 1 or s.beta < 1) for s in specs))
+    hi = total - lo
+    if grid_size is not None and hi - lo + 1 > grid_size:
         if grid_size < 2:
             raise ValueError("grid_size must be at least 2")
-        resampled = np.linspace(grid[0], grid[-1], grid_size)
-        weights = np.interp(resampled, grid, weights)
-        grid = resampled
+        grid = np.linspace(lo / total, hi / total, grid_size)
+        # np.interp reads only the two points that bracket each resampled
+        # point, so only those are built, with one more on each side to cover
+        # the rounding of grid * total; the result is the same bit for bit.
+        # Deduplicated after a sort: np.unique took 10-40 ms on these 8e4
+        # indices, more than the whole grid costs at small totals.
+        near = np.floor(grid * total).astype(np.int64)[:, None] + np.arange(-1, 3)
+        near = np.sort(np.clip(near, lo, hi), axis=None)
+        near = near[np.diff(near, prepend=-1) > 0]
+        weights = np.interp(grid, near / total, weights[near])
+    else:
+        grid = np.arange(lo, hi + 1) / total
+        weights = weights[lo : hi + 1]
     return PseudoDensity(GridDensity.from_density(grid, weights), "high_resolution", scale=scale)
 
 

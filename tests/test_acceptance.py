@@ -29,7 +29,7 @@ from maxent_evalues.evariables import (
     ripr_solve,
 )
 from maxent_evalues.models import Table
-from maxent_evalues.numerics import log_binomial_row, nml_log_normalizer
+from maxent_evalues.numerics import log_binomial_row
 from maxent_evalues.priors import (
     PriorSpec,
     induced_group_pmf,
@@ -360,7 +360,9 @@ def test_two_by_k_gap_oracle():
 def test_criterion_07_nml_normalizer_identity():
     started = time.monotonic()
     for n in range(1, 1001):
-        direct = nml_log_normalizer(n)
+        # The NML term at j = 0 is 1, so the pmf's mass there is one over
+        # the normalizer the library divides by.
+        direct = -induced_group_pmf(PriorSpec.nml(), n).log_weights[0]
         # Upper incomplete gamma at (n, n) by its finite inversion series.
         k = np.arange(n)
         log_gamma_nn = gammaln(n) - n + logsumexp(k * math.log(n) - gammaln(k + 1))

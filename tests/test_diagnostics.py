@@ -118,6 +118,12 @@ class TestWorstCaseRPrime:
                 priors, (4, 4), make_density(priors, (4, 4)), bounds=(0.0, 0.9)
             )
 
+    @pytest.mark.parametrize("step", [0.0, -0.1, float("nan")])
+    def test_bad_grid_step(self, step):
+        priors = [PriorSpec.uniform()] * 2
+        with pytest.raises(ValueError, match="grid_step must be positive"):
+            worst_case_r_prime(priors, (4, 4), make_density(priors, (4, 4)), grid_step=step)
+
 
 class TestRegret:
     def test_point_gro_candidate_is_zero(self):

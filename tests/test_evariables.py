@@ -5,9 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import xlogy
 
 from maxent_evalues.cli import parse_prior
 from maxent_evalues.evariables import (
+    RIPR_GRID_SIZE,
+    RIPR_MAX_ITER,
+    RIPR_TOL,
     EValueReport,
     Statistic,
     combine_evalues,
@@ -30,6 +34,7 @@ from maxent_evalues.numerics import (
     log_binomial,
     log_binomial_mixture,
     log_binomial_row,
+    log_sum_exp,
 )
 from maxent_evalues.priors import (
     PriorSpec,
@@ -209,7 +214,99 @@ class TestPseudo:
         assert pse.log_e - mic.log_e == pytest.approx(expect, abs=1e-12)
 
 
+def reference_ripr_solve(target, n, grid_size=RIPR_GRID_SIZE, tol=RIPR_TOL,
+                         max_iter=RIPR_MAX_ITER):
+    """ripr_solve written the plain way: the likelihood matrix cellwise with
+    xlogy, np.clip for the floors, np.linalg.norm for the step, and every
+    mixture formed afresh. ripr_solve must agree with it bit for bit."""
+    t = target.weights()
+    keep = t > t.max() * 1e-60
+    c0 = np.arange(n + 1)[keep]
+    t = t[keep]
+    t = t / t.sum()
+    p = np.linspace(0.0, 1.0, grid_size)
+    logL = (
+        xlogy(c0[:, None], p[None, :])
+        + xlogy((n - c0)[:, None], 1.0 - p[None, :])
+        + log_binomial_row(n)[keep][:, None]
+    )
+    col_max = logL.max(axis=0)
+    active = col_max > col_max.max() - 350.0
+    L = np.exp(logL[:, active])
+    log_t = np.log(t)
+
+    def em_step(weights):
+        q = L @ weights
+        np.clip(q, 1e-300, None, out=q)
+        nxt = weights * (L.T @ (t / q))
+        return nxt / nxt.sum()
+
+    def objective(weights):
+        q = L @ weights
+        np.clip(q, 1e-300, None, out=q)
+        return float(np.dot(t, log_t - np.log(q)))
+
+    w = np.full(int(active.sum()), 1.0 / int(active.sum()))
+    kl = objective(w)
+    converged = False
+    active_idx = np.flatnonzero(active)
+    for it in range(1, max_iter + 1):
+        if it % 100 == 0:
+            live = w > w.max() * 1e-20
+            if live.sum() < w.size:
+                w = w[live]
+                w /= w.sum()
+                L = L[:, live]
+                active_idx = active_idx[live]
+                kl = objective(w)
+        w1 = em_step(w)
+        w2 = em_step(w1)
+        r = w1 - w
+        v = w2 - w1 - r
+        norm_v = float(np.linalg.norm(v))
+        if norm_v == 0.0:
+            cand = w2
+        else:
+            step = -float(np.linalg.norm(r)) / norm_v
+            cand = w - 2.0 * step * r + step * step * v
+            np.clip(cand, 0.0, None, out=cand)
+            total = cand.sum()
+            cand = w2 if total <= 0.0 else em_step(cand / total)
+        kl_cand = objective(cand)
+        if not np.isfinite(kl_cand) or kl_cand > kl:
+            cand = w2
+            kl_cand = objective(w2)
+        if kl - kl_cand <= tol * max(abs(kl_cand), 1.0):
+            w, kl = cand, kl_cand
+            converged = True
+            break
+        w, kl = cand, kl_cand
+    full = np.full(grid_size, NEG_INF)
+    with np.errstate(divide="ignore"):
+        lw = np.log(w)
+    full[active_idx] = lw - log_sum_exp(lw)
+    return full, kl, it, converged
+
+
 class TestRipr:
+    @pytest.mark.parametrize("target, n", [
+        (null_optimal_prior([induced_group_pmf(PriorSpec.nml(), 4)] * 2), 8),
+        (null_optimal_prior([induced_group_pmf(PriorSpec.from_beta(3, 3), 5)] * 2), 10),
+        (null_optimal_prior([induced_group_pmf(PriorSpec.from_beta(3, 3), m)
+                             for m in (6, 13)]), 19),
+        (point_alt_count_pmf((10, 30), (0.2, 0.6)), 40),
+    ], ids=["4,4-nml", "5,5-beta33", "6,13-beta33", "10,30-point"])
+    def test_matches_reference_bit_for_bit(self, target, n):
+        # Where SQUAREM stops depends on the last bits of every mixture, and
+        # those on the order BLAS sums L @ w in, which depends on L's memory
+        # layout; so this pins the layout as well as the arithmetic.
+        log_w, kl, iterations, converged = reference_ripr_solve(target, n)
+        sol = ripr_solve(target, n)
+        assert sol.iterations == iterations
+        assert sol.converged == converged
+        assert sol.achieved_kl == kl
+        assert np.array_equal(sol.log_weights, log_w)
+
     def test_target_inside_family(self):
         sol = ripr_solve(binomial_pmf(10, 0.3), 10, grid_size=501)
         assert sol.converged

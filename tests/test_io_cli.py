@@ -255,6 +255,17 @@ class TestCli:
         assert out == ""
         assert "not an e-variable" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("text", [
+        "[1, 2]", '{"log_e": null}', '{"log_e": true}', '{"log_e": "3"}', "{}", '"2.0"',
+    ])
+    def test_continue_refuses_malformed_reports(self, tmp_path, capsys, text):
+        path = tmp_path / "report.json"
+        path.write_text(text)
+        code, out, err = run_cli("continue", "2.0", str(path), capsys=capsys)
+        assert code == 1
+        assert out == ""
+        assert str(path) in strict(err)["error"]
+
     def test_pseudo_too_large_fails_fast(self, tmp_path, capsys):
         path = tmp_path / "t.json"
         path.write_text('{"groups":[{"n":1000000,"ones":1},{"n":1000000,"ones":2}]}')
@@ -347,6 +358,16 @@ class TestCli:
         payload = json.loads(out)
         assert payload["worst_case_r_prime"] >= 0
         assert len(payload["argmax"]) == 2
+
+    @pytest.mark.parametrize("step", ["0", "-0.1"])
+    def test_rprime_bad_grid_step(self, capsys, step):
+        code, out, err = run_cli(
+            "rprime", "--k", "2", "--m", "6", "--scale", "500", "--worst-case",
+            "--grid-step", step, capsys=capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert "grid_step must be positive" in strict(err)["error"]
 
     def test_theorem1(self, capsys):
         code, out, _ = run_cli(

@@ -19,7 +19,6 @@ from maxent_evalues.numerics import (
     log_binomial_mixture,
     log_binomial_row,
     log_sum_exp,
-    nml_log_normalizer,
     total_variation,
     trapezoid_log_weights,
 )
@@ -69,15 +68,6 @@ class TestSpecialFunctions:
         assert log_beta_fn(2, 3) == pytest.approx(math.log(1 / 12), rel=1e-13)
         with pytest.raises(ValueError):
             log_beta_fn(0.0, 1.0)
-
-    def test_nml_normalizer_small_n(self):
-        # n=1: 1 + 1; n=2: 1 + 2*(1/4) + 1.
-        assert np.exp(nml_log_normalizer(1)) == pytest.approx(2.0, rel=1e-14)
-        assert np.exp(nml_log_normalizer(2)) == pytest.approx(2.5, rel=1e-14)
-
-    def test_nml_normalizer_invalid(self):
-        with pytest.raises(ValueError):
-            nml_log_normalizer(0)
 
 
 class TestPmf:

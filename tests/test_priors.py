@@ -15,13 +15,14 @@ from maxent_evalues.numerics import (
     convolve_all,
     kl_divergence,
     log_beta_fn,
-    nml_log_normalizer,
+    log_sum_exp,
 )
 from maxent_evalues.priors import (
     MAX_PSEUDO_POINTS,
     PriorSpec,
     PseudoDensity,
     _induced_log_weights,
+    _one_pass_convolution,
     direct_convolution_density,
     discrete_gaussian_approx,
     induced_group_pmf,
@@ -83,6 +84,10 @@ class TestInducedGroupPmf:
         # n=2: (1, 1/2, 1) normalized by 2.5.
         p2 = induced_group_pmf(PriorSpec.nml(), 2)
         assert p2.weights() == pytest.approx([0.4, 0.2, 0.4], abs=1e-14)
+        # The NML term at j = 0 is 1, so its mass there is 1 over the
+        # normalizer: 1 + 1 at n = 1 and 1 + 2 (1/4) + 1 at n = 2.
+        assert np.exp(-p.log_weights[0]) == pytest.approx(2.0, rel=1e-14)
+        assert np.exp(-p2.log_weights[0]) == pytest.approx(2.5, rel=1e-14)
 
     def test_explicit_pass_through(self):
         pmf = Pmf.from_weights([0.5, 0.5])
@@ -111,7 +116,7 @@ def formula_group_pmf(spec, n):
             - log_beta_fn(a, b)
         )
     lw = log_binom + xlogy(j, j / n) + xlogy(n - j, 1.0 - j / n)
-    return Pmf(lw - nml_log_normalizer(n))
+    return Pmf(lw - log_sum_exp(lw))
 
 
 GROUP_PRIORS = [
@@ -265,6 +270,35 @@ class TestPseudoNullDensity:
         assert 2 * 10**10 > MAX_PSEUDO_POINTS
         with pytest.raises(ValueError, match="points"):
             pseudo_null_density([PriorSpec.uniform()] * 2, [10**6] * 2)
+
+    @pytest.mark.parametrize(
+        "spec, sizes, scale, grid_size",
+        [
+            (PriorSpec.uniform(), [4, 4], 1000, 501),
+            (PriorSpec.from_beta(0.5, 0.5), [3, 5], 10, 7),
+            (PriorSpec.nml(), [3], 10, 30),
+            (PriorSpec.from_beta(0.5, 2), [3], 10, 28),
+            # Not resampled: every high-resolution point is kept.
+            (PriorSpec.from_beta(0.5, 2), [3], 10, 29),
+            (PriorSpec.uniform(), [4, 6], 10, None),
+        ],
+    )
+    def test_resample_matches_full_grid(self, spec, sizes, scale, grid_size):
+        # The resample builds only the high-resolution points that bracket a
+        # resampled point; np.interp over the whole grid is the reference.
+        specs = [spec] * len(sizes)
+        pd = pseudo_null_density(specs, sizes, scale=scale, grid_size=grid_size)
+        total = scale * sum(sizes)
+        weights = _one_pass_convolution(specs, sizes, scale, total)
+        grid = np.arange(total + 1) / total
+        if spec.kind == "beta" and min(spec.alpha, spec.beta) < 1:
+            grid, weights = grid[1:-1], weights[1:-1]
+        if grid_size is not None and grid.size > grid_size:
+            resampled = np.linspace(grid[0], grid[-1], grid_size)
+            grid, weights = resampled, np.interp(resampled, grid, weights)
+        expected = GridDensity.from_density(grid, weights)
+        assert np.array_equal(pd.density.grid, expected.grid)
+        assert np.array_equal(pd.density.log_density, expected.log_density)
 
     def test_limit_admits_fixed_n_cells(self):
         # n = 1024 at the default scale: criterion 6 and the gap benchmark.
