@@ -22,6 +22,7 @@ from maxent_evalues.numerics import (
     total_variation,
     trapezoid_log_weights,
 )
+from maxent_evalues.priors import PriorSpec, induced_group_pmf
 
 
 class TestLogSumExp:
@@ -68,6 +69,13 @@ class TestSpecialFunctions:
         assert log_beta_fn(2, 3) == pytest.approx(math.log(1 / 12), rel=1e-13)
         with pytest.raises(ValueError):
             log_beta_fn(0.0, 1.0)
+
+    def test_nml_normalizer_small_n(self):
+        # The NML term at j = 0 is 1, so the induced mass there is 1 over
+        # the normalizer: n=1: 1 + 1; n=2: 1 + 2*(1/4) + 1.
+        for n, normalizer in [(1, 2.0), (2, 2.5)]:
+            p = induced_group_pmf(PriorSpec.nml(), n)
+            assert np.exp(-p.log_weights[0]) == pytest.approx(normalizer, rel=1e-14)
 
 
 class TestPmf:

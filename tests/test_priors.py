@@ -84,10 +84,6 @@ class TestInducedGroupPmf:
         # n=2: (1, 1/2, 1) normalized by 2.5.
         p2 = induced_group_pmf(PriorSpec.nml(), 2)
         assert p2.weights() == pytest.approx([0.4, 0.2, 0.4], abs=1e-14)
-        # The NML term at j = 0 is 1, so its mass there is 1 over the
-        # normalizer: 1 + 1 at n = 1 and 1 + 2 (1/4) + 1 at n = 2.
-        assert np.exp(-p.log_weights[0]) == pytest.approx(2.0, rel=1e-14)
-        assert np.exp(-p2.log_weights[0]) == pytest.approx(2.5, rel=1e-14)
 
     def test_explicit_pass_through(self):
         pmf = Pmf.from_weights([0.5, 0.5])
