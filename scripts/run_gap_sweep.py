@@ -17,6 +17,7 @@ from maxent_evalues.diagnostics import (
     cells_power_law,
     sweep,
 )
+from maxent_evalues.priors import DEFAULT_DENSITY_GRID, DEFAULT_SCALE
 
 
 @dataclass(frozen=True)
@@ -28,8 +29,8 @@ class GapSweepConfig:
     k_values: tuple[int, ...] = (2, 4, 8, 16)
     power_law_coeff: int = 5
     power_law_exponent: int = 2
-    scale: int = 10_000
-    grid_size: int = 20_001
+    scale: int = DEFAULT_SCALE
+    grid_size: int = DEFAULT_DENSITY_GRID
     workers: int | None = None
 
 
@@ -65,8 +66,8 @@ def main(argv=None) -> int:
     parser.add_argument("--k-fixed", type=int, default=2)
     parser.add_argument("--n-fixed", type=int, default=1024)
     parser.add_argument("--k-values", default="2,4,8,16")
-    parser.add_argument("--scale", type=int, default=10_000)
-    parser.add_argument("--grid-size", type=int, default=20_001)
+    parser.add_argument("--scale", type=int, default=DEFAULT_SCALE)
+    parser.add_argument("--grid-size", type=int, default=DEFAULT_DENSITY_GRID)
     parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--out", default=None)
     args = parser.parse_args(argv)

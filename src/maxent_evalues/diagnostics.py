@@ -11,8 +11,11 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
+from itertools import islice, product
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import betainc
 
 from .evariables import (
@@ -46,6 +49,9 @@ WORKERS_ENV = "MAXENT_EVALUES_WORKERS"
 # Worst-case search protocol: interior product grid.
 WORST_CASE_BOUNDS = (0.02, 0.98)
 WORST_CASE_STEP = 0.02
+# Cells of the largest array one block of the worst-case contraction builds,
+# so that its memory stays bounded for any number of groups.
+_BLOCK_CELLS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -123,12 +129,16 @@ def worst_case_r_prime(
 ) -> tuple[float, tuple[float, ...]]:
     """Maximum of gap_r_prime over an interior product grid of alternatives.
 
-    The grid is swept in lexicographic order and a point replaces the best
-    only if its value is strictly larger, so of points with equal float
-    values the first is kept. Points tied in exact arithmetic, such as
+    The value at a grid point is the dot product of gap with the convolution
+    of its groups' binomial pmfs, convolved in group order. The result is the
+    largest of these float values and the first point, in lexicographic
+    order, that attains it. Points tied in exact arithmetic, such as
     permutations of one alternative among equal groups, are convolved in
     different orders and can differ in the last bits; then the largest float
     wins, which need not be the lexicographically smallest point.
+
+    Every point's value is first computed at once by contraction; only the
+    points within round-off of the largest are evaluated again as above.
     """
     lo, hi = bounds
     if not 0 < lo < hi < 1:
@@ -136,31 +146,74 @@ def worst_case_r_prime(
     if not grid_step > 0:
         raise ValueError(f"grid_step must be positive, got {grid_step}")
     sizes = list(sizes)
-    k = len(sizes)
     _, gap = _count_term_gap(specs, sizes, density)
     axis = np.arange(lo, hi + grid_step / 2, grid_step)
-    # Per-group binomial pmfs at every grid value, convolved incrementally
-    # across groups; the full k-dimensional grid is swept in lexicographic
-    # order with partial convolutions cached per prefix depth.
+    # arange can run up to half a step past hi; a point only round-off past
+    # hi is hi itself and stays.
+    axis = axis[axis <= hi + 1e-9 * grid_step]
+    per_group = [[binomial_pmf(n, p).weights() for p in axis] for n in sizes]
+    shape = (axis.size,) * len(sizes)
+    # A value sums products of k binomial weights, each group's summing to 1,
+    # with gap. A term meets at most `terms` roundings in the contraction
+    # (sums of n_i + 1 terms per group) and as many in the recursion (the
+    # same per group, then a dot product of N + 1 terms), so either form is
+    # within terms * eps / 2 * max|gap| of the exact sum and the two within
+    # e = terms * eps * max|gap| of each other; the largest value under the
+    # recursion is then within 2e of the contracted maximum. A safety factor
+    # of 4 covers second-order terms and weight sums that are 1 only up to
+    # round-off.
+    terms = sum(n + 1 for n in sizes) + sum(sizes) + 1 + 2 * len(sizes)
+    slack = 4 * 2 * terms * np.finfo(float).eps * float(np.abs(gap).max())
     best = -np.inf
     best_point: tuple[float, ...] = ()
-    per_group = [
-        [binomial_pmf(n, p).weights() for p in axis] for n in sizes
-    ]
-
-    def recurse(depth, conv, point):
-        nonlocal best, best_point
-        if depth == k:
+    top = -np.inf
+    for start, values in _leaf_values([np.array(w) for w in per_group], gap):
+        top = max(top, float(values.max()))
+        # NaN compares false: a NaN value is kept, and every leaf is when
+        # max|gap| is infinite.
+        for leaf in np.flatnonzero(~(values < top - slack)):
+            index = np.unravel_index(start + leaf, shape)
+            conv = np.array([1.0])
+            for w, i in zip(per_group, index):
+                conv = np.convolve(conv, w[i])
             val = float(np.dot(conv, gap))
             if val > best:
                 best = val
-                best_point = point
-            return
-        for p, w in zip(axis, per_group[depth]):
-            recurse(depth + 1, np.convolve(conv, w), point + (float(p),))
-
-    recurse(0, np.array([1.0]), ())
+                best_point = tuple(float(axis[i]) for i in index)
     return best, best_point
+
+
+def _leaf_values(per_group, gap):
+    """Yield (first flat index, values) for consecutive blocks of grid points
+    in lexicographic (C) order, computed by contraction.
+
+    per_group[i] is group i's (grid point x count) binomial matrix W_i; the
+    value at (p_1..p_k) is sum over counts c of prod_i W_i[p_i, c_i] gap[sum c].
+    The trailing groups are contracted into gap, last group first, while the
+    arrays stay within _BLOCK_CELLS; a block of the leading groups' points is
+    then one matrix product of their convolved pmfs with the result.
+    """
+    points = per_group[0].shape[0]
+    tail = gap[None, :]  # rows: trailing points in C order; columns: counts
+    lead = len(per_group)
+    while lead:
+        w = per_group[lead - 1]
+        width = w.shape[1]
+        counts = tail.shape[1] - width + 1
+        if tail.shape[0] * counts * max(points, width) > _BLOCK_CELLS:
+            break
+        windows = sliding_window_view(tail, width, axis=1)
+        tail = np.tensordot(w, windows, axes=([1], [2]))
+        tail = tail.reshape(points * windows.shape[0], counts)
+        lead -= 1
+    rows = max(1, _BLOCK_CELLS // (tail.shape[0] + tail.shape[1]))
+    prefixes = (reduce(np.convolve, ws, np.array([1.0]))
+                for ws in product(*per_group[:lead]))
+    start = 0
+    while block := list(islice(prefixes, rows)):
+        values = (np.array(block) @ tail.T).ravel()
+        yield start, values
+        start += values.size
 
 
 def regret(

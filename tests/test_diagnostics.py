@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -22,10 +23,12 @@ from maxent_evalues.diagnostics import (
     theorem1_diagnostic,
     worst_case_r_prime,
 )
+from maxent_evalues import diagnostics
 from maxent_evalues.cli import main
 from maxent_evalues.evariables import Statistic, e_power
 from maxent_evalues.numerics import binomial_pmf, kl_divergence
 from maxent_evalues.priors import (
+    DEFAULT_SCALE,
     PriorSpec,
     induced_group_pmf,
     pseudo_null_density,
@@ -34,6 +37,35 @@ from maxent_evalues.priors import (
 
 def make_density(priors, sizes, scale=2000):
     return pseudo_null_density(priors, sizes, scale=scale, grid_size=20001)
+
+
+def reference_worst_case_r_prime(specs, sizes, density, grid_step=0.02,
+                                 bounds=(0.02, 0.98)):
+    """The worst-case search as a recursion over the grid, one convolution
+    and one dot product a point: the arithmetic worst_case_r_prime must
+    reproduce bit for bit."""
+    lo, hi = bounds
+    sizes = list(sizes)
+    k = len(sizes)
+    _, gap = diagnostics._count_term_gap(specs, sizes, density)
+    axis = np.arange(lo, hi + grid_step / 2, grid_step)
+    best = -np.inf
+    best_point = ()
+    per_group = [[binomial_pmf(n, p).weights() for p in axis] for n in sizes]
+
+    def recurse(depth, conv, point):
+        nonlocal best, best_point
+        if depth == k:
+            val = float(np.dot(conv, gap))
+            if val > best:
+                best = val
+                best_point = point
+            return
+        for p, w in zip(axis, per_group[depth]):
+            recurse(depth + 1, np.convolve(conv, w), point + (float(p),))
+
+    recurse(0, np.array([1.0]), ())
+    return best, best_point
 
 
 class TestGapR:
@@ -123,6 +155,75 @@ class TestWorstCaseRPrime:
         priors = [PriorSpec.uniform()] * 2
         with pytest.raises(ValueError, match="grid_step must be positive"):
             worst_case_r_prime(priors, (4, 4), make_density(priors, (4, 4)), grid_step=step)
+
+    @pytest.mark.parametrize(
+        "prior, sizes, scale, options",
+        [
+            # Six permutations tie in exact arithmetic; the recursion reports
+            # the one whose float is largest, not the first.
+            (PriorSpec.uniform(), (10, 10, 10), DEFAULT_SCALE, {}),
+            (PriorSpec.uniform(), (20, 20), 2000, {}),
+            (PriorSpec.uniform(), (7, 19), 2000, {}),
+            (PriorSpec.nml(), (4, 9, 6), 2000, {}),
+            (PriorSpec.from_beta(2, 3), (8, 12), 2000, {"grid_step": 0.01}),
+            (PriorSpec.uniform(), (3, 5, 4, 6), 2000,
+             {"grid_step": 0.1, "bounds": (0.15, 0.85)}),
+        ],
+        ids=["uniform-10-10-10", "uniform-20-20", "uniform-7-19", "nml-4-9-6",
+             "beta-step-0.01", "uniform-k4-bounds"],
+    )
+    def test_matches_recursion_bit_for_bit(self, prior, sizes, scale, options):
+        priors = [prior] * len(sizes)
+        density = make_density(priors, sizes, scale=scale)
+        expected = reference_worst_case_r_prime(priors, sizes, density, **options)
+        assert worst_case_r_prime(priors, sizes, density, **options) == expected
+
+    @pytest.mark.parametrize("block_cells", [None, 2000, 1])
+    def test_blocks_match_recursion_at_k5(self, monkeypatch, block_cells):
+        # At 2000 cells the leading groups run in blocks of prefixes, at 1
+        # cell every point is its own block; no block exceeds the limit.
+        if block_cells is not None:
+            monkeypatch.setattr(diagnostics, "_BLOCK_CELLS", block_cells)
+        blocks = []
+        leaf_values = diagnostics._leaf_values
+
+        def spy(per_group, gap):
+            for start, values in leaf_values(per_group, gap):
+                blocks.append(values.size)
+                yield start, values
+
+        monkeypatch.setattr(diagnostics, "_leaf_values", spy)
+        priors = [PriorSpec.uniform()] * 5
+        sizes = (3, 4, 2, 5, 3)
+        options = {"grid_step": 0.1, "bounds": (0.05, 0.95)}
+        density = make_density(priors, sizes)
+        expected = reference_worst_case_r_prime(priors, sizes, density, **options)
+        assert worst_case_r_prime(priors, sizes, density, **options) == expected
+        assert sum(blocks) == 10**5
+        if block_cells is None:
+            assert blocks == [10**5]
+        else:
+            assert len(blocks) > 1
+            assert max(blocks) <= block_cells
+
+    @pytest.mark.parametrize(
+        "step, bounds, axis",
+        [(0.3, (0.1, 0.9), (0.1, 0.4, 0.7)), (0.4, (0.3, 0.99), (0.3, 0.7))],
+    )
+    def test_grid_stops_at_hi(self, step, bounds, axis):
+        # np.arange(lo, hi + step / 2, step) runs up to half a step past hi,
+        # here to p = 1.0000000000000002 and 1.1; those points are dropped.
+        priors = [PriorSpec.uniform()] * 2
+        sizes = (5, 5)
+        density = make_density(priors, sizes)
+        value, argmax = worst_case_r_prime(
+            priors, sizes, density, grid_step=step, bounds=bounds
+        )
+        assert max(argmax) <= bounds[1]
+        assert all(any(p == pytest.approx(a) for a in axis) for p in argmax)
+        assert value == pytest.approx(max(
+            gap_r_prime(q, priors, sizes, density)
+            for q in itertools.product(axis, repeat=2)), rel=1e-12)
 
 
 class TestRegret:

@@ -359,6 +359,22 @@ class TestCli:
         assert payload["worst_case_r_prime"] >= 0
         assert len(payload["argmax"]) == 2
 
+    @pytest.mark.parametrize("lo, hi, step, axis", [
+        ("0.1", "0.9", "0.3", (0.1, 0.4, 0.7)),
+        ("0.3", "0.99", "0.4", (0.3, 0.7)),
+    ])
+    def test_rprime_worst_case_stays_within_hi(self, capsys, lo, hi, step, axis):
+        # Unless the points past hi are dropped, these grids reach
+        # p = 1.0000000000000002 and 1.1, and the command exits 1.
+        code, out, _ = run_cli(
+            "rprime", "--k", "2", "--m", "5", "--scale", "500", "--worst-case",
+            "--lo", lo, "--hi", hi, "--grid-step", step, capsys=capsys,
+        )
+        assert code == 0
+        argmax = json.loads(out)["argmax"]
+        assert len(argmax) == 2
+        assert all(any(p == pytest.approx(a) for a in axis) for p in argmax)
+
     @pytest.mark.parametrize("step", ["0", "-0.1"])
     def test_rprime_bad_grid_step(self, capsys, step):
         code, out, err = run_cli(
