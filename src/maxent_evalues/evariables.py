@@ -24,6 +24,7 @@ product law evaluates it at every count.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -54,6 +55,12 @@ RIPR_MAX_ITER = 50_000
 # Mixture masses below this floor are clamped during the multiplicative
 # updates to keep likelihood ratios finite.
 _WEIGHT_FLOOR = 1e-300
+
+# Projections kept by _projection. An entry holds its key's target bytes,
+# 8(n+1), and the solution's grid and log weights, 16·grid_size, so the memo
+# holds at most _PROJECTIONS x (8(n+1) + 16·grid_size) bytes: under 4 MB at
+# the benchmark's sizes (n up to about 11,200 dyads, the default grid).
+_PROJECTIONS = 32
 
 POST_HOC_LEVEL = float(np.exp(-1.0))
 
@@ -158,7 +165,11 @@ def _alt_params(sizes, alt_params) -> np.ndarray:
 
 def _mixture_mass(solution: RiprSolution, n: int):
     if not solution.converged:
-        raise ValueError("refine solver")
+        raise ValueError(
+            f"the reverse information projection did not converge in "
+            f"{solution.iterations} iterations; refine solver settings: raise "
+            "max_iter (--ripr-max-iter) or tol (--ripr-tol)"
+        )
     return lambda c: log_binomial_mixture(solution.grid, solution.log_weights, n, c)
 
 
@@ -375,6 +386,22 @@ def ripr_solve(
     return RiprSolution(p, full, kl, it, converged)
 
 
+@functools.lru_cache(maxsize=_PROJECTIONS)
+def _projection(
+    target_log_weights: bytes, n: int, grid_size: int, tol: float, max_iter: int
+) -> RiprSolution:
+    """ripr_solve of the target whose log weights are these float64 bytes.
+
+    The target is fixed by the design alone (group sizes and priors, or the
+    point alternative), so every table of one design, and every caller that
+    projects the same law, shares one solve. The solution is frozen and its
+    arrays read-only, so handing it to every caller is safe; an unconverged
+    one is kept too, and the statistic refuses it each time. ripr_solve
+    itself stays an uncached plain function, looked up at each miss.
+    """
+    return ripr_solve(Pmf(np.frombuffer(target_log_weights)), n, grid_size, tol, max_iter)
+
+
 def log_e_gro_can(
     table: Table,
     priors,
@@ -389,13 +416,8 @@ def log_e_gro_can(
     precomputed one for the same priors and sizes is passed.
     """
     if solution is None:
-        solution = ripr_solve(
-            null_optimal_prior(_group_pmfs(table.sizes, priors)),
-            table.n,
-            grid_size=grid_size,
-            tol=tol,
-            max_iter=max_iter,
-        )
+        target = null_optimal_prior(_group_pmfs(table.sizes, priors))
+        solution = _projection(target.log_weights.tobytes(), table.n, grid_size, tol, max_iter)
     return Statistic.can(table.sizes, priors, solution).report(table.ones)
 
 
@@ -420,13 +442,8 @@ def log_e_gro_point(
     """
     pvec = _alt_params(table.sizes, alt_params)
     if solution is None:
-        solution = ripr_solve(
-            point_alt_count_pmf(table.sizes, pvec),
-            table.n,
-            grid_size=grid_size,
-            tol=tol,
-            max_iter=max_iter,
-        )
+        target = point_alt_count_pmf(table.sizes, pvec)
+        solution = _projection(target.log_weights.tobytes(), table.n, grid_size, tol, max_iter)
     return Statistic.point(table.sizes, pvec, solution).report(table.ones)
 
 

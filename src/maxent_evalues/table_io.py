@@ -43,10 +43,10 @@ def parse_table_text(text: str, format: str) -> Table:
         if not isinstance(rows, list) or not rows:
             raise ValueError("no groups")
         groups = []
-        for row in rows:
+        for i, row in enumerate(rows):
             if not isinstance(row, dict) or "n" not in row or "ones" not in row:
                 raise ValueError("each group needs 'n' and 'ones'")
-            groups.append((int(row["n"]), int(row["ones"])))
+            groups.append((_count(row["n"], i, "n"), _count(row["ones"], i, "ones")))
         return Table(tuple(groups))
     if format == "csv":
         groups = []
@@ -57,11 +57,27 @@ def parse_table_text(text: str, format: str) -> Table:
                 continue
             if len(row) != 3:
                 raise ValueError(f"expected 3 columns, got {len(row)}")
-            groups.append((int(row[1]), int(row[2])))
+            i = len(groups)
+            groups.append((_count(row[1], i, "n"), _count(row[2], i, "ones")))
         if not groups:
             raise ValueError("no groups")
         return Table(tuple(groups))
     raise ValueError(f"unknown format {format!r}")
+
+
+def _count(value, row: int, field: str) -> int:
+    """A table count as read: an integer, an integral float or the text of an
+    integer. A bool or a fraction is refused rather than truncated."""
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    elif isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"table row {row}: {field} must be an integer, got {value!r}")
 
 
 def serialize_table(table: Table) -> str:

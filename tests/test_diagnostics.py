@@ -23,7 +23,7 @@ from maxent_evalues.diagnostics import (
     theorem1_diagnostic,
     worst_case_r_prime,
 )
-from maxent_evalues import diagnostics
+from maxent_evalues import diagnostics, evariables
 from maxent_evalues.cli import main
 from maxent_evalues.evariables import Statistic, e_power
 from maxent_evalues.numerics import binomial_pmf, kl_divergence
@@ -322,6 +322,15 @@ class TestFitLogSlope:
 
 
 class TestRegretCurve:
+    def test_too_few_m_fails_before_solving(self, monkeypatch):
+        def solve(*args, **kwargs):
+            pytest.fail("ripr_solve called before the m values were checked")
+
+        monkeypatch.setattr(evariables, "ripr_solve", solve)
+        evariables._projection.cache_clear()
+        with pytest.raises(ValueError, match="at least 3 distinct m values"):
+            regret_curve((0.3, 0.6), PriorSpec.uniform(), (10, 20, 20), workers=1)
+
     def test_curve_and_fit(self):
         curve = regret_curve(
             (0.4, 0.6), PriorSpec.from_beta(1.5, 1.5), (20, 40, 80), workers=1

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import xlogy
 
+from maxent_evalues import evariables
 from maxent_evalues.cli import parse_prior
 from maxent_evalues.evariables import (
     RIPR_GRID_SIZE,
@@ -450,6 +452,83 @@ class TestGroPoint:
     def test_arity(self):
         with pytest.raises(ValueError):
             log_e_gro_point(Table(((5, 2), (5, 3))), (0.5,))
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The targets ripr_solve is called on, starting from an empty memo."""
+    calls = []
+    real = evariables.ripr_solve
+
+    def spy(target, *args, **kwargs):
+        calls.append(target)
+        return real(target, *args, **kwargs)
+
+    monkeypatch.setattr(evariables, "ripr_solve", spy)
+    evariables._projection.cache_clear()
+    yield calls
+    evariables._projection.cache_clear()
+
+
+class TestProjectionMemo:
+    SIZES = (5, 5)
+    PRIORS = [PriorSpec.uniform()] * 2
+
+    def key(self, target, n=10, grid_size=101, tol=1e-8, max_iter=500):
+        return (target.log_weights.tobytes(), n, grid_size, tol, max_iter)
+
+    def test_one_solve_per_design(self, solves):
+        tables = [Table(tuple(zip(self.SIZES, ones))) for ones in ((3, 1), (0, 5))]
+        reports = [log_e_gro_can(t, self.PRIORS, grid_size=101) for t in tables]
+        assert len(solves) == 1
+        assert reports[0].log_e != reports[1].log_e
+        for alt in ((0.2, 0.7), (0.2, 0.7), (0.3, 0.7)):
+            log_e_gro_point(tables[0], alt, grid_size=101)
+        assert len(solves) == 3
+
+    def test_each_key_part_misses(self, solves):
+        target = null_optimal_prior(
+            [induced_group_pmf(s, n) for s, n in zip(self.PRIORS, self.SIZES)])
+        other = point_alt_count_pmf(self.SIZES, (0.2, 0.7))
+        evariables._projection(*self.key(target))
+        evariables._projection(*self.key(target))
+        assert len(solves) == 1
+        for key in (self.key(other), self.key(target, grid_size=151),
+                    self.key(target, tol=1e-9), self.key(target, max_iter=501)):
+            evariables._projection(*key)
+        assert len(solves) == 5
+        # The same law at another n fails its support check, and a failure
+        # is not kept: both calls reach ripr_solve.
+        for _ in range(2):
+            with pytest.raises(ValueError, match="target support"):
+                evariables._projection(*self.key(target, n=11))
+        assert len(solves) == 7
+
+    def test_hit_equals_fresh_solve(self, solves):
+        target = point_alt_count_pmf(self.SIZES, (0.2, 0.7))
+        evariables._projection(*self.key(target))
+        hit = evariables._projection(*self.key(target))
+        fresh = ripr_solve(target, 10, 101, 1e-8, 500)
+        assert len(solves) == 1
+        assert np.array_equal(hit.grid, fresh.grid)
+        assert np.array_equal(hit.log_weights, fresh.log_weights)
+        assert (hit.achieved_kl, hit.iterations, hit.converged) == (
+            fresh.achieved_kl, fresh.iterations, fresh.converged)
+        assert not hit.log_weights.flags.writeable
+
+    def test_unconverged_kept_and_refused_each_time(self, solves):
+        t = Table(((5, 3), (5, 1)))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="did not converge in 1 iterations"):
+                log_e_gro_can(t, self.PRIORS, max_iter=1, tol=1e-16)
+        assert len(solves) == 1
+
+    def test_bounded_and_tracer_visible(self):
+        info = evariables._projection.cache_info()
+        assert info.maxsize == evariables._PROJECTIONS
+        # A tracer wraps what inspect.isfunction accepts; an lru_cache object
+        # is not a function, so the solver itself must stay plain.
+        assert inspect.isfunction(evariables.ripr_solve)
 
 
 def enumerated_e_power(log_e_fn, group_pmfs) -> float:

@@ -42,6 +42,33 @@ class TestParseTable:
         with pytest.raises(ValueError, match="invalid table row"):
             parse_table_text('{"groups":[{"n":10,"ones":11}]}', "json")
 
+    @pytest.mark.parametrize("text, format, message", [
+        ('{"groups":[{"n":10.7,"ones":3},{"n":12,"ones":1}]}', "json",
+         "table row 0: n must be an integer, got 10.7"),
+        ('{"groups":[{"n":10,"ones":3},{"n":12,"ones":true}]}', "json",
+         "table row 1: ones must be an integer, got True"),
+        ('{"groups":[{"n":10,"ones":null}]}', "json",
+         "table row 0: ones must be an integer, got None"),
+        ("a,10.9,3\n", "csv", "table row 0: n must be an integer, got '10.9'"),
+        ("group_id,n,ones\na,10,3\nb,12,x\n", "csv",
+         "table row 1: ones must be an integer, got 'x'"),
+    ])
+    def test_non_integer_counts_refused(self, tmp_path, capsys, text, format, message):
+        with pytest.raises(ValueError) as info:
+            parse_table_text(text, format)
+        assert str(info.value) == message
+        path = tmp_path / f"t.{format}"
+        path.write_text(text)
+        code, out, err = run_cli("test", "--table", str(path), capsys=capsys)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == message
+
+    def test_integral_counts_accepted(self):
+        t = parse_table_text('{"groups":[{"n":10.0,"ones":"3"}]}', "json")
+        assert t == Table(((10, 3),))
+        assert parse_table_text("a, 10 ,3\n", "csv") == Table(((10, 3),))
+
     def test_empty(self):
         with pytest.raises(ValueError, match="no groups"):
             parse_table_text('{"groups":[]}', "json")
@@ -317,6 +344,23 @@ class TestCli:
         assert code == 1
         assert out == ""
         assert "JSON" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("argv, iterations", [
+        (("test", "--statistic", "can", "--ripr-max-iter", "3"), 3),
+        (("epower", "--sizes", "3,3", "--prior", "beta:3,3", "--ripr-max-iter", "5"), 5),
+    ])
+    def test_unconverged_projection_names_its_knobs(self, tmp_path, capsys, argv, iterations):
+        path = tmp_path / "t.json"
+        path.write_text('{"groups":[{"n":5,"ones":3},{"n":5,"ones":1}]}')
+        if argv[0] == "test":
+            argv += ("--table", str(path))
+        code, out, err = run_cli(*argv, capsys=capsys)
+        assert code == 1
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert f"did not converge in {iterations} iterations" in error
+        assert "refine solver" in error
+        assert "--ripr-max-iter" in error and "--ripr-tol" in error
 
     def test_gap_matches_library(self, capsys):
         from maxent_evalues.diagnostics import gap_r
