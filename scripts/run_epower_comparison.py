@@ -12,14 +12,8 @@ from dataclasses import dataclass
 
 from maxent_evalues.cli import parse_prior
 from maxent_evalues.diagnostics import e_powers
-from maxent_evalues.evariables import ripr_solve
-from maxent_evalues.priors import (
-    DEFAULT_DENSITY_GRID,
-    DEFAULT_SCALE,
-    induced_group_pmf,
-    null_optimal_prior,
-    pseudo_null_density,
-)
+from maxent_evalues.evariables import _bayes_projection
+from maxent_evalues.priors import DEFAULT_DENSITY_GRID, DEFAULT_SCALE, pseudo_null_density
 
 
 @dataclass(frozen=True)
@@ -41,9 +35,7 @@ def run(config: EPowerConfig, out=sys.stdout) -> None:
             density = pseudo_null_density(
                 priors, sizes, scale=config.scale, grid_size=config.grid_size
             )
-            solution = ripr_solve(
-                null_optimal_prior([induced_group_pmf(spec, m)] * config.k), config.k * m
-            )
+            solution = _bayes_projection(sizes, priors)
             powers = e_powers(priors, sizes, density, solution)
             mic, can, pse = powers["mic"], powers["can"], powers["pseudo"]
             print(

@@ -10,13 +10,7 @@ import sys
 from dataclasses import dataclass
 
 from maxent_evalues.cli import parse_prior
-from maxent_evalues.diagnostics import (
-    SweepConfig,
-    cells_m_fixed,
-    cells_n_fixed,
-    cells_power_law,
-    sweep,
-)
+from maxent_evalues.diagnostics import SweepConfig, cells_n_fixed, cells_power_law, sweep
 from maxent_evalues.priors import DEFAULT_DENSITY_GRID, DEFAULT_SCALE
 
 

@@ -28,7 +28,7 @@ from .evariables import (
     RIPR_GRID_SIZE,
     RIPR_MAX_ITER,
     RIPR_TOL,
-    _projection,
+    _bayes_projection,
     combine_evalues,
     decide,
     e_or_none,
@@ -46,11 +46,9 @@ from .priors import (
     DEFAULT_DENSITY_GRID,
     DEFAULT_SCALE,
     PriorSpec,
-    induced_group_pmf,
-    null_optimal_prior,
     pseudo_null_density,
 )
-from .table_io import network_to_table, parse_network, parse_table
+from .table_io import NETWORK_MODES, network_to_table, parse_network, parse_table
 
 
 def parse_prior(text: str) -> PriorSpec:
@@ -79,7 +77,7 @@ def _priors_for(args, k: int) -> list[PriorSpec]:
     return [parse_prior(t) for t in texts]
 
 
-def _emit(payload: dict, args=None) -> None:
+def _emit(payload: dict) -> None:
     # Serialized whole before writing, so a NaN or an infinity raises a
     # ValueError with nothing printed.
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
@@ -162,54 +160,41 @@ def _sizes(args) -> tuple[int, ...]:
     return tuple(int(s) for s in args.sizes.split(","))
 
 
-def cmd_epower(args) -> dict:
+def _design(args):
+    """The group sizes, priors and pseudo density the arguments name, and
+    the report fields that describe them."""
     sizes = _sizes(args)
     priors = _priors_for(args, len(sizes))
     density = pseudo_null_density(
         priors, sizes, scale=args.scale, grid_size=args.density_grid
     )
-    target = null_optimal_prior([induced_group_pmf(s, n) for s, n in zip(priors, sizes)])
-    solution = _projection(
-        target.log_weights.tobytes(), sum(sizes),
-        args.ripr_grid, args.ripr_tol, args.ripr_max_iter,
+    described = {"sizes": list(sizes), "priors": [s.describe() for s in priors]}
+    return sizes, priors, density, described
+
+
+def cmd_epower(args) -> dict:
+    sizes, priors, density, payload = _design(args)
+    solution = _bayes_projection(
+        sizes, priors, args.ripr_grid, args.ripr_tol, args.ripr_max_iter
     )
     powers = e_powers(priors, sizes, density, solution)
     mic, can, pseudo = powers["mic"], powers["can"], powers["pseudo"]
     return {
-        "sizes": list(sizes),
-        "priors": [s.describe() for s in priors],
+        **payload,
         "e_power": powers,
         "sandwich_ok": bool(mic <= can + 1e-8 and can <= pseudo + 2e-8),
         "achieved_kl": solution.achieved_kl,
     }
 
 
-def _gap_inputs(args):
-    sizes = _sizes(args)
-    priors = _priors_for(args, len(sizes))
-    density = pseudo_null_density(
-        priors, sizes, scale=args.scale, grid_size=args.density_grid
-    )
-    return sizes, priors, density
-
-
 def cmd_gap(args) -> dict:
-    sizes, priors, density = _gap_inputs(args)
-    return {
-        "sizes": list(sizes),
-        "priors": [s.describe() for s in priors],
-        "scale": args.scale,
-        "r": gap_r(priors, sizes, density),
-    }
+    sizes, priors, density, payload = _design(args)
+    return {**payload, "scale": args.scale, "r": gap_r(priors, sizes, density)}
 
 
 def cmd_rprime(args) -> dict:
-    sizes, priors, density = _gap_inputs(args)
-    payload = {
-        "sizes": list(sizes),
-        "priors": [s.describe() for s in priors],
-        "scale": args.scale,
-    }
+    sizes, priors, density, payload = _design(args)
+    payload["scale"] = args.scale
     if args.worst_case:
         value, argmax = worst_case_r_prime(
             priors, sizes, density,
@@ -285,12 +270,14 @@ def cmd_continue(args) -> dict:
                     "e-variable and cannot be combined"
                 )
             log_e = payload.get("log_e")
-            if isinstance(log_e, bool) or not isinstance(log_e, (int, float)):
-                raise ValueError(f"{item}: report needs a numeric log_e, got {log_e!r}")
+            numeric = isinstance(log_e, (int, float)) and not isinstance(log_e, bool)
+            # json.load reads Infinity, NaN and 1e400 as non-finite floats.
+            if not (numeric and -np.inf < log_e < np.inf):
+                raise ValueError(f"{item}: report needs a finite numeric log_e, got {log_e!r}")
             log_es.append(float(log_e))
             continue
-        if value <= 0:
-            raise ValueError(f"e-value must be positive: {item}")
+        if not 0 < value < np.inf:
+            raise ValueError(f"e-value must be positive and finite: {item}")
         log_es.append(float(np.log(value)))
     log_e = combine_evalues(log_es)
     return {
@@ -343,8 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("net-test", help="network test via table reduction")
     p.add_argument("--network", required=True)
-    p.add_argument("--mode", required=True, choices=(
-        "sbm_vs_er_undirected", "sbm_vs_er_directed", "pcm_vs_er_bipartite"))
+    p.add_argument("--mode", required=True, choices=NETWORK_MODES)
     p.add_argument("--constrained-block", default=None)
     p.add_argument("--statistic", choices=("mic", "can", "pseudo", "point"),
                    default="mic")
@@ -415,7 +401,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _emit(args.fn(args), args)
+        _emit(args.fn(args))
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         json.dump({"error": str(exc)}, sys.stderr)
         sys.stderr.write("\n")

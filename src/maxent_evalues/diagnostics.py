@@ -1,4 +1,4 @@
-"""Evaluation machinery: approximation gaps, regret, redundancy, convergence checks.
+"""Evaluation machinery: approximation gaps, regret, convergence checks.
 
 Every expectation here is an exact sum over sufficient-statistic supports.
 Statistics on 2xk tables decompose as a sum of per-group terms plus a term
@@ -24,7 +24,8 @@ from .evariables import (
     RIPR_TOL,
     RiprSolution,
     Statistic,
-    _projection,
+    _bayes_projection,
+    _point_projection,
     e_power,
     point_alt_count_pmf,
     # Solves go through _projection; the name stays bound here because
@@ -32,17 +33,13 @@ from .evariables import (
     # one wrapper.
     ripr_solve,  # noqa: F401
 )
-from .numerics import (
-    NEG_INF,
-    binomial_pmf,
-    kl_divergence,
-    total_variation,
-)
+from .numerics import NEG_INF, binomial_pmf, total_variation
 from .priors import (
     DEFAULT_DENSITY_GRID,
     DEFAULT_SCALE,
     PriorSpec,
     PseudoDensity,
+    discrete_gaussian_approx,
     induced_group_pmf,
     null_optimal_prior,
     pseudo_null_density,
@@ -67,11 +64,6 @@ class RegretCurve:
     fitted_b: float
     residual: float
     p_alt: tuple[float, ...]
-
-    def __post_init__(self):
-        ms = [m for m, _ in self.points]
-        if list(ms) != sorted(ms):
-            raise ValueError("points must be sorted by m")
 
 
 def e_powers(specs, sizes, density: PseudoDensity, solution: RiprSolution) -> dict:
@@ -226,8 +218,6 @@ def regret(
     sizes,
     candidate: str,
     density: PseudoDensity | None = None,
-    solution: RiprSolution | None = None,
-    point_solution: RiprSolution | None = None,
     grid_size: int = RIPR_GRID_SIZE,
     tol: float = RIPR_TOL,
     max_iter: int = RIPR_MAX_ITER,
@@ -246,41 +236,17 @@ def regret(
         raise ValueError(f"unknown candidate kind {candidate!r}")
     if candidate == "pseudo" and density is None:
         raise ValueError("pseudo candidate requires a density")
-    n = sum(sizes)
-
-    def solve(target):
-        return _projection(target.log_weights.tobytes(), n, grid_size, tol, max_iter)
-
-    if point_solution is None:
-        point_solution = solve(point_alt_count_pmf(sizes, pvec))
+    point_solution = _point_projection(sizes, pvec, grid_size, tol, max_iter)
     if candidate == "gro_mic":
         cand = Statistic.mic(sizes, specs)
     elif candidate == "pseudo":
         cand = Statistic.pseudo(sizes, specs, density)
     else:
-        if solution is None:
-            solution = solve(null_optimal_prior(
-                [induced_group_pmf(s, m) for s, m in zip(specs, sizes)]))
+        solution = _bayes_projection(sizes, specs, grid_size, tol, max_iter)
         cand = Statistic.can(sizes, specs, solution)
     binomials = [binomial_pmf(m, p) for m, p in zip(sizes, pvec)]
     point = Statistic.point(sizes, pvec, point_solution)
     return e_power(point, binomials) - e_power(cand, binomials)
-
-
-def redundancy(p_alt, specs, sizes) -> float:
-    """Expected log-likelihood advantage of the point alternative over the
-    Bayes marginal; sums per-group binomial-to-prior divergences."""
-    specs = list(specs)
-    sizes = list(sizes)
-    pvec = np.atleast_1d(np.asarray(p_alt, dtype=float))
-    if pvec.size != len(sizes):
-        raise ValueError("p_alt length must match the number of groups")
-    total = 0.0
-    for m, p, s in zip(sizes, pvec, specs):
-        b = binomial_pmf(m, p)
-        wi = induced_group_pmf(s, m)
-        total += kl_divergence(b, wi)
-    return total
 
 
 def fit_log_slope(points) -> tuple[float, float, float]:
@@ -372,8 +338,6 @@ def theorem1_diagnostic(spec: PriorSpec, m: int, bins: int) -> float:
 def gaussian_approx_tv(spec: PriorSpec, sizes) -> float:
     """TV distance between the exact prior convolution and its discrete
     Gaussian moment-matched approximation."""
-    from .priors import discrete_gaussian_approx
-
     pmfs = [induced_group_pmf(spec, n) for n in sizes]
     exact = null_optimal_prior(pmfs)
     approx = discrete_gaussian_approx(pmfs)
@@ -384,34 +348,22 @@ def gaussian_approx_tv(spec: PriorSpec, sizes) -> float:
 class SweepConfig:
     """Grid of (k, m) cells for one diagnostic under one prior family."""
 
-    diagnostic: str  # "gap_r" | "gap_r_prime" | "worst_case_r_prime" | "theorem1" | "gaussian_tv"
+    diagnostic: str  # "gap_r" | "theorem1" | "gaussian_tv"
     prior: PriorSpec
     cells: tuple[tuple[int, int], ...]
     scale: int = DEFAULT_SCALE
     grid_size: int | None = DEFAULT_DENSITY_GRID
-    p_alt: float | None = None
     bins: int = 20
-    size_ratio: tuple[int, ...] | None = None
     workers: int | None = None
 
     def __post_init__(self):
-        if self.diagnostic not in (
-            "gap_r",
-            "gap_r_prime",
-            "worst_case_r_prime",
-            "theorem1",
-            "gaussian_tv",
-        ):
+        if self.diagnostic not in ("gap_r", "theorem1", "gaussian_tv"):
             raise ValueError(f"unknown diagnostic {self.diagnostic!r}")
         cells = tuple((int(k), int(m)) for k, m in self.cells)
         object.__setattr__(self, "cells", cells)
         for k, m in cells:
             if k < 1 or m < 1:
                 raise ValueError(f"invalid cell ({k}, {m})")
-
-
-def cells_m_fixed(k_values, m) -> tuple[tuple[int, int], ...]:
-    return tuple((int(k), int(m)) for k in k_values)
 
 
 def cells_n_fixed(k_values, n) -> tuple[tuple[int, int], ...]:
@@ -427,32 +379,18 @@ def cells_power_law(k_values, coefficient, exponent) -> tuple[tuple[int, int], .
     return tuple((int(k), int(round(coefficient * k**exponent))) for k in k_values)
 
 
-def _cell_sizes(config: SweepConfig, k: int, m: int) -> list[int]:
-    if config.size_ratio is None:
-        return [m] * k
-    if len(config.size_ratio) != k:
-        raise ValueError("size_ratio length must match k")
-    return [m * r for r in config.size_ratio]
-
-
 def _sweep_cell(job):
     config, k, m = job
-    sizes = _cell_sizes(config, k, m)
-    specs = [config.prior] * k
     if config.diagnostic == "theorem1":
         return theorem1_diagnostic(config.prior, m, config.bins)
+    sizes = [m] * k
     if config.diagnostic == "gaussian_tv":
         return gaussian_approx_tv(config.prior, sizes)
+    specs = [config.prior] * k
     density = pseudo_null_density(
         specs, sizes, scale=config.scale, grid_size=config.grid_size
     )
-    if config.diagnostic == "gap_r":
-        return gap_r(specs, sizes, density)
-    if config.diagnostic == "gap_r_prime":
-        if config.p_alt is None:
-            raise ValueError("gap_r_prime sweep requires p_alt")
-        return gap_r_prime([config.p_alt] * k, specs, sizes, density)
-    return worst_case_r_prime(specs, sizes, density)[0]
+    return gap_r(specs, sizes, density)
 
 
 def _worker_count(workers: int | None) -> int:

@@ -35,7 +35,6 @@ from scipy.special import xlogy
 from .models import Table
 from .numerics import (
     NEG_INF,
-    GridDensity,
     Pmf,
     _binomial_log_cells,
     binomial_pmf,
@@ -94,10 +93,6 @@ class EValueReport:
 
     def __post_init__(self):
         _check_kind(self.statistic_kind)
-
-    @property
-    def e(self) -> float:
-        return float(np.exp(self.log_e))
 
     @property
     def is_evariable(self) -> bool:
@@ -191,10 +186,6 @@ class Statistic:
         _check_kind(self.kind)
 
     @property
-    def is_evariable(self) -> bool:
-        return _EVARIABLE_KINDS[self.kind]
-
-    @property
     def sizes(self) -> tuple[int, ...]:
         return tuple(a.size - 1 for a in self.group_terms)
 
@@ -247,14 +238,13 @@ def log_e_gro_mic(table: Table, priors) -> EValueReport:
     return Statistic.mic(table.sizes, priors).report(table.ones)
 
 
-def log_w_pseudo0(density: GridDensity | PseudoDensity, n: int, n1) -> np.ndarray | float:
+def log_w_pseudo0(density: PseudoDensity, n: int, n1) -> np.ndarray | float:
     """Log mass the pseudo null prior assigns to total counts, by quadrature.
 
     Mixes Binomial(n, p0) over the continuous density with trapezoid
     weights, at the requested total one-counts (scalar or array).
     """
-    if isinstance(density, PseudoDensity):
-        density = density.density
+    density = density.density
     c0 = np.atleast_1d(np.asarray(n1, dtype=np.int64))
     if ((c0 < 0) | (c0 > n)).any():
         raise ValueError("total count out of range")
@@ -402,23 +392,13 @@ def _projection(
     return ripr_solve(Pmf(np.frombuffer(target_log_weights)), n, grid_size, tol, max_iter)
 
 
-def log_e_gro_can(
-    table: Table,
-    priors,
-    solution: RiprSolution | None = None,
-    grid_size: int = RIPR_GRID_SIZE,
-    tol: float = RIPR_TOL,
-    max_iter: int = RIPR_MAX_ITER,
-) -> EValueReport:
-    """Canonical GRO e-value of one table.
-
-    The projection of the Bayes marginal is solved here unless a
-    precomputed one for the same priors and sizes is passed.
-    """
-    if solution is None:
-        target = null_optimal_prior(_group_pmfs(table.sizes, priors))
-        solution = _projection(target.log_weights.tobytes(), table.n, grid_size, tol, max_iter)
-    return Statistic.can(table.sizes, priors, solution).report(table.ones)
+def _bayes_projection(
+    sizes, priors, grid_size=RIPR_GRID_SIZE, tol=RIPR_TOL, max_iter=RIPR_MAX_ITER
+) -> RiprSolution:
+    """The projection of the optimal null prior, the Bayes marginal's law of
+    the total count, for these group sizes and priors: the canonical W0."""
+    target = null_optimal_prior(_group_pmfs(sizes, priors))
+    return _projection(target.log_weights.tobytes(), sum(sizes), grid_size, tol, max_iter)
 
 
 def point_alt_count_pmf(sizes, alt_params) -> Pmf:
@@ -427,10 +407,28 @@ def point_alt_count_pmf(sizes, alt_params) -> Pmf:
     return convolve_all([binomial_pmf(n, pi) for n, pi in zip(sizes, pvec)])
 
 
+def _point_projection(sizes, pvec, grid_size, tol, max_iter) -> RiprSolution:
+    """The projection of the law of the total count under the point
+    alternative pvec: the point GRO's W0."""
+    target = point_alt_count_pmf(sizes, pvec)
+    return _projection(target.log_weights.tobytes(), sum(sizes), grid_size, tol, max_iter)
+
+
+def log_e_gro_can(
+    table: Table,
+    priors,
+    grid_size: int = RIPR_GRID_SIZE,
+    tol: float = RIPR_TOL,
+    max_iter: int = RIPR_MAX_ITER,
+) -> EValueReport:
+    """Canonical GRO e-value of one table."""
+    solution = _bayes_projection(table.sizes, priors, grid_size, tol, max_iter)
+    return Statistic.can(table.sizes, priors, solution).report(table.ones)
+
+
 def log_e_gro_point(
     table: Table,
     alt_params,
-    solution: RiprSolution | None = None,
     grid_size: int = RIPR_GRID_SIZE,
     tol: float = RIPR_TOL,
     max_iter: int = RIPR_MAX_ITER,
@@ -441,9 +439,7 @@ def log_e_gro_point(
     point alternative: the convolution of the per-group binomials.
     """
     pvec = _alt_params(table.sizes, alt_params)
-    if solution is None:
-        target = point_alt_count_pmf(table.sizes, pvec)
-        solution = _projection(target.log_weights.tobytes(), table.n, grid_size, tol, max_iter)
+    solution = _point_projection(table.sizes, pvec, grid_size, tol, max_iter)
     return Statistic.point(table.sizes, pvec, solution).report(table.ones)
 
 

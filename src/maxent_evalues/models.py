@@ -1,4 +1,4 @@
-"""2xk binary contingency-table data model and configuration counts.
+"""2xk binary contingency-table data model.
 
 All computations work on sufficient statistics (per-group one-counts); raw
 binary sequences are never materialized.
@@ -6,9 +6,19 @@ binary sequences are never materialized.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
-from .numerics import log_binomial
+
+def _count(value, row: int, field: str) -> int:
+    """One count of a table: a Python or NumPy integer, or an integral float.
+    A bool or a fraction is refused rather than truncated."""
+    if not isinstance(value, bool):
+        if isinstance(value, numbers.Integral):
+            return int(value)
+        if isinstance(value, numbers.Real) and float(value).is_integer():
+            return int(value)
+    raise ValueError(f"table row {row}: {field} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -18,7 +28,9 @@ class Table:
     groups: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        groups = tuple((int(n), int(ones)) for n, ones in self.groups)
+        groups = tuple(
+            (_count(n, i, "n"), _count(ones, i, "ones")) for i, (n, ones) in enumerate(self.groups)
+        )
         object.__setattr__(self, "groups", groups)
         if len(groups) < 1:
             raise ValueError("no groups")
@@ -44,18 +56,3 @@ class Table:
     def n(self) -> int:
         return sum(self.sizes)
 
-    @property
-    def n1(self) -> int:
-        return sum(self.ones)
-
-
-def log_multiplicity(t: Table, hypothesis: str) -> float:
-    """Log count of configurations realizing the table's sufficient statistic.
-
-    Null: C(n, n1). Alternative: product of per-group C(n_i, ones_i).
-    """
-    if hypothesis == "null":
-        return log_binomial(t.n, t.n1)
-    if hypothesis == "alt":
-        return sum(log_binomial(n, o) for n, o in t.groups)
-    raise ValueError(f"unknown hypothesis {hypothesis!r}")

@@ -38,13 +38,6 @@ def log_sum_exp(values) -> float:
     return m + float(np.log(np.exp(arr - m).sum()))
 
 
-def log_binomial(n: int, k: int) -> float:
-    """log C(n, k) via log-gamma."""
-    if k < 0 or n < 0 or k > n:
-        raise ValueError(f"invalid binomial ({n}, {k})")
-    return float(gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1))
-
-
 def log_binomial_row(n: int) -> np.ndarray:
     """log C(n, k) for all k in 0..n."""
     if n < 0:
@@ -111,18 +104,6 @@ class Pmf:
         with np.errstate(divide="ignore"):
             return Pmf.from_log_weights(np.log(w))
 
-    @staticmethod
-    def uniform(n: int) -> "Pmf":
-        """Uniform pmf on 0..n."""
-        return Pmf(np.full(n + 1, -np.log(n + 1)))
-
-    @staticmethod
-    def delta(i: int, n: int) -> "Pmf":
-        """Point mass at i on support 0..n."""
-        lw = np.full(n + 1, NEG_INF)
-        lw[i] = 0.0
-        return Pmf(lw)
-
 
 def binomial_pmf(n: int, p: float) -> Pmf:
     """Binomial(n, p) on 0..n, boundary p handled with 0^0 = 1."""
@@ -170,21 +151,8 @@ def convolve_all(pmfs) -> Pmf:
     return acc
 
 
-def kl_divergence(p: Pmf, q: Pmf) -> float:
-    """KL(p || q) in nats; requires p absolutely continuous w.r.t. q."""
-    if p.support_size != q.support_size:
-        raise ValueError("KL undefined: support mismatch")
-    lp, lq = p.log_weights, q.log_weights
-    mask = lp > NEG_INF
-    if (lq[mask] == NEG_INF).any():
-        raise ValueError("KL undefined: q vanishes where p does not")
-    return float(np.dot(np.exp(lp[mask]), lp[mask] - lq[mask]))
-
-
 def total_variation(p: Pmf, q: Pmf) -> float:
-    """Total variation distance, in [0, 1]."""
-    if p.support_size != q.support_size:
-        raise ValueError("support mismatch")
+    """Total variation distance, in [0, 1], between pmfs on one support."""
     return 0.5 * float(np.abs(p.weights() - q.weights()).sum())
 
 

@@ -2,12 +2,11 @@
 
 The optimal null prior is the convolution of the per-group induced pmfs; the
 pseudo density is its high-resolution limit on the null mean-value space
-p0 = n1/n, or (for beta priors) the direct continuous convolution.
+p0 = n1/n.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -50,8 +49,12 @@ class PriorSpec:
 
     def __post_init__(self):
         if self.kind == "beta":
-            if self.alpha is None or self.beta is None or self.alpha <= 0 or self.beta <= 0:
-                raise ValueError("beta prior requires strictly positive parameters")
+            a, b = self.alpha, self.beta
+            # Written so that NaN, which fails every comparison, is refused.
+            if a is None or b is None or not (0 < a < math.inf and 0 < b < math.inf):
+                raise ValueError(
+                    f"beta prior requires finite, strictly positive parameters, got ({a}, {b})"
+                )
         elif self.kind == "explicit":
             if self.pmf is None:
                 raise ValueError("explicit prior requires a pmf")
@@ -84,15 +87,9 @@ class PriorSpec:
 
 @dataclass(frozen=True)
 class PseudoDensity:
-    """Continuous null prior on p0, with the route it was obtained by."""
+    """Continuous null prior on p0."""
 
     density: GridDensity
-    source: str  # "high_resolution" | "direct_convolution"
-    scale: int | None = None
-
-    def __post_init__(self):
-        if self.source not in ("high_resolution", "direct_convolution"):
-            raise ValueError(f"unknown provenance {self.source!r}")
 
 
 def _induced_log_weights(spec: PriorSpec, n: int) -> np.ndarray:
@@ -132,39 +129,6 @@ def null_optimal_prior(group_pmfs) -> Pmf:
     return convolve_all(group_pmfs)
 
 
-def uniform_convolution_closed_form(sizes, n1: int) -> float:
-    """Probability that k independent discrete uniforms on 0..n_i sum to n1.
-
-    Inclusion-exclusion over the upper-bound constraints (stars and bars),
-    exact in integer arithmetic; equal-size fast path.
-    """
-    sizes = list(sizes)
-    k = len(sizes)
-    if k == 0:
-        raise ValueError("no groups")
-    if k > 20:
-        raise ValueError("use numeric convolution")
-    total = sum(sizes)
-    if not 0 <= n1 <= total:
-        return 0.0
-    denom = math.prod(m + 1 for m in sizes)
-    if len(set(sizes)) == 1:
-        m = sizes[0]
-        count = sum(
-            (-1) ** j * math.comb(k, j) * math.comb(n1 - j * (m + 1) + k - 1, k - 1)
-            for j in range(n1 // (m + 1) + 1)
-        )
-        return count / denom
-    count = 0
-    for r in range(k + 1):
-        for subset in itertools.combinations(sizes, r):
-            rem = n1 - sum(m + 1 for m in subset)
-            if rem < 0:
-                continue
-            count += (-1) ** r * math.comb(rem + k - 1, k - 1)
-    return count / denom
-
-
 def discrete_gaussian_approx(group_pmfs) -> Pmf:
     """Discrete Gaussian matching the summed means and variances of the groups."""
     group_pmfs = list(group_pmfs)
@@ -177,11 +141,6 @@ def discrete_gaussian_approx(group_pmfs) -> Pmf:
     n = sum(p.support_size - 1 for p in group_pmfs)
     j = np.arange(n + 1)
     return Pmf.from_log_weights(-((j - mu) ** 2) / (2 * var))
-
-
-def _scalable(spec: PriorSpec) -> None:
-    if spec.kind == "explicit":
-        raise ValueError("no high-resolution extension for explicit priors")
 
 
 def _one_pass_convolution(specs, sizes, scale: int, total: int) -> np.ndarray:
@@ -241,8 +200,8 @@ def pseudo_null_density(
         raise ValueError("group size must be at least 1")
     if scale < 10:
         raise ValueError("scale must be at least 10")
-    for s in specs:
-        _scalable(s)
+    if any(s.kind == "explicit" for s in specs):
+        raise ValueError("no high-resolution extension for explicit priors")
     total = scale * sum(int(n) for n in sizes)
     if total + 1 > MAX_PSEUDO_POINTS:
         raise ValueError(
@@ -270,38 +229,5 @@ def pseudo_null_density(
     else:
         grid = np.arange(lo, hi + 1) / total
         weights = weights[lo : hi + 1]
-    return PseudoDensity(GridDensity.from_density(grid, weights), "high_resolution", scale=scale)
+    return PseudoDensity(GridDensity.from_density(grid, weights))
 
-
-def direct_convolution_density(specs, grid_size: int = DEFAULT_DENSITY_GRID) -> PseudoDensity:
-    """Continuous convolution of beta prior densities, rescaled to the 1/k average.
-
-    Only defined for beta priors bounded on [0, 1] (all parameters >= 1).
-    """
-    specs = list(specs)
-    if len(specs) < 2:
-        raise ValueError("need at least 2 groups")
-    norm = [PriorSpec.from_beta(1.0, 1.0) if s.kind == "uniform" else s for s in specs]
-    for s in norm:
-        if s.kind != "beta":
-            raise ValueError("direct convolution requires beta priors")
-        if s.alpha < 1 or s.beta < 1:
-            raise ValueError("density unbounded at boundary")
-    k = len(norm)
-    x = np.linspace(0.0, 1.0, grid_size)
-    h = x[1] - x[0]
-
-    def beta_density(s):
-        with np.errstate(divide="ignore"):
-            ld = xlogy(s.alpha - 1, x) + xlogy(s.beta - 1, 1 - x) - log_beta_fn(s.alpha, s.beta)
-        return np.exp(ld)
-
-    acc = beta_density(norm[0])
-    for s in norm[1:]:
-        acc = np.convolve(acc, beta_density(s)) * h
-    # acc samples the density of the sum on [0, k]; the density of the mean
-    # is k * f_sum(k * p0), which lands back on the original grid points.
-    idx = np.arange(grid_size) * k
-    mean_density = k * acc[idx]
-    gd = GridDensity.from_density(x, mean_density)
-    return PseudoDensity(gd, "direct_convolution")

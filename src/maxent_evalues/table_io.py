@@ -1,4 +1,4 @@
-"""Table ingestion and serialization, plus network-to-table adapters.
+"""Table ingestion and network-to-table adapters.
 
 Two network reductions are supported: block-model against Erdos-Renyi
 (groups are block pairs, sizes are dyad counts) and bipartite
@@ -65,28 +65,15 @@ def parse_table_text(text: str, format: str) -> Table:
     raise ValueError(f"unknown format {format!r}")
 
 
-def _count(value, row: int, field: str) -> int:
-    """A table count as read: an integer, an integral float or the text of an
-    integer. A bool or a fraction is refused rather than truncated."""
-    if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    elif isinstance(value, int) and not isinstance(value, bool):
+def _count(value, row: int, field: str):
+    """A count as read: the text of an integer becomes an int. Any other value
+    is left for Table, which holds the rule for counts."""
+    if not isinstance(value, str):
         return value
-    elif isinstance(value, float) and value.is_integer():
+    try:
         return int(value)
-    raise ValueError(f"table row {row}: {field} must be an integer, got {value!r}")
-
-
-def serialize_table(table: Table) -> str:
-    """Canonical JSON form; parse_table_text of the output reproduces the table."""
-    return json.dumps(
-        {"groups": [{"n": n, "ones": o} for n, o in table.groups]},
-        separators=(",", ":"),
-        sort_keys=True,
-    )
+    except ValueError:
+        raise ValueError(f"table row {row}: {field} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)

@@ -9,14 +9,12 @@ from hypothesis import strategies as st
 
 from maxent_evalues.diagnostics import (
     SweepConfig,
-    cells_m_fixed,
     cells_n_fixed,
     cells_power_law,
     fit_log_slope,
     gap_r,
     gap_r_prime,
     gaussian_approx_tv,
-    redundancy,
     regret,
     regret_curve,
     sweep,
@@ -26,13 +24,14 @@ from maxent_evalues.diagnostics import (
 from maxent_evalues import diagnostics, evariables
 from maxent_evalues.cli import main
 from maxent_evalues.evariables import Statistic, e_power
-from maxent_evalues.numerics import binomial_pmf, kl_divergence
+from maxent_evalues.numerics import binomial_pmf
 from maxent_evalues.priors import (
     DEFAULT_SCALE,
     PriorSpec,
     induced_group_pmf,
     pseudo_null_density,
 )
+from oracles import kl_divergence, redundancy
 
 
 def make_density(priors, sizes, scale=2000):
@@ -403,7 +402,6 @@ class TestSweep:
             SweepConfig("nonsense", PriorSpec.uniform(), ((2, 5),))
 
     def test_cell_helpers(self):
-        assert cells_m_fixed((2, 4), 8) == ((2, 8), (4, 8))
         assert cells_n_fixed((2, 4), 16) == ((2, 8), (4, 4))
         with pytest.raises(ValueError):
             cells_n_fixed((3,), 16)

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from maxent_evalues.models import Table, log_multiplicity
+from maxent_evalues.models import Table
+from oracles import log_multiplicity
 
 
 def table_strategy(max_k=4, max_n=10):
@@ -24,7 +25,6 @@ class TestTable:
         assert t.sizes == (3, 5)
         assert t.ones == (1, 4)
         assert t.n == 8
-        assert t.n1 == 5
 
     def test_invalid_rows(self):
         with pytest.raises(ValueError, match="invalid table row"):
@@ -35,6 +35,26 @@ class TestTable:
     def test_empty(self):
         with pytest.raises(ValueError, match="no groups"):
             Table(())
+
+    def test_integer_and_integral_counts_accepted(self):
+        t = Table(((np.int64(10), 3.0), (np.float32(12), np.uint8(1))))
+        assert t.groups == ((10, 3), (12, 1))
+        assert all(type(x) is int for row in t.groups for x in row)
+
+    @pytest.mark.parametrize("groups, message", [
+        (((10.7, 3), (12, 1)), "table row 0: n must be an integer, got 10.7"),
+        (((10, 3), (12, True)), "table row 1: ones must be an integer, got True"),
+        (((10, np.float64(2.5)),), "table row 0: ones must be an integer, got np.float64(2.5)"),
+        (((np.bool_(True), 0),), "table row 0: n must be an integer, got np.True_"),
+        ((("10", 3),), "table row 0: n must be an integer, got '10'"),
+        (((10, float("nan")),), "table row 0: ones must be an integer, got nan"),
+    ])
+    def test_fractional_and_bool_counts_refused(self, groups, message):
+        # One count rule for every caller: the API refuses what it used to
+        # truncate, with the message parse_table gives for the same value.
+        with pytest.raises(ValueError) as info:
+            Table(groups)
+        assert str(info.value) == message
 
 
 class TestMultiplicity:

@@ -1,0 +1,111 @@
+"""Smoke tests of the experiment scripts, and a guard on the public surface."""
+
+import importlib.util
+import io
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+import maxent_evalues
+from maxent_evalues.cli import main
+from maxent_evalues.diagnostics import fit_log_slope, gap_r, regret
+from maxent_evalues.evariables import log_e_gro_can
+from maxent_evalues.models import Table
+from maxent_evalues.priors import PriorSpec, pseudo_null_density
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_script(name):
+    """A fresh module object of scripts/<name>.py, so that it binds the
+    library names as they are when it is loaded."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def tsv_rows(text):
+    header, *rows = text.splitlines()
+    return header.split("\t"), [row.split("\t") for row in rows]
+
+
+def test_gap_sweep_script():
+    script = load_script("run_gap_sweep")
+    config = script.GapSweepConfig(
+        m_values=(4, 6), n_fixed=8, k_values=(2, 4), power_law_coeff=1,
+        power_law_exponent=1, scale=200, grid_size=2001, workers=1,
+    )
+    out = io.StringIO()
+    script.run(config, out)
+    header, rows = tsv_rows(out.getvalue())
+    assert header == ["regime", "k", "m", "r"]
+    cells = [(regime, int(k), int(m)) for regime, k, m, _ in rows]
+    assert cells == [
+        ("m_growing", 2, 4), ("m_growing", 2, 6), ("n_fixed", 2, 4),
+        ("n_fixed", 4, 2), ("power_law", 2, 2), ("power_law", 4, 4),
+    ]
+    specs, sizes = [PriorSpec.uniform()] * 4, [4] * 4
+    expect = gap_r(specs, sizes, pseudo_null_density(specs, sizes, 200, 2001))
+    assert float(rows[-1][3]) == pytest.approx(expect, rel=1e-9)
+
+
+def test_regret_slopes_script():
+    script = load_script("run_regret_slopes")
+    config = script.SlopeConfig(gammas=(1.0,), m_values=(10, 20, 40), grid_lo=0.3,
+                                grid_hi=0.3, grid_step=0.2)
+    out = io.StringIO()
+    script.run(config, out)
+    header, rows = tsv_rows(out.getvalue())
+    assert header == ["gamma", "p_a", "p_b", "slope", "intercept", "residual"]
+    assert [row[:3] for row in rows] == [["1.0", "0.30", "0.30"]]
+    specs = [PriorSpec.from_beta(1.0, 1.0)] * 2
+    a, b, _ = fit_log_slope(
+        [(m, regret((0.3, 0.3), specs, (m, m), "gro_mic")) for m in (10, 20, 40)]
+    )
+    assert rows[0][3:5] == [f"{a:.4f}", f"{b:.4f}"]
+
+
+def test_epower_script_matches_cli(capsys):
+    script = load_script("run_epower_comparison")
+    config = script.EPowerConfig(priors=("beta:3,3",), k=2, m_values=(5,), scale=200,
+                                 grid_size=2001)
+    out = io.StringIO()
+    script.run(config, out)
+    _, rows = tsv_rows(out.getvalue())
+    assert len(rows) == 1
+    assert main(["epower", "--k", "2", "--m", "5", "--prior", "beta:3,3",
+                 "--scale", "200", "--density-grid", "2001"]) == 0
+    powers = json.loads(capsys.readouterr().out)["e_power"]
+    assert rows[0][:6] == [
+        "beta(3,3)", "2", "5", *(f"{powers[s]:.8f}" for s in ("mic", "can", "pseudo"))
+    ]
+
+
+def test_epower_script_shares_the_projection_route(solves):
+    # The script and log_e_gro_can project the same design's Bayes marginal
+    # through one memoized route: one solve between them.
+    script = load_script("run_epower_comparison")
+    config = script.EPowerConfig(priors=("beta:3,3",), k=2, m_values=(5,), scale=200,
+                                 grid_size=2001)
+    script.run(config, io.StringIO())
+    log_e_gro_can(Table(((5, 2), (5, 4))), [PriorSpec.from_beta(3, 3)] * 2)
+    assert len(solves) == 1
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    # A name in __all__ that only tests use is surface to cut, not to keep.
+    sources = [p for p in (ROOT / "src" / "maxent_evalues").glob("*.py")
+               if p.name != "__init__.py"]
+    lines = [line for p in sources + sorted((ROOT / "scripts").glob("*.py"))
+             for line in p.read_text().splitlines()]
+    unused = []
+    for name in maxent_evalues.__all__:
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        own = re.compile(rf"\s*(def|class)\s+{re.escape(name)}\b")
+        if not any(word.search(line) and not own.match(line) for line in lines):
+            unused.append(name)
+    assert unused == []
+    assert len(set(maxent_evalues.__all__)) == len(maxent_evalues.__all__)
