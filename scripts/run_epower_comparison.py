@@ -3,7 +3,8 @@
 
 Computes the three statistics' exact e-powers per cell, by the same library
 route as the `epower` command, together with the sandwich slack
-(can - mic and pseudo - can, both of which should be nonnegative).
+(can - mic and pseudo - can, both of which should be nonnegative) and the
+achieved KL of the canonical statistic's projection.
 """
 
 import argparse
@@ -12,7 +13,6 @@ from dataclasses import dataclass
 
 from maxent_evalues.cli import parse_prior
 from maxent_evalues.diagnostics import e_powers
-from maxent_evalues.evariables import _bayes_projection
 from maxent_evalues.priors import DEFAULT_DENSITY_GRID, DEFAULT_SCALE, pseudo_null_density
 
 
@@ -26,7 +26,8 @@ class EPowerConfig:
 
 
 def run(config: EPowerConfig, out=sys.stdout) -> None:
-    print("prior\tk\tm\tmic\tcan\tpseudo\tcan_minus_mic\tpseudo_minus_can", file=out)
+    print("prior\tk\tm\tmic\tcan\tpseudo\tcan_minus_mic\tpseudo_minus_can\tachieved_kl",
+          file=out)
     for label in config.priors:
         spec = parse_prior(label)
         for m in config.m_values:
@@ -35,12 +36,11 @@ def run(config: EPowerConfig, out=sys.stdout) -> None:
             density = pseudo_null_density(
                 priors, sizes, scale=config.scale, grid_size=config.grid_size
             )
-            solution = _bayes_projection(sizes, priors)
-            powers = e_powers(priors, sizes, density, solution)
+            powers, achieved_kl = e_powers(priors, sizes, density)
             mic, can, pse = powers["mic"], powers["can"], powers["pseudo"]
             print(
                 f"{spec.describe()}\t{config.k}\t{m}\t{mic:.8f}\t{can:.8f}"
-                f"\t{pse:.8f}\t{can - mic:.3e}\t{pse - can:.3e}",
+                f"\t{pse:.8f}\t{can - mic:.3e}\t{pse - can:.3e}\t{achieved_kl:.3e}",
                 file=out,
             )
             out.flush()

@@ -10,7 +10,7 @@ import sys
 from dataclasses import dataclass
 
 from maxent_evalues.cli import parse_prior
-from maxent_evalues.diagnostics import SweepConfig, cells_n_fixed, cells_power_law, sweep
+from maxent_evalues.diagnostics import cells_n_fixed, cells_power_law, sweep
 from maxent_evalues.priors import DEFAULT_DENSITY_GRID, DEFAULT_SCALE
 
 
@@ -39,18 +39,9 @@ def run(config: GapSweepConfig, out=sys.stdout) -> None:
     }
     print("regime\tk\tm\tr", file=out)
     for regime, cells in regimes.items():
-        rows = sweep(
-            SweepConfig(
-                "gap_r",
-                prior,
-                cells,
-                scale=config.scale,
-                grid_size=config.grid_size,
-                workers=config.workers,
-            )
-        )
-        for row in rows:
-            print(f"{regime}\t{row['k']}\t{row['m']}\t{row['value']:.10e}", file=out)
+        values = sweep(prior, cells, config.scale, config.grid_size, config.workers)
+        for (k, m), r in zip(cells, values):
+            print(f"{regime}\t{k}\t{m}\t{r:.10e}", file=out)
 
 
 def main(argv=None) -> int:

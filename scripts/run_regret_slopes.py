@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from maxent_evalues.diagnostics import fit_log_slope, regret
+from maxent_evalues.diagnostics import regret_curve
 from maxent_evalues.priors import PriorSpec
 
 
@@ -30,14 +30,11 @@ def run(config: SlopeConfig, out=sys.stdout) -> None:
     grid = np.arange(config.grid_lo, config.grid_hi + 1e-12, config.grid_step)
     print("gamma\tp_a\tp_b\tslope\tintercept\tresidual", file=out)
     for gamma in config.gammas:
-        specs = [PriorSpec.from_beta(gamma, gamma)] * 2
+        spec = PriorSpec.from_beta(gamma, gamma)
         for p_a in grid:
             for p_b in grid:
-                points = [
-                    (m, regret((p_a, p_b), specs, (m, m), "gro_mic"))
-                    for m in config.m_values
-                ]
-                a, b, resid = fit_log_slope(points)
+                curve = regret_curve((p_a, p_b), spec, config.m_values)
+                a, b, resid = curve.fitted_a, curve.fitted_b, curve.residual
                 print(
                     f"{gamma}\t{p_a:.2f}\t{p_b:.2f}\t{a:.4f}\t{b:.4f}\t{resid:.2e}",
                     file=out,

@@ -28,7 +28,6 @@ from .evariables import (
     RIPR_GRID_SIZE,
     RIPR_MAX_ITER,
     RIPR_TOL,
-    _bayes_projection,
     combine_evalues,
     decide,
     e_or_none,
@@ -36,7 +35,7 @@ from .evariables import (
     log_e_gro_mic,
     log_e_gro_point,
     log_e_pseudo,
-    # Solves go through _projection; the name stays bound here because
+    # Nothing here solves a projection; the name stays bound because
     # perfbench's tracer test checks that every module's ripr_solve reaches
     # one wrapper.
     ripr_solve,  # noqa: F401
@@ -73,7 +72,8 @@ def _priors_for(args, k: int) -> list[PriorSpec]:
     if len(texts) == 1:
         return [parse_prior(texts[0])] * k
     if len(texts) != k:
-        raise ValueError(f"expected 1 or {k} priors, got {len(texts)}")
+        expected = "1 prior" if k == 1 else f"1 or {k} priors"
+        raise ValueError(f"expected {expected}, got {len(texts)}")
     return [parse_prior(t) for t in texts]
 
 
@@ -84,13 +84,18 @@ def _emit(payload: dict) -> None:
     sys.stdout.write(text + "\n")
 
 
+def _decisions(log_e: float, alpha: float) -> dict:
+    """The level-alpha decision on an e-value, and the post-hoc one."""
+    return {
+        "alpha": alpha,
+        "decision": decide(log_e, alpha),
+        "post_hoc_level": POST_HOC_LEVEL,
+        "post_hoc_decision": "reject" if log_e >= 1.0 else "continue",
+    }
+
+
 def _report_payload(report, alpha: float, inputs: dict) -> dict:
-    payload = report.to_dict()
-    payload["alpha"] = alpha
-    payload["decision"] = decide(report.log_e, alpha)
-    payload["post_hoc_level"] = POST_HOC_LEVEL
-    payload["post_hoc_decision"] = "reject" if report.log_e >= 1.0 else "continue"
-    payload["inputs"] = inputs
+    payload = {**report.to_dict(), **_decisions(report.log_e, alpha), "inputs": inputs}
     if payload["achieved_kl"] is None:
         del payload["achieved_kl"]
     return payload
@@ -174,16 +179,15 @@ def _design(args):
 
 def cmd_epower(args) -> dict:
     sizes, priors, density, payload = _design(args)
-    solution = _bayes_projection(
-        sizes, priors, args.ripr_grid, args.ripr_tol, args.ripr_max_iter
+    powers, achieved_kl = e_powers(
+        priors, sizes, density, args.ripr_grid, args.ripr_tol, args.ripr_max_iter
     )
-    powers = e_powers(priors, sizes, density, solution)
     mic, can, pseudo = powers["mic"], powers["can"], powers["pseudo"]
     return {
         **payload,
         "e_power": powers,
         "sandwich_ok": bool(mic <= can + 1e-8 and can <= pseudo + 2e-8),
-        "achieved_kl": solution.achieved_kl,
+        "achieved_kl": achieved_kl,
     }
 
 
@@ -211,15 +215,9 @@ def cmd_rprime(args) -> dict:
     return payload
 
 
-def _single_prior(args) -> PriorSpec:
-    if args.gamma is not None:
-        return PriorSpec.from_beta(args.gamma, args.gamma)
-    return parse_prior(args.prior[0])
-
-
 def cmd_regret(args) -> dict:
     ms = [int(m) for m in args.m_list.split(",")]
-    prior = _single_prior(args)
+    (prior,) = _priors_for(args, 1)
     rows = []
     curves = []
     for text in args.palt:
@@ -249,7 +247,7 @@ def cmd_regret(args) -> dict:
 
 
 def cmd_theorem1(args) -> dict:
-    spec = _single_prior(args)
+    (spec,) = _priors_for(args, 1)
     tv = theorem1_diagnostic(spec, args.m, args.bins)
     return {"prior": spec.describe(), "m": args.m, "bins": args.bins, "tv": tv}
 
@@ -261,7 +259,9 @@ def cmd_continue(args) -> dict:
             value = float(item)
         except ValueError:
             with open(item) as fh:
-                payload = json.load(fh)
+                # Integers are read as floats, so one beyond the float range
+                # reads as infinite, as 1e400 does.
+                payload = json.load(fh, parse_int=float)
             if not isinstance(payload, dict):
                 raise ValueError(f"{item}: a report file must hold a JSON object")
             if payload.get("is_evariable") is False:
@@ -270,11 +270,10 @@ def cmd_continue(args) -> dict:
                     "e-variable and cannot be combined"
                 )
             log_e = payload.get("log_e")
-            numeric = isinstance(log_e, (int, float)) and not isinstance(log_e, bool)
             # json.load reads Infinity, NaN and 1e400 as non-finite floats.
-            if not (numeric and -np.inf < log_e < np.inf):
+            if not (isinstance(log_e, float) and -np.inf < log_e < np.inf):
                 raise ValueError(f"{item}: report needs a finite numeric log_e, got {log_e!r}")
-            log_es.append(float(log_e))
+            log_es.append(log_e)
             continue
         if not 0 < value < np.inf:
             raise ValueError(f"e-value must be positive and finite: {item}")
@@ -283,10 +282,7 @@ def cmd_continue(args) -> dict:
     return {
         "log_e": log_e,
         "e": e_or_none(log_e),
-        "alpha": args.alpha,
-        "decision": decide(log_e, args.alpha),
-        "post_hoc_level": POST_HOC_LEVEL,
-        "post_hoc_decision": "reject" if log_e >= 1.0 else "continue",
+        **_decisions(log_e, args.alpha),
         "components": len(log_es),
     }
 

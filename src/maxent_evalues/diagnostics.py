@@ -22,13 +22,11 @@ from .evariables import (
     RIPR_GRID_SIZE,
     RIPR_MAX_ITER,
     RIPR_TOL,
-    RiprSolution,
     Statistic,
-    _bayes_projection,
-    _point_projection,
+    _alt_params,
     e_power,
     point_alt_count_pmf,
-    # Solves go through _projection; the name stays bound here because
+    # Nothing here solves a projection; the name stays bound because
     # perfbench's tracer test checks that every module's ripr_solve reaches
     # one wrapper.
     ripr_solve,  # noqa: F401
@@ -66,20 +64,28 @@ class RegretCurve:
     p_alt: tuple[float, ...]
 
 
-def e_powers(specs, sizes, density: PseudoDensity, solution: RiprSolution) -> dict:
+def e_powers(
+    specs,
+    sizes,
+    density: PseudoDensity,
+    grid_size: int = RIPR_GRID_SIZE,
+    tol: float = RIPR_TOL,
+    max_iter: int = RIPR_MAX_ITER,
+) -> tuple[dict, float]:
     """Exact e-powers of the mic, can and pseudo statistics under the Bayes
-    marginal of specs; they should satisfy mic <= can <= pseudo.
+    marginal of specs, which should satisfy mic <= can <= pseudo, and the
+    achieved KL of the canonical statistic's projection.
 
-    solution is the projection of the optimal null prior for these specs and
-    sizes, density their pseudo null density.
+    density is the pseudo null density of these specs and sizes.
     """
     group_pmfs = [induced_group_pmf(s, n) for s, n in zip(specs, sizes)]
     statistics = {
         "mic": Statistic.mic(sizes, specs),
-        "can": Statistic.can(sizes, specs, solution),
+        "can": Statistic.can(sizes, specs, grid_size, tol, max_iter),
         "pseudo": Statistic.pseudo(sizes, specs, density),
     }
-    return {name: e_power(s, group_pmfs) for name, s in statistics.items()}
+    powers = {name: e_power(s, group_pmfs) for name, s in statistics.items()}
+    return powers, statistics["can"].achieved_kl
 
 
 def _count_term_gap(specs, sizes, density) -> tuple[np.ndarray, np.ndarray]:
@@ -109,9 +115,8 @@ def gap_r_prime(p_alt, specs, sizes, density: PseudoDensity) -> float:
     Same integrand as gap_r but weighted by the exact total-count law of the
     point alternative instead of the Bayes marginal.
     """
-    pvec = np.atleast_1d(np.asarray(p_alt, dtype=float))
-    if pvec.size != len(list(sizes)):
-        raise ValueError("p_alt length must match the number of groups")
+    sizes = list(sizes)
+    pvec = _alt_params(sizes, p_alt)
     _, gap = _count_term_gap(specs, sizes, density)
     return float(np.dot(point_alt_count_pmf(sizes, pvec).weights(), gap))
 
@@ -229,23 +234,19 @@ def regret(
     """
     specs = list(specs)
     sizes = list(sizes)
-    pvec = np.atleast_1d(np.asarray(p_alt, dtype=float))
-    if pvec.size != len(sizes):
-        raise ValueError("p_alt length must match the number of groups")
+    pvec = _alt_params(sizes, p_alt)
     if candidate not in ("gro_mic", "gro_can", "pseudo"):
         raise ValueError(f"unknown candidate kind {candidate!r}")
     if candidate == "pseudo" and density is None:
         raise ValueError("pseudo candidate requires a density")
-    point_solution = _point_projection(sizes, pvec, grid_size, tol, max_iter)
+    point = Statistic.point(sizes, pvec, grid_size, tol, max_iter)
     if candidate == "gro_mic":
         cand = Statistic.mic(sizes, specs)
     elif candidate == "pseudo":
         cand = Statistic.pseudo(sizes, specs, density)
     else:
-        solution = _bayes_projection(sizes, specs, grid_size, tol, max_iter)
-        cand = Statistic.can(sizes, specs, solution)
+        cand = Statistic.can(sizes, specs, grid_size, tol, max_iter)
     binomials = [binomial_pmf(m, p) for m, p in zip(sizes, pvec)]
-    point = Statistic.point(sizes, pvec, point_solution)
     return e_power(point, binomials) - e_power(cand, binomials)
 
 
@@ -344,28 +345,6 @@ def gaussian_approx_tv(spec: PriorSpec, sizes) -> float:
     return total_variation(exact, approx)
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """Grid of (k, m) cells for one diagnostic under one prior family."""
-
-    diagnostic: str  # "gap_r" | "theorem1" | "gaussian_tv"
-    prior: PriorSpec
-    cells: tuple[tuple[int, int], ...]
-    scale: int = DEFAULT_SCALE
-    grid_size: int | None = DEFAULT_DENSITY_GRID
-    bins: int = 20
-    workers: int | None = None
-
-    def __post_init__(self):
-        if self.diagnostic not in ("gap_r", "theorem1", "gaussian_tv"):
-            raise ValueError(f"unknown diagnostic {self.diagnostic!r}")
-        cells = tuple((int(k), int(m)) for k, m in self.cells)
-        object.__setattr__(self, "cells", cells)
-        for k, m in cells:
-            if k < 1 or m < 1:
-                raise ValueError(f"invalid cell ({k}, {m})")
-
-
 def cells_n_fixed(k_values, n) -> tuple[tuple[int, int], ...]:
     cells = []
     for k in k_values:
@@ -380,17 +359,9 @@ def cells_power_law(k_values, coefficient, exponent) -> tuple[tuple[int, int], .
 
 
 def _sweep_cell(job):
-    config, k, m = job
-    if config.diagnostic == "theorem1":
-        return theorem1_diagnostic(config.prior, m, config.bins)
-    sizes = [m] * k
-    if config.diagnostic == "gaussian_tv":
-        return gaussian_approx_tv(config.prior, sizes)
-    specs = [config.prior] * k
-    density = pseudo_null_density(
-        specs, sizes, scale=config.scale, grid_size=config.grid_size
-    )
-    return gap_r(specs, sizes, density)
+    prior, k, m, scale, grid_size = job
+    specs, sizes = [prior] * k, [m] * k
+    return gap_r(specs, sizes, pseudo_null_density(specs, sizes, scale, grid_size))
 
 
 def _worker_count(workers: int | None) -> int:
@@ -410,15 +381,17 @@ def _run_parallel(fn, jobs, workers: int | None):
         return list(pool.map(fn, jobs))
 
 
-def sweep(config: SweepConfig) -> list[dict]:
-    """Evaluate one diagnostic over every (k, m) cell.
+def sweep(
+    prior: PriorSpec,
+    cells,
+    scale: int = DEFAULT_SCALE,
+    grid_size: int | None = DEFAULT_DENSITY_GRID,
+    workers: int | None = None,
+) -> list[float]:
+    """The gap r of k groups of size m under prior, for every (k, m) cell.
 
-    Cells run on a bounded worker pool; results are assembled in cell order,
+    Cells run on a bounded worker pool; the values come back in cell order,
     so output is identical for any worker count.
     """
-    jobs = [(config, k, m) for k, m in config.cells]
-    values = _run_parallel(_sweep_cell, jobs, config.workers)
-    return [
-        {"k": k, "m": m, "diagnostic": config.diagnostic, "value": v}
-        for (k, m), v in zip(config.cells, values)
-    ]
+    jobs = [(prior, int(k), int(m), scale, grid_size) for k, m in cells]
+    return _run_parallel(_sweep_cell, jobs, workers)

@@ -158,14 +158,20 @@ def _alt_params(sizes, alt_params) -> np.ndarray:
     return pvec
 
 
-def _mixture_mass(solution: RiprSolution, n: int):
+def _projected_mass(target: Pmf, n: int, grid_size, tol, max_iter):
+    """log W0 of the projection of target onto binomial mixtures, solved
+    through _projection, and the projection's achieved KL."""
+    solution = _projection(target.log_weights.tobytes(), n, grid_size, tol, max_iter)
     if not solution.converged:
         raise ValueError(
             f"the reverse information projection did not converge in "
             f"{solution.iterations} iterations; refine solver settings: raise "
             "max_iter (--ripr-max-iter) or tol (--ripr-tol)"
         )
-    return lambda c: log_binomial_mixture(solution.grid, solution.log_weights, n, c)
+    return (
+        lambda c: log_binomial_mixture(solution.grid, solution.log_weights, n, c),
+        solution.achieved_kl,
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,22 +221,43 @@ class Statistic:
         return Statistic("pseudo", terms, lambda c: log_w_pseudo0(density, n, c), None)
 
     @staticmethod
-    def can(sizes, priors, solution: RiprSolution) -> "Statistic":
-        """Canonical GRO e-variable: W0 is the projected binomial mixture."""
-        terms = _bayes_terms(_group_pmfs(sizes, priors))
-        mass = _mixture_mass(solution, sum(sizes))
-        return Statistic("gro_can", terms, mass, solution.achieved_kl)
+    def can(
+        sizes,
+        priors,
+        grid_size: int = RIPR_GRID_SIZE,
+        tol: float = RIPR_TOL,
+        max_iter: int = RIPR_MAX_ITER,
+    ) -> "Statistic":
+        """Canonical GRO e-variable: W0 is the projection onto binomial
+        mixtures of the optimal null prior, the Bayes marginal's law of the
+        total count, for these sizes and priors."""
+        pmfs = _group_pmfs(sizes, priors)
+        mass, kl = _projected_mass(
+            null_optimal_prior(pmfs), sum(sizes), grid_size, tol, max_iter
+        )
+        return Statistic("gro_can", _bayes_terms(pmfs), mass, kl)
 
     @staticmethod
-    def point(sizes, alt_params, solution: RiprSolution) -> "Statistic":
+    def point(
+        sizes,
+        alt_params,
+        grid_size: int = RIPR_GRID_SIZE,
+        tol: float = RIPR_TOL,
+        max_iter: int = RIPR_MAX_ITER,
+    ) -> "Statistic":
         """GRO e-variable against a point alternative: the group terms are the
-        Bernoulli log-likelihoods at alt_params (0^0 = 1 at the boundary)."""
+        Bernoulli log-likelihoods at alt_params (0^0 = 1 at the boundary), and
+        W0 is the projection of the exact law of the total count under the
+        alternative, the convolution of the per-group binomials."""
+        pvec = _alt_params(sizes, alt_params)
         terms = []
-        for n, p in zip(sizes, _alt_params(sizes, alt_params)):
+        for n, p in zip(sizes, pvec):
             c = np.arange(n + 1)
             terms.append(xlogy(c, p) + xlogy(n - c, 1.0 - p))
-        mass = _mixture_mass(solution, sum(sizes))
-        return Statistic("gro_point", tuple(terms), mass, solution.achieved_kl)
+        mass, kl = _projected_mass(
+            point_alt_count_pmf(sizes, pvec), sum(sizes), grid_size, tol, max_iter
+        )
+        return Statistic("gro_point", tuple(terms), mass, kl)
 
 
 def log_e_gro_mic(table: Table, priors) -> EValueReport:
@@ -392,26 +419,10 @@ def _projection(
     return ripr_solve(Pmf(np.frombuffer(target_log_weights)), n, grid_size, tol, max_iter)
 
 
-def _bayes_projection(
-    sizes, priors, grid_size=RIPR_GRID_SIZE, tol=RIPR_TOL, max_iter=RIPR_MAX_ITER
-) -> RiprSolution:
-    """The projection of the optimal null prior, the Bayes marginal's law of
-    the total count, for these group sizes and priors: the canonical W0."""
-    target = null_optimal_prior(_group_pmfs(sizes, priors))
-    return _projection(target.log_weights.tobytes(), sum(sizes), grid_size, tol, max_iter)
-
-
 def point_alt_count_pmf(sizes, alt_params) -> Pmf:
     """Exact law of the total one-count under a point alternative."""
     pvec = np.atleast_1d(np.asarray(alt_params, dtype=float))
     return convolve_all([binomial_pmf(n, pi) for n, pi in zip(sizes, pvec)])
-
-
-def _point_projection(sizes, pvec, grid_size, tol, max_iter) -> RiprSolution:
-    """The projection of the law of the total count under the point
-    alternative pvec: the point GRO's W0."""
-    target = point_alt_count_pmf(sizes, pvec)
-    return _projection(target.log_weights.tobytes(), sum(sizes), grid_size, tol, max_iter)
 
 
 def log_e_gro_can(
@@ -422,8 +433,7 @@ def log_e_gro_can(
     max_iter: int = RIPR_MAX_ITER,
 ) -> EValueReport:
     """Canonical GRO e-value of one table."""
-    solution = _bayes_projection(table.sizes, priors, grid_size, tol, max_iter)
-    return Statistic.can(table.sizes, priors, solution).report(table.ones)
+    return Statistic.can(table.sizes, priors, grid_size, tol, max_iter).report(table.ones)
 
 
 def log_e_gro_point(
@@ -433,14 +443,8 @@ def log_e_gro_point(
     tol: float = RIPR_TOL,
     max_iter: int = RIPR_MAX_ITER,
 ) -> EValueReport:
-    """GRO e-value of one table against a point alternative.
-
-    The projection target is the exact law of the total count under the
-    point alternative: the convolution of the per-group binomials.
-    """
-    pvec = _alt_params(table.sizes, alt_params)
-    solution = _point_projection(table.sizes, pvec, grid_size, tol, max_iter)
-    return Statistic.point(table.sizes, pvec, solution).report(table.ones)
+    """GRO e-value of one table against a point alternative."""
+    return Statistic.point(table.sizes, alt_params, grid_size, tol, max_iter).report(table.ones)
 
 
 def e_power(statistic: Statistic, group_pmfs) -> float:

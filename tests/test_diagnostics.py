@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxent_evalues.diagnostics import (
-    SweepConfig,
     cells_n_fixed,
     cells_power_law,
     fit_log_slope,
@@ -374,32 +373,21 @@ class TestGaussianTv:
 
 
 class TestSweep:
+    PRIOR = PriorSpec.from_beta(2, 2)
+
+    def direct(self, k, m, scale=200):
+        specs, sizes = [self.PRIOR] * k, [m] * k
+        return gap_r(specs, sizes, pseudo_null_density(specs, sizes, scale, 20001))
+
     def test_single_cell_matches_direct_call(self):
-        priors = [PriorSpec.uniform()] * 2
-        sizes = (10, 10)
-        direct = gap_r(
-            priors, sizes, pseudo_null_density(priors, sizes, scale=2000, grid_size=20001)
-        )
-        cfg = SweepConfig(
-            "gap_r", PriorSpec.uniform(), ((2, 10),), scale=2000, workers=1
-        )
-        rows = sweep(cfg)
-        assert rows[0]["value"] == pytest.approx(direct, abs=1e-15)
+        values = sweep(self.PRIOR, ((2, 10),), scale=2000, workers=1)
+        assert values == [pytest.approx(self.direct(2, 10, scale=2000), abs=1e-15)]
 
     def test_worker_count_invariance(self):
-        cfg1 = SweepConfig(
-            "theorem1", PriorSpec.from_beta(2, 2), ((1, 50), (1, 100), (1, 200)),
-            workers=1,
+        cells = ((2, 10), (3, 6), (2, 20))
+        assert sweep(self.PRIOR, cells, scale=200, workers=1) == sweep(
+            self.PRIOR, cells, scale=200, workers=3
         )
-        cfg2 = SweepConfig(
-            "theorem1", PriorSpec.from_beta(2, 2), ((1, 50), (1, 100), (1, 200)),
-            workers=3,
-        )
-        assert sweep(cfg1) == sweep(cfg2)
-
-    def test_unknown_diagnostic(self):
-        with pytest.raises(ValueError, match="diagnostic"):
-            SweepConfig("nonsense", PriorSpec.uniform(), ((2, 5),))
 
     def test_cell_helpers(self):
         assert cells_n_fixed((2, 4), 16) == ((2, 8), (4, 4))
@@ -408,8 +396,5 @@ class TestSweep:
         assert cells_power_law((2, 3), 5, 2) == ((2, 20), (3, 45))
 
     def test_order_preserved(self):
-        cfg = SweepConfig(
-            "theorem1", PriorSpec.from_beta(2, 2), ((1, 100), (1, 50)), workers=2
-        )
-        rows = sweep(cfg)
-        assert [r["m"] for r in rows] == [100, 50]
+        values = sweep(self.PRIOR, ((2, 20), (2, 10)), scale=200, workers=2)
+        assert values == [self.direct(2, 20), self.direct(2, 10)]

@@ -416,6 +416,24 @@ class TestGroCan:
             # Residual solver KL leaves sub-percent deviations from unity.
             assert math.exp(r.log_e) == pytest.approx(1.0, abs=2e-2)
 
+    @pytest.mark.parametrize("build, design", [
+        (Statistic.can, [PriorSpec.uniform()] * 2), (Statistic.point, (0.2, 0.8)),
+    ])
+    def test_builds_its_own_null(self, build, design):
+        # W0 is the projection of the statistic's own design, never one passed
+        # in, so the null expectation is at most 1 by exact summation, up to
+        # the solver's residual (5e-6 for can here). The projection of the
+        # (10, 10) design, once accepted, took can on (5, 5) to 1.023.
+        assert "solution" not in inspect.signature(build).parameters
+        sizes = (5, 5)
+        statistic = build(sizes, design, grid_size=501)
+        for p0 in np.linspace(0.05, 0.95, 7):
+            total = 0.0
+            for ones in itertools.product(range(6), repeat=2):
+                lp = sum(float(binomial_pmf(n, p0).log_weights[o]) for n, o in zip(sizes, ones))
+                total += math.exp(lp + statistic.report(ones).log_e)
+            assert total <= 1.0 + 1e-4
+
 
 class TestGroPoint:
     def test_alternative_inside_null(self):
@@ -577,10 +595,9 @@ class TestEPower:
         gp = [induced_group_pmf(s, n) for s, n in zip(priors, sizes)]
         density = pseudo_null_density(priors, sizes, scale=10_000, grid_size=20_001)
         # Any converged projection serves: the check is of the decomposition.
-        solution = ripr_solve(null_optimal_prior(gp), sum(sizes), grid_size=501)
         cases = [
             (Statistic.mic(sizes, priors), lambda t: log_e_gro_mic(t, priors)),
-            (Statistic.can(sizes, priors, solution),
+            (Statistic.can(sizes, priors, grid_size=501),
              lambda t: log_e_gro_can(t, priors, grid_size=501)),
             (Statistic.pseudo(sizes, priors, density),
              lambda t: log_e_pseudo(t, priors, density)),

@@ -299,6 +299,8 @@ class TestCli:
     @pytest.mark.parametrize("text, shown", [
         ('{"log_e": Infinity}', "inf"), ('{"log_e": -Infinity}', "-inf"),
         ('{"log_e": NaN}', "nan"), ('{"log_e": 1e400}', "inf"),
+        pytest.param('{"log_e": 1%s}' % ("0" * 400), "inf", id="400-digit-int"),
+        pytest.param('{"log_e": -1%s}' % ("0" * 400), "-inf", id="400-digit-negative-int"),
     ])
     def test_continue_refuses_non_finite_report_log_e(self, tmp_path, capsys, text, shown):
         path = tmp_path / "report.json"
@@ -454,6 +456,16 @@ class TestCli:
         assert code == 1
         assert out == ""
         assert "grid_step must be positive" in strict(err)["error"]
+
+    @pytest.mark.parametrize("argv", [
+        ("theorem1", "--m", "30"),
+        ("regret", "--palt", "0.4,0.6", "--m-list", "10,20,40"),
+    ])
+    def test_single_prior_commands_refuse_more(self, capsys, argv):
+        code, out, err = run_cli(*argv, "--prior", "nml", "beta:2,2", capsys=capsys)
+        assert code == 1
+        assert out == ""
+        assert strict(err)["error"] == "expected 1 prior, got 2"
 
     def test_theorem1(self, capsys):
         code, out, _ = run_cli(

@@ -1,5 +1,6 @@
 """Smoke tests of the experiment scripts, and a guard on the public surface."""
 
+import ast
 import importlib.util
 import io
 import json
@@ -52,7 +53,8 @@ def test_gap_sweep_script():
     assert float(rows[-1][3]) == pytest.approx(expect, rel=1e-9)
 
 
-def test_regret_slopes_script():
+def test_regret_slopes_script(monkeypatch):
+    monkeypatch.setenv("MAXENT_EVALUES_WORKERS", "1")
     script = load_script("run_regret_slopes")
     config = script.SlopeConfig(gammas=(1.0,), m_values=(10, 20, 40), grid_lo=0.3,
                                 grid_hi=0.3, grid_step=0.2)
@@ -78,10 +80,12 @@ def test_epower_script_matches_cli(capsys):
     assert len(rows) == 1
     assert main(["epower", "--k", "2", "--m", "5", "--prior", "beta:3,3",
                  "--scale", "200", "--density-grid", "2001"]) == 0
-    powers = json.loads(capsys.readouterr().out)["e_power"]
+    payload = json.loads(capsys.readouterr().out)
+    powers = payload["e_power"]
     assert rows[0][:6] == [
         "beta(3,3)", "2", "5", *(f"{powers[s]:.8f}" for s in ("mic", "can", "pseudo"))
     ]
+    assert rows[0][8] == f"{payload['achieved_kl']:.3e}"
 
 
 def test_epower_script_shares_the_projection_route(solves):
@@ -93,6 +97,22 @@ def test_epower_script_shares_the_projection_route(solves):
     script.run(config, io.StringIO())
     log_e_gro_can(Table(((5, 2), (5, 4))), [PriorSpec.from_beta(3, 3)] * 2)
     assert len(solves) == 1
+
+
+def test_scripts_import_only_public_names():
+    # A script is a thin layer over the library: it imports nothing private.
+    for path in sorted((ROOT / "scripts").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            for name in names:
+                parts = name.split(".")
+                if parts[0] == "maxent_evalues":
+                    assert not any(p.startswith("_") for p in parts), (path.name, name)
 
 
 def test_every_public_name_is_used_outside_the_tests():
