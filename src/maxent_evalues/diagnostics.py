@@ -31,15 +31,13 @@ from .evariables import (
     # one wrapper.
     ripr_solve,  # noqa: F401
 )
-from .numerics import NEG_INF, binomial_pmf, total_variation
+from .numerics import NEG_INF, binomial_pmf
 from .priors import (
     DEFAULT_DENSITY_GRID,
     DEFAULT_SCALE,
     PriorSpec,
     PseudoDensity,
-    discrete_gaussian_approx,
     induced_group_pmf,
-    null_optimal_prior,
     pseudo_null_density,
 )
 
@@ -48,6 +46,11 @@ WORKERS_ENV = "MAXENT_EVALUES_WORKERS"
 # Worst-case search protocol: interior product grid.
 WORST_CASE_BOUNDS = (0.02, 0.98)
 WORST_CASE_STEP = 0.02
+# Most grid points, P^k for P points an axis and k groups, a worst-case search
+# values. The default 49-point axis at k = 5 (2.8e8 points) took 2.3 s on 2
+# cores, and 17320^2 points (k = 2) 2.4-2.9 s, at group sizes 10 and 50. A
+# single group counts as P^2, so that its P pmfs (about 50 us each) stay few.
+MAX_WORST_CASE_POINTS = 300_000_000
 # Cells of the largest array one block of the worst-case contraction builds,
 # so that its memory stays bounded for any number of groups.
 _BLOCK_CELLS = 1_000_000
@@ -147,6 +150,16 @@ def worst_case_r_prime(
     if not grid_step > 0:
         raise ValueError(f"grid_step must be positive, got {grid_step}")
     sizes = list(sizes)
+    # The length of the arange below, at least the axis size; compared as a
+    # float root, since the power can overflow.
+    span = (hi + grid_step / 2 - lo) / grid_step
+    groups = max(len(sizes), 2)
+    if span > MAX_WORST_CASE_POINTS ** (1 / groups):
+        raise ValueError(
+            f"worst-case grid of about {span:.4g} points a group and {len(sizes)} "
+            f"group(s) exceeds the limit of {MAX_WORST_CASE_POINTS} points "
+            "(P^k, or P^2 for one group); raise grid_step or narrow the bounds"
+        )
     _, gap = _count_term_gap(specs, sizes, density)
     axis = np.arange(lo, hi + grid_step / 2, grid_step)
     # arange can run up to half a step past hi; a point only round-off past
@@ -334,15 +347,6 @@ def theorem1_diagnostic(spec: PriorSpec, m: int, bins: int) -> float:
     cdf = betainc(a, b, edges)
     expected = np.diff(cdf)
     return 0.5 * float(np.abs(observed - expected).sum())
-
-
-def gaussian_approx_tv(spec: PriorSpec, sizes) -> float:
-    """TV distance between the exact prior convolution and its discrete
-    Gaussian moment-matched approximation."""
-    pmfs = [induced_group_pmf(spec, n) for n in sizes]
-    exact = null_optimal_prior(pmfs)
-    approx = discrete_gaussian_approx(pmfs)
-    return total_variation(exact, approx)
 
 
 def cells_n_fixed(k_values, n) -> tuple[tuple[int, int], ...]:

@@ -151,11 +151,6 @@ def convolve_all(pmfs) -> Pmf:
     return acc
 
 
-def total_variation(p: Pmf, q: Pmf) -> float:
-    """Total variation distance, in [0, 1], between pmfs on one support."""
-    return 0.5 * float(np.abs(p.weights() - q.weights()).sum())
-
-
 @dataclass(frozen=True)
 class GridDensity:
     """Nonnegative density on a uniform grid inside [0, 1], trapezoid-normalized."""

@@ -28,11 +28,19 @@ from .numerics import (
 DEFAULT_SCALE = 10_000
 
 # Largest high-resolution support pseudo_null_density builds (scale * n + 1
-# points). A build holds about 20 bytes a point at its peak (tracemalloc:
-# 168-197 MiB at 1.024e7 points, k = 8 and 2, n = 1024; peak RSS of the
-# process 421 MB there and 730 MB at 2.048e7, k = 8), so this keeps it below
-# about 1 GB and still admits n = 1024 at the default scale.
+# points). A resampled build peaks in the forward transforms, at about 20
+# bytes a point whichever inverse runs (tracemalloc: 168-198 MiB at 1.024e7
+# points, k = 8 and 2, n = 1024; peak RSS of the process 373 and 421 MB), so
+# n = 1024 fits at the default scale and the limit stays near 500 MB. A build
+# that keeps every point runs the whole inverse and holds about 56 bytes a
+# point (548 MiB at 1.024e7, k = 2).
 MAX_PSEUDO_POINTS = 25_000_000
+
+# Most residues, mod the period of the resampled indices, at which
+# pseudo_null_density computes the convolution by the folded inverse
+# (_folded_irfft); each costs one pass over the spectrum. The default grid
+# needs 1 to 3. With more, the whole inverse transform runs.
+_MAX_RESIDUES = 8
 
 # Default resample target when a high-resolution density grid gets large.
 DEFAULT_DENSITY_GRID = 20_001
@@ -129,29 +137,13 @@ def null_optimal_prior(group_pmfs) -> Pmf:
     return convolve_all(group_pmfs)
 
 
-def discrete_gaussian_approx(group_pmfs) -> Pmf:
-    """Discrete Gaussian matching the summed means and variances of the groups."""
-    group_pmfs = list(group_pmfs)
-    if len(group_pmfs) < 2:
-        raise ValueError("need at least 2 groups")
-    mu = sum(p.mean() for p in group_pmfs)
-    var = sum(p.variance() for p in group_pmfs)
-    if var <= 0:
-        raise ValueError("degenerate priors")
-    n = sum(p.support_size - 1 for p in group_pmfs)
-    j = np.arange(n + 1)
-    return Pmf.from_log_weights(-((j - mu) ** 2) / (2 * var))
-
-
-def _one_pass_convolution(specs, sizes, scale: int, total: int) -> np.ndarray:
-    """Convolution of the groups' induced pmfs at size scale*n_i, in one FFT pass.
+def _one_pass_spectrum(specs, sizes, scale: int, length: int) -> np.ndarray:
+    """rfft, at length, of the convolution of the groups' induced pmfs at size
+    scale*n_i, unnormalized.
 
     Each distinct (prior, size) pair is built and transformed once, at the
-    final length, and enters the product raised to its multiplicity. The
-    result is unnormalized, with round-off below FFT_CLAMP of its peak
-    clamped to zero.
+    final length, and enters the product raised to its multiplicity.
     """
-    length = fft.next_fast_len(total + 1, real=True)
     spectrum = None
     for (spec, n), count in Counter(zip(specs, sizes)).items():
         # Unnormalized: pseudo_null_density normalizes the density once.
@@ -168,10 +160,36 @@ def _one_pass_convolution(specs, sizes, scale: int, total: int) -> np.ndarray:
         else:
             spectrum *= f
         del f
-    out = fft.irfft(spectrum, length)[: total + 1]
-    del spectrum
-    out[out < FFT_CLAMP * out.max()] = 0.0
-    return out
+    return spectrum
+
+
+def _folded_irfft(spectrum, length: int, period: int, residues) -> np.ndarray:
+    """irfft(spectrum, length) at the indices period*q + r, q < length/period,
+    one row per residue r; period must divide length.
+
+    With k = k1 + Q*k2 (Q = length/period), the inverse at period*q + r is
+    the length-Q inverse DFT in k1 of e^{2 pi i r k1/length} times the sum
+    over k2 of the spectrum at k weighted by e^{2 pi i r k2/period}: one
+    (residues x period/2) by (period/2 x Q) matrix product over the one-sided
+    spectrum, whose terms count twice except at k = 0 and k = length/2.
+    """
+    q = length // period
+    rows = period // 2
+    r = np.asarray(residues)[:, None]
+    # r*k2 reduced mod period first: an argument of many turns would carry
+    # the rounding of its quotient, up to 1e-13 at period 512, into the sum.
+    phase = np.exp(2j * np.pi * (r * np.arange(rows + 1) % period) / period)
+    folded = 2 * (phase[:, :rows] @ spectrum[: q * rows].reshape(rows, q))
+    # The rest of the one-sided spectrum sits at k2 = rows: the Nyquist term
+    # alone for an even period, the first half of k1's range for an odd one.
+    tail = spectrum[q * rows :]
+    folded[:, : tail.size] += 2 * phase[:, rows:] * tail
+    # The Nyquist term (even length) and k = 0 count once.
+    if length % 2 == 0:
+        folded[:, tail.size - 1] -= phase[:, rows] * tail[-1]
+    folded[:, 0] -= spectrum[0]
+    folded *= np.exp(2j * np.pi * r * np.arange(q) / length)
+    return fft.ifft(folded, axis=1).real / period
 
 
 def pseudo_null_density(
@@ -188,7 +206,9 @@ def pseudo_null_density(
     refused before anything is built. Beta priors with a parameter below 1
     diverge at the boundary; their endpoint grid cells are dropped. If
     grid_size is given and smaller, the weights are linearly resampled onto
-    that many points. The result is normalized as a density once, at the end.
+    that many points, and the inverse transform is evaluated only at the
+    points the resample reads where their period allows (_folded_irfft). The
+    result is normalized as a density once, at the end.
     """
     specs = list(specs)
     sizes = list(sizes)
@@ -208,26 +228,56 @@ def pseudo_null_density(
             f"pseudo density needs {total + 1} points at scale {scale} "
             f"(limit {MAX_PSEUDO_POINTS}); lower scale or the group sizes"
         )
-    weights = _one_pass_convolution(specs, sizes, scale, total)
     # The points i/total kept, lo <= i <= hi: all but the end cells of beta
     # priors with a parameter below 1.
     lo = int(any(s.kind == "beta" and (s.alpha < 1 or s.beta < 1) for s in specs))
     hi = total - lo
-    if grid_size is not None and hi - lo + 1 > grid_size:
+    resample = grid_size is not None and hi - lo + 1 > grid_size
+    # The convolution is computed at the indices period*q + r for r in
+    # residues; period 1 is the whole inverse transform.
+    length = fft.next_fast_len(total + 1, real=True)
+    period, residues = 1, np.zeros(1, dtype=np.int64)
+    if resample:
         if grid_size < 2:
             raise ValueError("grid_size must be at least 2")
         grid = np.linspace(lo / total, hi / total, grid_size)
-        # np.interp reads only the two points that bracket each resampled
-        # point, so only those are built, with one more on each side to cover
-        # the rounding of grid * total; the result is the same bit for bit.
-        # Deduplicated after a sort: np.unique took 10-40 ms on these 8e4
-        # indices, more than the whole grid costs at small totals.
-        near = np.floor(grid * total).astype(np.int64)[:, None] + np.arange(-1, 3)
-        near = np.sort(np.clip(near, lo, hi), axis=None)
-        near = near[np.diff(near, prepend=-1) > 0]
-        weights = np.interp(grid, near / total, weights[near])
+        # Resampled point i sits at index lo + i*(hi - lo)/steps = a + f/steps
+        # and is read from a and b = a + 1 by linear weights; from a alone
+        # when f = 0.
+        steps = grid_size - 1
+        a, f = np.divmod(np.arange(grid_size, dtype=np.int64) * (hi - lo), steps)
+        a += lo
+        b = a + (f > 0)
+        # Every `cycle` points the indices move on by `stride` with the same
+        # fractions, so those read fall on at most 2*cycle residues mod stride.
+        g = math.gcd(hi - lo, steps)
+        stride, cycle = (hi - lo) // g, steps // g
+        if cycle <= _MAX_RESIDUES:
+            found = np.unique(np.concatenate([a[:cycle], b[:cycle]]) % stride)
+            per_residue = -(-(total + 1) // stride)
+            fold_length = stride * fft.next_fast_len(per_residue, real=True)
+            # The length must stay fast for the forward transforms, and the
+            # period at most its square root, so that the fold's phase matrix
+            # (period/2 columns a residue) stays small beside the spectrum.
+            if (
+                found.size <= _MAX_RESIDUES
+                and stride * stride <= fold_length
+                and fft.next_fast_len(fold_length, real=True) == fold_length
+            ):
+                period, residues, length = stride, found, fold_length
+    spectrum = _one_pass_spectrum(specs, sizes, scale, length)
+    if period == 1:
+        conv = fft.irfft(spectrum, length)[None, : total + 1]
+    else:
+        conv = _folded_irfft(spectrum, length, period, residues)
+    del spectrum
+    conv[conv < FFT_CLAMP * conv.max()] = 0.0
+    if resample:
+        row_a = np.searchsorted(residues, a % period)
+        row_b = np.searchsorted(residues, b % period)
+        at_a = conv[row_a, a // period]
+        weights = at_a + (conv[row_b, b // period] - at_a) * (f / steps)
     else:
         grid = np.arange(lo, hi + 1) / total
-        weights = weights[lo : hi + 1]
+        weights = conv[0, lo : hi + 1]
     return PseudoDensity(GridDensity.from_density(grid, weights))
-

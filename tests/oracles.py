@@ -2,18 +2,32 @@
 
 Nothing in the library calls these. Each is an independent route to a value
 the library computes another way: closed forms, configuration counts, plain
-divergences and a continuous convolution.
+divergences, a continuous convolution and the whole-length inverse FFT.
 """
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
+from scipy import fft
 from scipy.special import gammaln, xlogy
 
 from maxent_evalues.models import Table
-from maxent_evalues.numerics import NEG_INF, GridDensity, Pmf, binomial_pmf, log_beta_fn
-from maxent_evalues.priors import PriorSpec, induced_group_pmf
+from maxent_evalues.numerics import (
+    FFT_CLAMP,
+    NEG_INF,
+    GridDensity,
+    Pmf,
+    binomial_pmf,
+    log_beta_fn,
+)
+from maxent_evalues.priors import (
+    PriorSpec,
+    _induced_log_weights,
+    induced_group_pmf,
+    null_optimal_prior,
+)
 
 
 def uniform_pmf(n: int) -> Pmf:
@@ -44,6 +58,11 @@ def kl_divergence(p: Pmf, q: Pmf) -> float:
     if (lq[mask] == NEG_INF).any():
         raise ValueError("KL undefined: q vanishes where p does not")
     return float(np.dot(np.exp(lp[mask]), lp[mask] - lq[mask]))
+
+
+def total_variation(p: Pmf, q: Pmf) -> float:
+    """Total variation distance, in [0, 1], between pmfs on one support."""
+    return 0.5 * float(np.abs(p.weights() - q.weights()).sum())
 
 
 def log_multiplicity(t: Table, hypothesis: str) -> float:
@@ -137,3 +156,42 @@ def direct_convolution_density(specs, grid_size: int) -> GridDensity:
     # is k * f_sum(k * p0), which lands back on the original grid points.
     idx = np.arange(grid_size) * k
     return GridDensity.from_density(x, k * acc[idx])
+
+
+def discrete_gaussian_approx(group_pmfs) -> Pmf:
+    """Discrete Gaussian matching the summed means and variances of the groups."""
+    group_pmfs = list(group_pmfs)
+    if len(group_pmfs) < 2:
+        raise ValueError("need at least 2 groups")
+    mu = sum(p.mean() for p in group_pmfs)
+    var = sum(p.variance() for p in group_pmfs)
+    if var <= 0:
+        raise ValueError("degenerate priors")
+    n = sum(p.support_size - 1 for p in group_pmfs)
+    j = np.arange(n + 1)
+    return Pmf.from_log_weights(-((j - mu) ** 2) / (2 * var))
+
+
+def gaussian_approx_tv(spec: PriorSpec, sizes) -> float:
+    """TV distance between the exact prior convolution and its discrete
+    Gaussian moment-matched approximation."""
+    pmfs = [induced_group_pmf(spec, n) for n in sizes]
+    return total_variation(null_optimal_prior(pmfs), discrete_gaussian_approx(pmfs))
+
+
+def one_pass_convolution(specs, sizes, scale: int, total: int) -> np.ndarray:
+    """Convolution of the groups' induced pmfs at size scale*n_i, at every
+    point 0..total, by one FFT pass and one inverse transform of the whole
+    length.
+
+    Unnormalized, with round-off below FFT_CLAMP of its peak clamped to zero:
+    the weights pseudo_null_density resamples.
+    """
+    length = fft.next_fast_len(total + 1, real=True)
+    spectrum = 1.0
+    for (spec, n), count in Counter(zip(specs, sizes)).items():
+        w = _induced_log_weights(spec, scale * n)
+        spectrum = spectrum * fft.rfft(np.exp(w - w.max()), length) ** count
+    out = fft.irfft(spectrum, length)[: total + 1]
+    out[out < FFT_CLAMP * out.max()] = 0.0
+    return out

@@ -18,7 +18,6 @@ from scipy.special import gammaln, logsumexp
 from maxent_evalues.diagnostics import (
     fit_log_slope,
     gap_r,
-    gaussian_approx_tv,
     regret,
     theorem1_diagnostic,
 )
@@ -35,7 +34,7 @@ from maxent_evalues.priors import (
     null_optimal_prior,
     pseudo_null_density,
 )
-from oracles import uniform_convolution_closed_form
+from oracles import gaussian_approx_tv, uniform_convolution_closed_form
 
 # Frozen regression values from this implementation's first run.
 GAP_SEQUENCES = {

@@ -13,7 +13,6 @@ from maxent_evalues.diagnostics import (
     fit_log_slope,
     gap_r,
     gap_r_prime,
-    gaussian_approx_tv,
     regret,
     regret_curve,
     sweep,
@@ -30,7 +29,7 @@ from maxent_evalues.priors import (
     induced_group_pmf,
     pseudo_null_density,
 )
-from oracles import kl_divergence, redundancy
+from oracles import gaussian_approx_tv, kl_divergence, redundancy
 
 
 def make_density(priors, sizes, scale=2000):
@@ -153,6 +152,28 @@ class TestWorstCaseRPrime:
         priors = [PriorSpec.uniform()] * 2
         with pytest.raises(ValueError, match="grid_step must be positive"):
             worst_case_r_prime(priors, (4, 4), make_density(priors, (4, 4)), grid_step=step)
+
+    @pytest.mark.parametrize(
+        "sizes, step",
+        [
+            ((4, 4), 1e-6),  # 960,001^2 points
+            ((4,) * 6, 0.02),  # 49^6 = 1.4e10
+            ((4,), 1e-5),  # one group of 96,001 pmfs counts as 96,001^2
+            ((4, 4), 5e-324),  # the span overflows to inf
+        ],
+    )
+    def test_refuses_a_grid_beyond_the_limit(self, monkeypatch, sizes, step):
+        def built(*args):
+            raise AssertionError("built before the grid was checked")
+
+        monkeypatch.setattr(diagnostics, "binomial_pmf", built)
+        monkeypatch.setattr(diagnostics, "_count_term_gap", built)
+        priors = [PriorSpec.uniform()] * len(sizes)
+        with pytest.raises(ValueError, match="worst-case grid"):
+            worst_case_r_prime(priors, sizes, None, grid_step=step)
+
+    def test_admits_the_default_axis_up_to_five_groups(self):
+        assert 49**5 <= diagnostics.MAX_WORST_CASE_POINTS < 49**6
 
     @pytest.mark.parametrize(
         "prior, sizes, scale, options",

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -456,6 +457,19 @@ class TestCli:
         assert code == 1
         assert out == ""
         assert "grid_step must be positive" in strict(err)["error"]
+
+    def test_rprime_refuses_a_huge_worst_case_grid(self, capsys):
+        # 960,001 points a group, 9.2e11 in all: the parent built 960,001
+        # pmfs a group and printed nothing for minutes.
+        started = time.monotonic()
+        code, out, err = run_cli(
+            "rprime", "--k", "2", "--m", "5", "--worst-case", "--grid-step", "1e-6",
+            capsys=capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert "worst-case grid" in strict(err)["error"]
+        assert time.monotonic() - started < 10
 
     @pytest.mark.parametrize("argv", [
         ("theorem1", "--m", "30"),

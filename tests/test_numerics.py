@@ -17,11 +17,10 @@ from maxent_evalues.numerics import (
     log_binomial_mixture,
     log_binomial_row,
     log_sum_exp,
-    total_variation,
     trapezoid_log_weights,
 )
 from maxent_evalues.priors import PriorSpec, induced_group_pmf
-from oracles import delta_pmf, kl_divergence, log_binomial, uniform_pmf
+from oracles import delta_pmf, kl_divergence, log_binomial, total_variation, uniform_pmf
 
 
 class TestLogSumExp:

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import fft
 from scipy.integrate import quad
 from scipy.special import gammaln, xlogy
 from scipy.stats import betabinom
 
+from maxent_evalues import priors
 from maxent_evalues.numerics import (
     FFT_THRESHOLD,
     GridDensity,
@@ -17,11 +19,11 @@ from maxent_evalues.numerics import (
     log_sum_exp,
 )
 from maxent_evalues.priors import (
+    DEFAULT_DENSITY_GRID,
     MAX_PSEUDO_POINTS,
     PriorSpec,
+    _folded_irfft,
     _induced_log_weights,
-    _one_pass_convolution,
-    discrete_gaussian_approx,
     induced_group_pmf,
     null_optimal_prior,
     pseudo_null_density,
@@ -29,6 +31,8 @@ from maxent_evalues.priors import (
 from oracles import (
     delta_pmf,
     direct_convolution_density,
+    discrete_gaussian_approx,
+    one_pass_convolution,
     uniform_convolution_closed_form,
     uniform_pmf,
 )
@@ -276,6 +280,7 @@ class TestPseudoNullDensity:
     @pytest.mark.parametrize(
         "spec, sizes, scale, grid_size",
         [
+            # Folded: every resampled point on one residue mod 16.
             (PriorSpec.uniform(), [4, 4], 1000, 501),
             (PriorSpec.from_beta(0.5, 0.5), [3, 5], 10, 7),
             (PriorSpec.nml(), [3], 10, 30),
@@ -283,24 +288,82 @@ class TestPseudoNullDensity:
             # Not resampled: every high-resolution point is kept.
             (PriorSpec.from_beta(0.5, 2), [3], 10, 29),
             (PriorSpec.uniform(), [4, 6], 10, None),
+            # Folded, with the beta(<1) end cells clipped: indices 1 + 6i.
+            (PriorSpec.from_beta(0.5, 0.5), [4, 4], 1000, 1334),
+            # Folded: residues 0, 4 and 5 mod 9.
+            (PriorSpec.uniform(), [3, 3, 3], 1000, 2001),
         ],
     )
     def test_resample_matches_full_grid(self, spec, sizes, scale, grid_size):
-        # The resample builds only the high-resolution points that bracket a
-        # resampled point; np.interp over the whole grid is the reference.
+        # The resample computes only the high-resolution points that bracket
+        # a resampled point; np.interp over the whole inverse transform is the
+        # reference.
         specs = [spec] * len(sizes)
         pd = pseudo_null_density(specs, sizes, scale=scale, grid_size=grid_size)
         total = scale * sum(sizes)
-        weights = _one_pass_convolution(specs, sizes, scale, total)
+        weights = one_pass_convolution(specs, sizes, scale, total)
         grid = np.arange(total + 1) / total
         if spec.kind == "beta" and min(spec.alpha, spec.beta) < 1:
             grid, weights = grid[1:-1], weights[1:-1]
-        if grid_size is not None and grid.size > grid_size:
-            resampled = np.linspace(grid[0], grid[-1], grid_size)
-            grid, weights = resampled, np.interp(resampled, grid, weights)
+        resampled = grid_size is not None and grid.size > grid_size
+        if resampled:
+            points = np.linspace(grid[0], grid[-1], grid_size)
+            grid, weights = points, np.interp(points, grid, weights)
         expected = GridDensity.from_density(grid, weights)
         assert np.array_equal(pd.density.grid, expected.grid)
-        assert np.array_equal(pd.density.log_density, expected.log_density)
+        if not resampled:
+            assert np.array_equal(pd.density.log_density, expected.log_density)
+            return
+        # Resampled points are read with linear weights at integer positions,
+        # from a folded inverse where the period allows: equal up to round-off,
+        # the tolerance of test_one_pass_matches_left_fold.
+        ref = expected.density()
+        np.testing.assert_allclose(
+            pd.density.density(), ref, rtol=1e-9, atol=1e-12 * ref.max()
+        )
+
+    def test_non_smooth_period_takes_the_whole_inverse(self):
+        # 12 + 17 = 29: the points read repeat every 29 indices, and 29 * Q
+        # is never a fast length, so the whole inverse runs; its points are
+        # read with the same linear weights, bit for bit.
+        specs, sizes, scale, grid_size = [PriorSpec.uniform()] * 2, [12, 17], 1000, 2001
+        total = scale * 29
+        weights = one_pass_convolution(specs, sizes, scale, total)
+        steps = grid_size - 1
+        a, f = np.divmod(np.arange(grid_size) * total, steps)
+        b = a + (f > 0)
+        expected = weights[a] + (weights[b] - weights[a]) * (f / steps)
+        got = pseudo_null_density(specs, sizes, scale, grid_size).density
+        ref = GridDensity.from_density(np.linspace(0, 1, grid_size), expected)
+        assert np.array_equal(got.grid, ref.grid)
+        assert np.array_equal(got.log_density, ref.log_density)
+
+    def test_fixed_n_design_runs_no_whole_length_inverse(self, monkeypatch):
+        # (64, 64) at scale 1e4 reads every 64th of its 1.28e6 indices onto
+        # the default grid: only inverse transforms of about 2e4 points run.
+        lengths = []
+        for name in ("irfft", "ifft"):
+            inverse = getattr(priors.fft, name)
+
+            def spy(x, n=None, *args, _inverse=inverse, **kwargs):
+                lengths.append(n if n is not None else np.shape(x)[-1])
+                return _inverse(x, n, *args, **kwargs)
+
+            monkeypatch.setattr(priors.fft, name, spy)
+        specs, sizes = [PriorSpec.uniform()] * 2, [64, 64]
+        pd = pseudo_null_density(specs, sizes, grid_size=DEFAULT_DENSITY_GRID)
+        monkeypatch.undo()
+        total = 10_000 * 128
+        assert lengths and max(lengths) < total / 50
+        points = np.linspace(0, 1, DEFAULT_DENSITY_GRID)
+        ref = GridDensity.from_density(
+            points,
+            np.interp(points, np.arange(total + 1) / total,
+                      one_pass_convolution(specs, sizes, 10_000, total)),
+        ).density()
+        np.testing.assert_allclose(
+            pd.density.density(), ref, rtol=1e-9, atol=1e-12 * ref.max()
+        )
 
     def test_limit_admits_fixed_n_cells(self):
         # n = 1024 at the default scale: criterion 6 and the gap benchmark.
@@ -340,6 +403,32 @@ class TestPseudoNullDensity:
         np.testing.assert_allclose(
             got.density(), ref.density(), rtol=1e-9, atol=1e-12 * ref.density().max()
         )
+
+
+class TestFoldedIrfft:
+    @pytest.mark.parametrize(
+        "length, period, residues",
+        [
+            (96, 8, [0, 3, 7]),  # even period
+            (90, 9, [0, 4, 8]),  # odd period, even length
+            (45, 9, [1, 5, 8]),  # odd period, odd length
+            # Phases of many turns: e^{2 pi i 511 k2/512} loses 1e-13 unless
+            # 511 k2 is reduced mod 512 first.
+            (65536, 512, [0, 255, 511]),
+            (90, 9, [-1]),  # wraps: index 9q - 1 mod 90
+        ],
+    )
+    def test_matches_irfft_at_the_sampled_indices(self, length, period, residues):
+        rng = np.random.default_rng(length + period)
+        spectrum = fft.rfft(rng.random(length))
+        full = fft.irfft(spectrum, length)
+        got = _folded_irfft(spectrum, length, period, residues)
+        q = np.arange(length // period)
+        expected = np.array([full[(period * q + r) % length] for r in residues])
+        # An FFT route's error: a few units of round-off of the peak per
+        # level of the transform.
+        tol = 4 * np.log2(length) * np.finfo(float).eps * np.abs(full).max()
+        np.testing.assert_allclose(got, expected, rtol=0, atol=tol)
 
 
 class TestDirectConvolutionDensity:
