@@ -18,10 +18,6 @@ from .evariables import (
     combine_evalues,
     decide,
     e_power,
-    log_e_gro_can,
-    log_e_gro_mic,
-    log_e_gro_point,
-    log_e_pseudo,
     log_w_pseudo0,
     ripr_solve,
 )
@@ -57,10 +53,6 @@ __all__ = [
     "gap_r",
     "gap_r_prime",
     "induced_group_pmf",
-    "log_e_gro_can",
-    "log_e_gro_mic",
-    "log_e_gro_point",
-    "log_e_pseudo",
     "log_w_pseudo0",
     "network_to_table",
     "null_optimal_prior",

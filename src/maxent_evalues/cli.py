@@ -28,13 +28,10 @@ from .evariables import (
     RIPR_GRID_SIZE,
     RIPR_MAX_ITER,
     RIPR_TOL,
+    Statistic,
     combine_evalues,
     decide,
     e_or_none,
-    log_e_gro_can,
-    log_e_gro_mic,
-    log_e_gro_point,
-    log_e_pseudo,
     # Nothing here solves a projection; the name stays bound because
     # perfbench's tracer test checks that every module's ripr_solve reaches
     # one wrapper.
@@ -109,17 +106,16 @@ def _run_test(table: Table, args) -> dict:
         "statistic": args.statistic,
     }
     if args.statistic == "mic":
-        report = log_e_gro_mic(table, priors)
+        statistic = Statistic.mic(table.sizes, priors)
     elif args.statistic == "can":
-        report = log_e_gro_can(
-            table, priors, grid_size=args.ripr_grid, tol=args.ripr_tol,
-            max_iter=args.ripr_max_iter,
+        statistic = Statistic.can(
+            table.sizes, priors, args.ripr_grid, args.ripr_tol, args.ripr_max_iter
         )
     elif args.statistic == "pseudo":
         density = pseudo_null_density(
             priors, table.sizes, scale=args.scale, grid_size=args.density_grid
         )
-        report = log_e_pseudo(table, priors, density)
+        statistic = Statistic.pseudo(table.sizes, priors, density)
     else:
         if args.palt is None:
             raise ValueError("--statistic point requires --palt")
@@ -131,11 +127,10 @@ def _run_test(table: Table, args) -> dict:
                     f"{ones} ones in {n} trials"
                 )
         inputs["p_alt"] = list(palt)
-        report = log_e_gro_point(
-            table, palt, grid_size=args.ripr_grid, tol=args.ripr_tol,
-            max_iter=args.ripr_max_iter,
+        statistic = Statistic.point(
+            table.sizes, palt, args.ripr_grid, args.ripr_tol, args.ripr_max_iter
         )
-    return _report_payload(report, args.alpha, inputs)
+    return _report_payload(statistic.report(table.ones), args.alpha, inputs)
 
 
 def _parse_palt(text: str, k: int) -> tuple[float, ...]:

@@ -204,8 +204,11 @@ def _leaf_values(per_group, gap):
     per_group[i] is group i's (grid point x count) binomial matrix W_i; the
     value at (p_1..p_k) is sum over counts c of prod_i W_i[p_i, c_i] gap[sum c].
     The trailing groups are contracted into gap, last group first, while the
-    arrays stay within _BLOCK_CELLS; a block of the leading groups' points is
-    then one matrix product of their convolved pmfs with the result.
+    arrays stay within _BLOCK_CELLS; the last group always is, in blocks of
+    counts, so that large groups still leave only the leading groups'
+    prefixes to convolve. A block of those prefixes is then one matrix
+    product of their convolved pmfs with the result, in blocks of its rows
+    where one prefix's values alone exceed _BLOCK_CELLS.
     """
     points = per_group[0].shape[0]
     tail = gap[None, :]  # rows: trailing points in C order; columns: counts
@@ -214,20 +217,33 @@ def _leaf_values(per_group, gap):
         w = per_group[lead - 1]
         width = w.shape[1]
         counts = tail.shape[1] - width + 1
-        if tail.shape[0] * counts * max(points, width) > _BLOCK_CELLS:
+        # A block of `step` counts copies step x width window cells a tail
+        # row and makes step x points result cells a tail row.
+        step = _BLOCK_CELLS // (tail.shape[0] * max(points, width))
+        if step < counts and lead < len(per_group):
             break
         windows = sliding_window_view(tail, width, axis=1)
-        tail = np.tensordot(w, windows, axes=([1], [2]))
-        tail = tail.reshape(points * windows.shape[0], counts)
+        out = np.empty((points, tail.shape[0], counts))
+        step = max(step, 1)
+        for c in range(0, counts, step):
+            out[:, :, c : c + step] = np.tensordot(
+                w, windows[:, c : c + step], axes=([1], [2])
+            )
+        tail = out.reshape(points * tail.shape[0], counts)
         lead -= 1
-    rows = max(1, _BLOCK_CELLS // (tail.shape[0] + tail.shape[1]))
+    cols = min(tail.shape[0], _BLOCK_CELLS)
+    # Fewer columns than tail rows only when one prefix is a block of its own,
+    # so each block's points stay consecutive.
+    rows = max(1, _BLOCK_CELLS // (cols + tail.shape[1]))
     prefixes = (reduce(np.convolve, ws, np.array([1.0]))
                 for ws in product(*per_group[:lead]))
     start = 0
     while block := list(islice(prefixes, rows)):
-        values = (np.array(block) @ tail.T).ravel()
-        yield start, values
-        start += values.size
+        block = np.array(block)
+        for c in range(0, tail.shape[0], cols):
+            values = (block @ tail[c : c + cols].T).ravel()
+            yield start, values
+            start += values.size
 
 
 def regret(

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import xlogy
 
-from .models import Table
 from .numerics import (
     NEG_INF,
     Pmf,
@@ -260,11 +259,6 @@ class Statistic:
         return Statistic("gro_point", tuple(terms), mass, kl)
 
 
-def log_e_gro_mic(table: Table, priors) -> EValueReport:
-    """Exact microcanonical GRO e-value of one table."""
-    return Statistic.mic(table.sizes, priors).report(table.ones)
-
-
 def log_w_pseudo0(density: PseudoDensity, n: int, n1) -> np.ndarray | float:
     """Log mass the pseudo null prior assigns to total counts, by quadrature.
 
@@ -280,12 +274,6 @@ def log_w_pseudo0(density: PseudoDensity, n: int, n1) -> np.ndarray | float:
     if (out == NEG_INF).any():
         raise ValueError("quadrature underflow")
     return out if np.ndim(n1) else float(out[0])
-
-
-def log_e_pseudo(table: Table, priors, density: PseudoDensity) -> EValueReport:
-    """Pseudo statistic of one table. Not an e-value; its null expectation
-    can exceed 1."""
-    return Statistic.pseudo(table.sizes, priors, density).report(table.ones)
 
 
 def ripr_solve(
@@ -423,28 +411,6 @@ def point_alt_count_pmf(sizes, alt_params) -> Pmf:
     """Exact law of the total one-count under a point alternative."""
     pvec = np.atleast_1d(np.asarray(alt_params, dtype=float))
     return convolve_all([binomial_pmf(n, pi) for n, pi in zip(sizes, pvec)])
-
-
-def log_e_gro_can(
-    table: Table,
-    priors,
-    grid_size: int = RIPR_GRID_SIZE,
-    tol: float = RIPR_TOL,
-    max_iter: int = RIPR_MAX_ITER,
-) -> EValueReport:
-    """Canonical GRO e-value of one table."""
-    return Statistic.can(table.sizes, priors, grid_size, tol, max_iter).report(table.ones)
-
-
-def log_e_gro_point(
-    table: Table,
-    alt_params,
-    grid_size: int = RIPR_GRID_SIZE,
-    tol: float = RIPR_TOL,
-    max_iter: int = RIPR_MAX_ITER,
-) -> EValueReport:
-    """GRO e-value of one table against a point alternative."""
-    return Statistic.point(table.sizes, alt_params, grid_size, tol, max_iter).report(table.ones)
 
 
 def e_power(statistic: Statistic, group_pmfs) -> float:

@@ -81,15 +81,6 @@ class Pmf:
     def weights(self) -> np.ndarray:
         return np.exp(self.log_weights)
 
-    def mean(self) -> float:
-        return float(np.dot(np.arange(self.support_size), self.weights()))
-
-    def variance(self) -> float:
-        w = self.weights()
-        x = np.arange(self.support_size)
-        mu = float(np.dot(x, w))
-        return float(np.dot((x - mu) ** 2, w))
-
     @staticmethod
     def from_log_weights(log_weights) -> "Pmf":
         """Build a pmf from unnormalized log weights."""
@@ -185,9 +176,6 @@ class GridDensity:
     @property
     def step(self) -> float:
         return float(self.grid[1] - self.grid[0])
-
-    def density(self) -> np.ndarray:
-        return np.exp(self.log_density)
 
     @staticmethod
     def from_density(grid, density) -> "GridDensity":

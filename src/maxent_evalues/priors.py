@@ -31,10 +31,14 @@ DEFAULT_SCALE = 10_000
 # points). A resampled build peaks in the forward transforms, at about 20
 # bytes a point whichever inverse runs (tracemalloc: 168-198 MiB at 1.024e7
 # points, k = 8 and 2, n = 1024; peak RSS of the process 373 and 421 MB), so
-# n = 1024 fits at the default scale and the limit stays near 500 MB. A build
-# that keeps every point runs the whole inverse and holds about 56 bytes a
-# point (548 MiB at 1.024e7, k = 2).
+# n = 1024 fits at the default scale and the limit stays near 500 MB.
 MAX_PSEUDO_POINTS = 25_000_000
+
+# A build that keeps every point (no resample) runs the whole inverse and
+# builds its density over all of them: about 56 bytes a point whatever the
+# prior (tracemalloc: 548 MiB at 1.024e7 points, 274 MiB at 5.12e6, k = 2).
+# It is refused past this many points, which keeps it near the same 500 MB.
+_MAX_UNRESAMPLED_POINTS = MAX_PSEUDO_POINTS * 20 // 56
 
 # Most residues, mod the period of the resampled indices, at which
 # pseudo_null_density computes the convolution by the folded inverse
@@ -142,8 +146,12 @@ def _one_pass_spectrum(specs, sizes, scale: int, length: int) -> np.ndarray:
     scale*n_i, unnormalized.
 
     Each distinct (prior, size) pair is built and transformed once, at the
-    final length, and enters the product raised to its multiplicity.
+    final length, and enters the product raised to its multiplicity. A
+    beta(1,1) group is built as the uniform prior it is: exact constant
+    weights, where the beta form carries gammaln's round-off and its cost.
     """
+    flat = PriorSpec.from_beta(1, 1)
+    specs = [PriorSpec.uniform() if s == flat else s for s in specs]
     spectrum = None
     for (spec, n), count in Counter(zip(specs, sizes)).items():
         # Unnormalized: pseudo_null_density normalizes the density once.
@@ -202,9 +210,10 @@ def pseudo_null_density(
 
     Each group's induced pmf is computed at size scale*n_i, the pmfs are
     convolved in one FFT pass, and the weights are placed on the grid
-    i/(scale*n) of [0, 1]. Supports above MAX_PSEUDO_POINTS points are
-    refused before anything is built. Beta priors with a parameter below 1
-    diverge at the boundary; their endpoint grid cells are dropped. If
+    i/(scale*n) of [0, 1]. Supports above MAX_PSEUDO_POINTS points, or above
+    _MAX_UNRESAMPLED_POINTS without a resample, are refused before anything
+    is built. Beta priors with a parameter below 1 diverge at the boundary;
+    their endpoint grid cells are dropped. If
     grid_size is given and smaller, the weights are linearly resampled onto
     that many points, and the inverse transform is evaluated only at the
     points the resample reads where their period allows (_folded_irfft). The
@@ -233,6 +242,12 @@ def pseudo_null_density(
     lo = int(any(s.kind == "beta" and (s.alpha < 1 or s.beta < 1) for s in specs))
     hi = total - lo
     resample = grid_size is not None and hi - lo + 1 > grid_size
+    if not resample and total + 1 > _MAX_UNRESAMPLED_POINTS:
+        raise ValueError(
+            f"pseudo density without a resample needs {total + 1} points at scale "
+            f"{scale} (limit {_MAX_UNRESAMPLED_POINTS}); lower scale or the group "
+            "sizes, or resample onto fewer grid points"
+        )
     # The convolution is computed at the indices period*q + r for r in
     # residues; period 1 is the whole inverse transform.
     length = fft.next_fast_len(total + 1, real=True)

@@ -42,6 +42,14 @@ def delta_pmf(i: int, n: int) -> Pmf:
     return Pmf(lw)
 
 
+def moments(pmf: Pmf) -> tuple[float, float]:
+    """Mean and variance of a pmf on 0..N."""
+    w = pmf.weights()
+    x = np.arange(pmf.support_size)
+    mu = float(np.dot(x, w))
+    return mu, float(np.dot((x - mu) ** 2, w))
+
+
 def log_binomial(n: int, k: int) -> float:
     """log C(n, k) via log-gamma."""
     if k < 0 or n < 0 or k > n:
@@ -163,8 +171,8 @@ def discrete_gaussian_approx(group_pmfs) -> Pmf:
     group_pmfs = list(group_pmfs)
     if len(group_pmfs) < 2:
         raise ValueError("need at least 2 groups")
-    mu = sum(p.mean() for p in group_pmfs)
-    var = sum(p.variance() for p in group_pmfs)
+    mu = sum(moments(p)[0] for p in group_pmfs)
+    var = sum(moments(p)[1] for p in group_pmfs)
     if var <= 0:
         raise ValueError("degenerate priors")
     n = sum(p.support_size - 1 for p in group_pmfs)

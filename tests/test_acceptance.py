@@ -21,11 +21,7 @@ from maxent_evalues.diagnostics import (
     regret,
     theorem1_diagnostic,
 )
-from maxent_evalues.evariables import (
-    Statistic,
-    e_power,
-    log_e_gro_mic,
-)
+from maxent_evalues.evariables import Statistic, e_power
 from maxent_evalues.models import Table
 from maxent_evalues.numerics import log_binomial_row
 from maxent_evalues.priors import (
@@ -135,7 +131,7 @@ def test_criterion_01_exact_unity():
                 if spot_checks < 64:
                     ones = tuple(m // 2 for m in sizes)
                     t = Table(tuple(zip(sizes, ones)))
-                    direct = log_e_gro_mic(t, [priors[spec_idx]] * k).log_e
+                    direct = Statistic.mic(t.sizes, [priors[spec_idx]] * k).report(t.ones).log_e
                     lattice = (
                         float(np.log(v[ones]))
                         - sum(float(rows[m][o]) for m, o in zip(sizes, ones))
@@ -163,7 +159,7 @@ def test_criterion_02_triangular_prior():
 def test_criterion_03_worked_evalue():
     started = time.monotonic()
     t = Table(((2, 2), (2, 0)))
-    report = log_e_gro_mic(t, [PriorSpec.uniform()] * 2)
+    report = Statistic.mic(t.sizes, [PriorSpec.uniform()] * 2).report(t.ones)
     assert math.exp(report.log_e) == pytest.approx(2.0, rel=1e-12)
     _passed(3, "worked e-value", started, 1.0)
 
@@ -416,8 +412,7 @@ def test_criterion_11_optional_continuation():
     supports = [range(m + 1) for m in sizes]
     evalues = {}
     for ones in itertools.product(*supports):
-        t = Table(tuple(zip(sizes, ones)))
-        evalues[ones] = math.exp(log_e_gro_mic(t, priors).log_e)
+        evalues[ones] = math.exp(Statistic.mic(sizes, priors).report(ones).log_e)
     for p0 in GRID_21:
         w = [_binomial_weights(sz, p0) for sz in sizes]
         total = 0.0
@@ -440,7 +435,7 @@ def test_criterion_12_markov_type_one():
     supports = [range(m + 1) for m in sizes]
     tables = list(itertools.product(*supports))
     evalues = np.array([
-        math.exp(log_e_gro_mic(Table(tuple(zip(sizes, o))), priors).log_e)
+        math.exp(Statistic.mic(sizes, priors).report(o).log_e)
         for o in tables
     ])
     for alpha in (0.01, 0.05, 0.1):

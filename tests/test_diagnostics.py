@@ -187,9 +187,12 @@ class TestWorstCaseRPrime:
             (PriorSpec.from_beta(2, 3), (8, 12), 2000, {"grid_step": 0.01}),
             (PriorSpec.uniform(), (3, 5, 4, 6), 2000,
              {"grid_step": 0.1, "bounds": (0.15, 0.85)}),
+            # The first contraction step, 1 x 1000 x 1001 cells, runs in blocks.
+            (PriorSpec.from_beta(2, 2), (999, 1000), 100,
+             {"grid_step": 0.05, "bounds": (0.3, 0.7)}),
         ],
         ids=["uniform-10-10-10", "uniform-20-20", "uniform-7-19", "nml-4-9-6",
-             "beta-step-0.01", "uniform-k4-bounds"],
+             "beta-step-0.01", "uniform-k4-bounds", "large-groups"],
     )
     def test_matches_recursion_bit_for_bit(self, prior, sizes, scale, options):
         priors = [prior] * len(sizes)
@@ -224,6 +227,34 @@ class TestWorstCaseRPrime:
         else:
             assert len(blocks) > 1
             assert max(blocks) <= block_cells
+
+    def test_large_groups_convolve_one_prefix_a_point_of_the_first(self, monkeypatch):
+        # Two groups of about 1000 need 1 x 1000 x 1001 cells to contract the
+        # last group in one step, past _BLOCK_CELLS; it is contracted in
+        # blocks of counts, so only the first group's P points remain as
+        # prefixes, one convolution each, not P^2 pairs.
+        axis = np.arange(0.3, 0.71, 0.05)
+        per_group = [np.array([binomial_pmf(n, p).weights() for p in axis])
+                     for n in (999, 1000)]
+        gap = np.random.default_rng(0).standard_normal(2000)
+        assert 1000 * 1001 > diagnostics._BLOCK_CELLS
+        calls = []
+        convolve = np.convolve
+
+        def spy(a, b):
+            calls.append(b.size)
+            return convolve(a, b)
+
+        monkeypatch.setattr(np, "convolve", spy)
+        blocks = list(diagnostics._leaf_values(per_group, gap))
+        monkeypatch.undo()
+        assert len(calls) <= axis.size
+        values = np.concatenate([v for _, v in blocks])
+        assert [start for start, _ in blocks] == list(
+            np.cumsum([0] + [v.size for _, v in blocks[:-1]]))
+        expected = [float(np.dot(np.convolve(a, b), gap))
+                    for a, b in itertools.product(*per_group)]
+        np.testing.assert_allclose(values, expected, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize(
         "step, bounds, axis",

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from maxent_evalues.cli import build_parser, main, parse_prior
-from maxent_evalues.evariables import log_e_gro_mic
+from maxent_evalues.evariables import Statistic
 from maxent_evalues.models import Table
 from maxent_evalues.priors import PriorSpec
 from maxent_evalues.table_io import NetworkInput, network_to_table, parse_table, parse_table_text
@@ -178,7 +178,7 @@ class TestNetworkToTable:
                     log_binomial(n, o) + o * math.log(p) + (n - o) * math.log(1 - p)
                     for n, o in t.groups
                 )
-                total += math.exp(log_p + log_e_gro_mic(t, priors).log_e)
+                total += math.exp(log_p + Statistic.mic(t.sizes, priors).report(t.ones).log_e)
             assert total == pytest.approx(1.0, abs=1e-10)
 
 

@@ -32,6 +32,7 @@ from oracles import (
     delta_pmf,
     direct_convolution_density,
     discrete_gaussian_approx,
+    moments,
     one_pass_convolution,
     uniform_convolution_closed_form,
     uniform_pmf,
@@ -215,9 +216,9 @@ class TestStarsAndBars:
 class TestGaussianApprox:
     def test_moments_match(self):
         pmfs = [induced_group_pmf(PriorSpec.uniform(), 10)] * 8
-        g = discrete_gaussian_approx(pmfs)
-        assert g.mean() == pytest.approx(40.0, abs=1e-6)
-        assert g.variance() == pytest.approx(8 * 120 / 12, rel=1e-3)
+        mean, variance = moments(discrete_gaussian_approx(pmfs))
+        assert mean == pytest.approx(40.0, abs=1e-6)
+        assert variance == pytest.approx(8 * 120 / 12, rel=1e-3)
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
@@ -233,10 +234,10 @@ class TestPseudoNullDensity:
         pd = pseudo_null_density([PriorSpec.uniform()] * 2, [4, 4], scale=500)
         g = pd.density
         mid = g.grid.size // 2
-        assert g.density()[mid] == pytest.approx(2.0, abs=0.01)
+        assert np.exp(g.log_density)[mid] == pytest.approx(2.0, abs=0.01)
         # Triangle shape: linear rise on [0, 1/2].
         q = g.grid.size // 4
-        assert g.density()[q] == pytest.approx(1.0, abs=0.01)
+        assert np.exp(g.log_density)[q] == pytest.approx(1.0, abs=0.01)
 
     def test_resampling(self):
         pd = pseudo_null_density(
@@ -276,6 +277,33 @@ class TestPseudoNullDensity:
         assert 2 * 10**10 > MAX_PSEUDO_POINTS
         with pytest.raises(ValueError, match="points"):
             pseudo_null_density([PriorSpec.uniform()] * 2, [10**6] * 2)
+
+    def test_unresampled_build_refused_past_its_limit(self, monkeypatch):
+        # About 56 bytes a point without a resample against 20 with one: a
+        # build that keeps every one of 1e7 points would hold about 560 MB.
+        def built(*args):
+            raise AssertionError("built before the size was checked")
+
+        monkeypatch.setattr(priors, "_one_pass_spectrum", built)
+        specs, sizes = [PriorSpec.uniform()] * 2, [500, 500]
+        assert priors._MAX_UNRESAMPLED_POINTS < 10**7 + 1 <= MAX_PSEUDO_POINTS
+        for grid_size in (None, 10**7 + 1):
+            with pytest.raises(ValueError, match="without a resample"):
+                pseudo_null_density(specs, sizes, grid_size=grid_size)
+        # A resampled build of the same design is admitted.
+        with pytest.raises(AssertionError, match="built"):
+            pseudo_null_density(specs, sizes, grid_size=DEFAULT_DENSITY_GRID)
+
+    @pytest.mark.parametrize("grid_size", [None, 501, DEFAULT_DENSITY_GRID])
+    def test_flat_beta_builds_as_the_uniform_prior(self, grid_size):
+        # beta(1,1) is the uniform prior; its high-resolution weights are the
+        # exact constant ones, not gammaln's round-off of them.
+        flat, uniform = [PriorSpec.from_beta(1, 1)] * 2, [PriorSpec.uniform()] * 2
+        for sizes in ([6, 6], [3, 8]):
+            got = pseudo_null_density(flat, sizes, 1000, grid_size).density
+            ref = pseudo_null_density(uniform, sizes, 1000, grid_size).density
+            assert np.array_equal(got.grid, ref.grid)
+            assert np.array_equal(got.log_density, ref.log_density)
 
     @pytest.mark.parametrize(
         "spec, sizes, scale, grid_size",
@@ -317,9 +345,9 @@ class TestPseudoNullDensity:
         # Resampled points are read with linear weights at integer positions,
         # from a folded inverse where the period allows: equal up to round-off,
         # the tolerance of test_one_pass_matches_left_fold.
-        ref = expected.density()
+        ref = np.exp(expected.log_density)
         np.testing.assert_allclose(
-            pd.density.density(), ref, rtol=1e-9, atol=1e-12 * ref.max()
+            np.exp(pd.density.log_density), ref, rtol=1e-9, atol=1e-12 * ref.max()
         )
 
     def test_non_smooth_period_takes_the_whole_inverse(self):
@@ -356,13 +384,13 @@ class TestPseudoNullDensity:
         total = 10_000 * 128
         assert lengths and max(lengths) < total / 50
         points = np.linspace(0, 1, DEFAULT_DENSITY_GRID)
-        ref = GridDensity.from_density(
+        ref = np.exp(GridDensity.from_density(
             points,
             np.interp(points, np.arange(total + 1) / total,
                       one_pass_convolution(specs, sizes, 10_000, total)),
-        ).density()
+        ).log_density)
         np.testing.assert_allclose(
-            pd.density.density(), ref, rtol=1e-9, atol=1e-12 * ref.max()
+            np.exp(pd.density.log_density), ref, rtol=1e-9, atol=1e-12 * ref.max()
         )
 
     def test_limit_admits_fixed_n_cells(self):
@@ -400,8 +428,9 @@ class TestPseudoNullDensity:
         np.testing.assert_array_equal(got.grid, ref.grid)
         # Pointwise relative, except in tails near FFT_CLAMP of the peak,
         # where both routes are at the FFT round-off floor.
+        ref = np.exp(ref.log_density)
         np.testing.assert_allclose(
-            got.density(), ref.density(), rtol=1e-9, atol=1e-12 * ref.density().max()
+            np.exp(got.log_density), ref, rtol=1e-9, atol=1e-12 * ref.max()
         )
 
 
@@ -436,14 +465,14 @@ class TestDirectConvolutionDensity:
         specs = [PriorSpec.from_beta(2, 2)] * 2
         hr = pseudo_null_density(specs, [5, 5], scale=2000, grid_size=2001)
         dc = direct_convolution_density(specs, grid_size=2001)
-        interp = np.interp(dc.grid, hr.density.grid, hr.density.density())
-        assert np.max(np.abs(interp - dc.density())) < 0.02
+        interp = np.interp(dc.grid, hr.density.grid, np.exp(hr.density.log_density))
+        assert np.max(np.abs(interp - np.exp(dc.log_density))) < 0.02
 
     def test_mean_density_integrates_to_one(self):
         dc = direct_convolution_density(
             [PriorSpec.from_beta(1, 1), PriorSpec.from_beta(3, 2)], grid_size=4001
         )
-        assert np.trapezoid(dc.density(), dc.grid) == pytest.approx(
+        assert np.trapezoid(np.exp(dc.log_density), dc.grid) == pytest.approx(
             1.0, abs=1e-8
         )
 

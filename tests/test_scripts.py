@@ -2,7 +2,6 @@
 
 import ast
 import importlib.util
-import io
 import json
 import re
 from pathlib import Path
@@ -12,8 +11,7 @@ import pytest
 import maxent_evalues
 from maxent_evalues.cli import main
 from maxent_evalues.diagnostics import fit_log_slope, gap_r, regret
-from maxent_evalues.evariables import log_e_gro_can
-from maxent_evalues.models import Table
+from maxent_evalues.evariables import Statistic
 from maxent_evalues.priors import PriorSpec, pseudo_null_density
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -28,39 +26,36 @@ def load_script(name):
     return module
 
 
-def tsv_rows(text):
-    header, *rows = text.splitlines()
+def run_script(name, argv, tmp_path):
+    """Run scripts/<name>.py with these arguments; returns its TSV header and rows."""
+    out = tmp_path / f"{name}.tsv"
+    assert load_script(name).main([*argv, "--out", str(out)]) == 0
+    header, *rows = out.read_text().splitlines()
     return header.split("\t"), [row.split("\t") for row in rows]
 
 
-def test_gap_sweep_script():
-    script = load_script("run_gap_sweep")
-    config = script.GapSweepConfig(
-        m_values=(4, 6), n_fixed=8, k_values=(2, 4), power_law_coeff=1,
-        power_law_exponent=1, scale=200, grid_size=2001, workers=1,
-    )
-    out = io.StringIO()
-    script.run(config, out)
-    header, rows = tsv_rows(out.getvalue())
+def test_gap_sweep_script(tmp_path):
+    header, rows = run_script("run_gap_sweep", [
+        "--m-values", "4,6", "--n-fixed", "8", "--k-values", "2,4", "--scale", "200",
+        "--grid-size", "2001", "--workers", "1",
+    ], tmp_path)
     assert header == ["regime", "k", "m", "r"]
     cells = [(regime, int(k), int(m)) for regime, k, m, _ in rows]
     assert cells == [
         ("m_growing", 2, 4), ("m_growing", 2, 6), ("n_fixed", 2, 4),
-        ("n_fixed", 4, 2), ("power_law", 2, 2), ("power_law", 4, 4),
+        ("n_fixed", 4, 2), ("power_law", 2, 20), ("power_law", 4, 80),
     ]
-    specs, sizes = [PriorSpec.uniform()] * 4, [4] * 4
+    specs, sizes = [PriorSpec.uniform()] * 4, [80] * 4
     expect = gap_r(specs, sizes, pseudo_null_density(specs, sizes, 200, 2001))
     assert float(rows[-1][3]) == pytest.approx(expect, rel=1e-9)
 
 
-def test_regret_slopes_script(monkeypatch):
+def test_regret_slopes_script(monkeypatch, tmp_path):
     monkeypatch.setenv("MAXENT_EVALUES_WORKERS", "1")
-    script = load_script("run_regret_slopes")
-    config = script.SlopeConfig(gammas=(1.0,), m_values=(10, 20, 40), grid_lo=0.3,
-                                grid_hi=0.3, grid_step=0.2)
-    out = io.StringIO()
-    script.run(config, out)
-    header, rows = tsv_rows(out.getvalue())
+    header, rows = run_script("run_regret_slopes", [
+        "--gammas", "1", "--m-values", "10,20,40", "--grid-lo", "0.3", "--grid-hi", "0.3",
+        "--grid-step", "0.2",
+    ], tmp_path)
     assert header == ["gamma", "p_a", "p_b", "slope", "intercept", "residual"]
     assert [row[:3] for row in rows] == [["1.0", "0.30", "0.30"]]
     specs = [PriorSpec.from_beta(1.0, 1.0)] * 2
@@ -70,13 +65,12 @@ def test_regret_slopes_script(monkeypatch):
     assert rows[0][3:5] == [f"{a:.4f}", f"{b:.4f}"]
 
 
-def test_epower_script_matches_cli(capsys):
-    script = load_script("run_epower_comparison")
-    config = script.EPowerConfig(priors=("beta:3,3",), k=2, m_values=(5,), scale=200,
-                                 grid_size=2001)
-    out = io.StringIO()
-    script.run(config, out)
-    _, rows = tsv_rows(out.getvalue())
+EPOWER_ARGS = ["--priors", "beta:3,3", "--k", "2", "--m-values", "5", "--scale", "200",
+               "--grid-size", "2001"]
+
+
+def test_epower_script_matches_cli(capsys, tmp_path):
+    _, rows = run_script("run_epower_comparison", EPOWER_ARGS, tmp_path)
     assert len(rows) == 1
     assert main(["epower", "--k", "2", "--m", "5", "--prior", "beta:3,3",
                  "--scale", "200", "--density-grid", "2001"]) == 0
@@ -88,15 +82,19 @@ def test_epower_script_matches_cli(capsys):
     assert rows[0][8] == f"{payload['achieved_kl']:.3e}"
 
 
-def test_epower_script_shares_the_projection_route(solves):
-    # The script and log_e_gro_can project the same design's Bayes marginal
+def test_epower_script_shares_the_projection_route(solves, tmp_path):
+    # The script and Statistic.can project the same design's Bayes marginal
     # through one memoized route: one solve between them.
-    script = load_script("run_epower_comparison")
-    config = script.EPowerConfig(priors=("beta:3,3",), k=2, m_values=(5,), scale=200,
-                                 grid_size=2001)
-    script.run(config, io.StringIO())
-    log_e_gro_can(Table(((5, 2), (5, 4))), [PriorSpec.from_beta(3, 3)] * 2)
+    run_script("run_epower_comparison", EPOWER_ARGS, tmp_path)
+    Statistic.can((5, 5), [PriorSpec.from_beta(3, 3)] * 2).report((2, 4))
     assert len(solves) == 1
+
+
+def test_scripts_define_no_config_classes():
+    # A script's options live in its parser alone, with their defaults.
+    for path in sorted((ROOT / "scripts").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        assert not [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)], path.name
 
 
 def test_scripts_import_only_public_names():
