@@ -31,9 +31,7 @@ def run(args, out) -> None:
         for m in args.m_values:
             sizes = (m,) * args.k
             priors = [spec] * args.k
-            density = pseudo_null_density(
-                priors, sizes, scale=args.scale, grid_size=args.grid_size
-            )
+            density = pseudo_null_density(priors, sizes, args.scale, args.grid_size)
             powers, achieved_kl = e_powers(priors, sizes, density)
             mic, can, pse = powers["mic"], powers["can"], powers["pseudo"]
             print(

@@ -2,7 +2,8 @@
 """Sweep the gap diagnostic r over the three size regimes and emit TSV.
 
 Regimes: m growing with k fixed, n fixed with k growing, and m = 5 * k**2
-growing with k. One output row per (regime, k, m) cell.
+growing with k. One output row per (regime, k, m) cell, computed on a pool of
+MAXENT_EVALUES_WORKERS processes (default: the CPU count).
 """
 
 import argparse
@@ -22,11 +23,11 @@ def run(args, out) -> None:
     regimes = {
         "m_growing": tuple((args.k_fixed, m) for m in args.m_values),
         "n_fixed": cells_n_fixed(args.k_values, args.n_fixed),
-        "power_law": cells_power_law(args.k_values, 5, 2),
+        "power_law": cells_power_law(args.k_values),
     }
     print("regime\tk\tm\tr", file=out)
     for regime, cells in regimes.items():
-        values = sweep(args.prior, cells, args.scale, args.grid_size, args.workers)
+        values = sweep(args.prior, cells, args.scale, args.grid_size)
         for (k, m), r in zip(cells, values):
             print(f"{regime}\t{k}\t{m}\t{r:.10e}", file=out)
 
@@ -40,7 +41,6 @@ def main(argv=None) -> int:
     parser.add_argument("--k-values", type=int_list, default="2,4,8,16")
     parser.add_argument("--scale", type=int, default=DEFAULT_SCALE)
     parser.add_argument("--grid-size", type=int, default=DEFAULT_DENSITY_GRID)
-    parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--out", default=None)
     args = parser.parse_args(argv)
     with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:

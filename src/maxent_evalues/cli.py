@@ -63,8 +63,6 @@ def parse_prior(text: str) -> PriorSpec:
 
 
 def _priors_for(args, k: int) -> list[PriorSpec]:
-    if getattr(args, "gamma", None) is not None:
-        return [PriorSpec.from_beta(args.gamma, args.gamma)] * k
     texts = args.prior
     if len(texts) == 1:
         return [parse_prior(texts[0])] * k
@@ -99,12 +97,15 @@ def _report_payload(report, alpha: float, inputs: dict) -> dict:
 
 
 def _run_test(table: Table, args) -> dict:
+    if args.palt is not None and args.statistic != "point":
+        raise ValueError(f"--palt is read only by --statistic point, not {args.statistic}")
     priors = _priors_for(args, table.k)
     inputs = {
         "groups": [{"n": n, "ones": o} for n, o in table.groups],
-        "priors": [s.describe() for s in priors],
         "statistic": args.statistic,
     }
+    if args.statistic != "point":
+        inputs["priors"] = [s.describe() for s in priors]
     if args.statistic == "mic":
         statistic = Statistic.mic(table.sizes, priors)
     elif args.statistic == "can":
@@ -154,10 +155,19 @@ def cmd_net_test(args) -> dict:
     return payload
 
 
+# Group sizes when --sizes is not given: --k groups of --m each.
+_DEFAULT_K = 2
+_DEFAULT_M = {"epower": 10, "gap": 50, "rprime": 50}
+
+
 def _sizes(args) -> tuple[int, ...]:
-    if args.sizes is None:
-        return (args.m,) * args.k
-    return tuple(int(s) for s in args.sizes.split(","))
+    if args.sizes is not None:
+        if args.k is not None or args.m is not None:
+            raise ValueError("--sizes cannot be combined with --k or --m")
+        return tuple(int(s) for s in args.sizes.split(","))
+    k = _DEFAULT_K if args.k is None else args.k
+    m = _DEFAULT_M[args.command] if args.m is None else args.m
+    return (m,) * k
 
 
 def _design(args):
@@ -192,6 +202,8 @@ def cmd_gap(args) -> dict:
 
 
 def cmd_rprime(args) -> dict:
+    if args.worst_case and args.palt is not None:
+        raise ValueError("--palt cannot be combined with --worst-case")
     sizes, priors, density, payload = _design(args)
     payload["scale"] = args.scale
     if args.worst_case:
@@ -285,14 +297,21 @@ def cmd_continue(args) -> dict:
 def _add_prior_args(p):
     p.add_argument("--prior", nargs="+", default=["uniform"],
                    help="uniform | nml | beta:a,b (one shared or one per group)")
-    p.add_argument("--gamma", type=float, default=None,
-                   help="shorthand for symmetric beta:g,g priors")
 
 
 def _add_ripr_args(p):
     p.add_argument("--ripr-grid", type=int, default=RIPR_GRID_SIZE)
     p.add_argument("--ripr-tol", type=float, default=RIPR_TOL)
     p.add_argument("--ripr-max-iter", type=int, default=RIPR_MAX_ITER)
+
+
+def _add_size_args(p, command):
+    p.add_argument("--k", type=int, default=None,
+                   help=f"number of groups of size --m (default {_DEFAULT_K})")
+    p.add_argument("--m", type=int, default=None,
+                   help=f"size of each group (default {_DEFAULT_M[command]})")
+    p.add_argument("--sizes", default=None,
+                   help="comma-separated group sizes, instead of --k and --m")
 
 
 def _add_density_args(p):
@@ -312,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv"), default=None)
     p.add_argument("--statistic", choices=("mic", "can", "pseudo", "point"),
                    default="mic")
-    p.add_argument("--palt", default=None, help="comma-separated alternative means")
+    p.add_argument("--palt", default=None,
+                   help="comma-separated alternative means (--statistic point only)")
     p.add_argument("--alpha", type=float, default=0.05)
     _add_prior_args(p)
     _add_ripr_args(p)
@@ -333,26 +353,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_net_test)
 
     p = sub.add_parser("epower", help="exact e-powers of mic/can/pseudo")
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--m", type=int, default=10)
-    p.add_argument("--sizes", default=None, help="comma-separated group sizes")
+    _add_size_args(p, "epower")
     _add_prior_args(p)
     _add_ripr_args(p)
     _add_density_args(p)
     p.set_defaults(fn=cmd_epower)
 
     p = sub.add_parser("gap", help="exact-vs-pseudo gap r")
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--m", type=int, default=50)
-    p.add_argument("--sizes", default=None)
+    _add_size_args(p, "gap")
     _add_prior_args(p)
     _add_density_args(p)
     p.set_defaults(fn=cmd_gap)
 
     p = sub.add_parser("rprime", help="gap under a point alternative")
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--m", type=int, default=50)
-    p.add_argument("--sizes", default=None)
+    _add_size_args(p, "rprime")
     p.add_argument("--palt", default=None)
     p.add_argument("--worst-case", action="store_true")
     p.add_argument("--grid-step", type=float, default=WORST_CASE_STEP)

@@ -301,7 +301,6 @@ def regret_curve(
     grid_size: int = RIPR_GRID_SIZE,
     tol: float = RIPR_TOL,
     max_iter: int = RIPR_MAX_ITER,
-    workers: int | None = None,
 ) -> RegretCurve:
     """Regret at a fixed alternative across balanced designs of size m per group."""
     pvec = tuple(float(p) for p in np.atleast_1d(np.asarray(p_alt, dtype=float)))
@@ -309,10 +308,8 @@ def regret_curve(
     # fit_log_slope refuses fewer; check before any cell solves a projection.
     if len(set(ms)) < 3:
         raise ValueError("need at least 3 distinct m values")
-    jobs = [
-        (pvec, spec, m, candidate, grid_size, tol, max_iter) for m in ms
-    ]
-    values = _run_parallel(_regret_cell, jobs, workers)
+    jobs = [(pvec, spec, m, candidate, grid_size, tol, max_iter) for m in ms]
+    values = _run_parallel(_regret_cell, jobs)
     points = tuple(zip(ms, values))
     a, b, resid = fit_log_slope(points)
     return RegretCurve(points, a, b, resid, pvec)
@@ -324,16 +321,7 @@ def _regret_cell(job):
     density = None
     if candidate == "pseudo":
         density = pseudo_null_density(specs, sizes, DEFAULT_SCALE, DEFAULT_DENSITY_GRID)
-    return regret(
-        p_alt,
-        specs,
-        sizes,
-        candidate,
-        density=density,
-        grid_size=grid_size,
-        tol=tol,
-        max_iter=max_iter,
-    )
+    return regret(p_alt, specs, sizes, candidate, density, grid_size, tol, max_iter)
 
 
 def theorem1_diagnostic(spec: PriorSpec, m: int, bins: int) -> float:
@@ -356,10 +344,8 @@ def theorem1_diagnostic(spec: PriorSpec, m: int, bins: int) -> float:
         a, b = 1.0, 1.0
     elif spec.kind == "beta":
         a, b = spec.alpha, spec.beta
-    elif spec.kind == "nml":
+    else:  # nml
         a, b = 0.5, 0.5
-    else:
-        raise ValueError("spec has no density representation")
     cdf = betainc(a, b, edges)
     expected = np.diff(cdf)
     return 0.5 * float(np.abs(observed - expected).sum())
@@ -374,8 +360,9 @@ def cells_n_fixed(k_values, n) -> tuple[tuple[int, int], ...]:
     return tuple(cells)
 
 
-def cells_power_law(k_values, coefficient, exponent) -> tuple[tuple[int, int], ...]:
-    return tuple((int(k), int(round(coefficient * k**exponent))) for k in k_values)
+def cells_power_law(k_values) -> tuple[tuple[int, int], ...]:
+    """The (k, m) cells of the regime m = 5k^2."""
+    return tuple((int(k), 5 * int(k) ** 2) for k in k_values)
 
 
 def _sweep_cell(job):
@@ -384,18 +371,12 @@ def _sweep_cell(job):
     return gap_r(specs, sizes, pseudo_null_density(specs, sizes, scale, grid_size))
 
 
-def _worker_count(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, workers)
+def _run_parallel(fn, jobs):
+    """fn over jobs, in job order, on a pool of MAXENT_EVALUES_WORKERS
+    processes (default: the CPU count)."""
     env = os.environ.get(WORKERS_ENV)
-    if env:
-        return max(1, int(env))
-    return max(1, os.cpu_count() or 1)
-
-
-def _run_parallel(fn, jobs, workers: int | None):
-    count = min(_worker_count(workers), len(jobs))
-    if count <= 1 or len(jobs) <= 1:
+    count = min(max(1, int(env) if env else os.cpu_count() or 1), len(jobs))
+    if count <= 1:
         return [fn(j) for j in jobs]
     with ProcessPoolExecutor(max_workers=count) as pool:
         return list(pool.map(fn, jobs))
@@ -406,12 +387,11 @@ def sweep(
     cells,
     scale: int = DEFAULT_SCALE,
     grid_size: int | None = DEFAULT_DENSITY_GRID,
-    workers: int | None = None,
 ) -> list[float]:
     """The gap r of k groups of size m under prior, for every (k, m) cell.
 
-    Cells run on a bounded worker pool; the values come back in cell order,
-    so output is identical for any worker count.
+    Cells run on the worker pool of _run_parallel; the values come back in
+    cell order, so output is identical for any worker count.
     """
     jobs = [(prior, int(k), int(m), scale, grid_size) for k, m in cells]
-    return _run_parallel(_sweep_cell, jobs, workers)
+    return _run_parallel(_sweep_cell, jobs)

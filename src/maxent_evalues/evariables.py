@@ -50,6 +50,13 @@ RIPR_GRID_SIZE = 2001
 RIPR_TOL = 1e-10
 RIPR_MAX_ITER = 50_000
 
+# Most cells (grid points x kept counts) of the matrix ripr_solve builds. It
+# holds the matrix and its copy masked to the active grid points at once, 16
+# bytes a cell (tracemalloc: 16.0 at 1001 and 2001 kept counts on the 2001
+# grid), so the limit is 800 MB. The largest benchmark design, 8,265 kept
+# counts at the default grid (1.65e7 cells), fits three times over.
+_MAX_RIPR_CELLS = 50_000_000
+
 # Mixture masses below this floor are clamped during the multiplicative
 # updates to keep likelihood ratios finite.
 _WEIGHT_FLOOR = 1e-300
@@ -259,11 +266,11 @@ class Statistic:
         return Statistic("gro_point", tuple(terms), mass, kl)
 
 
-def log_w_pseudo0(density: PseudoDensity, n: int, n1) -> np.ndarray | float:
+def log_w_pseudo0(density: PseudoDensity, n: int, n1) -> np.ndarray:
     """Log mass the pseudo null prior assigns to total counts, by quadrature.
 
     Mixes Binomial(n, p0) over the continuous density with trapezoid
-    weights, at the requested total one-counts (scalar or array).
+    weights, at the requested total one-counts; an array, one value a count.
     """
     density = density.density
     c0 = np.atleast_1d(np.asarray(n1, dtype=np.int64))
@@ -273,7 +280,7 @@ def log_w_pseudo0(density: PseudoDensity, n: int, n1) -> np.ndarray | float:
     out = log_binomial_mixture(density.grid, base, n, c0)
     if (out == NEG_INF).any():
         raise ValueError("quadrature underflow")
-    return out if np.ndim(n1) else float(out[0])
+    return out
 
 
 def ripr_solve(
@@ -296,14 +303,23 @@ def ripr_solve(
         raise ValueError(f"target support {target.support_size} != n+1 = {n + 1}")
     if grid_size < 51:
         raise ValueError("grid_size must be at least 51")
-    if tol <= 0 or max_iter < 1:
-        raise ValueError("tol must be positive and max_iter at least 1")
+    # Written so that NaN, which fails every comparison, is refused.
+    if not 0 < tol < math.inf or max_iter < 1:
+        raise ValueError(
+            f"tol (--ripr-tol) must be finite and positive and max_iter "
+            f"(--ripr-max-iter) at least 1, got tol={tol}, max_iter={max_iter}"
+        )
     t = target.weights()
     # Rows below 1e-60 of the peak change the objective by far less than any
     # usable tolerance; dropping them bounds the matrix size by the target's
     # effective support.
     keep = t > t.max() * 1e-60
     c0 = np.arange(n + 1)[keep]
+    if grid_size * c0.size > _MAX_RIPR_CELLS:
+        raise ValueError(
+            f"the projection needs a {grid_size} x {c0.size} matrix (limit "
+            f"{_MAX_RIPR_CELLS} cells); lower grid_size (--ripr-grid)"
+        )
     t = t[keep]
     t = t / t.sum()
     p = np.linspace(0.0, 1.0, grid_size)

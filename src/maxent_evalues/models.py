@@ -51,8 +51,3 @@ class Table:
     @property
     def ones(self) -> tuple[int, ...]:
         return tuple(o for _, o in self.groups)
-
-    @property
-    def n(self) -> int:
-        return sum(self.sizes)
-

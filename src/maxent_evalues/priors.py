@@ -54,10 +54,9 @@ DEFAULT_DENSITY_GRID = 20_001
 class PriorSpec:
     """Declarative prior on one group's mean-value parameter."""
 
-    kind: str  # "uniform" | "beta" | "nml" | "explicit"
+    kind: str  # "uniform" | "beta" | "nml"
     alpha: float | None = None
     beta: float | None = None
-    pmf: Pmf | None = None
 
     def __post_init__(self):
         if self.kind == "beta":
@@ -67,9 +66,6 @@ class PriorSpec:
                 raise ValueError(
                     f"beta prior requires finite, strictly positive parameters, got ({a}, {b})"
                 )
-        elif self.kind == "explicit":
-            if self.pmf is None:
-                raise ValueError("explicit prior requires a pmf")
         elif self.kind not in ("uniform", "nml"):
             raise ValueError(f"unknown prior kind {self.kind!r}")
 
@@ -85,15 +81,9 @@ class PriorSpec:
     def nml() -> "PriorSpec":
         return PriorSpec("nml")
 
-    @staticmethod
-    def explicit(pmf: Pmf) -> "PriorSpec":
-        return PriorSpec("explicit", pmf=pmf)
-
     def describe(self) -> str:
         if self.kind == "beta":
             return f"beta({self.alpha:g},{self.beta:g})"
-        if self.kind == "explicit":
-            return f"explicit[{self.pmf.support_size}]"
         return self.kind
 
 
@@ -129,10 +119,6 @@ def induced_group_pmf(spec: PriorSpec, n: int) -> Pmf:
     """Distribution induced on one group's one-count by the alternative marginal."""
     if n < 1:
         raise ValueError("group size must be at least 1")
-    if spec.kind == "explicit":
-        if spec.pmf.support_size != n + 1:
-            raise ValueError(f"explicit pmf support {spec.pmf.support_size} != n+1 = {n + 1}")
-        return spec.pmf
     return Pmf.from_log_weights(_induced_log_weights(spec, n))
 
 
@@ -229,8 +215,6 @@ def pseudo_null_density(
         raise ValueError("group size must be at least 1")
     if scale < 10:
         raise ValueError("scale must be at least 10")
-    if any(s.kind == "explicit" for s in specs):
-        raise ValueError("no high-resolution extension for explicit priors")
     total = scale * sum(int(n) for n in sizes)
     if total + 1 > MAX_PSEUDO_POINTS:
         raise ValueError(

@@ -79,7 +79,7 @@ def log_multiplicity(t: Table, hypothesis: str) -> float:
     Null: C(n, n1). Alternative: product of per-group C(n_i, ones_i).
     """
     if hypothesis == "null":
-        return log_binomial(t.n, sum(t.ones))
+        return log_binomial(sum(t.sizes), sum(t.ones))
     if hypothesis == "alt":
         return sum(log_binomial(n, o) for n, o in t.groups)
     raise ValueError(f"unknown hypothesis {hypothesis!r}")

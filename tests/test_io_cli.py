@@ -270,8 +270,8 @@ class TestCli:
 
     @pytest.mark.parametrize("argv, shown", [
         (["test", "--prior", "beta:nan,1"], "(nan, 1.0)"),
-        (["test", "--gamma", "inf"], "(inf, inf)"),
-        (["gap", "--gamma", "nan"], "(nan, nan)"),
+        (["test", "--prior", "beta:inf,inf"], "(inf, inf)"),
+        (["gap", "--prior", "beta:nan,nan"], "(nan, nan)"),
         (["epower", "--prior", "beta:2,inf"], "(2.0, inf)"),
     ])
     def test_non_finite_prior_fails_first(self, tmp_path, capsys, argv, shown):
@@ -396,7 +396,7 @@ class TestCli:
         from maxent_evalues.priors import pseudo_null_density
 
         code, out, _ = run_cli(
-            "gap", "--gamma", "1", "--k", "2", "--m", "20", "--scale", "2000",
+            "gap", "--prior", "beta:1,1", "--k", "2", "--m", "20", "--scale", "2000",
             capsys=capsys,
         )
         assert code == 0
@@ -407,12 +407,134 @@ class TestCli:
 
     def test_unread_flags_rejected(self, capsys):
         # gap and rprime take no RIPR flags; regret takes no density flags.
+        # No command takes --gamma: --prior beta:g,g is the one spelling of a
+        # symmetric beta prior. The rest of each command line is complete.
         for argv in (["gap", "--ripr-grid", "5"], ["rprime", "--ripr-tol", "1e-8"],
-                     ["regret", "--palt", "0.5", "--m-list", "1,2,3", "--scale", "100"]):
+                     ["regret", "--palt", "0.5", "--m-list", "1,2,3", "--scale", "100"],
+                     ["test", "--table", "t.json", "--gamma", "2"],
+                     ["net-test", "--network", "n.json", "--mode", "sbm_vs_er_undirected",
+                      "--gamma", "2"],
+                     ["epower", "--gamma", "2"], ["gap", "--gamma", "2"],
+                     ["rprime", "--worst-case", "--gamma", "2"],
+                     ["regret", "--palt", "0.5", "--m-list", "1,2,3", "--gamma", "2"],
+                     ["theorem1", "--m", "10", "--gamma", "2"]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_ripr_tol_refused_before_solving(
+        self, monkeypatch, tmp_path, capsys, tol
+    ):
+        # NaN passed a `tol <= 0` check and ran every iteration; inf stopped
+        # after one and reported the unsolved projection as an e-variable.
+        from maxent_evalues import evariables
+
+        def built(*args):
+            raise AssertionError("projection matrix built")
+
+        monkeypatch.setattr(evariables, "_binomial_log_cells", built)
+        evariables._projection.cache_clear()
+        path = tmp_path / "t.json"
+        path.write_text('{"groups":[{"n":10,"ones":3},{"n":12,"ones":9}]}')
+        code, out, err = run_cli(
+            "test", "--table", str(path), "--statistic", "can", "--ripr-tol", tol,
+            capsys=capsys,
+        )
+        evariables._projection.cache_clear()
+        assert code == 1
+        assert out == ""
+        assert "(--ripr-tol) must be finite and positive" in strict(err)["error"]
+
+    def test_ripr_matrix_refused_past_its_limit(self, monkeypatch, tmp_path, capsys):
+        from maxent_evalues import evariables
+
+        def built(*args):
+            raise AssertionError("projection matrix built")
+
+        # The largest benchmark design, 8,265 kept counts at the default grid,
+        # fits three times over.
+        assert evariables._MAX_RIPR_CELLS >= 3 * 8265 * evariables.RIPR_GRID_SIZE
+        monkeypatch.setattr(evariables, "_binomial_log_cells", built)
+        evariables._projection.cache_clear()
+        path = tmp_path / "t.json"
+        path.write_text('{"groups":[{"n":10,"ones":3},{"n":12,"ones":9}]}')
+        argv = ["test", "--table", str(path), "--statistic", "can", "--ripr-grid"]
+        # Uniform groups keep all 23 total counts.
+        largest = evariables._MAX_RIPR_CELLS // 23
+        for grid in (largest + 1, 20_000_000):
+            code, out, err = run_cli(*argv, str(grid), capsys=capsys)
+            assert code == 1
+            assert out == ""
+            assert "--ripr-grid" in strict(err)["error"]
+        with pytest.raises(AssertionError, match="built"):
+            main([*argv, str(largest)])
+        evariables._projection.cache_clear()
         capsys.readouterr()
+
+    def test_palt_refused_unless_read(self, tmp_path, capsys):
+        path = tmp_path / "t.json"
+        path.write_text('{"groups":[{"n":5,"ones":3},{"n":5,"ones":1}]}')
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps({
+            "edges": [["1", "2"], ["2", "3"]],
+            "partition": {"1": "A", "2": "A", "3": "B"},
+        }))
+        for argv, message in (
+            (["test", "--table", str(path), "--statistic", "mic", "--palt", "0.5"],
+             "--palt is read only by --statistic point"),
+            (["net-test", "--network", str(net), "--mode", "sbm_vs_er_undirected",
+              "--statistic", "can", "--palt", "0.5"],
+             "--palt is read only by --statistic point"),
+            (["rprime", "--k", "2", "--m", "5", "--worst-case", "--palt", "0.5"],
+             "--palt cannot be combined with --worst-case"),
+        ):
+            code, out, err = run_cli(*argv, capsys=capsys)
+            assert code == 1, argv
+            assert out == ""
+            assert message in strict(err)["error"]
+
+    @pytest.mark.parametrize("argv", [
+        ("gap", "--k", "3", "--m", "10", "--sizes", "5,5"),
+        ("epower", "--m", "4", "--sizes", "5,5"),
+        ("rprime", "--k", "2", "--sizes", "3,3", "--worst-case"),
+    ])
+    def test_sizes_refused_with_k_or_m(self, capsys, argv):
+        code, out, err = run_cli(*argv, capsys=capsys)
+        assert code == 1
+        assert out == ""
+        assert strict(err)["error"] == "--sizes cannot be combined with --k or --m"
+
+    def test_size_defaults(self, capsys):
+        for argv, sizes in (
+            (["epower", "--m", "4"], [4, 4]),
+            (["epower", "--k", "3", "--m", "2"], [2, 2, 2]),
+            (["gap", "--k", "3", "--scale", "100"], [50, 50, 50]),
+            (["rprime", "--scale", "100", "--palt", "0.5"], [50, 50]),
+        ):
+            code, out, _ = run_cli(*argv, capsys=capsys)
+            assert code == 0
+            assert strict(out)["sizes"] == sizes
+        for command, m in (("epower", 10), ("gap", 50), ("rprime", 50)):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            text = " ".join(capsys.readouterr().out.split())
+            assert f"(default {m})" in text and "(default 2)" in text
+
+    def test_point_report_lists_no_priors(self, tmp_path, capsys):
+        # The point statistic reads its alternative means, not the priors.
+        path = tmp_path / "t.json"
+        path.write_text('{"groups":[{"n":5,"ones":3},{"n":5,"ones":1}]}')
+        code, out, _ = run_cli(
+            "test", "--table", str(path), "--statistic", "point", "--palt", "0.5",
+            capsys=capsys,
+        )
+        assert code == 0
+        inputs = strict(out)["inputs"]
+        assert "priors" not in inputs and inputs["p_alt"] == [0.5, 0.5]
+        code, out, _ = run_cli("test", "--table", str(path), capsys=capsys)
+        assert strict(out)["inputs"]["priors"] == ["uniform", "uniform"]
 
     def test_epower_sandwich(self, capsys):
         code, out, _ = run_cli(
@@ -483,7 +605,7 @@ class TestCli:
 
     def test_theorem1(self, capsys):
         code, out, _ = run_cli(
-            "theorem1", "--gamma", "2", "--m", "50", "--bins", "10", capsys=capsys
+            "theorem1", "--prior", "beta:2,2", "--m", "50", "--bins", "10", capsys=capsys
         )
         assert code == 0
         assert json.loads(out)["tv"] > 0
@@ -516,7 +638,7 @@ class TestCli:
         tsv = tmp_path / "out.tsv"
         code, out, _ = run_cli(
             "regret", "--k", "2", "--palt", "0.4,0.6", "--m-list", "10,20,40",
-            "--gamma", "1", "--tsv", str(tsv), capsys=capsys,
+            "--prior", "beta:1,1", "--tsv", str(tsv), capsys=capsys,
         )
         assert code == 0
         payload = json.loads(out)

@@ -24,7 +24,6 @@ class TestTable:
         assert t.k == 2
         assert t.sizes == (3, 5)
         assert t.ones == (1, 4)
-        assert t.n == 8
 
     def test_invalid_rows(self):
         with pytest.raises(ValueError, match="invalid table row"):

@@ -55,10 +55,6 @@ class TestPriorSpec:
         with pytest.raises(ValueError):
             PriorSpec("gaussian")
 
-    def test_explicit_requires_pmf(self):
-        with pytest.raises(ValueError):
-            PriorSpec("explicit")
-
     def test_describe(self):
         assert PriorSpec.uniform().describe() == "uniform"
         assert PriorSpec.from_beta(1.5, 2.0).describe() == "beta(1.5,2)"
@@ -96,13 +92,6 @@ class TestInducedGroupPmf:
         # n=2: (1, 1/2, 1) normalized by 2.5.
         p2 = induced_group_pmf(PriorSpec.nml(), 2)
         assert p2.weights() == pytest.approx([0.4, 0.2, 0.4], abs=1e-14)
-
-    def test_explicit_pass_through(self):
-        pmf = Pmf.from_weights([0.5, 0.5])
-        spec = PriorSpec.explicit(pmf)
-        assert induced_group_pmf(spec, 1).weights() == pytest.approx([0.5, 0.5])
-        with pytest.raises(ValueError, match="support"):
-            induced_group_pmf(spec, 2)
 
     def test_invalid_size(self):
         with pytest.raises(ValueError):
@@ -252,11 +241,6 @@ class TestPseudoNullDensity:
         # Endpoint cells dropped: grid excludes 0 and 1 exactly.
         assert pd.density.grid[0] > 0
         assert pd.density.grid[-1] < 1
-
-    def test_explicit_prior_rejected(self):
-        spec = PriorSpec.explicit(uniform_pmf(3))
-        with pytest.raises(ValueError, match="high-resolution"):
-            pseudo_null_density([spec, spec], [3, 3], scale=100)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):

@@ -1,7 +1,9 @@
 """Smoke tests of the experiment scripts, and a guard on the public surface."""
 
 import ast
+import dataclasses
 import importlib.util
+import inspect
 import json
 import re
 from pathlib import Path
@@ -34,10 +36,11 @@ def run_script(name, argv, tmp_path):
     return header.split("\t"), [row.split("\t") for row in rows]
 
 
-def test_gap_sweep_script(tmp_path):
+def test_gap_sweep_script(monkeypatch, tmp_path):
+    monkeypatch.setenv("MAXENT_EVALUES_WORKERS", "1")
     header, rows = run_script("run_gap_sweep", [
         "--m-values", "4,6", "--n-fixed", "8", "--k-values", "2,4", "--scale", "200",
-        "--grid-size", "2001", "--workers", "1",
+        "--grid-size", "2001",
     ], tmp_path)
     assert header == ["regime", "k", "m", "r"]
     cells = [(regime, int(k), int(m)) for regime, k, m, _ in rows]
@@ -127,3 +130,23 @@ def test_every_public_name_is_used_outside_the_tests():
             unused.append(name)
     assert unused == []
     assert len(set(maxent_evalues.__all__)) == len(maxent_evalues.__all__)
+
+
+def test_every_public_attribute_is_read_outside_the_tests():
+    # The same rule for the methods, properties, static builders and fields
+    # of the public classes: each is read as an attribute in src/ or scripts/.
+    paths = sorted((ROOT / "src" / "maxent_evalues").glob("*.py"))
+    paths += sorted((ROOT / "scripts").glob("*.py"))
+    read = {node.attr for path in paths for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)}
+    unread = []
+    for name in maxent_evalues.__all__:
+        cls = getattr(maxent_evalues, name)
+        if not inspect.isclass(cls):
+            continue
+        members = {f.name for f in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else set()
+        members |= {member for member, value in vars(cls).items()
+                    if inspect.isfunction(value)
+                    or isinstance(value, (property, staticmethod, classmethod))}
+        unread += [f"{name}.{m}" for m in sorted(members - read) if not m.startswith("_")]
+    assert unread == []
