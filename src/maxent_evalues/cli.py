@@ -96,15 +96,50 @@ def _report_payload(report, alpha: float, inputs: dict) -> dict:
     return payload
 
 
+# The flags of test and net-test that only some statistics read, with the
+# defaults that apply where they are read, and the flags each statistic reads.
+# On those two commands they default to None, so that a flag the chosen
+# statistic would ignore is refused.
+_FLAG_DEFAULTS = {
+    "prior": ["uniform"],
+    "ripr_grid": RIPR_GRID_SIZE,
+    "ripr_tol": RIPR_TOL,
+    "ripr_max_iter": RIPR_MAX_ITER,
+    "scale": DEFAULT_SCALE,
+    "density_grid": DEFAULT_DENSITY_GRID,
+    "palt": None,
+}
+_RIPR_FLAGS = ("ripr_grid", "ripr_tol", "ripr_max_iter")
+_READ_BY = {
+    "mic": ("prior",),
+    "can": ("prior", *_RIPR_FLAGS),
+    "pseudo": ("prior", "scale", "density_grid"),
+    "point": ("palt", *_RIPR_FLAGS),
+}
+
+
+def _statistic_flags(args) -> None:
+    """Refuse a flag the chosen statistic does not read; give the flags it
+    reads their defaults where they were not set."""
+    for name, default in _FLAG_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif name not in _READ_BY[args.statistic]:
+            readers = ", ".join(s for s, read in _READ_BY.items() if name in read)
+            raise ValueError(
+                f"--{name.replace('_', '-')} is read only by --statistic {readers}, "
+                f"not {args.statistic}"
+            )
+
+
 def _run_test(table: Table, args) -> dict:
-    if args.palt is not None and args.statistic != "point":
-        raise ValueError(f"--palt is read only by --statistic point, not {args.statistic}")
-    priors = _priors_for(args, table.k)
+    _statistic_flags(args)
     inputs = {
         "groups": [{"n": n, "ones": o} for n, o in table.groups],
         "statistic": args.statistic,
     }
     if args.statistic != "point":
+        priors = _priors_for(args, table.k)
         inputs["priors"] = [s.describe() for s in priors]
     if args.statistic == "mic":
         statistic = Statistic.mic(table.sizes, priors)
@@ -295,14 +330,14 @@ def cmd_continue(args) -> dict:
 
 
 def _add_prior_args(p):
-    p.add_argument("--prior", nargs="+", default=["uniform"],
+    p.add_argument("--prior", nargs="+", default=_FLAG_DEFAULTS["prior"],
                    help="uniform | nml | beta:a,b (one shared or one per group)")
 
 
 def _add_ripr_args(p):
-    p.add_argument("--ripr-grid", type=int, default=RIPR_GRID_SIZE)
-    p.add_argument("--ripr-tol", type=float, default=RIPR_TOL)
-    p.add_argument("--ripr-max-iter", type=int, default=RIPR_MAX_ITER)
+    p.add_argument("--ripr-grid", type=int, default=_FLAG_DEFAULTS["ripr_grid"])
+    p.add_argument("--ripr-tol", type=float, default=_FLAG_DEFAULTS["ripr_tol"])
+    p.add_argument("--ripr-max-iter", type=int, default=_FLAG_DEFAULTS["ripr_max_iter"])
 
 
 def _add_size_args(p, command):
@@ -315,8 +350,8 @@ def _add_size_args(p, command):
 
 
 def _add_density_args(p):
-    p.add_argument("--scale", type=int, default=DEFAULT_SCALE)
-    p.add_argument("--density-grid", type=int, default=DEFAULT_DENSITY_GRID)
+    p.add_argument("--scale", type=int, default=_FLAG_DEFAULTS["scale"])
+    p.add_argument("--density-grid", type=int, default=_FLAG_DEFAULTS["density_grid"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -337,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_prior_args(p)
     _add_ripr_args(p)
     _add_density_args(p)
-    p.set_defaults(fn=cmd_test)
+    p.set_defaults(fn=cmd_test, **dict.fromkeys(_FLAG_DEFAULTS))
 
     p = sub.add_parser("net-test", help="network test via table reduction")
     p.add_argument("--network", required=True)
@@ -350,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_prior_args(p)
     _add_ripr_args(p)
     _add_density_args(p)
-    p.set_defaults(fn=cmd_net_test)
+    p.set_defaults(fn=cmd_net_test, **dict.fromkeys(_FLAG_DEFAULTS))
 
     p = sub.add_parser("epower", help="exact e-powers of mic/can/pseudo")
     _add_size_args(p, "epower")

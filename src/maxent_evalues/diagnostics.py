@@ -9,7 +9,6 @@ one-dimensional sums against per-group binomials and their convolution.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
 from itertools import islice, product
@@ -375,9 +374,17 @@ def _run_parallel(fn, jobs):
     """fn over jobs, in job order, on a pool of MAXENT_EVALUES_WORKERS
     processes (default: the CPU count)."""
     env = os.environ.get(WORKERS_ENV)
-    count = min(max(1, int(env) if env else os.cpu_count() or 1), len(jobs))
+    try:
+        workers = int(env) if env else os.cpu_count() or 1
+    except ValueError:
+        raise ValueError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
+    count = min(max(1, workers), len(jobs))
     if count <= 1:
         return [fn(j) for j in jobs]
+    # Imported here, the one place a pool starts, to keep it off every
+    # command's import.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=count) as pool:
         return list(pool.map(fn, jobs))
 

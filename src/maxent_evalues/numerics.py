@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft
 from scipy.special import gammaln, xlogy
 
 NEG_INF = float("-inf")
@@ -116,7 +116,11 @@ def convolve(a: Pmf, b: Pmf) -> Pmf:
     if na + nb - 1 > FFT_THRESHOLD:
         wa = np.exp(a.log_weights)
         wb = np.exp(b.log_weights)
-        out = fftconvolve(wa, wb)
+        # The rfft sequence scipy.signal.fftconvolve runs on real 1-D input,
+        # bit for bit where both factors have two points or more, without
+        # importing scipy.signal.
+        length = fft.next_fast_len(na + nb - 1, real=True)
+        out = fft.irfft(fft.rfft(wa, length) * fft.rfft(wb, length), length)[: na + nb - 1]
         out[out < FFT_CLAMP * out.max()] = 0.0
         return Pmf.from_weights(out)
     res = np.full(na + nb - 1, NEG_INF)

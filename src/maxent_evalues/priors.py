@@ -28,10 +28,13 @@ from .numerics import (
 DEFAULT_SCALE = 10_000
 
 # Largest high-resolution support pseudo_null_density builds (scale * n + 1
-# points). A resampled build peaks in the forward transforms, at about 20
-# bytes a point whichever inverse runs (tracemalloc: 168-198 MiB at 1.024e7
-# points, k = 8 and 2, n = 1024; peak RSS of the process 373 and 421 MB), so
-# n = 1024 fits at the default scale and the limit stays near 500 MB.
+# points). A resampled build peaks at about 16 bytes a point in the forward
+# transforms (a padded buffer and its spectrum), and at up to 20 where a
+# beta or NML group of half the points builds its log weights, whichever
+# inverse runs (tracemalloc at 1.024e7 points, n = 1024: 159 MiB at k = 8
+# and 2, 196 MiB with two beta(2,2) groups; peak RSS of the process 305 and
+# 334 MB), so n = 1024 fits at the default scale and the limit stays near
+# 500 MB.
 MAX_PSEUDO_POINTS = 25_000_000
 
 # A build that keeps every point (no resample) runs the whole inverse and
@@ -140,11 +143,21 @@ def _one_pass_spectrum(specs, sizes, scale: int, length: int) -> np.ndarray:
     specs = [PriorSpec.uniform() if s == flat else s for s in specs]
     spectrum = None
     for (spec, n), count in Counter(zip(specs, sizes)).items():
-        # Unnormalized: pseudo_null_density normalizes the density once.
-        w = _induced_log_weights(spec, scale * n)
-        w -= w.max()
-        f = fft.rfft(np.exp(w, out=w), length)
-        del w
+        # Unnormalized: pseudo_null_density normalizes the density once. The
+        # weights go straight into a zero-padded buffer of the final length,
+        # so rfft makes no padded copy of its own. The buffer is allocated
+        # after the log weights, whose build holds several temporaries.
+        if spec.kind == "uniform":
+            buf = np.zeros(length)
+            buf[: scale * n + 1] = 1.0
+        else:
+            w = _induced_log_weights(spec, scale * n)
+            w -= w.max()
+            buf = np.zeros(length)
+            np.exp(w, out=buf[: w.size])
+            del w
+        f = fft.rfft(buf)
+        del buf
         if count > 1:
             np.power(f, count, out=f)
         # In place, and each array freed as soon as it is spent: at scale

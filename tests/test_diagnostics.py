@@ -439,6 +439,11 @@ class TestSweep:
             cells_n_fixed((3,), 16)
         assert cells_power_law((2, 3)) == ((2, 20), (3, 45))
 
+    def test_worker_count_must_be_an_integer(self, monkeypatch):
+        monkeypatch.setenv("MAXENT_EVALUES_WORKERS", "two")
+        with pytest.raises(ValueError, match="MAXENT_EVALUES_WORKERS must be an integer, got 'two'"):
+            sweep(self.PRIOR, ((2, 10),), scale=200)
+
     def test_order_preserved(self, monkeypatch):
         monkeypatch.setenv("MAXENT_EVALUES_WORKERS", "2")
         values = sweep(self.PRIOR, ((2, 20), (2, 10)), scale=200)

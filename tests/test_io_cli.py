@@ -1,18 +1,20 @@
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from maxent_evalues.cli import build_parser, main, parse_prior
-from maxent_evalues.evariables import Statistic
+from maxent_evalues.evariables import RIPR_GRID_SIZE, RIPR_MAX_ITER, RIPR_TOL, Statistic
 from maxent_evalues.models import Table
-from maxent_evalues.priors import PriorSpec
+from maxent_evalues.priors import DEFAULT_DENSITY_GRID, DEFAULT_SCALE, PriorSpec
 from maxent_evalues.table_io import NetworkInput, network_to_table, parse_table, parse_table_text
 from oracles import log_binomial
 
@@ -250,10 +252,10 @@ class TestCli:
         table = tmp_path / "t.json"
         table.write_text('{"groups":[{"n":6,"ones":0},{"n":6,"ones":6}]}')
         reports = {}
-        for statistic in ("mic", "pseudo"):
+        for statistic, flags in (("mic", []), ("pseudo", ["--scale", "100"])):
             code, out, _ = run_cli(
-                "test", "--table", str(table), "--statistic", statistic,
-                "--scale", "100", capsys=capsys,
+                "test", "--table", str(table), "--statistic", statistic, *flags,
+                capsys=capsys,
             )
             assert code == 0
             reports[statistic] = tmp_path / f"{statistic}.json"
@@ -495,6 +497,64 @@ class TestCli:
             assert out == ""
             assert message in strict(err)["error"]
 
+    @pytest.mark.parametrize("command", ["test", "net-test"])
+    def test_statistic_flags_refused_unless_read(self, tmp_path, capsys, command):
+        # Each flag is refused where the statistic would ignore it, and
+        # accepted, with its default applied otherwise, where it reads it.
+        path = tmp_path / "t.json"
+        path.write_text('{"groups":[{"n":5,"ones":3},{"n":5,"ones":1}]}')
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps({
+            "edges": [["1", "2"], ["2", "3"]],
+            "partition": {"1": "A", "2": "A", "3": "B"},
+        }))
+        source = (["test", "--table", str(path)] if command == "test" else
+                  ["net-test", "--network", str(net), "--mode", "sbm_vs_er_undirected"])
+        for flags, message in (
+            (["--statistic", "mic", "--ripr-grid", "5", "--scale", "3"],
+             "--ripr-grid is read only by --statistic can, point, not mic"),
+            (["--statistic", "mic", "--scale", "100"],
+             "--scale is read only by --statistic pseudo, not mic"),
+            (["--statistic", "mic", "--density-grid", "101"],
+             "--density-grid is read only by --statistic pseudo, not mic"),
+            (["--statistic", "point", "--palt", "0.5", "--prior", "nml"],
+             "--prior is read only by --statistic mic, can, pseudo, not point"),
+            (["--statistic", "point", "--palt", "0.5", "--scale", "100"],
+             "--scale is read only by --statistic pseudo, not point"),
+            (["--statistic", "can", "--density-grid", "101"],
+             "--density-grid is read only by --statistic pseudo, not can"),
+            (["--statistic", "pseudo", "--ripr-tol", "1e-6"],
+             "--ripr-tol is read only by --statistic can, point, not pseudo"),
+            (["--statistic", "pseudo", "--ripr-max-iter", "10"],
+             "--ripr-max-iter is read only by --statistic can, point, not pseudo"),
+        ):
+            code, out, err = run_cli(*source, *flags, capsys=capsys)
+            assert code == 1, flags
+            assert out == ""
+            assert strict(err)["error"] == message
+        for flags in (["--statistic", "mic", "--prior", "nml"],
+                      ["--statistic", "can", "--ripr-grid", "101", "--ripr-max-iter", "50000"],
+                      ["--statistic", "point", "--palt", "0.5", "--ripr-tol", "1e-6"],
+                      ["--statistic", "pseudo", "--scale", "100", "--density-grid", "101"]):
+            code, out, _ = run_cli(*source, *flags, capsys=capsys)
+            assert code == 0, flags
+            assert "log_e" in strict(out)
+
+    def test_statistic_flag_defaults_apply_where_read(self, tmp_path, capsys):
+        path = tmp_path / "t.json"
+        path.write_text('{"groups":[{"n":5,"ones":3},{"n":5,"ones":1}]}')
+        for statistic, defaults in (
+            ("mic", ["--prior", "uniform"]),
+            ("can", ["--prior", "uniform", "--ripr-grid", str(RIPR_GRID_SIZE),
+                     "--ripr-tol", str(RIPR_TOL), "--ripr-max-iter", str(RIPR_MAX_ITER)]),
+            ("pseudo", ["--prior", "uniform", "--scale", str(DEFAULT_SCALE),
+                        "--density-grid", str(DEFAULT_DENSITY_GRID)]),
+        ):
+            argv = ["test", "--table", str(path), "--statistic", statistic]
+            _, implicit, _ = run_cli(*argv, capsys=capsys)
+            _, explicit, _ = run_cli(*argv, *defaults, capsys=capsys)
+            assert implicit == explicit and "log_e" in strict(implicit), statistic
+
     @pytest.mark.parametrize("argv", [
         ("gap", "--k", "3", "--m", "10", "--sizes", "5,5"),
         ("epower", "--m", "4", "--sizes", "5,5"),
@@ -674,6 +734,23 @@ class TestCli:
             assert code == 0
             outputs.add(out)
         assert len(outputs) == 1
+
+    def test_cold_import_leaves_out_the_heavy_scipy_modules(self):
+        # A command pays for what the CLI imports on every call: scipy.signal
+        # alone pulled in these and about 1 s of start-up.
+        import maxent_evalues
+
+        src = str(Path(maxent_evalues.__file__).resolve().parents[1])
+        heavy = ("scipy.signal", "scipy.stats", "scipy.optimize",
+                 "scipy.interpolate", "scipy.spatial")
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import json, sys; import maxent_evalues.cli; "
+             f"print(json.dumps(sorted(m for m in sys.modules if m.startswith({heavy!r}))))"],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert json.loads(proc.stdout) == []
 
     def test_console_script_installed(self):
         proc = subprocess.run(

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from scipy.special import xlogy
 
 from maxent_evalues.numerics import (
+    FFT_CLAMP,
+    FFT_THRESHOLD,
     NEG_INF,
     GridDensity,
     Pmf,
@@ -144,6 +146,50 @@ class TestConvolve:
         # Direct log-space reference on a truncated pair stays on the exact path.
         assert big.support_size == 5499
         assert abs(np.exp(big.log_weights).sum() - 1) < 1e-10
+
+    # The benchmark network's 15 block pairs (n = 8778 dyads) and the point
+    # alternative its net-test ops pass.
+    NETWORK_DYADS = (351, 729, 729, 702, 702, 351, 729, 702, 702, 351, 702, 702, 325, 676, 325)
+    NETWORK_PALT = (0.1857, 0.2402, 0.2648, 0.2643, 0.2305, 0.2648, 0.2515, 0.2299,
+                    0.2887, 0.2753, 0.2377, 0.2681, 0.2642, 0.2759, 0.2212)
+
+    @staticmethod
+    def fftconvolve_reference(a, b):
+        """The FFT route as it ran on scipy.signal.fftconvolve."""
+        from scipy.signal import fftconvolve
+
+        out = fftconvolve(a.weights(), b.weights())
+        out[out < FFT_CLAMP * out.max()] = 0.0
+        return Pmf.from_weights(out)
+
+    @pytest.mark.parametrize("na", [2, 3, 2049, 4000, 4095])
+    def test_fft_route_matches_fftconvolve_above_threshold(self, na):
+        # Combined supports of FFT_THRESHOLD + 1 to + 3, at lopsided and
+        # balanced splits. Every factor has two points or more, as every
+        # group law of one or more trials does; fftconvolve multiplied a
+        # one-point factor directly.
+        rng = np.random.default_rng(na)
+        for extra in (1, 2, 3):
+            a = Pmf.from_weights(rng.random(na))
+            b = Pmf.from_weights(rng.random(FFT_THRESHOLD + extra - na + 1))
+            expect = self.fftconvolve_reference(a, b)
+            assert np.array_equal(convolve(a, b).log_weights, expect.log_weights)
+
+    def test_fft_route_matches_fftconvolve_on_the_network_design(self):
+        # Every FFT step of the left folds that build the network's optimal
+        # null prior (uniform priors) and its point alternative's count law.
+        for pmfs in (
+            [induced_group_pmf(PriorSpec.uniform(), n) for n in self.NETWORK_DYADS],
+            [binomial_pmf(n, p) for n, p in zip(self.NETWORK_DYADS, self.NETWORK_PALT)],
+        ):
+            acc = pmfs[0]
+            for p in pmfs[1:]:
+                got = convolve(acc, p)
+                if acc.support_size + p.support_size - 1 > FFT_THRESHOLD:
+                    expect = self.fftconvolve_reference(acc, p)
+                    assert np.array_equal(got.log_weights, expect.log_weights)
+                acc = got
+            assert acc.support_size == sum(self.NETWORK_DYADS) + 1
 
     def test_convolve_all_order_free(self):
         pmfs = [binomial_pmf(3, 0.2), uniform_pmf(4), binomial_pmf(2, 0.9)]
