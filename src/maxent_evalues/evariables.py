@@ -51,10 +51,11 @@ RIPR_TOL = 1e-10
 RIPR_MAX_ITER = 50_000
 
 # Most cells (grid points x kept counts) of the matrix ripr_solve builds. It
-# holds the matrix and its copy masked to the active grid points at once, 16
-# bytes a cell (tracemalloc: 16.0 at 1001 and 2001 kept counts on the 2001
-# grid), so the limit is 800 MB. The largest benchmark design, 8,265 kept
-# counts at the default grid (1.65e7 cells), fits three times over.
+# holds that one matrix, 8 bytes a cell, masked and pruned in place, and one
+# block of about 8 MB while it fills it (tracemalloc: 8.5 bytes a cell, 134
+# MiB, on the largest benchmark design, 8,265 kept counts at the default
+# grid; 10.1 at 2001 kept counts), so the limit is about 400 MB. That design
+# (1.65e7 cells) fits three times over.
 _MAX_RIPR_CELLS = 50_000_000
 
 # Mixture masses below this floor are clamped during the multiplicative
@@ -283,6 +284,21 @@ def log_w_pseudo0(density: PseudoDensity, n: int, n1) -> np.ndarray:
     return out
 
 
+def _keep_rows(a: np.ndarray, mask) -> np.ndarray:
+    """a[mask] for a C-contiguous 2-D a, built in a's own buffer: the kept
+    rows move down in order, and the result is a view of a's leading rows.
+
+    Row i moves to an index at most i, so copying row by row overwrites only
+    rows already moved or dropped. The view has the copy's layout, so BLAS
+    sums over it in the same order, and a holds no second copy of itself.
+    """
+    kept = np.flatnonzero(mask)
+    for dst, src in enumerate(kept):
+        if dst != src:
+            a[dst] = a[src]
+    return a[: kept.size]
+
+
 def ripr_solve(
     target: Pmf,
     n: int,
@@ -336,7 +352,7 @@ def ripr_solve(
     # to zero weight anyway; exclude them from the iteration.
     col_max = cells.max(axis=1)
     active = col_max > col_max.max() - 350.0
-    cells = cells[active]
+    cells = _keep_rows(cells, active)
     L = np.exp(cells, out=cells).T
     log_t = np.log(t)
 
@@ -368,7 +384,7 @@ def ripr_solve(
             if live.sum() < w.size:
                 w = w[live]
                 w /= w.sum()
-                L = L[:, live]
+                L = _keep_rows(L.T, live).T
                 active_idx = active_idx[live]
                 q = mixture(w)
                 kl = objective(q)

@@ -29,19 +29,20 @@ DEFAULT_SCALE = 10_000
 
 # Largest high-resolution support pseudo_null_density builds (scale * n + 1
 # points). A resampled build peaks at about 16 bytes a point in the forward
-# transforms (a padded buffer and its spectrum), and at up to 20 where a
-# beta or NML group of half the points builds its log weights, whichever
-# inverse runs (tracemalloc at 1.024e7 points, n = 1024: 159 MiB at k = 8
-# and 2, 196 MiB with two beta(2,2) groups; peak RSS of the process 305 and
-# 334 MB), so n = 1024 fits at the default scale and the limit stays near
-# 500 MB.
+# transforms (a padded buffer and its spectrum), whichever inverse runs and
+# whatever the priors while no group holds more than half the points
+# (tracemalloc at 1.024e7 points, n = 1024: 159 MiB at k = 8 and 2 with
+# uniform, beta(2,2), beta(0.5,3) or NML groups; peak RSS of the process
+# 334 MB at k = 2), so n = 1024 fits at the default scale and the limit
+# stays near 400 MB. One beta or NML group of all the points builds its log
+# weights through 24 to 32 bytes a point (235 to 313 MiB there).
 MAX_PSEUDO_POINTS = 25_000_000
 
 # A build that keeps every point (no resample) runs the whole inverse and
 # builds its density over all of them: about 56 bytes a point whatever the
 # prior (tracemalloc: 548 MiB at 1.024e7 points, 274 MiB at 5.12e6, k = 2).
-# It is refused past this many points, which keeps it near the same 500 MB.
-_MAX_UNRESAMPLED_POINTS = MAX_PSEUDO_POINTS * 20 // 56
+# It is refused past this many points, which keeps it near 500 MB.
+_MAX_UNRESAMPLED_POINTS = 500_000_000 // 56
 
 # Most residues, mod the period of the resampled indices, at which
 # pseudo_null_density computes the convolution by the folded inverse
@@ -105,16 +106,36 @@ def _induced_log_weights(spec: PriorSpec, n: int) -> np.ndarray:
     """
     if spec.kind == "uniform":
         return np.zeros(n + 1)
-    j = np.arange(n + 1)
+    # At scale 1e4 every array here has about 1e7 points: each sum runs in
+    # place, in the order of the plain expression, so the bits are the same
+    # with fewer arrays alive. j holds its integers as the floats gammaln and
+    # xlogy would cast them to.
+    j = np.arange(n + 1, dtype=float)
     if spec.kind == "beta":
         a, b = spec.alpha, spec.beta
         # gammaln(j + x) once per distinct offset x, since gammaln(n - j + x)
         # is its reverse; log C(n, j) is built as log_binomial_row builds it.
-        lg = {x: gammaln(j + x) for x in {1, a, b}}
-        lw = gammaln(n + 1) - lg[1] - lg[1][::-1] + lg[a] + lg[b][::-1]
-        return lw - gammaln(n + a + b) - log_beta_fn(a, b)
+        lg = {}
+        for x in {1, a, b}:
+            t = j + x
+            lg[x] = gammaln(t, out=t)
+        del j, t
+        lw = gammaln(n + 1) - lg[1]
+        lw -= lg[1][::-1]
+        lw += lg[a]
+        lw += lg[b][::-1]
+        lw -= gammaln(n + a + b)
+        lw -= log_beta_fn(a, b)
+        return lw
     if spec.kind == "nml":
-        return log_binomial_row(n) + xlogy(j, j / n) + xlogy(n - j, 1.0 - j / n)
+        lw = log_binomial_row(n)
+        q = j / n
+        lw += xlogy(j, q)
+        # n - j and 1 - j/n, in the buffers of j and j/n.
+        np.subtract(n, j, out=j)
+        np.subtract(1.0, q, out=q)
+        lw += xlogy(j, q)
+        return lw
     raise ValueError(f"unknown prior kind {spec.kind!r}")
 
 

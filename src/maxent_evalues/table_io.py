@@ -183,9 +183,16 @@ def parse_network(path, mode: str, constrained_block: str | None = None) -> Netw
     payload = json.loads(Path(path).read_text())
     if not isinstance(payload, dict) or "edges" not in payload or "partition" not in payload:
         raise ValueError("expected JSON with 'edges' and 'partition'")
+    edges, partition = payload["edges"], payload["partition"]
+    if not isinstance(partition, dict):
+        raise ValueError("'partition' must be a JSON object mapping nodes to blocks")
+    if not isinstance(edges, list) or not all(
+        isinstance(e, list) and len(e) == 2 for e in edges
+    ):
+        raise ValueError("'edges' must be a list of two-element [a, b] lists")
     return NetworkInput(
-        edges=tuple((a, b) for a, b in payload["edges"]),
-        partition=payload["partition"],
+        edges=tuple((a, b) for a, b in edges),
+        partition=partition,
         mode=mode,
         constrained_block=constrained_block,
     )

@@ -1,6 +1,7 @@
 import inspect
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -216,7 +217,8 @@ def reference_ripr_solve(target, n, grid_size=RIPR_GRID_SIZE, tol=RIPR_TOL,
                          max_iter=RIPR_MAX_ITER):
     """ripr_solve written the plain way: the likelihood matrix cellwise with
     xlogy, np.clip for the floors, np.linalg.norm for the step, and every
-    mixture formed afresh. ripr_solve must agree with it bit for bit."""
+    mixture formed afresh. ripr_solve must agree with it bit for bit. Also
+    returns the 350-nat mask of grid points kept."""
     t = target.weights()
     keep = t > t.max() * 1e-60
     c0 = np.arange(n + 1)[keep]
@@ -283,27 +285,52 @@ def reference_ripr_solve(target, n, grid_size=RIPR_GRID_SIZE, tol=RIPR_TOL,
     with np.errstate(divide="ignore"):
         lw = np.log(w)
     full[active_idx] = lw - log_sum_exp(lw)
-    return full, kl, it, converged
+    return full, kl, it, converged, active
 
 
 class TestRipr:
-    @pytest.mark.parametrize("target, n", [
-        (null_optimal_prior([induced_group_pmf(PriorSpec.nml(), 4)] * 2), 8),
-        (null_optimal_prior([induced_group_pmf(PriorSpec.from_beta(3, 3), 5)] * 2), 10),
+    @pytest.mark.parametrize("target, n, masked", [
+        (null_optimal_prior([induced_group_pmf(PriorSpec.nml(), 4)] * 2), 8, False),
+        (null_optimal_prior([induced_group_pmf(PriorSpec.from_beta(3, 3), 5)] * 2), 10, False),
         (null_optimal_prior([induced_group_pmf(PriorSpec.from_beta(3, 3), m)
-                             for m in (6, 13)]), 19),
-        (point_alt_count_pmf((10, 30), (0.2, 0.6)), 40),
-    ], ids=["4,4-nml", "5,5-beta33", "6,13-beta33", "10,30-point"])
-    def test_matches_reference_bit_for_bit(self, target, n):
+                             for m in (6, 13)]), 19, False),
+        (point_alt_count_pmf((10, 30), (0.2, 0.6)), 40, False),
+        # Counts 0 to 21 and 379 to 400 fall below 1e-60 of the peak, so the
+        # mask drops p = 0 and p = 1 and every kept grid row moves down; the
+        # solve runs 149 iterations, and the pruning at the 100th moves rows
+        # again.
+        (null_optimal_prior([induced_group_pmf(PriorSpec.from_beta(200, 200), 200)] * 2),
+         400, True),
+    ], ids=["4,4-nml", "5,5-beta33", "6,13-beta33", "10,30-point", "200,200-beta200"])
+    def test_matches_reference_bit_for_bit(self, target, n, masked):
         # Where SQUAREM stops depends on the last bits of every mixture, and
         # those on the order BLAS sums L @ w in, which depends on L's memory
         # layout; so this pins the layout as well as the arithmetic.
-        log_w, kl, iterations, converged = reference_ripr_solve(target, n)
+        log_w, kl, iterations, converged, active = reference_ripr_solve(target, n)
+        assert active.all() != masked
         sol = ripr_solve(target, n)
         assert sol.iterations == iterations
         assert sol.converged == converged
         assert sol.achieved_kl == kl
         assert np.array_equal(sol.log_weights, log_w)
+
+    def test_holds_one_likelihood_matrix(self):
+        # The mask and the pruning compact the grid x counts matrix in its
+        # own buffer, so the solve peaks at 8 bytes a cell and the 8 MB block
+        # that fills the matrix (1.6 bytes a cell here); a masked copy would
+        # double the 8. 2509 counts are kept, on the default grid.
+        target = null_optimal_prior([induced_group_pmf(PriorSpec.from_beta(50, 50), 1400)] * 2)
+        t = target.weights()
+        cells = RIPR_GRID_SIZE * int((t > t.max() * 1e-60).sum())
+        assert 4e6 < cells < 6e6
+        tracemalloc.start()
+        try:
+            sol = ripr_solve(target, 2800)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol.converged
+        assert peak < 1.25 * 8 * cells
 
     def test_target_inside_family(self):
         sol = ripr_solve(binomial_pmf(10, 0.3), 10, grid_size=501)

@@ -166,6 +166,25 @@ class TestNetworkToTable:
         with pytest.raises(ValueError, match="mode"):
             NetworkInput((), {}, "nonsense")
 
+    @pytest.mark.parametrize("payload, message", [
+        ({"edges": [], "partition": []},
+         "'partition' must be a JSON object mapping nodes to blocks"),
+        ({"edges": 5, "partition": {"a": "A"}},
+         "'edges' must be a list of two-element [a, b] lists"),
+        # A two-character string unpacks like a pair; it must not be read as
+        # the edge (a, b).
+        ({"edges": ["ab"], "partition": {"a": "A", "b": "B"}},
+         "'edges' must be a list of two-element [a, b] lists"),
+    ], ids=["partition-list", "edges-number", "edge-string"])
+    def test_malformed_network_refused(self, tmp_path, capsys, payload, message):
+        path = tmp_path / "n.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli("net-test", "--network", str(path), "--mode",
+                                 "sbm_vs_er_undirected", capsys=capsys)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == message
+
     def test_er_null_unit_expectation(self):
         # Over the exact edge-configuration distribution of a 2-dyad /
         # 1-dyad block structure, the mic e-value averages to one under the

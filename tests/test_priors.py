@@ -16,6 +16,7 @@ from maxent_evalues.numerics import (
     Pmf,
     convolve_all,
     log_beta_fn,
+    log_binomial_row,
     log_sum_exp,
 )
 from maxent_evalues.priors import (
@@ -132,6 +133,21 @@ class TestInducedLogWeights:
     def test_pmf_matches_formula(self, spec, n):
         got = induced_group_pmf(spec, n).log_weights
         assert np.array_equal(got, formula_group_pmf(spec, n).log_weights)
+
+    @pytest.mark.parametrize("spec", GROUP_PRIORS[1:], ids=PriorSpec.describe)
+    @pytest.mark.parametrize("n", [1, 7, 1000, 20_000])
+    def test_in_place_sums_match_the_plain_expression(self, spec, n):
+        # The weights are formed in place to hold fewer arrays of n + 1
+        # points; the out-of-place expression must give the same bits.
+        j = np.arange(n + 1)
+        if spec.kind == "beta":
+            a, b = spec.alpha, spec.beta
+            lg = {x: gammaln(j + x) for x in {1, a, b}}
+            lw = gammaln(n + 1) - lg[1] - lg[1][::-1] + lg[a] + lg[b][::-1]
+            want = lw - gammaln(n + a + b) - log_beta_fn(a, b)
+        else:
+            want = log_binomial_row(n) + xlogy(j, j / n) + xlogy(n - j, 1.0 - j / n)
+        assert np.array_equal(_induced_log_weights(spec, n), want)
 
     @pytest.mark.parametrize("spec", GROUP_PRIORS, ids=PriorSpec.describe)
     def test_high_resolution_weights(self, spec):
