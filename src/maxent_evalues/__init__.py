@@ -12,10 +12,8 @@ from .diagnostics import (
     worst_case_r_prime,
 )
 from .evariables import (
-    EValueReport,
     RiprSolution,
     Statistic,
-    combine_evalues,
     decide,
     e_power,
     log_w_pseudo0,
@@ -33,7 +31,6 @@ from .priors import (
 from .table_io import NetworkInput, network_to_table, parse_table
 
 __all__ = [
-    "EValueReport",
     "GridDensity",
     "NetworkInput",
     "Pmf",
@@ -44,7 +41,6 @@ __all__ = [
     "Statistic",
     "Table",
     "binomial_pmf",
-    "combine_evalues",
     "convolve",
     "convolve_all",
     "decide",

@@ -29,9 +29,7 @@ from .evariables import (
     RIPR_MAX_ITER,
     RIPR_TOL,
     Statistic,
-    combine_evalues,
     decide,
-    e_or_none,
     # Nothing here solves a projection; the name stays bound because
     # perfbench's tracer test checks that every module's ripr_solve reaches
     # one wrapper.
@@ -79,9 +77,17 @@ def _emit(payload: dict) -> None:
     sys.stdout.write(text + "\n")
 
 
-def _decisions(log_e: float, alpha: float) -> dict:
-    """The level-alpha decision on an e-value, and the post-hoc one."""
+def _evalue_fields(log_e: float, alpha: float) -> dict:
+    """An e-value, the level-alpha decision on it and the post-hoc one.
+
+    e is None where exp(log_e) overflows a float: JSON has no infinity, and
+    log_e stays the authoritative value.
+    """
+    with np.errstate(over="ignore"):
+        e = float(np.exp(log_e))
     return {
+        "log_e": log_e,
+        "e": e if np.isfinite(e) else None,
         "alpha": alpha,
         "decision": decide(log_e, alpha),
         "post_hoc_level": POST_HOC_LEVEL,
@@ -89,10 +95,18 @@ def _decisions(log_e: float, alpha: float) -> dict:
     }
 
 
-def _report_payload(report, alpha: float, inputs: dict) -> dict:
-    payload = {**report.to_dict(), **_decisions(report.log_e, alpha), "inputs": inputs}
-    if payload["achieved_kl"] is None:
-        del payload["achieved_kl"]
+def _report_payload(statistic: Statistic, ones, alpha: float, inputs: dict) -> dict:
+    """The report of test and net-test: the statistic at one table."""
+    payload = {
+        "statistic_kind": statistic.kind,
+        "is_evariable": statistic.is_evariable,
+        "c1": list(ones),
+        "c0": sum(ones),
+        **_evalue_fields(statistic.log_e(ones), alpha),
+        "inputs": inputs,
+    }
+    if statistic.achieved_kl is not None:
+        payload["achieved_kl"] = statistic.achieved_kl
     return payload
 
 
@@ -166,7 +180,7 @@ def _run_test(table: Table, args) -> dict:
         statistic = Statistic.point(
             table.sizes, palt, args.ripr_grid, args.ripr_tol, args.ripr_max_iter
         )
-    return _report_payload(statistic.report(table.ones), args.alpha, inputs)
+    return _report_payload(statistic, table.ones, args.alpha, inputs)
 
 
 def _parse_palt(text: str, k: int) -> tuple[float, ...]:
@@ -183,6 +197,10 @@ def cmd_test(args) -> dict:
 
 
 def cmd_net_test(args) -> dict:
+    if args.constrained_block is not None and args.mode != "pcm_vs_er_bipartite":
+        raise ValueError(
+            f"--constrained-block is read only by --mode pcm_vs_er_bipartite, not {args.mode}"
+        )
     net = parse_network(args.network, args.mode, args.constrained_block)
     table = network_to_table(net)
     payload = _run_test(table, args)
@@ -236,9 +254,24 @@ def cmd_gap(args) -> dict:
     return {**payload, "scale": args.scale, "r": gap_r(priors, sizes, density)}
 
 
+# The flags of rprime that only --worst-case reads, with their defaults there.
+_WORST_CASE_FLAGS = {
+    "grid_step": WORST_CASE_STEP,
+    "lo": WORST_CASE_BOUNDS[0],
+    "hi": WORST_CASE_BOUNDS[1],
+}
+
+
 def cmd_rprime(args) -> dict:
     if args.worst_case and args.palt is not None:
         raise ValueError("--palt cannot be combined with --worst-case")
+    if not args.worst_case and args.palt is None:
+        raise ValueError("rprime needs --palt or --worst-case")
+    for name, default in _WORST_CASE_FLAGS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif not args.worst_case:
+            raise ValueError(f"--{name.replace('_', '-')} is read only with --worst-case")
     sizes, priors, density, payload = _design(args)
     payload["scale"] = args.scale
     if args.worst_case:
@@ -249,8 +282,6 @@ def cmd_rprime(args) -> dict:
         payload["worst_case_r_prime"] = value
         payload["argmax"] = list(argmax)
     else:
-        if args.palt is None:
-            raise ValueError("rprime needs --palt or --worst-case")
         palt = _parse_palt(args.palt, len(sizes))
         payload["p_alt"] = list(palt)
         payload["r_prime"] = gap_r_prime(palt, priors, sizes, density)
@@ -320,13 +351,7 @@ def cmd_continue(args) -> dict:
         if not 0 < value < np.inf:
             raise ValueError(f"e-value must be positive and finite: {item}")
         log_es.append(float(np.log(value)))
-    log_e = combine_evalues(log_es)
-    return {
-        "log_e": log_e,
-        "e": e_or_none(log_e),
-        **_decisions(log_e, args.alpha),
-        "components": len(log_es),
-    }
+    return {**_evalue_fields(sum(log_es), args.alpha), "components": len(log_es)}
 
 
 def _add_prior_args(p):
@@ -404,9 +429,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_size_args(p, "rprime")
     p.add_argument("--palt", default=None)
     p.add_argument("--worst-case", action="store_true")
-    p.add_argument("--grid-step", type=float, default=WORST_CASE_STEP)
-    p.add_argument("--lo", type=float, default=WORST_CASE_BOUNDS[0])
-    p.add_argument("--hi", type=float, default=WORST_CASE_BOUNDS[1])
+    p.add_argument("--grid-step", type=float, default=None,
+                   help=f"(--worst-case only; default {WORST_CASE_STEP})")
+    p.add_argument("--lo", type=float, default=None,
+                   help=f"(--worst-case only; default {WORST_CASE_BOUNDS[0]})")
+    p.add_argument("--hi", type=float, default=None,
+                   help=f"(--worst-case only; default {WORST_CASE_BOUNDS[1]})")
     _add_prior_args(p)
     _add_density_args(p)
     p.set_defaults(fn=cmd_rprime)

@@ -73,50 +73,6 @@ POST_HOC_LEVEL = float(np.exp(-1.0))
 _EVARIABLE_KINDS = {"gro_mic": True, "gro_can": True, "gro_point": True, "pseudo": False}
 
 
-def e_or_none(log_e: float) -> float | None:
-    """exp(log_e) for a JSON report; None where it overflows a float.
-
-    log_e stays the authoritative value: JSON has no infinity.
-    """
-    with np.errstate(over="ignore"):
-        e = float(np.exp(log_e))
-    return e if np.isfinite(e) else None
-
-
-def _check_kind(kind: str) -> None:
-    if kind not in _EVARIABLE_KINDS:
-        raise ValueError(f"unknown statistic kind {kind!r}")
-
-
-@dataclass(frozen=True)
-class EValueReport:
-    """One statistic evaluated at one table."""
-
-    statistic_kind: str  # "gro_mic" | "gro_can" | "gro_point" | "pseudo"
-    log_e: float
-    c1: tuple[int, ...]
-    c0: int
-    achieved_kl: float | None = None
-
-    def __post_init__(self):
-        _check_kind(self.statistic_kind)
-
-    @property
-    def is_evariable(self) -> bool:
-        return _EVARIABLE_KINDS[self.statistic_kind]
-
-    def to_dict(self) -> dict:
-        return {
-            "statistic_kind": self.statistic_kind,
-            "log_e": self.log_e,
-            "e": e_or_none(self.log_e),
-            "is_evariable": self.is_evariable,
-            "c1": list(self.c1),
-            "c0": self.c0,
-            "achieved_kl": self.achieved_kl,
-        }
-
-
 @dataclass(frozen=True)
 class RiprSolution:
     """Numerical reverse information projection onto the null model.
@@ -157,6 +113,8 @@ def _bayes_terms(group_pmfs) -> tuple[np.ndarray, ...]:
 
 
 def _alt_params(sizes, alt_params) -> np.ndarray:
+    if not len(sizes):
+        raise ValueError("no groups")
     pvec = np.atleast_1d(np.asarray(alt_params, dtype=float))
     if pvec.size != len(sizes):
         raise ValueError(f"expected {len(sizes)} parameters, got {pvec.size}")
@@ -196,7 +154,12 @@ class Statistic:
     achieved_kl: float | None
 
     def __post_init__(self):
-        _check_kind(self.kind)
+        if self.kind not in _EVARIABLE_KINDS:
+            raise ValueError(f"unknown statistic kind {self.kind!r}")
+
+    @property
+    def is_evariable(self) -> bool:
+        return _EVARIABLE_KINDS[self.kind]
 
     @property
     def sizes(self) -> tuple[int, ...]:
@@ -206,12 +169,11 @@ class Statistic:
         c = np.atleast_1d(np.asarray(counts, dtype=np.int64))
         return log_binomial_row(sum(self.sizes))[c] - self.log_null_mass(c)
 
-    def report(self, ones) -> EValueReport:
-        """The statistic at one table, given its per-group one-counts."""
+    def log_e(self, ones) -> float:
+        """log S at one table, given its per-group one-counts."""
         ones = tuple(int(o) for o in ones)
         log_e = sum(float(a[o]) for a, o in zip(self.group_terms, ones, strict=True))
-        log_e += float(self.count_term(sum(ones))[0])
-        return EValueReport(self.kind, log_e, ones, sum(ones), self.achieved_kl)
+        return log_e + float(self.count_term(sum(ones))[0])
 
     @staticmethod
     def mic(sizes, priors) -> "Statistic":
@@ -465,14 +427,6 @@ def e_power(statistic: Statistic, group_pmfs) -> float:
             raise ValueError("statistic vanishes on support")
         total += float(np.dot(np.exp(pmf.log_weights[mass]), values[mass]))
     return total
-
-
-def combine_evalues(log_es) -> float:
-    """Log of the product e-value from independent batches (optional continuation)."""
-    log_es = list(log_es)
-    if not log_es:
-        raise ValueError("no e-values to combine")
-    return float(sum(log_es))
 
 
 def decide(log_e: float, alpha: float = 0.05) -> str:

@@ -40,7 +40,7 @@ def parse_table_text(text: str, format: str) -> Table:
         if not isinstance(payload, dict) or "groups" not in payload:
             raise ValueError("expected a JSON object with a 'groups' list")
         rows = payload["groups"]
-        if not isinstance(rows, list) or not rows:
+        if not isinstance(rows, list):
             raise ValueError("no groups")
         groups = []
         for i, row in enumerate(rows):
@@ -59,8 +59,6 @@ def parse_table_text(text: str, format: str) -> Table:
                 raise ValueError(f"expected 3 columns, got {len(row)}")
             i = len(groups)
             groups.append((_count(row[1], i, "n"), _count(row[2], i, "ones")))
-        if not groups:
-            raise ValueError("no groups")
         return Table(tuple(groups))
     raise ValueError(f"unknown format {format!r}")
 
@@ -144,8 +142,6 @@ def network_to_table(net: NetworkInput) -> Table:
             warnings.warn(f"dropping zero-size group ({x}, {y})")
             continue
         groups.append((size, ones))
-    if not groups:
-        raise ValueError("no groups")
     return Table(tuple(groups))
 
 
@@ -170,12 +166,7 @@ def _bipartite_table(net: NetworkInput) -> Table:
         seen.add(key)
         degree[key[0]] += 1
     size = len(members[other])
-    if size == 0:
-        raise ValueError("empty opposite layer")
-    groups = tuple((size, degree[node]) for node in sorted(degree))
-    if not groups:
-        raise ValueError("no groups")
-    return Table(groups)
+    return Table(tuple((size, degree[node]) for node in sorted(degree)))
 
 
 def parse_network(path, mode: str, constrained_block: str | None = None) -> NetworkInput:

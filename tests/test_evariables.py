@@ -1,5 +1,6 @@
 import inspect
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -10,14 +11,12 @@ from hypothesis import strategies as st
 from scipy.special import xlogy
 
 from maxent_evalues import evariables
-from maxent_evalues.cli import parse_prior
+from maxent_evalues.cli import main, parse_prior
 from maxent_evalues.evariables import (
     RIPR_GRID_SIZE,
     RIPR_MAX_ITER,
     RIPR_TOL,
-    EValueReport,
     Statistic,
-    combine_evalues,
     decide,
     e_power,
     log_w_pseudo0,
@@ -51,7 +50,7 @@ def exact_null_expectation_micro(sizes, priors, c0):
         if sum(ones) != c0:
             continue
         t = Table(tuple(zip(sizes, ones)))
-        s = math.exp(Statistic.mic(t.sizes, priors).report(t.ones).log_e)
+        s = math.exp(Statistic.mic(t.sizes, priors).log_e(t.ones))
         weight = math.exp(
             sum(log_binomial(n, o) for n, o in t.groups)
             - log_binomial(sum(t.sizes), c0)
@@ -68,6 +67,9 @@ def log_marginal_alt(table, priors):
 
 
 class TestEValueReport:
+    """The e-value of one table: Statistic.log_e, and whether its kind is an
+    e-variable."""
+
     def test_log_e_is_difference(self):
         # The decomposed statistic equals the microcanonical ratio of the
         # null and alternative multiplicities times prior masses.
@@ -78,17 +80,22 @@ class TestEValueReport:
             float(p.log_weights[o]) for p, o in zip(pmfs, t.ones)
         )
         den = log_multiplicity(t, "alt") + float(null_optimal_prior(pmfs).log_weights[sum(t.ones)])
-        r = Statistic.mic(t.sizes, priors).report(t.ones)
-        assert r.log_e == pytest.approx(num - den, abs=1e-13)
-        assert math.exp(r.log_e) == pytest.approx(math.exp(num - den), rel=1e-13)
+        log_e = Statistic.mic(t.sizes, priors).log_e(t.ones)
+        assert isinstance(log_e, float)
+        assert log_e == pytest.approx(num - den, abs=1e-13)
+        assert math.exp(log_e) == pytest.approx(math.exp(num - den), rel=1e-13)
 
     def test_pseudo_not_evariable(self):
-        assert not EValueReport("pseudo", 0.0, (0,), 0).is_evariable
-        assert EValueReport("gro_can", 0.0, (0,), 0).is_evariable
+        def of_kind(kind):
+            return Statistic(kind, (np.zeros(2),), lambda c: np.zeros(len(c)), None)
+
+        assert not of_kind("pseudo").is_evariable
+        for kind in ("gro_mic", "gro_can", "gro_point"):
+            assert of_kind(kind).is_evariable
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            EValueReport("other", 0.0, (0,), 0)
+        with pytest.raises(ValueError, match="unknown statistic kind 'other'"):
+            Statistic("other", (np.zeros(2),), lambda c: np.zeros(len(c)), None)
 
 
 class TestMarginalAlt:
@@ -127,25 +134,25 @@ class TestMarginalAlt:
 
 class TestGroMic:
     def test_worked_example(self):
-        r = Statistic.mic((2, 2), [PriorSpec.uniform()] * 2).report((2, 0))
-        assert math.exp(r.log_e) == pytest.approx(2.0, rel=1e-13)
-        assert r.statistic_kind == "gro_mic"
-        assert r.is_evariable
+        statistic = Statistic.mic((2, 2), [PriorSpec.uniform()] * 2)
+        assert math.exp(statistic.log_e((2, 0))) == pytest.approx(2.0, rel=1e-13)
+        assert statistic.kind == "gro_mic"
+        assert statistic.is_evariable
 
     def test_all_zeros_is_one(self):
-        r = Statistic.mic((5, 7), [PriorSpec.uniform()] * 2).report((0, 0))
-        assert math.exp(r.log_e) == pytest.approx(1.0, rel=1e-13)
+        log_e = Statistic.mic((5, 7), [PriorSpec.uniform()] * 2).log_e((0, 0))
+        assert math.exp(log_e) == pytest.approx(1.0, rel=1e-13)
 
     def test_singletons_identically_one(self):
         for ones in itertools.product((0, 1), repeat=2):
-            r = Statistic.mic((1, 1), [PriorSpec.uniform()] * 2).report(ones)
-            assert math.exp(r.log_e) == pytest.approx(1.0, rel=1e-13)
+            log_e = Statistic.mic((1, 1), [PriorSpec.uniform()] * 2).log_e(ones)
+            assert math.exp(log_e) == pytest.approx(1.0, rel=1e-13)
 
     def test_depends_only_on_suff_stats(self):
         priors = [PriorSpec.from_beta(2, 2)] * 2
-        a = Statistic.mic((4, 4), priors).report((1, 3))
-        b = Statistic.mic((4, 4), priors).report((3, 1))
-        assert a.log_e == pytest.approx(b.log_e, abs=1e-13)
+        a = Statistic.mic((4, 4), priors).log_e((1, 3))
+        b = Statistic.mic((4, 4), priors).log_e((3, 1))
+        assert a == pytest.approx(b, abs=1e-13)
 
     @given(
         st.lists(st.integers(min_value=1, max_value=7), min_size=2, max_size=3),
@@ -190,9 +197,10 @@ class TestPseudo:
     def test_pseudo_kind_and_not_evariable(self):
         priors = [PriorSpec.uniform()] * 2
         pd = pseudo_null_density(priors, (3, 3), scale=200)
-        r = Statistic.pseudo((3, 3), priors, pd).report((2, 1))
-        assert r.statistic_kind == "pseudo"
-        assert not r.is_evariable
+        statistic = Statistic.pseudo((3, 3), priors, pd)
+        assert math.isfinite(statistic.log_e((2, 1)))
+        assert statistic.kind == "pseudo"
+        assert not statistic.is_evariable
 
     def test_matches_mic_when_density_exact(self):
         # A very fine high-resolution density converges to the exact prior
@@ -206,11 +214,11 @@ class TestPseudo:
             [induced_group_pmf(s, n) for s, n in zip(priors, sizes)]
         )
         t = Table(((4, 2), (4, 3)))
-        mic = Statistic.mic(t.sizes, priors).report(t.ones)
-        pse = Statistic.pseudo(t.sizes, priors, pd).report(t.ones)
+        mic = Statistic.mic(t.sizes, priors).log_e(t.ones)
+        pse = Statistic.pseudo(t.sizes, priors, pd).log_e(t.ones)
         c0 = sum(t.ones)
         expect = float(w0.log_weights[c0] - log_w_pseudo0(pd, sum(t.sizes), [c0])[0])
-        assert pse.log_e - mic.log_e == pytest.approx(expect, abs=1e-12)
+        assert pse - mic == pytest.approx(expect, abs=1e-12)
 
 
 def reference_ripr_solve(target, n, grid_size=RIPR_GRID_SIZE, tol=RIPR_TOL,
@@ -415,10 +423,11 @@ class TestGroCan:
 
     def test_report_fields(self):
         priors = [PriorSpec.uniform()] * 2
-        r = Statistic.can((5, 5), priors, grid_size=501).report((3, 1))
-        assert r.statistic_kind == "gro_can"
-        assert r.achieved_kl is not None
-        assert r.c0 == 4
+        statistic = Statistic.can((5, 5), priors, grid_size=501)
+        assert math.isfinite(statistic.log_e((3, 1)))
+        assert statistic.kind == "gro_can"
+        assert statistic.is_evariable
+        assert statistic.achieved_kl is not None
 
     def test_target_inside_null_gives_unit(self):
         # One uniform group: its Bayes marginal, uniform on 0..n, is the
@@ -429,9 +438,9 @@ class TestGroCan:
         # Tables in the bulk of the null law; extreme tails magnify the
         # residual solver error and are checked by the exact-tail tests.
         for ones in ((2,), (3,), (4,), (1,)):
-            r = Statistic.can(sizes, specs, grid_size=501).report(ones)
+            log_e = Statistic.can(sizes, specs, grid_size=501).log_e(ones)
             # Residual solver KL leaves sub-percent deviations from unity.
-            assert math.exp(r.log_e) == pytest.approx(1.0, abs=2e-2)
+            assert math.exp(log_e) == pytest.approx(1.0, abs=2e-2)
 
     @pytest.mark.parametrize("build, design", [
         (Statistic.can, [PriorSpec.uniform()] * 2), (Statistic.point, (0.2, 0.8)),
@@ -448,14 +457,14 @@ class TestGroCan:
             total = 0.0
             for ones in itertools.product(range(6), repeat=2):
                 lp = sum(float(binomial_pmf(n, p0).log_weights[o]) for n, o in zip(sizes, ones))
-                total += math.exp(lp + statistic.report(ones).log_e)
+                total += math.exp(lp + statistic.log_e(ones))
             assert total <= 1.0 + 1e-4
 
 
 class TestGroPoint:
     def test_alternative_inside_null(self):
-        r = Statistic.point((5, 5), (0.5, 0.5), grid_size=501).report((2, 3))
-        assert math.exp(r.log_e) == pytest.approx(1.0, abs=5e-3)
+        log_e = Statistic.point((5, 5), (0.5, 0.5), grid_size=501).log_e((2, 3))
+        assert math.exp(log_e) == pytest.approx(1.0, abs=5e-3)
 
     def test_is_evariable_exactly(self):
         # E_{p0}[S] <= 1 under every null by exact summation.
@@ -463,7 +472,7 @@ class TestGroPoint:
         p_alt = (0.2, 0.8)
         reports = {}
         for ones in itertools.product(range(5), repeat=2):
-            reports[ones] = Statistic.point(sizes, p_alt, grid_size=501).report(ones).log_e
+            reports[ones] = Statistic.point(sizes, p_alt, grid_size=501).log_e(ones)
         for p0 in np.linspace(0.05, 0.95, 7):
             total = 0.0
             for ones, log_e in reports.items():
@@ -483,6 +492,10 @@ class TestGroPoint:
         with pytest.raises(ValueError):
             Statistic.point((5, 5), (0.5,))
 
+    def test_no_groups(self):
+        with pytest.raises(ValueError, match="^no groups$"):
+            Statistic.point((), ())
+
 
 class TestProjectionMemo:
     SIZES = (5, 5)
@@ -492,12 +505,12 @@ class TestProjectionMemo:
         return (target.log_weights.tobytes(), n, grid_size, tol, max_iter)
 
     def test_one_solve_per_design(self, solves):
-        reports = [Statistic.can(self.SIZES, self.PRIORS, grid_size=101).report(ones)
-                   for ones in ((3, 1), (0, 5))]
+        log_es = [Statistic.can(self.SIZES, self.PRIORS, grid_size=101).log_e(ones)
+                  for ones in ((3, 1), (0, 5))]
         assert len(solves) == 1
-        assert reports[0].log_e != reports[1].log_e
+        assert log_es[0] != log_es[1]
         for alt in ((0.2, 0.7), (0.2, 0.7), (0.3, 0.7)):
-            Statistic.point(self.SIZES, alt, grid_size=101).report((3, 1))
+            Statistic.point(self.SIZES, alt, grid_size=101).log_e((3, 1))
         assert len(solves) == 3
 
     def test_each_key_part_misses(self, solves):
@@ -618,22 +631,35 @@ class TestEPower:
         ]
         for build in cases:
             statistic = build()
-            oracle = enumerated_e_power(lambda ones: build().report(ones).log_e, gp)
+            oracle = enumerated_e_power(lambda ones: build().log_e(ones), gp)
             assert e_power(statistic, gp) == pytest.approx(oracle, abs=1e-10), (
                 statistic.kind
             )
 
 
 class TestCombineAndDecide:
-    def test_product(self):
-        assert math.exp(combine_evalues([math.log(2), math.log(3)])) == pytest.approx(6.0)
+    """Optional continuation multiplies independent e-values: `continue` sums
+    their logs."""
 
-    def test_identity_element(self):
-        assert combine_evalues([1.234, 0.0]) == pytest.approx(1.234)
+    def combined(self, capsys, *evalues):
+        assert main(["continue", *evalues]) == 0
+        return json.loads(capsys.readouterr().out)
 
-    def test_empty(self):
-        with pytest.raises(ValueError):
-            combine_evalues([])
+    def test_product(self, capsys):
+        payload = self.combined(capsys, "2", "3")
+        assert payload["log_e"] == pytest.approx(math.log(6.0))
+        assert payload["components"] == 2
+
+    def test_identity_element(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_text('{"log_e": 1.234, "is_evariable": true}')
+        assert self.combined(capsys, str(path), "1")["log_e"] == pytest.approx(1.234)
+
+    def test_empty(self, capsys):
+        # argparse refuses a `continue` with nothing to combine.
+        with pytest.raises(SystemExit) as info:
+            main(["continue"])
+        assert info.value.code == 2
 
     def test_decide_threshold(self):
         assert decide(math.log(25), 0.05) == "reject"

@@ -199,7 +199,7 @@ class TestNetworkToTable:
                     log_binomial(n, o) + o * math.log(p) + (n - o) * math.log(1 - p)
                     for n, o in t.groups
                 )
-                total += math.exp(log_p + Statistic.mic(t.sizes, priors).report(t.ones).log_e)
+                total += math.exp(log_p + Statistic.mic(t.sizes, priors).log_e(t.ones))
             assert total == pytest.approx(1.0, abs=1e-10)
 
 
@@ -515,6 +515,90 @@ class TestCli:
             assert code == 1, argv
             assert out == ""
             assert message in strict(err)["error"]
+
+    @pytest.mark.parametrize("mode", ["sbm_vs_er_undirected", "sbm_vs_er_directed"])
+    def test_constrained_block_refused_outside_bipartite(self, tmp_path, capsys, mode):
+        # Only the bipartite reduction has a constrained layer to choose.
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps({
+            "edges": [["1", "2"], ["2", "3"]],
+            "partition": {"1": "A", "2": "A", "3": "B"},
+        }))
+        code, out, err = run_cli(
+            "net-test", "--network", str(net), "--mode", mode,
+            "--constrained-block", "NOPE", capsys=capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert strict(err)["error"] == (
+            f"--constrained-block is read only by --mode pcm_vs_er_bipartite, not {mode}"
+        )
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--grid-step", "0.1"), ("--lo", "0.9"), ("--hi", "0.1"),
+    ])
+    def test_worst_case_flags_refused_without_worst_case(self, capsys, flag, value):
+        code, out, err = run_cli(
+            "rprime", "--k", "2", "--m", "10", "--palt", "0.3,0.7", flag, value,
+            capsys=capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert strict(err)["error"] == f"{flag} is read only with --worst-case"
+
+    def test_rprime_needs_palt_or_worst_case_before_building(self, monkeypatch, capsys):
+        # Refused before the pseudo density is built, which at m = 400 costs
+        # about a second.
+        from maxent_evalues import cli
+
+        def built(*args, **kwargs):
+            raise AssertionError("pseudo density built")
+
+        monkeypatch.setattr(cli, "pseudo_null_density", built)
+        code, out, err = run_cli("rprime", "--k", "2", "--m", "400", capsys=capsys)
+        assert code == 1
+        assert out == ""
+        assert strict(err)["error"] == "rprime needs --palt or --worst-case"
+
+    def test_regret_refuses_no_groups(self, capsys):
+        # The empty design is refused where the alternative is read, not deep
+        # inside the convolution of its group laws.
+        code, out, err = run_cli(
+            "regret", "--k", "0", "--palt", "0.3", "--m-list", "1,2,3", capsys=capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert strict(err)["error"] == "no groups"
+
+    @pytest.mark.parametrize("statistic, flags", [
+        ("mic", []),
+        ("can", ["--ripr-grid", "101"]),
+        ("point", ["--palt", "0.5,0.3", "--ripr-grid", "101"]),
+        ("pseudo", ["--scale", "200"]),
+    ])
+    def test_report_shape(self, tmp_path, capsys, statistic, flags):
+        # The report of one table: the statistic's kind and whether it is an
+        # e-variable, the table's counts, the e-value and the decisions on it,
+        # and the projection's KL where there is a projection.
+        path = tmp_path / "t.json"
+        path.write_text('{"groups":[{"n":5,"ones":3},{"n":6,"ones":1}]}')
+        code, out, _ = run_cli(
+            "test", "--table", str(path), "--statistic", statistic, *flags, capsys=capsys,
+        )
+        assert code == 0
+        payload = strict(out)
+        keys = {"statistic_kind", "is_evariable", "c1", "c0", "log_e", "e", "alpha",
+                "decision", "post_hoc_level", "post_hoc_decision", "inputs"}
+        if statistic in ("can", "point"):
+            keys.add("achieved_kl")
+            assert isinstance(payload["achieved_kl"], float)
+        assert set(payload) == keys
+        kind = "pseudo" if statistic == "pseudo" else f"gro_{statistic}"
+        assert payload["statistic_kind"] == kind
+        assert payload["is_evariable"] is (statistic != "pseudo")
+        assert payload["c1"] == [3, 1]
+        assert payload["c0"] == sum(payload["c1"])
+        assert payload["e"] == pytest.approx(math.exp(payload["log_e"]), rel=1e-12)
 
     @pytest.mark.parametrize("command", ["test", "net-test"])
     def test_statistic_flags_refused_unless_read(self, tmp_path, capsys, command):

@@ -89,7 +89,7 @@ def test_epower_script_shares_the_projection_route(solves, tmp_path):
     # The script and Statistic.can project the same design's Bayes marginal
     # through one memoized route: one solve between them.
     run_script("run_epower_comparison", EPOWER_ARGS, tmp_path)
-    Statistic.can((5, 5), [PriorSpec.from_beta(3, 3)] * 2).report((2, 4))
+    Statistic.can((5, 5), [PriorSpec.from_beta(3, 3)] * 2).log_e((2, 4))
     assert len(solves) == 1
 
 
