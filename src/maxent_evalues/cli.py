@@ -189,6 +189,9 @@ def _parse_palt(text: str, k: int) -> tuple[float, ...]:
         vals = vals * k
     if len(vals) != k:
         raise ValueError(f"expected 1 or {k} alternative parameters")
+    # Written so that NaN, which fails every comparison, is refused.
+    if not all(0 <= v <= 1 for v in vals):
+        raise ValueError("mean parameters must lie in [0, 1]")
     return tuple(vals)
 
 
@@ -272,6 +275,8 @@ def cmd_rprime(args) -> dict:
             setattr(args, name, default)
         elif not args.worst_case:
             raise ValueError(f"--{name.replace('_', '-')} is read only with --worst-case")
+    # Parsed before the density is built, which is most of the command's cost.
+    palt = None if args.worst_case else _parse_palt(args.palt, len(_sizes(args)))
     sizes, priors, density, payload = _design(args)
     payload["scale"] = args.scale
     if args.worst_case:
@@ -282,7 +287,6 @@ def cmd_rprime(args) -> dict:
         payload["worst_case_r_prime"] = value
         payload["argmax"] = list(argmax)
     else:
-        palt = _parse_palt(args.palt, len(sizes))
         payload["p_alt"] = list(palt)
         payload["r_prime"] = gap_r_prime(palt, priors, sizes, density)
     return payload

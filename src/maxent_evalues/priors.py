@@ -21,27 +21,30 @@ from .numerics import (
     Pmf,
     convolve_all,
     log_beta_fn,
-    log_binomial_row,
 )
 
 # Resolution multiplier of the pseudo density's high-resolution route.
 DEFAULT_SCALE = 10_000
 
 # Largest high-resolution support pseudo_null_density builds (scale * n + 1
-# points). A resampled build peaks at about 16 bytes a point in the forward
-# transforms (a padded buffer and its spectrum), whichever inverse runs and
-# whatever the priors while no group holds more than half the points
-# (tracemalloc at 1.024e7 points, n = 1024: 159 MiB at k = 8 and 2 with
-# uniform, beta(2,2), beta(0.5,3) or NML groups; peak RSS of the process
-# 334 MB at k = 2), so n = 1024 fits at the default scale and the limit
-# stays near 400 MB. One beta or NML group of all the points builds its log
-# weights through 24 to 32 bytes a point (235 to 313 MiB there).
+# points). A resampled build peaks at about 8 bytes a point when every group
+# is uniform or beta(1,1): the spectrum, written in closed form. One other
+# distinct (prior, size) pair adds its rfft's zero-padded buffer, 16 bytes a
+# point; two or more add the next pair's spectrum as well, 24. Where the
+# whole inverse runs, an all-uniform build also takes 16. (tracemalloc at
+# 1.024e7 points: 81 MiB for uniform groups at k = 2 and 8, equal sizes or
+# not; 159 MiB for one group of beta(2,2), NML or beta(0.5,3), or for two of
+# beta(2,2); 238 MiB for beta(2,2) and NML. Peak RSS of `gap`: 138 MB for
+# two uniform groups of 512, 373 MB for one beta(2,2) group of 1024.) So
+# n = 1024 fits at the default scale, and at the limit the traced peak runs
+# from about 210 MB to 600 MB.
 MAX_PSEUDO_POINTS = 25_000_000
 
 # A build that keeps every point (no resample) runs the whole inverse and
 # builds its density over all of them: about 56 bytes a point whatever the
-# prior (tracemalloc: 548 MiB at 1.024e7 points, 274 MiB at 5.12e6, k = 2).
-# It is refused past this many points, which keeps it near 500 MB.
+# priors (tracemalloc: 274 MiB at 5.12e6 points, k = 2, for uniform,
+# beta(2,2), and NML with beta(0.5,3)). It is refused past this many points,
+# which keeps it near 500 MB.
 _MAX_UNRESAMPLED_POINTS = 500_000_000 // 56
 
 # Most residues, mod the period of the resampled indices, at which
@@ -52,6 +55,13 @@ _MAX_RESIDUES = 8
 
 # Default resample target when a high-resolution density grid gets large.
 DEFAULT_DENSITY_GRID = 20_001
+
+# Points per block of the blocked builds of the high-resolution route (the
+# induced log weights and _box_spectrum), which bounds their temporary
+# arrays. Blocks of 1e6 points raised the peak RSS of a 1e7-point NML build
+# by 13 MB, as the allocator kept their freed buffers; blocks of 64 KB arrays
+# did not, and ran the box spectra of 1e5 to 5e6 frequencies fastest.
+_BLOCK_POINTS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -98,45 +108,62 @@ class PseudoDensity:
     density: GridDensity
 
 
-def _induced_log_weights(spec: PriorSpec, n: int) -> np.ndarray:
-    """Log weights of a uniform, beta or NML group's induced pmf on 0..n.
+def _induced_log_weights(spec: PriorSpec, n: int, out=None) -> np.ndarray:
+    """Log weights of a uniform, beta or NML group's induced pmf on 0..n,
+    written into out (n + 1 floats) if it is given.
 
     Beta weights are normalized in exact arithmetic, uniform and NML ones up
     to a constant.
     """
+    if out is None:
+        out = np.empty(n + 1)
     if spec.kind == "uniform":
-        return np.zeros(n + 1)
-    # At scale 1e4 every array here has about 1e7 points: each sum runs in
-    # place, in the order of the plain expression, so the bits are the same
-    # with fewer arrays alive. j holds its integers as the floats gammaln and
-    # xlogy would cast them to.
-    j = np.arange(n + 1, dtype=float)
+        out[:] = 0.0
+        return out
+    if spec.kind not in ("beta", "nml"):
+        raise ValueError(f"unknown prior kind {spec.kind!r}")
+    # At scale 1e4 the weights have about 1e7 points: they are built in
+    # blocks of _BLOCK_POINTS, so only out is held at full length. Each block
+    # of j <= n/2 is built with its mirror n - j, which reads the same
+    # log-gamma arrays reversed: gammaln runs once per point and distinct
+    # offset. Each block hands gammaln and xlogy the floats the whole-array
+    # expression forms and sums in its order, so the bits are the same; log
+    # C(n, j) is built as log_binomial_row builds it.
+    top = gammaln(n + 1)
+    offsets = {1}
     if spec.kind == "beta":
         a, b = spec.alpha, spec.beta
-        # gammaln(j + x) once per distinct offset x, since gammaln(n - j + x)
-        # is its reverse; log C(n, j) is built as log_binomial_row builds it.
-        lg = {}
-        for x in {1, a, b}:
-            t = j + x
-            lg[x] = gammaln(t, out=t)
-        del j, t
-        lw = gammaln(n + 1) - lg[1]
-        lw -= lg[1][::-1]
-        lw += lg[a]
-        lw += lg[b][::-1]
-        lw -= gammaln(n + a + b)
-        lw -= log_beta_fn(a, b)
-        return lw
-    if spec.kind == "nml":
-        lw = log_binomial_row(n)
-        q = j / n
-        lw += xlogy(j, q)
-        # n - j and 1 - j/n, in the buffers of j and j/n.
-        np.subtract(n, j, out=j)
-        np.subtract(1.0, q, out=q)
-        lw += xlogy(j, q)
-        return lw
-    raise ValueError(f"unknown prior kind {spec.kind!r}")
+        offsets |= {a, b}
+        bottom = gammaln(n + a + b)
+        log_b = log_beta_fn(a, b)
+
+    def fill(lw, g, gr, j, r):
+        """Weights at j into lw, from gammaln(j + x) and gammaln(r + x)."""
+        np.subtract(top, g[1], out=lw)
+        lw -= gr[1]
+        if spec.kind == "beta":
+            lw += g[a]
+            lw += gr[b]
+            lw -= bottom
+            lw -= log_b
+        else:
+            q = j / n
+            lw += xlogy(j, q)
+            lw += xlogy(r, 1.0 - q)
+
+    mid = n // 2 + 1
+    for start in range(0, mid, _BLOCK_POINTS):
+        j = np.arange(start, min(start + _BLOCK_POINTS, mid), dtype=float)
+        r = n - j
+        lg, lr = {}, {}
+        for x in offsets:
+            lg[x], lr[x] = j + x, r + x
+            gammaln(lg[x], out=lg[x])
+            gammaln(lr[x], out=lr[x])
+        fill(out[start : start + j.size], lg, lr, j, r)
+        stop = n + 1 - start
+        fill(out[stop - j.size : stop][::-1], lr, lg, r, j)
+    return out
 
 
 def induced_group_pmf(spec: PriorSpec, n: int) -> Pmf:
@@ -151,34 +178,106 @@ def null_optimal_prior(group_pmfs) -> Pmf:
     return convolve_all(group_pmfs)
 
 
+def _box_spectrum(boxes, length: int, spectrum=None) -> np.ndarray:
+    """The one-sided rfft, at length L, of the convolution of boxes of ones:
+    c boxes of M <= L ones for each M: c in boxes, scaled by 1/M^c so that
+    the k = 0 term is 1. If spectrum is given, it is multiplied in place.
+
+    A box's transform is e^{-i pi k (M-1)/L} sin(pi k M/L) / sin(pi k/L).
+    Every angle is an integer multiple of pi/L, reduced mod 2L in integers
+    before its sine or cosine is taken. The frequencies run in blocks of B:
+    e^{i pi (k0 + j) s/L} is e^{i pi k0 s/L} e^{i pi j s/L}, one rotation a
+    block of a table of B entries for each step s, itself the outer product
+    of two tables of about sqrt(B) entries: no sin or cos runs per
+    frequency. The phases of all boxes add up to one step.
+    """
+    half, turn = length // 2 + 1, 2 * length
+    rows = min(_BLOCK_POINTS, half)
+    shift = sum(c * (m - 1) for m, c in boxes.items()) % turn
+    width = math.isqrt(rows - 1) + 1
+
+    def unit(j, step):
+        return np.exp(1j * (j * step % turn) * (np.pi / length))
+
+    tables = {}
+    for step in {1, shift, *boxes}:
+        table = np.multiply.outer(unit(np.arange(0, rows, width), step),
+                                  unit(np.arange(width), step)).ravel()[:rows]
+        tables[step] = table.real.copy(), table.imag.copy()
+
+    def turned(start, size, step):
+        """e^{i pi k step/L} = (c0 + i s0)(tc + i ts) at k = start + j, j < size."""
+        angle = (start * step % turn) * (math.pi / length)
+        tc, ts = tables[step]
+        return math.cos(angle), math.sin(angle), tc[:size], ts[:size]
+
+    fresh = spectrum is None
+    if fresh:
+        spectrum = np.empty(half, dtype=complex)
+        spectrum[0] = 1.0
+    for start in range(1, half, rows):
+        size = min(rows, half - start)
+        c0, s0, tc, ts = turned(start, size, 1)
+        sin_k = s0 * tc + c0 * ts
+        amp = np.ones(size)
+        for m, count in boxes.items():
+            c0, s0, tc, ts = turned(start, size, m)
+            x = (s0 / m) * tc
+            x += (c0 / m) * ts
+            x /= sin_k
+            if count > 1:
+                # pow() takes a slow path on a negative base (40 times slower
+                # here): |x| is raised, and an odd power gets x's sign back.
+                np.copysign(np.abs(x) ** count, x if count % 2 else 1.0, out=x)
+            amp *= x
+        c0, s0, tc, ts = turned(start, size, shift)
+        re = c0 * tc - s0 * ts
+        im = s0 * tc + c0 * ts
+        re *= amp
+        im *= amp
+        block = spectrum[start : start + size]
+        if fresh:
+            block.real = re
+            np.negative(im, out=block.imag)
+        else:
+            block *= re - 1j * im
+    return spectrum
+
+
 def _one_pass_spectrum(specs, sizes, scale: int, length: int) -> np.ndarray:
     """rfft, at length, of the convolution of the groups' induced pmfs at size
-    scale*n_i, unnormalized.
+    scale*n_i, up to a positive constant.
 
-    Each distinct (prior, size) pair is built and transformed once, at the
-    final length, and enters the product raised to its multiplicity. A
-    beta(1,1) group is built as the uniform prior it is: exact constant
-    weights, where the beta form carries gammaln's round-off and its cost.
+    A uniform group's weights are a box of scale*n_i + 1 ones, whose
+    transform has a closed form: all of them enter through _box_spectrum, a
+    beta(1,1) group among them. Each other distinct (prior, size) pair is
+    built and transformed once, at the final length, and enters the product
+    raised to its multiplicity.
     """
     flat = PriorSpec.from_beta(1, 1)
-    specs = [PriorSpec.uniform() if s == flat else s for s in specs]
-    spectrum = None
+    spectrum, boxes = None, Counter()
     for (spec, n), count in Counter(zip(specs, sizes)).items():
-        # Unnormalized: pseudo_null_density normalizes the density once. The
-        # weights go straight into a zero-padded buffer of the final length,
-        # so rfft makes no padded copy of its own. The buffer is allocated
-        # after the log weights, whose build holds several temporaries.
-        if spec.kind == "uniform":
-            buf = np.zeros(length)
-            buf[: scale * n + 1] = 1.0
-        else:
-            w = _induced_log_weights(spec, scale * n)
-            w -= w.max()
-            buf = np.zeros(length)
-            np.exp(w, out=buf[: w.size])
-            del w
+        if spec.kind == "uniform" or spec == flat:
+            boxes[scale * n + 1] += count
+            continue
+        # The weights are built straight into a zero-padded buffer of the
+        # final length, so rfft makes no padded copy of its own.
+        buf = np.zeros(length)
+        w = _induced_log_weights(spec, scale * n, out=buf[: scale * n + 1])
+        w -= w.max()
+        np.exp(w, out=w)
         f = fft.rfft(buf)
-        del buf
+        del buf, w
+        # Unscaled, the product's k = 0 term is prod (sum of weights)^count,
+        # past 1e308 at about 77 groups of scale 1e4. Each factor, and the
+        # product as it grows, is scaled by the power of two nearest its k = 0
+        # term: exact, and FFT_CLAMP and the normalization of the density do
+        # not see the scale. Where the count-th power of what that leaves
+        # could still overflow (hundreds of equal groups), the factor is
+        # divided by the term itself.
+        lead = math.log2(f[0].real)
+        near = round(lead)
+        f *= 2.0**-near if count * abs(lead - near) < 256 else 1 / f[0].real
         if count > 1:
             np.power(f, count, out=f)
         # In place, and each array freed as soon as it is spent: at scale
@@ -187,7 +286,10 @@ def _one_pass_spectrum(specs, sizes, scale: int, length: int) -> np.ndarray:
             spectrum = f
         else:
             spectrum *= f
+            spectrum *= 2.0 ** -round(math.log2(spectrum[0].real))
         del f
+    if boxes:
+        spectrum = _box_spectrum(boxes, length, spectrum)
     return spectrum
 
 

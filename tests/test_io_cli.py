@@ -426,6 +426,17 @@ class TestCli:
         density = pseudo_null_density(priors, (20, 20), scale=2000, grid_size=20001)
         assert payload["r"] == gap_r(priors, (20, 20), density)
 
+    @pytest.mark.parametrize("argv", [
+        ("--k", "80", "--m", "1"),
+        ("--k", "100", "--m", "1", "--prior", "beta:2,2"),
+    ])
+    def test_gap_with_many_groups(self, capsys, argv):
+        # Past about 77 groups the pseudo density's unscaled spectrum
+        # overflowed, and gap failed with "NaN log density".
+        code, out, _ = run_cli("gap", *argv, capsys=capsys)
+        assert code == 0
+        assert math.isfinite(json.loads(out)["r"])
+
     def test_unread_flags_rejected(self, capsys):
         # gap and rprime take no RIPR flags; regret takes no density flags.
         # No command takes --gamma: --prior beta:g,g is the one spelling of a
@@ -559,6 +570,23 @@ class TestCli:
         assert code == 1
         assert out == ""
         assert strict(err)["error"] == "rprime needs --palt or --worst-case"
+
+    @pytest.mark.parametrize("flags, error", [
+        (["--k", "2", "--m", "400", "--palt", "0.3,0.4,0.5"],
+         "expected 1 or 2 alternative parameters"),
+        (["--palt", "1.5"], "mean parameters must lie in [0, 1]"),
+        (["--palt", "nan"], "mean parameters must lie in [0, 1]"),
+    ])
+    def test_rprime_refuses_a_bad_palt_before_building(self, monkeypatch, capsys, flags, error):
+        from maxent_evalues import cli
+
+        builds = []
+        monkeypatch.setattr(cli, "pseudo_null_density", lambda *a, **kw: builds.append(a))
+        code, out, err = run_cli("rprime", *flags, capsys=capsys)
+        assert code == 1
+        assert out == ""
+        assert strict(err)["error"] == error
+        assert builds == []
 
     def test_regret_refuses_no_groups(self, capsys):
         # The empty design is refused where the alternative is read, not deep

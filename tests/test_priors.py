@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from maxent_evalues.priors import (
     DEFAULT_DENSITY_GRID,
     MAX_PSEUDO_POINTS,
     PriorSpec,
+    _box_spectrum,
     _folded_irfft,
     _induced_log_weights,
     induced_group_pmf,
@@ -148,6 +151,19 @@ class TestInducedLogWeights:
         else:
             want = log_binomial_row(n) + xlogy(j, j / n) + xlogy(n - j, 1.0 - j / n)
         assert np.array_equal(_induced_log_weights(spec, n), want)
+
+    @pytest.mark.parametrize("spec", GROUP_PRIORS[1:], ids=PriorSpec.describe)
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000, 1001])
+    def test_blocks_match_the_whole_array(self, monkeypatch, spec, n):
+        # Built in blocks of 3 points, each with its mirror, into a slice of
+        # a longer buffer: the same bits as the build in one block.
+        want = _induced_log_weights(spec, n)
+        monkeypatch.setattr(priors, "_BLOCK_POINTS", 3)
+        buf = np.zeros(n + 5)
+        got = _induced_log_weights(spec, n, out=buf[: n + 1])
+        assert np.shares_memory(got, buf)
+        assert np.array_equal(buf[: n + 1], want)
+        assert not buf[n + 1 :].any()
 
     @pytest.mark.parametrize("spec", GROUP_PRIORS, ids=PriorSpec.describe)
     def test_high_resolution_weights(self, spec):
@@ -313,9 +329,12 @@ class TestPseudoNullDensity:
             (PriorSpec.from_beta(0.5, 0.5), [3, 5], 10, 7),
             (PriorSpec.nml(), [3], 10, 30),
             (PriorSpec.from_beta(0.5, 2), [3], 10, 28),
-            # Not resampled: every high-resolution point is kept.
+            # Not resampled: every high-resolution point is kept. Beta(2,2),
+            # which goes through rfft as the oracle does, so that the grid is
+            # read bit for bit; uniform groups take their closed form
+            # (test_uniform_density_matches_exact_counts).
             (PriorSpec.from_beta(0.5, 2), [3], 10, 29),
-            (PriorSpec.uniform(), [4, 6], 10, None),
+            (PriorSpec.from_beta(2, 2), [4, 6], 10, None),
             # Folded, with the beta(<1) end cells clipped: indices 1 + 6i.
             (PriorSpec.from_beta(0.5, 0.5), [4, 4], 1000, 1334),
             # Folded: residues 0, 4 and 5 mod 9.
@@ -353,8 +372,10 @@ class TestPseudoNullDensity:
     def test_non_smooth_period_takes_the_whole_inverse(self):
         # 12 + 17 = 29: the points read repeat every 29 indices, and 29 * Q
         # is never a fast length, so the whole inverse runs; its points are
-        # read with the same linear weights, bit for bit.
-        specs, sizes, scale, grid_size = [PriorSpec.uniform()] * 2, [12, 17], 1000, 2001
+        # read with the same linear weights, bit for bit. Beta(2,2) goes
+        # through rfft as the oracle does.
+        specs, sizes, scale = [PriorSpec.from_beta(2, 2)] * 2, [12, 17], 1000
+        grid_size = 2001
         total = scale * 29
         weights = one_pass_convolution(specs, sizes, scale, total)
         steps = grid_size - 1
@@ -396,6 +417,105 @@ class TestPseudoNullDensity:
     def test_limit_admits_fixed_n_cells(self):
         # n = 1024 at the default scale: criterion 6 and the gap benchmark.
         assert 10_000 * 1024 + 1 <= MAX_PSEUDO_POINTS
+
+    @pytest.mark.parametrize(
+        "sizes, scale, grid_size",
+        [
+            ([4, 6], 10, None),
+            ([4, 6], 10, 51),
+            ([12, 17], 1000, None),
+            ([12, 17], 1000, 2001),  # the whole inverse
+            ([3, 3, 3], 1000, None),
+            ([3, 3, 3], 1000, 2001),  # folded
+        ],
+    )
+    def test_uniform_density_matches_exact_counts(self, sizes, scale, grid_size):
+        # Uniform groups take the closed-form spectrum; the convolution of
+        # their boxes is counted exactly by inclusion-exclusion.
+        scaled = [scale * n for n in sizes]
+        total = sum(scaled)
+        exact = np.array([uniform_convolution_closed_form(scaled, c) for c in range(total + 1)])
+        grid = np.arange(total + 1) / total
+        if grid_size is not None and total + 1 > grid_size:
+            points = np.linspace(0, 1, grid_size)
+            grid, exact = points, np.interp(points, grid, exact)
+        ref = np.exp(GridDensity.from_density(grid, exact).log_density)
+        got = pseudo_null_density([PriorSpec.uniform()] * len(sizes), sizes, scale, grid_size)
+        assert np.array_equal(got.density.grid, grid)
+        # The bound of TestFoldedIrfft: an FFT route's round-off of the peak.
+        length = fft.next_fast_len(total + 1, real=True)
+        tol = 4 * np.log2(length) * np.finfo(float).eps * ref.max()
+        np.testing.assert_allclose(np.exp(got.density.log_density), ref, rtol=0, atol=tol)
+
+    def test_rfft_runs_once_per_non_uniform_pair(self, monkeypatch):
+        calls = []
+        rfft = priors.fft.rfft
+
+        def spy(x, *args, **kwargs):
+            calls.append(np.shape(x))
+            return rfft(x, *args, **kwargs)
+
+        monkeypatch.setattr(priors.fft, "rfft", spy)
+        flat, beta, nml = PriorSpec.from_beta(1, 1), PriorSpec.from_beta(2, 2), PriorSpec.nml()
+        pseudo_null_density([PriorSpec.uniform(), flat, PriorSpec.uniform()], [3, 5, 4], 100)
+        assert calls == []
+        # (beta, 4) twice, (nml, 4) and (beta, 5): three distinct pairs.
+        specs = [PriorSpec.uniform(), beta, beta, nml, beta, flat]
+        pseudo_null_density(specs, [3, 4, 4, 4, 5, 3], 100)
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("sizes", [(512, 512), (683, 341)])
+    def test_uniform_build_holds_only_its_spectrum(self, sizes):
+        # The closed form writes the one-sided spectrum, 8 bytes a point, in
+        # blocks; no forward buffer is built. An rfft of each distinct size
+        # peaked at 16 and 24 bytes a point.
+        points = 10_000 * sum(sizes) + 1
+        tracemalloc.start()
+        try:
+            pseudo_null_density([PriorSpec.uniform()] * 2, sizes, grid_size=DEFAULT_DENSITY_GRID)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * points
+
+    @pytest.mark.parametrize("spec", [PriorSpec.from_beta(2, 2), PriorSpec.nml()],
+                             ids=PriorSpec.describe)
+    def test_one_group_build_holds_its_buffer_and_spectrum(self, spec):
+        # The log weights are built in blocks in the rfft's zero-padded
+        # buffer, so the peak is that buffer and its spectrum, 16 bytes a
+        # point; whole-array weights took 24 (beta) and 32 (NML).
+        points = 10_000 * 1024 + 1
+        tracemalloc.start()
+        try:
+            pseudo_null_density([spec], [1024], grid_size=DEFAULT_DENSITY_GRID)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 18 * points
+
+    @pytest.mark.parametrize(
+        "spec, groups, scale",
+        [
+            (PriorSpec.uniform(), 120, 1000),
+            (PriorSpec.from_beta(2, 2), 120, 1000),
+            # 1200 equal NML groups: scaled by a power of two, the factor's
+            # k = 0 term is still 2^0.22, whose 1200th power overflows.
+            (PriorSpec.nml(), 1200, 10),
+        ],
+    )
+    def test_many_groups_stay_finite(self, spec, groups, scale):
+        # Unscaled, the product's k = 0 term is the product of the groups'
+        # weight sums, about 1001^120 for uniform groups at scale 1000, past
+        # the largest float.
+        got = pseudo_null_density([spec] * groups, [1] * groups, scale).density
+        density = np.exp(got.log_density)
+        assert np.isfinite(density).all()
+        total = groups * scale
+        conv = convolve_all([induced_group_pmf(spec, scale)] * groups)
+        ref = GridDensity.from_density(np.arange(total + 1) / total, conv.weights() * total)
+        ref = np.exp(ref.log_density)
+        # The tolerance of test_one_pass_matches_left_fold.
+        np.testing.assert_allclose(density, ref, rtol=1e-9, atol=1e-12 * ref.max())
 
     @pytest.mark.parametrize(
         "specs, sizes, scale",
@@ -458,6 +578,32 @@ class TestFoldedIrfft:
         # level of the transform.
         tol = 4 * np.log2(length) * np.finfo(float).eps * np.abs(full).max()
         np.testing.assert_allclose(got, expected, rtol=0, atol=tol)
+
+
+class TestBoxSpectrum:
+    @pytest.mark.parametrize("length", [10**6, 10**6 - 1])
+    def test_matches_mpmath(self, length):
+        # A box of M ones has the transform e^{-i pi k (M-1)/L} sin(pi k M/L)
+        # / sin(pi k/L); the closed form returns it divided by M.
+        eps = np.finfo(float).eps
+        for m in (length // 3 + 7, 2 * length // 3 + 1):
+            spectrum = _box_spectrum({m: 1}, length)
+            assert spectrum.shape == (length // 2 + 1,) and spectrum[0] == 1
+            for k in (1, 2, length // 3 + 1, length // 2):
+                with mpmath.workdps(40):
+                    x = mpmath.pi * k / length
+                    exact = mpmath.exp(-1j * x * (m - 1)) * mpmath.sin(x * m) / mpmath.sin(x)
+                    err = float(abs(exact - m * mpmath.mpc(spectrum[k])))
+                assert err <= 8 * eps * m, (m, k)
+
+    def test_multiplies_a_given_spectrum(self):
+        length = 1000
+        rng = np.random.default_rng(7)
+        base = fft.rfft(rng.random(length))
+        boxes = {101: 2, 333: 1}
+        want = base * _box_spectrum(boxes, length)
+        got = _box_spectrum(boxes, length, base.copy())
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
 
 class TestDirectConvolutionDensity:
