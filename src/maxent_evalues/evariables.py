@@ -167,12 +167,21 @@ class Statistic:
 
     def count_term(self, counts) -> np.ndarray:
         c = np.atleast_1d(np.asarray(counts, dtype=np.int64))
-        return log_binomial_row(sum(self.sizes))[c] - self.log_null_mass(c)
+        n = sum(self.sizes)
+        # Checked here, since numpy would read a negative count from the end.
+        outside = c[(c < 0) | (c > n)]
+        if outside.size:
+            raise ValueError(f"total count {outside[0]} out of range 0..{n}")
+        return log_binomial_row(n)[c] - self.log_null_mass(c)
 
     def log_e(self, ones) -> float:
         """log S at one table, given its per-group one-counts."""
         ones = tuple(int(o) for o in ones)
-        log_e = sum(float(a[o]) for a, o in zip(self.group_terms, ones, strict=True))
+        log_e = 0.0
+        for i, (a, o) in enumerate(zip(self.group_terms, ones, strict=True)):
+            if not 0 <= o < a.size:
+                raise ValueError(f"group {i}: count {o} out of range 0..{a.size - 1}")
+            log_e += float(a[o])
         return log_e + float(self.count_term(sum(ones))[0])
 
     @staticmethod

@@ -200,17 +200,19 @@ class GridDensity:
 _BLOCK_CELLS = 1_000_000
 
 
-def _binomial_log_cells(out, counts, n: int, log_p, log_q) -> None:
+def _binomial_log_cells(out, counts, n: int, log_p, log_q, tail=None) -> None:
     """Fill out[i, j] = c_i log p_j + (n - c_i) log(1 - p_j) in place.
 
     out is any (counts x grid) float array, in either memory order. log_p and
     log_q are the grid's log p and log(1 - p) as xlogy(1.0, .) takes them,
     and 0 log 0 = 0 at c = 0 and c = n, so every cell equals the cellwise
-    xlogy form bit for bit. The (n - c) term is formed in blocks of about
-    _BLOCK_CELLS cells, in out's memory order so that adding it streams.
+    xlogy form bit for bit. The (n - c) term is formed in blocks of tail's
+    rows, about _BLOCK_CELLS cells unless the caller passes its own scratch,
+    in out's memory order so that adding it streams.
     """
-    rows = max(1, _BLOCK_CELLS // max(log_p.size, 1))
-    tail = np.empty_like(out[:rows])
+    if tail is None:
+        tail = np.empty_like(out[: max(1, _BLOCK_CELLS // max(log_p.size, 1))])
+    rows = tail.shape[0]
     for start in range(0, counts.size, rows):
         cc = counts[start : start + rows]
         ll, tl = out[start : start + rows], tail[: cc.size]
@@ -223,32 +225,93 @@ def _binomial_log_cells(out, counts, n: int, log_p, log_q) -> None:
         ll += tl
 
 
+# A row of log_binomial_mixture leaves out terms that sum to less than
+# e^-_WINDOW_NATS of those it keeps; e^-37 < 2^-53, below one ulp.
+_WINDOW_NATS = 37.0
+
+
+def _mixture_windows(p, log_w, n: int, counts) -> tuple[np.ndarray, np.ndarray]:
+    """Each count's window [lo, hi) of the increasing grid p, as indices.
+
+    With a = c/n, the term at p_j is log w_j + peak_c - n KL(a || p_j), and
+    Pinsker's inequality, n KL >= 2n (p_j - a)^2, bounds it by
+    max log w + peak_c - 2n (p_j - a)^2. The window keeps j*, the
+    finite-weight point nearest a, and every p_j with
+    |p_j - a| <= sqrt(tau / 2n), where
+    tau = (max log w - log w_j*) + n KL(a || p_j*) + log G + _WINDOW_NATS.
+    Each of the at most G points left out then has a term below
+    e^-_WINDOW_NATS / G of j*'s. The window depends on c alone. log_w needs
+    one finite weight.
+    """
+    live = np.flatnonzero(log_w > NEG_INF)
+    # At n = 0 every count is 0 and the window, wider than 1, is the whole grid.
+    a = counts / max(n, 1)
+    right = np.searchsorted(p[live], a).clip(max=live.size - 1)
+    left = (right - 1).clip(min=0)
+    star = np.where(a - p[live[left]] <= p[live[right]] - a, live[left], live[right])
+    # n KL(a || p_j*): infinite, and the window the whole grid, where the
+    # binomial at p_j* cannot reach c.
+    n_kl = xlogy(counts, a) + xlogy(n - counts, (n - counts) / max(n, 1))
+    n_kl -= xlogy(counts, p[star]) + xlogy(n - counts, 1.0 - p[star])
+    tau = log_w.max() - log_w[star] + n_kl + np.log(p.size) + _WINDOW_NATS
+    half = np.sqrt(tau / (2 * max(n, 1)))
+    return np.searchsorted(p, a - half, "left"), np.searchsorted(p, a + half, "right")
+
+
 def log_binomial_mixture(p, log_w, n: int, counts) -> np.ndarray:
     """log sum_j w_j C(n, c) p_j^c (1 - p_j)^(n - c) at each count c.
 
     The log pmf of the total count of n trials under a mixture of
-    Binomial(n, p_j) with log weights log_w, evaluated at the given counts
-    only, in blocks of about _BLOCK_CELLS cells built by _binomial_log_cells,
-    so the result equals the cellwise xlogy form bit for bit.
+    Binomial(n, p_j) on the increasing grid p with log weights log_w,
+    evaluated at the given counts only. Each count's row sums only its own
+    window of the grid (_mixture_windows), whose left-out terms sum to less
+    than e^-37 of the kept ones, so all n + 1 counts cost about
+    sqrt(2 tau n) G cells, not (n + 1) G. Each row's cells equal the
+    cellwise xlogy form bit for bit, and its max, exp and sum run over its
+    window alone, so a count's value is the same whichever counts it is
+    asked for with.
+
+    Distinct counts are taken in order, in blocks of _BLOCK_CELLS // G rows,
+    each built by _binomial_log_cells over the union of its rows' windows:
+    counts close together have windows that mostly overlap, and a block
+    never needs more than its share of the two buffers of a whole-grid
+    build.
     """
     c = np.atleast_1d(np.asarray(counts, dtype=np.int64))
-    out = np.empty(c.size)
+    if not (log_w > NEG_INF).any():
+        return np.full(c.size, NEG_INF)
+    u, inverse = np.unique(c, return_inverse=True)
+    lo, hi = _mixture_windows(p, log_w, n, u)
     log_p = xlogy(1.0, p)
     log_q = xlogy(1.0, 1.0 - p)
-    rows = max(1, _BLOCK_CELLS // max(p.size, 1))
-    cells = np.empty((min(rows, c.size), p.size))
-    for start in range(0, c.size, rows):
-        cc = c[start : start + rows]
-        ll = cells[: cc.size]
-        _binomial_log_cells(ll, cc, n, log_p, log_q)
-        ll += log_w
-        m = ll.max(axis=1, keepdims=True)
+    rows = max(1, _BLOCK_CELLS // p.size)
+    cells = np.empty(min(rows, u.size) * p.size)
+    tail = np.empty_like(cells)
+    out = np.empty(u.size)
+    for start in range(0, u.size, rows):
+        stop = min(start + rows, u.size)
+        left, right = int(lo[start:stop].min()), int(hi[start:stop].max())
+        width = right - left
+        ll = cells[: (stop - start) * width].reshape(stop - start, width)
+        _binomial_log_cells(
+            ll, u[start:stop], n, log_p[left:right], log_q[left:right],
+            tail[: ll.size].reshape(ll.shape),
+        )
+        ll += log_w[left:right]
+        win = np.stack((lo[start:stop], hi[start:stop]), axis=1) - left
+        # Row i's window is ll.flat[ends[2i] : ends[2i + 1]]; the reductions
+        # over the gaps between windows are dropped, and an end at ll.size,
+        # which reduceat does not take, is left off.
+        ends = (np.arange(0, ll.size, width)[:, None] + win).ravel()
+        m = np.maximum.reduceat(ll.ravel(), ends[:-1] if ends[-1] == ll.size else ends)[::2]
         m[m == NEG_INF] = 0.0
-        ll -= m
+        # Cells outside a window are below its max, so exp cannot overflow.
+        ll -= m[:, None]
         np.exp(ll, out=ll)
+        sums = [row[a:b].sum() for row, (a, b) in zip(ll, win.tolist())]
         with np.errstate(divide="ignore"):
-            out[start : start + rows] = m[:, 0] + np.log(ll.sum(axis=1))
-    return out + log_binomial_row(n)[c]
+            out[start:stop] = m + np.log(sums)
+    return out[inverse] + log_binomial_row(n)[c]
 
 
 def trapezoid_log_weights(density: GridDensity) -> np.ndarray:

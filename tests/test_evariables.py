@@ -85,6 +85,32 @@ class TestEValueReport:
         assert log_e == pytest.approx(num - den, abs=1e-13)
         assert math.exp(log_e) == pytest.approx(math.exp(num - den), rel=1e-13)
 
+    @pytest.mark.parametrize(
+        "ones, group, count", [((-1, 2), 0, -1), ((6, 2), 0, 6), ((2, -3), 1, -3)]
+    )
+    def test_log_e_refuses_counts_out_of_range(self, ones, group, count):
+        # A negative count read the term at the other end of the group's row.
+        statistic = Statistic.mic((5, 5), [PriorSpec.uniform()] * 2)
+        message = rf"group {group}: count {count} out of range 0\.\.5$"
+        with pytest.raises(ValueError, match=message):
+            statistic.log_e(ones)
+
+    @pytest.mark.parametrize("counts", [-1, 11, [3, -1]])
+    def test_count_term_refuses_totals_out_of_range(self, counts):
+        statistic = Statistic.mic((5, 5), [PriorSpec.uniform()] * 2)
+        bad = counts[-1] if isinstance(counts, list) else counts
+        with pytest.raises(ValueError, match=rf"total count {bad} out of range 0\.\.10$"):
+            statistic.count_term(counts)
+
+    def test_counts_at_the_group_size(self):
+        # Two uniform groups of 5: W0 is the law of the sum of two uniforms
+        # on 0..5, so S(5, 0) = C(10, 5) / 6^2 / (6 / 6^2) = 42, and S = 1
+        # at all ones.
+        statistic = Statistic.mic((5, 5), [PriorSpec.uniform()] * 2)
+        assert math.exp(statistic.log_e((5, 0))) == pytest.approx(42.0, rel=1e-13)
+        assert math.exp(statistic.log_e((5, 5))) == pytest.approx(1.0, rel=1e-13)
+        assert statistic.count_term(10)[0] == statistic.count_term(np.arange(11))[10]
+
     def test_pseudo_not_evariable(self):
         def of_kind(kind):
             return Statistic(kind, (np.zeros(2),), lambda c: np.zeros(len(c)), None)

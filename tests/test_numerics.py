@@ -1,17 +1,21 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import xlogy
+from scipy.special import logsumexp, xlogy
 
+from maxent_evalues import numerics
+from maxent_evalues.evariables import point_alt_count_pmf, ripr_solve
 from maxent_evalues.numerics import (
     FFT_CLAMP,
     FFT_THRESHOLD,
     NEG_INF,
     GridDensity,
     Pmf,
+    _mixture_windows,
     binomial_pmf,
     convolve,
     convolve_all,
@@ -21,7 +25,7 @@ from maxent_evalues.numerics import (
     log_sum_exp,
     trapezoid_log_weights,
 )
-from maxent_evalues.priors import PriorSpec, induced_group_pmf
+from maxent_evalues.priors import PriorSpec, induced_group_pmf, pseudo_null_density
 from oracles import (
     delta_pmf,
     kl_divergence,
@@ -266,24 +270,87 @@ class TestGridDensity:
         assert np.exp(lw).sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def cellwise_binomial_mixture(p, log_w, n, counts):
-    """log_binomial_mixture as one matrix of cellwise xlogy terms: the
-    reference its in-place chunks must equal bit for bit."""
+def cellwise_log_terms(p, log_w, n, counts):
+    """The terms of log_binomial_mixture as one matrix of cellwise xlogy
+    terms, a row a count, without log C(n, c)."""
     c = np.asarray(counts, dtype=np.int64)
-    ll = (
+    return (
         xlogy(c[:, None], p[None, :])
         + xlogy((n - c)[:, None], 1.0 - p[None, :])
         + log_w[None, :]
     )
+
+
+def cellwise_binomial_mixture(p, log_w, n, counts):
+    """log_binomial_mixture with every row summed over the whole grid."""
+    ll = cellwise_log_terms(p, log_w, n, counts)
     m = ll.max(axis=1, keepdims=True)
     m[m == NEG_INF] = 0.0
     with np.errstate(divide="ignore"):
-        return m[:, 0] + np.log(np.exp(ll - m).sum(axis=1)) + log_binomial_row(n)[c]
+        return m[:, 0] + np.log(np.exp(ll - m).sum(axis=1)) + log_binomial_row(n)[counts]
+
+
+def windowed_binomial_mixture(p, log_w, n, counts):
+    """log_binomial_mixture with each row shifted and summed over its own
+    window, one row at a time: the reference its blocks must equal bit for
+    bit."""
+    lo, hi = _mixture_windows(p, log_w, n, np.asarray(counts))
+    out = []
+    for row, a, b in zip(cellwise_log_terms(p, log_w, n, counts), lo, hi):
+        row = row[a:b]
+        m = row.max()
+        m = 0.0 if m == NEG_INF else m
+        with np.errstate(divide="ignore"):
+            out.append(m + np.log(np.exp(row - m).sum()))
+    return np.array(out) + log_binomial_row(n)[counts]
+
+
+@functools.cache
+def mixture_input(name):
+    """(p, log_w, n) of one test input of log_binomial_mixture."""
+    if name.startswith("pseudo"):
+        # The pseudo quadrature of log_w_pseudo0, on the default grid.
+        _, prior, sizes = name.split("/")
+        spec = {"uniform": PriorSpec.uniform(), "beta22": PriorSpec.from_beta(2, 2),
+                "nml": PriorSpec.nml()}[prior]
+        sizes = [int(s) for s in sizes.split(",")]
+        d = pseudo_null_density([spec] * len(sizes), sizes, grid_size=20_001).density
+        return d.grid, d.log_density + trapezoid_log_weights(d), sum(sizes)
+    if name.startswith("ripr"):
+        # The projections of point alternatives onto binomial mixtures, on
+        # sizes within the benchmark's table designs: a few atoms of the
+        # default 2001-point grid carry all the weight.
+        sizes = [int(s) for s in name.split("/")[1].split(",")]
+        target = point_alt_count_pmf(sizes, np.linspace(0.3, 0.6, len(sizes)))
+        sol = ripr_solve(target, sum(sizes))
+        return sol.grid, sol.log_weights, sum(sizes)
+    rng = np.random.default_rng(7)
+    p = np.linspace(0.0, 1.0, 20_001)
+    log_w = 3.0 * rng.normal(size=p.size)
+    log_w[:40] = NEG_INF
+    log_w[-40:] = NEG_INF
+    return p, log_w, {"random": 300, "n1": 1}[name]
+
+
+MIXTURE_INPUTS = (
+    "pseudo/uniform/512,512",
+    "pseudo/uniform/256,256,256,256",
+    # Its density is zero near 0 and 1, where FFT_CLAMP clears it.
+    "pseudo/uniform/128,128,128,128,128,128,128,128",
+    "pseudo/beta22/1024",
+    "pseudo/nml/40,40",
+    "ripr/20,35",
+    "ripr/45,60,70,80",
+    "ripr/150,200,180,250,160,240,170,230",
+    "ripr/30,34,38,42,46,50,54,58,60,56,52,48,44,40,36,32",
+    "random",
+    "n1",
+)
 
 
 class TestLogBinomialMixture:
-    # The 20001-point grid takes 49 counts a chunk, so n = 120 spans three.
-    @pytest.mark.parametrize("n, grid", [(1, 5), (7, 5), (120, 20_001)])
+    # Grids of 5 points: every window is the whole grid.
+    @pytest.mark.parametrize("n, grid", [(1, 5), (7, 5)])
     def test_matches_cellwise_xlogy(self, n, grid):
         rng = np.random.default_rng(n)
         p = np.linspace(0.0, 1.0, grid)  # both ends, where the logs are -inf
@@ -293,6 +360,75 @@ class TestLogBinomialMixture:
         counts = np.r_[np.arange(n + 1), [n, 0, n // 2]]
         got = log_binomial_mixture(p, log_w, n, counts)
         assert np.array_equal(got, cellwise_binomial_mixture(p, log_w, n, counts))
+
+    def test_matches_cellwise_xlogy_over_its_windows(self):
+        # At n = 120 the windows leave out part of the 20001-point grid, and
+        # the 121 distinct counts take three blocks of 49. Each row equals
+        # the cellwise terms summed over its own window bit for bit, and the
+        # whole row within the left-out mass, e^-37 relative, and a few ulps
+        # of the sum's round-off in another order.
+        n = 120
+        rng = np.random.default_rng(n)
+        p = np.linspace(0.0, 1.0, 20_001)
+        log_w = rng.normal(size=p.size)
+        log_w[1] = NEG_INF
+        log_w[-2] = NEG_INF
+        counts = np.r_[np.arange(n + 1), [n, 0, n // 2]]
+        lo, hi = _mixture_windows(p, log_w, n, counts)
+        assert ((hi - lo) < p.size).sum() > n // 2
+        got = log_binomial_mixture(p, log_w, n, counts)
+        assert np.array_equal(got, windowed_binomial_mixture(p, log_w, n, counts))
+        whole = cellwise_binomial_mixture(p, log_w, n, counts)
+        # log C(n, c) and the row's shifted log sum cancel in part: the ulps
+        # are those of the larger.
+        scale = np.maximum(np.abs(whole), log_binomial_row(n)[counts])
+        assert (np.abs(got - whole) <= 4 * np.spacing(scale)).all()
+
+    @pytest.mark.parametrize("name", MIXTURE_INPUTS)
+    def test_left_out_mass_within_bound(self, name):
+        # Brute force over every cell: the terms outside a row's window sum
+        # to at most e^-37 of those inside it.
+        p, log_w, n = mixture_input(name)
+        counts = np.arange(n + 1)
+        lo, hi = _mixture_windows(p, log_w, n, counts)
+        assert (lo < hi).all()
+        col = np.arange(p.size)
+        for start in range(0, n + 1, 64):
+            rows = slice(start, start + 64)
+            ll = cellwise_log_terms(p, log_w, n, counts[rows])
+            inside = (col >= lo[rows, None]) & (col < hi[rows, None])
+            kept = logsumexp(np.where(inside, ll, NEG_INF), axis=1)
+            left_out = logsumexp(np.where(inside, NEG_INF, ll), axis=1)
+            assert (left_out - kept <= -37.0).all()
+            assert np.isfinite(kept).all()
+
+    def test_rows_independent_of_the_counts_asked_with(self):
+        p, log_w, n = mixture_input("pseudo/uniform/512,512")
+        rng = np.random.default_rng(3)
+        counts = np.r_[rng.integers(0, n + 1, size=40), [512, 0, n, 512, 7, 7]]
+        rng.shuffle(counts)
+        together = log_binomial_mixture(p, log_w, n, counts)
+        alone = [log_binomial_mixture(p, log_w, n, c)[0] for c in counts]
+        assert np.array_equal(together, alone)
+        every = log_binomial_mixture(p, log_w, n, np.arange(n + 1))
+        assert np.array_equal(together, every[counts])
+
+    def test_reads_a_third_of_the_cells(self, monkeypatch):
+        # At n = 1024 on the 20001-point grid the windows keep 28% of the
+        # cells, and the blocks' unions of windows add about 4 points more.
+        p, log_w, n = mixture_input("pseudo/uniform/512,512")
+        built = []
+        cells = numerics._binomial_log_cells
+
+        def spy(out, *args):
+            built.append(out.size)
+            cells(out, *args)
+
+        monkeypatch.setattr(numerics, "_binomial_log_cells", spy)
+        got = log_binomial_mixture(p, log_w, n, np.arange(n + 1))
+        assert sum(built) <= 0.35 * (n + 1) * p.size
+        assert np.isfinite(got).all()
+        assert np.exp(got).sum() == pytest.approx(1.0, abs=1e-8)
 
     def test_point_mass_at_one(self):
         # Every count below n has no mass: those rows are all -inf.
