@@ -13,7 +13,7 @@ import sys
 
 from maxent_evalues.cli import parse_prior
 from maxent_evalues.diagnostics import e_powers
-from maxent_evalues.priors import DEFAULT_DENSITY_GRID, DEFAULT_SCALE, pseudo_null_density
+from maxent_evalues.priors import DEFAULT_DENSITY_GRID, DEFAULT_SCALE
 
 
 def prior_list(text):
@@ -31,8 +31,7 @@ def run(args, out) -> None:
         for m in args.m_values:
             sizes = (m,) * args.k
             priors = [spec] * args.k
-            density = pseudo_null_density(priors, sizes, args.scale, args.grid_size)
-            powers, achieved_kl = e_powers(priors, sizes, density)
+            powers, achieved_kl = e_powers(priors, sizes, args.scale, args.grid_size)
             mic, can, pse = powers["mic"], powers["can"], powers["pseudo"]
             print(
                 f"{spec.describe()}\t{args.k}\t{m}\t{mic:.8f}\t{can:.8f}"

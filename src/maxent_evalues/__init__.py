@@ -16,14 +16,12 @@ from .evariables import (
     Statistic,
     decide,
     e_power,
-    log_w_pseudo0,
     ripr_solve,
 )
 from .models import Table
-from .numerics import GridDensity, Pmf, binomial_pmf, convolve, convolve_all
+from .numerics import Pmf, binomial_pmf, convolve, convolve_all
 from .priors import (
     PriorSpec,
-    PseudoDensity,
     induced_group_pmf,
     null_optimal_prior,
     pseudo_null_density,
@@ -31,11 +29,9 @@ from .priors import (
 from .table_io import NetworkInput, network_to_table, parse_table
 
 __all__ = [
-    "GridDensity",
     "NetworkInput",
     "Pmf",
     "PriorSpec",
-    "PseudoDensity",
     "RegretCurve",
     "RiprSolution",
     "Statistic",
@@ -49,7 +45,6 @@ __all__ = [
     "gap_r",
     "gap_r_prime",
     "induced_group_pmf",
-    "log_w_pseudo0",
     "network_to_table",
     "null_optimal_prior",
     "parse_table",

@@ -8,6 +8,7 @@ emit TSV rows for plotting.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -36,12 +37,7 @@ from .evariables import (
     ripr_solve,  # noqa: F401
 )
 from .models import Table
-from .priors import (
-    DEFAULT_DENSITY_GRID,
-    DEFAULT_SCALE,
-    PriorSpec,
-    pseudo_null_density,
-)
+from .priors import DEFAULT_DENSITY_GRID, DEFAULT_SCALE, PriorSpec
 from .table_io import NETWORK_MODES, network_to_table, parse_network, parse_table
 
 
@@ -148,6 +144,9 @@ def _statistic_flags(args) -> None:
 
 def _run_test(table: Table, args) -> dict:
     _statistic_flags(args)
+    # As decide checks it, but before the statistic is built.
+    if not 0 < args.alpha <= 1:
+        raise ValueError("alpha must lie in (0, 1]")
     inputs = {
         "groups": [{"n": n, "ones": o} for n, o in table.groups],
         "statistic": args.statistic,
@@ -162,10 +161,7 @@ def _run_test(table: Table, args) -> dict:
             table.sizes, priors, args.ripr_grid, args.ripr_tol, args.ripr_max_iter
         )
     elif args.statistic == "pseudo":
-        density = pseudo_null_density(
-            priors, table.sizes, scale=args.scale, grid_size=args.density_grid
-        )
-        statistic = Statistic.pseudo(table.sizes, priors, density)
+        statistic = Statistic.pseudo(table.sizes, priors, args.scale, args.density_grid)
     else:
         if args.palt is None:
             raise ValueError("--statistic point requires --palt")
@@ -227,21 +223,19 @@ def _sizes(args) -> tuple[int, ...]:
 
 
 def _design(args):
-    """The group sizes, priors and pseudo density the arguments name, and
-    the report fields that describe them."""
+    """The group sizes and priors the arguments name, and the report fields
+    that describe them."""
     sizes = _sizes(args)
     priors = _priors_for(args, len(sizes))
-    density = pseudo_null_density(
-        priors, sizes, scale=args.scale, grid_size=args.density_grid
-    )
     described = {"sizes": list(sizes), "priors": [s.describe() for s in priors]}
-    return sizes, priors, density, described
+    return sizes, priors, described
 
 
 def cmd_epower(args) -> dict:
-    sizes, priors, density, payload = _design(args)
+    sizes, priors, payload = _design(args)
     powers, achieved_kl = e_powers(
-        priors, sizes, density, args.ripr_grid, args.ripr_tol, args.ripr_max_iter
+        priors, sizes, args.scale, args.density_grid,
+        args.ripr_grid, args.ripr_tol, args.ripr_max_iter,
     )
     mic, can, pseudo = powers["mic"], powers["can"], powers["pseudo"]
     return {
@@ -253,8 +247,9 @@ def cmd_epower(args) -> dict:
 
 
 def cmd_gap(args) -> dict:
-    sizes, priors, density, payload = _design(args)
-    return {**payload, "scale": args.scale, "r": gap_r(priors, sizes, density)}
+    sizes, priors, payload = _design(args)
+    r = gap_r(priors, sizes, args.scale, args.density_grid)
+    return {**payload, "scale": args.scale, "r": r}
 
 
 # The flags of rprime that only --worst-case reads, with their defaults there.
@@ -275,20 +270,21 @@ def cmd_rprime(args) -> dict:
             setattr(args, name, default)
         elif not args.worst_case:
             raise ValueError(f"--{name.replace('_', '-')} is read only with --worst-case")
-    # Parsed before the density is built, which is most of the command's cost.
-    palt = None if args.worst_case else _parse_palt(args.palt, len(_sizes(args)))
-    sizes, priors, density, payload = _design(args)
+    sizes, priors, payload = _design(args)
     payload["scale"] = args.scale
     if args.worst_case:
         value, argmax = worst_case_r_prime(
-            priors, sizes, density,
+            priors, sizes, args.scale, args.density_grid,
             grid_step=args.grid_step, bounds=(args.lo, args.hi),
         )
         payload["worst_case_r_prime"] = value
         payload["argmax"] = list(argmax)
     else:
+        palt = _parse_palt(args.palt, len(sizes))
         payload["p_alt"] = list(palt)
-        payload["r_prime"] = gap_r_prime(palt, priors, sizes, density)
+        payload["r_prime"] = gap_r_prime(
+            palt, priors, sizes, args.scale, args.density_grid
+        )
     return payload
 
 
@@ -383,6 +379,20 @@ def _add_density_args(p):
     p.add_argument("--density-grid", type=int, default=_FLAG_DEFAULTS["density_grid"])
 
 
+def _add_test_args(p):
+    """The arguments test and net-test share: the statistic and the flags
+    that only some statistics read, which default to None (_FLAG_DEFAULTS)."""
+    p.add_argument("--statistic", choices=("mic", "can", "pseudo", "point"),
+                   default="mic")
+    p.add_argument("--palt", default=None,
+                   help="comma-separated alternative means (--statistic point only)")
+    p.add_argument("--alpha", type=float, default=0.05)
+    _add_prior_args(p)
+    _add_ripr_args(p)
+    _add_density_args(p)
+    p.set_defaults(**dict.fromkeys(_FLAG_DEFAULTS))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="maxent-evalues",
@@ -393,41 +403,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("test", help="e-value test of an observed table")
     p.add_argument("--table", required=True)
     p.add_argument("--format", choices=("json", "csv"), default=None)
-    p.add_argument("--statistic", choices=("mic", "can", "pseudo", "point"),
-                   default="mic")
-    p.add_argument("--palt", default=None,
-                   help="comma-separated alternative means (--statistic point only)")
-    p.add_argument("--alpha", type=float, default=0.05)
-    _add_prior_args(p)
-    _add_ripr_args(p)
-    _add_density_args(p)
-    p.set_defaults(fn=cmd_test, **dict.fromkeys(_FLAG_DEFAULTS))
+    _add_test_args(p)
 
     p = sub.add_parser("net-test", help="network test via table reduction")
     p.add_argument("--network", required=True)
     p.add_argument("--mode", required=True, choices=NETWORK_MODES)
     p.add_argument("--constrained-block", default=None)
-    p.add_argument("--statistic", choices=("mic", "can", "pseudo", "point"),
-                   default="mic")
-    p.add_argument("--palt", default=None)
-    p.add_argument("--alpha", type=float, default=0.05)
-    _add_prior_args(p)
-    _add_ripr_args(p)
-    _add_density_args(p)
-    p.set_defaults(fn=cmd_net_test, **dict.fromkeys(_FLAG_DEFAULTS))
+    _add_test_args(p)
 
     p = sub.add_parser("epower", help="exact e-powers of mic/can/pseudo")
     _add_size_args(p, "epower")
     _add_prior_args(p)
     _add_ripr_args(p)
     _add_density_args(p)
-    p.set_defaults(fn=cmd_epower)
 
     p = sub.add_parser("gap", help="exact-vs-pseudo gap r")
     _add_size_args(p, "gap")
     _add_prior_args(p)
     _add_density_args(p)
-    p.set_defaults(fn=cmd_gap)
 
     p = sub.add_parser("rprime", help="gap under a point alternative")
     _add_size_args(p, "rprime")
@@ -441,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"(--worst-case only; default {WORST_CASE_BOUNDS[1]})")
     _add_prior_args(p)
     _add_density_args(p)
-    p.set_defaults(fn=cmd_rprime)
 
     p = sub.add_parser("regret", help="regret curve and fitted log-slope")
     p.add_argument("--k", type=int, default=2)
@@ -452,28 +444,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tsv", default=None)
     _add_prior_args(p)
     _add_ripr_args(p)
-    p.set_defaults(fn=cmd_regret)
 
     p = sub.add_parser("theorem1", help="prior-convergence TV diagnostic")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--bins", type=int, default=20)
     _add_prior_args(p)
-    p.set_defaults(fn=cmd_theorem1)
 
     p = sub.add_parser("continue", help="combine independent e-values")
     p.add_argument("evalue", nargs="+",
                    help="e-values or report JSON files to multiply")
     p.add_argument("--alpha", type=float, default=0.05)
-    p.set_defaults(fn=cmd_continue)
 
     return parser
 
 
+# One parser serves every call of main in a process.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # The command's function is looked up at each call, not bound when the
+    # parser was built, so that a name rebound since then is the one run.
+    fn = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        _emit(args.fn(args))
+        _emit(fn(args))
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         json.dump({"error": str(exc)}, sys.stderr)
         sys.stderr.write("\n")

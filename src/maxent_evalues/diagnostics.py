@@ -31,14 +31,7 @@ from .evariables import (
     ripr_solve,  # noqa: F401
 )
 from .numerics import NEG_INF, binomial_pmf
-from .priors import (
-    DEFAULT_DENSITY_GRID,
-    DEFAULT_SCALE,
-    PriorSpec,
-    PseudoDensity,
-    induced_group_pmf,
-    pseudo_null_density,
-)
+from .priors import DEFAULT_DENSITY_GRID, DEFAULT_SCALE, PriorSpec, induced_group_pmf
 
 WORKERS_ENV = "MAXENT_EVALUES_WORKERS"
 
@@ -69,28 +62,29 @@ class RegretCurve:
 def e_powers(
     specs,
     sizes,
-    density: PseudoDensity,
+    scale: int = DEFAULT_SCALE,
+    density_grid: int | None = DEFAULT_DENSITY_GRID,
     grid_size: int = RIPR_GRID_SIZE,
     tol: float = RIPR_TOL,
     max_iter: int = RIPR_MAX_ITER,
 ) -> tuple[dict, float]:
     """Exact e-powers of the mic, can and pseudo statistics under the Bayes
     marginal of specs, which should satisfy mic <= can <= pseudo, and the
-    achieved KL of the canonical statistic's projection.
-
-    density is the pseudo null density of these specs and sizes.
+    achieved KL of the canonical statistic's projection. scale and
+    density_grid are the pseudo null density's settings.
     """
     group_pmfs = [induced_group_pmf(s, n) for s, n in zip(specs, sizes)]
     statistics = {
+        # First, so that its density's checks run before the projection.
+        "pseudo": Statistic.pseudo(sizes, specs, scale, density_grid),
         "mic": Statistic.mic(sizes, specs),
         "can": Statistic.can(sizes, specs, grid_size, tol, max_iter),
-        "pseudo": Statistic.pseudo(sizes, specs, density),
     }
     powers = {name: e_power(s, group_pmfs) for name, s in statistics.items()}
     return powers, statistics["can"].achieved_kl
 
 
-def _count_term_gap(specs, sizes, density) -> tuple[np.ndarray, np.ndarray]:
+def _count_term_gap(specs, sizes, scale, density_grid) -> tuple[np.ndarray, np.ndarray]:
     """log W0 of the exact null prior at every total count, and h_pseudo - h_mic.
 
     Both count terms are log C(n, c) - log W0(c), so their difference is
@@ -98,20 +92,24 @@ def _count_term_gap(specs, sizes, density) -> tuple[np.ndarray, np.ndarray]:
     """
     sizes = list(sizes)
     c = np.arange(sum(sizes) + 1)
+    pseudo = Statistic.pseudo(sizes, specs, scale, density_grid)
     log_w0 = Statistic.mic(sizes, specs).log_null_mass(c)
-    gap = log_w0 - Statistic.pseudo(sizes, specs, density).log_null_mass(c)
+    gap = log_w0 - pseudo.log_null_mass(c)
     gap[log_w0 == NEG_INF] = 0.0
     return log_w0, gap
 
 
-def gap_r(specs, sizes, density: PseudoDensity) -> float:
+def gap_r(specs, sizes, scale=DEFAULT_SCALE, density_grid=DEFAULT_DENSITY_GRID) -> float:
     """KL divergence r from the exact null prior to the pseudo null prior, on
-    the total-count space. Equals the pseudo-minus-exact e-power difference."""
-    log_w0, gap = _count_term_gap(specs, sizes, density)
+    the total-count space. Equals the pseudo-minus-exact e-power difference.
+    scale and density_grid are the pseudo null density's settings."""
+    log_w0, gap = _count_term_gap(specs, sizes, scale, density_grid)
     return float(np.dot(np.exp(log_w0), gap))
 
 
-def gap_r_prime(p_alt, specs, sizes, density: PseudoDensity) -> float:
+def gap_r_prime(
+    p_alt, specs, sizes, scale=DEFAULT_SCALE, density_grid=DEFAULT_DENSITY_GRID
+) -> float:
     """Expected exact-vs-pseudo log-ratio under a point alternative.
 
     Same integrand as gap_r but weighted by the exact total-count law of the
@@ -119,14 +117,15 @@ def gap_r_prime(p_alt, specs, sizes, density: PseudoDensity) -> float:
     """
     sizes = list(sizes)
     pvec = _alt_params(sizes, p_alt)
-    _, gap = _count_term_gap(specs, sizes, density)
+    _, gap = _count_term_gap(specs, sizes, scale, density_grid)
     return float(np.dot(point_alt_count_pmf(sizes, pvec).weights(), gap))
 
 
 def worst_case_r_prime(
     specs,
     sizes,
-    density: PseudoDensity,
+    scale: int = DEFAULT_SCALE,
+    density_grid: int | None = DEFAULT_DENSITY_GRID,
     grid_step: float = WORST_CASE_STEP,
     bounds: tuple[float, float] = WORST_CASE_BOUNDS,
 ) -> tuple[float, tuple[float, ...]]:
@@ -159,7 +158,7 @@ def worst_case_r_prime(
             f"group(s) exceeds the limit of {MAX_WORST_CASE_POINTS} points "
             "(P^k, or P^2 for one group); raise grid_step or narrow the bounds"
         )
-    _, gap = _count_term_gap(specs, sizes, density)
+    _, gap = _count_term_gap(specs, sizes, scale, density_grid)
     axis = np.arange(lo, hi + grid_step / 2, grid_step)
     # arange can run up to half a step past hi; a point only round-off past
     # hi is hi itself and stays.
@@ -250,30 +249,30 @@ def regret(
     specs,
     sizes,
     candidate: str,
-    density: PseudoDensity | None = None,
+    scale: int = DEFAULT_SCALE,
+    density_grid: int | None = DEFAULT_DENSITY_GRID,
     grid_size: int = RIPR_GRID_SIZE,
     tol: float = RIPR_TOL,
     max_iter: int = RIPR_MAX_ITER,
 ) -> float:
     """Expected log-growth loss of a candidate statistic against the point GRO.
 
-    candidate is one of "gro_mic", "gro_can", "pseudo"; "pseudo" needs the
-    density. Both e-powers are exact under the point alternative.
+    candidate is one of "gro_mic", "gro_can", "pseudo"; scale and density_grid
+    are the settings of the pseudo candidate's density. Both e-powers are
+    exact under the point alternative.
     """
     specs = list(specs)
     sizes = list(sizes)
     pvec = _alt_params(sizes, p_alt)
     if candidate not in ("gro_mic", "gro_can", "pseudo"):
         raise ValueError(f"unknown candidate kind {candidate!r}")
-    if candidate == "pseudo" and density is None:
-        raise ValueError("pseudo candidate requires a density")
-    point = Statistic.point(sizes, pvec, grid_size, tol, max_iter)
     if candidate == "gro_mic":
         cand = Statistic.mic(sizes, specs)
     elif candidate == "pseudo":
-        cand = Statistic.pseudo(sizes, specs, density)
+        cand = Statistic.pseudo(sizes, specs, scale, density_grid)
     else:
         cand = Statistic.can(sizes, specs, grid_size, tol, max_iter)
+    point = Statistic.point(sizes, pvec, grid_size, tol, max_iter)
     binomials = [binomial_pmf(m, p) for m, p in zip(sizes, pvec)]
     return e_power(point, binomials) - e_power(cand, binomials)
 
@@ -317,10 +316,9 @@ def regret_curve(
 def _regret_cell(job):
     p_alt, spec, m, candidate, grid_size, tol, max_iter = job
     specs, sizes = [spec] * len(p_alt), [m] * len(p_alt)
-    density = None
-    if candidate == "pseudo":
-        density = pseudo_null_density(specs, sizes, DEFAULT_SCALE, DEFAULT_DENSITY_GRID)
-    return regret(p_alt, specs, sizes, candidate, density, grid_size, tol, max_iter)
+    return regret(
+        p_alt, specs, sizes, candidate, grid_size=grid_size, tol=tol, max_iter=max_iter
+    )
 
 
 def theorem1_diagnostic(spec: PriorSpec, m: int, bins: int) -> float:
@@ -365,9 +363,8 @@ def cells_power_law(k_values) -> tuple[tuple[int, int], ...]:
 
 
 def _sweep_cell(job):
-    prior, k, m, scale, grid_size = job
-    specs, sizes = [prior] * k, [m] * k
-    return gap_r(specs, sizes, pseudo_null_density(specs, sizes, scale, grid_size))
+    prior, k, m, scale, density_grid = job
+    return gap_r([prior] * k, [m] * k, scale, density_grid)
 
 
 def _run_parallel(fn, jobs):
@@ -393,12 +390,12 @@ def sweep(
     prior: PriorSpec,
     cells,
     scale: int = DEFAULT_SCALE,
-    grid_size: int | None = DEFAULT_DENSITY_GRID,
+    density_grid: int | None = DEFAULT_DENSITY_GRID,
 ) -> list[float]:
     """The gap r of k groups of size m under prior, for every (k, m) cell.
 
     Cells run on the worker pool of _run_parallel; the values come back in
     cell order, so output is identical for any worker count.
     """
-    jobs = [(prior, int(k), int(m), scale, grid_size) for k, m in cells]
+    jobs = [(prior, int(k), int(m), scale, density_grid) for k, m in cells]
     return _run_parallel(_sweep_cell, jobs)

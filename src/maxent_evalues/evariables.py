@@ -43,7 +43,14 @@ from .numerics import (
     log_sum_exp,
     trapezoid_log_weights,
 )
-from .priors import PseudoDensity, induced_group_pmf, null_optimal_prior
+from .priors import (
+    DEFAULT_DENSITY_GRID,
+    DEFAULT_SCALE,
+    PseudoDensity,
+    induced_group_pmf,
+    null_optimal_prior,
+    pseudo_null_density,
+)
 
 # Defaults for the numerical reverse information projection.
 RIPR_GRID_SIZE = 2001
@@ -192,8 +199,13 @@ class Statistic:
         return Statistic("gro_mic", _bayes_terms(pmfs), lambda c: log_w0[c], None)
 
     @staticmethod
-    def pseudo(sizes, priors, density: PseudoDensity) -> "Statistic":
-        """The microcanonical form with the pseudo null prior; not an e-variable."""
+    def pseudo(
+        sizes, priors, scale=DEFAULT_SCALE, density_grid=DEFAULT_DENSITY_GRID
+    ) -> "Statistic":
+        """The microcanonical form with the pseudo null prior of these sizes
+        and priors, built at scale and resampled onto density_grid points
+        (None: not resampled); not an e-variable."""
+        density = pseudo_null_density(priors, sizes, scale, density_grid)
         n = sum(sizes)
         terms = _bayes_terms(_group_pmfs(sizes, priors))
         return Statistic("pseudo", terms, lambda c: log_w_pseudo0(density, n, c), None)
@@ -248,7 +260,7 @@ def log_w_pseudo0(density: PseudoDensity, n: int, n1) -> np.ndarray:
     c0 = np.atleast_1d(np.asarray(n1, dtype=np.int64))
     if ((c0 < 0) | (c0 > n)).any():
         raise ValueError("total count out of range")
-    base = density.log_density + trapezoid_log_weights(density)
+    base = density.log_density + trapezoid_log_weights(density.grid)
     out = log_binomial_mixture(density.grid, base, n, c0)
     if (out == NEG_INF).any():
         raise ValueError("quadrature underflow")

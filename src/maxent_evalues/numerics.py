@@ -177,15 +177,11 @@ class GridDensity:
         if abs(integral - 1.0) > DENSITY_NORM_TOL:
             raise ValueError(f"density not normalized: trapezoid integral {integral}")
 
-    @property
-    def step(self) -> float:
-        return float(self.grid[1] - self.grid[0])
-
     @staticmethod
-    def from_density(grid, density) -> "GridDensity":
+    def from_density(grid, values) -> "GridDensity":
         """Build a density from nonnegative samples, normalizing the trapezoid integral."""
         g = np.asarray(grid, dtype=float)
-        d = np.asarray(density, dtype=float)
+        d = np.asarray(values, dtype=float)
         if (d < 0).any():
             raise ValueError("negative density value")
         integral = np.trapezoid(d, g)
@@ -314,9 +310,9 @@ def log_binomial_mixture(p, log_w, n: int, counts) -> np.ndarray:
     return out[inverse] + log_binomial_row(n)[c]
 
 
-def trapezoid_log_weights(density: GridDensity) -> np.ndarray:
-    """Log trapezoid quadrature weights for the density's grid."""
-    lw = np.full(density.grid.size, np.log(density.step))
+def trapezoid_log_weights(grid: np.ndarray) -> np.ndarray:
+    """Log trapezoid quadrature weights for a uniform grid."""
+    lw = np.full(grid.size, np.log(grid[1] - grid[0]))
     lw[0] -= np.log(2.0)
     lw[-1] -= np.log(2.0)
     return lw

@@ -28,7 +28,6 @@ from maxent_evalues.priors import (
     PriorSpec,
     induced_group_pmf,
     null_optimal_prior,
-    pseudo_null_density,
 )
 from oracles import gaussian_approx_tv, uniform_convolution_closed_form
 
@@ -172,11 +171,9 @@ def test_criterion_04_sandwich():
             sizes = (m, m)
             priors = [spec] * 2
             gp = [induced_group_pmf(spec, m) for _ in range(2)]
-            density = pseudo_null_density(priors, sizes, scale=10_000,
-                                          grid_size=20_001)
             mic = e_power(Statistic.mic(sizes, priors), gp)
             can = e_power(Statistic.can(sizes, priors, grid_size=2001, tol=1e-10), gp)
-            pse = e_power(Statistic.pseudo(sizes, priors, density), gp)
+            pse = e_power(Statistic.pseudo(sizes, priors, 10_000, 20_001), gp)
             assert can - mic >= -1e-8, (spec.describe(), m, mic, can)
             assert pse - can >= -1e-8, (spec.describe(), m, can, pse)
     _passed(4, "sandwich", started, 120.0)
@@ -187,9 +184,7 @@ def _gap_sequence(spec, size_of_m):
     for m in (10, 20, 40, 80, 160, 320):
         sizes = size_of_m(m)
         priors = [spec] * len(sizes)
-        density = pseudo_null_density(priors, sizes, scale=10_000,
-                                      grid_size=20_001)
-        values.append(gap_r(priors, sizes, density))
+        values.append(gap_r(priors, sizes, 10_000, 20_001))
     return values
 
 
@@ -304,9 +299,7 @@ def test_criterion_06_two_by_k_regimes():
 
     def r_of(sizes):
         priors = [uniform] * len(sizes)
-        density = pseudo_null_density(priors, sizes, scale=10_000,
-                                      grid_size=20_001)
-        return gap_r(priors, sizes, density)
+        return gap_r(priors, sizes, 10_000, 20_001)
 
     fixed_k = [r_of((m,) * k) for k, m in FIXED_K_CELLS]
     fixed_n = [r_of((m,) * k) for k, m in FIXED_N_CELLS]

@@ -24,19 +24,19 @@ from maxent_evalues.cli import main
 from maxent_evalues.evariables import Statistic, e_power
 from maxent_evalues.numerics import binomial_pmf
 from maxent_evalues.priors import (
+    DEFAULT_DENSITY_GRID,
     DEFAULT_SCALE,
     PriorSpec,
     induced_group_pmf,
-    pseudo_null_density,
 )
 from oracles import gaussian_approx_tv, kl_divergence, redundancy
 
 
-def make_density(priors, sizes, scale=2000):
-    return pseudo_null_density(priors, sizes, scale=scale, grid_size=20001)
+# The pseudo density's scale in these tests: a fifth of the default.
+SCALE = 2000
 
 
-def reference_worst_case_r_prime(specs, sizes, density, grid_step=0.02,
+def reference_worst_case_r_prime(specs, sizes, scale, grid_step=0.02,
                                  bounds=(0.02, 0.98)):
     """The worst-case search as a recursion over the grid, one convolution
     and one dot product a point: the arithmetic worst_case_r_prime must
@@ -44,7 +44,7 @@ def reference_worst_case_r_prime(specs, sizes, density, grid_step=0.02,
     lo, hi = bounds
     sizes = list(sizes)
     k = len(sizes)
-    _, gap = diagnostics._count_term_gap(specs, sizes, density)
+    _, gap = diagnostics._count_term_gap(specs, sizes, scale, DEFAULT_DENSITY_GRID)
     axis = np.arange(lo, hi + grid_step / 2, grid_step)
     best = -np.inf
     best_point = ()
@@ -68,16 +68,15 @@ def reference_worst_case_r_prime(specs, sizes, density, grid_step=0.02,
 class TestGapR:
     def test_nonnegative(self):
         priors = [PriorSpec.uniform()] * 2
-        assert gap_r(priors, (8, 8), make_density(priors, (8, 8))) >= -1e-10
+        assert gap_r(priors, (8, 8), SCALE) >= -1e-10
 
     def test_equals_epower_difference(self):
         priors = [PriorSpec.from_beta(2, 2)] * 2
         sizes = (5, 5)
-        density = make_density(priors, sizes)
-        r = gap_r(priors, sizes, density)
+        r = gap_r(priors, sizes, SCALE)
         gp = [induced_group_pmf(s, n) for s, n in zip(priors, sizes)]
         mic = e_power(Statistic.mic(sizes, priors), gp)
-        pse = e_power(Statistic.pseudo(sizes, priors, density), gp)
+        pse = e_power(Statistic.pseudo(sizes, priors, SCALE), gp)
         assert r == pytest.approx(pse - mic, abs=1e-10)
 
     def test_decreases_with_m(self):
@@ -85,7 +84,7 @@ class TestGapR:
         values = []
         for m in (10, 20, 40):
             sizes = (m, m)
-            values.append(gap_r(priors, sizes, make_density(priors, sizes)))
+            values.append(gap_r(priors, sizes, SCALE))
         assert values[0] > values[1] > values[2]
 
     def test_report_metadata(self, capsys):
@@ -97,7 +96,7 @@ class TestGapR:
         assert payload["sizes"] == [4, 6]
         assert payload["priors"] == ["uniform", "nml"]
         priors = [PriorSpec.uniform(), PriorSpec.nml()]
-        assert payload["r"] == gap_r(priors, (4, 6), make_density(priors, (4, 6)))
+        assert payload["r"] == gap_r(priors, (4, 6), SCALE)
 
 
 class TestGapRPrime:
@@ -106,52 +105,90 @@ class TestGapRPrime:
         vals = []
         for m in (20, 80):
             sizes = (m, m)
-            vals.append(
-                gap_r_prime((0.5, 0.5), priors, sizes, make_density(priors, sizes))
-            )
+            vals.append(gap_r_prime((0.5, 0.5), priors, sizes, SCALE))
         assert vals[1] < vals[0]
 
     def test_arity(self):
         priors = [PriorSpec.uniform()] * 2
         with pytest.raises(ValueError):
-            gap_r_prime((0.5,), priors, (4, 4), make_density(priors, (4, 4)))
+            gap_r_prime((0.5,), priors, (4, 4), SCALE)
+
+
+class TestChecksBeforeTheDensity:
+    """Each diagnostic builds its own pseudo density, after its cheap checks."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        builds = []
+
+        def built(*args, **kwargs):
+            builds.append(args)
+            raise AssertionError("pseudo density built")
+
+        monkeypatch.setattr(evariables, "pseudo_null_density", built)
+        return builds
+
+    @pytest.mark.parametrize("call, error", [
+        (lambda priors: worst_case_r_prime(priors, (1000, 1000), bounds=(0.9, 0.1)),
+         "bounds must satisfy 0 < lo < hi < 1"),
+        (lambda priors: worst_case_r_prime(priors, (1000, 1000), grid_step=0.0),
+         "grid_step must be positive"),
+        (lambda priors: gap_r_prime((0.5, 1.5), priors, (1000, 1000)),
+         r"mean parameters must lie in \[0, 1\]"),
+        (lambda priors: gap_r_prime((0.5,) * 3, priors, (1000, 1000)),
+         "expected 2 parameters, got 3"),
+    ], ids=["worst-case-bounds", "worst-case-step", "palt-range", "palt-arity"])
+    def test_refused_before_the_density_is_built(self, builds, call, error):
+        with pytest.raises(ValueError, match=error):
+            call([PriorSpec.nml()] * 2)
+        assert builds == []
+
+    def test_the_density_follows_the_settings(self, monkeypatch):
+        seen = []
+        build = evariables.pseudo_null_density
+
+        def spy(specs, sizes, scale, grid_size):
+            seen.append((list(sizes), scale, grid_size))
+            return build(specs, sizes, scale, grid_size)
+
+        monkeypatch.setattr(evariables, "pseudo_null_density", spy)
+        priors = [PriorSpec.uniform()] * 2
+        gap_r(priors, (4, 6), SCALE, 501)
+        gap_r_prime((0.3, 0.6), priors, (4, 6))
+        assert seen == [([4, 6], SCALE, 501), ([4, 6], DEFAULT_SCALE, DEFAULT_DENSITY_GRID)]
 
 
 class TestWorstCaseRPrime:
     def test_nonnegative_and_bounded_grid(self):
         priors = [PriorSpec.uniform()] * 2
         sizes = (10, 10)
-        value, argmax = worst_case_r_prime(priors, sizes, make_density(priors, sizes))
+        value, argmax = worst_case_r_prime(priors, sizes, SCALE)
         assert value >= 0
         assert all(0.02 <= p <= 0.98 for p in argmax)
 
     def test_dominates_interior_point(self):
         priors = [PriorSpec.uniform()] * 2
         sizes = (10, 10)
-        density = make_density(priors, sizes)
-        value, _ = worst_case_r_prime(priors, sizes, density)
-        assert value >= gap_r_prime((0.5, 0.5), priors, sizes, density) - 1e-12
+        value, _ = worst_case_r_prime(priors, sizes, SCALE)
+        assert value >= gap_r_prime((0.5, 0.5), priors, sizes, SCALE) - 1e-12
 
     def test_deterministic(self):
         priors = [PriorSpec.uniform()] * 2
         sizes = (6, 6)
-        density = make_density(priors, sizes)
-        a = worst_case_r_prime(priors, sizes, density, grid_step=0.1, bounds=(0.1, 0.9))
-        b = worst_case_r_prime(priors, sizes, density, grid_step=0.1, bounds=(0.1, 0.9))
+        a = worst_case_r_prime(priors, sizes, SCALE, grid_step=0.1, bounds=(0.1, 0.9))
+        b = worst_case_r_prime(priors, sizes, SCALE, grid_step=0.1, bounds=(0.1, 0.9))
         assert a == b
 
     def test_bad_bounds(self):
         priors = [PriorSpec.uniform()] * 2
         with pytest.raises(ValueError):
-            worst_case_r_prime(
-                priors, (4, 4), make_density(priors, (4, 4)), bounds=(0.0, 0.9)
-            )
+            worst_case_r_prime(priors, (4, 4), SCALE, bounds=(0.0, 0.9))
 
     @pytest.mark.parametrize("step", [0.0, -0.1, float("nan")])
     def test_bad_grid_step(self, step):
         priors = [PriorSpec.uniform()] * 2
         with pytest.raises(ValueError, match="grid_step must be positive"):
-            worst_case_r_prime(priors, (4, 4), make_density(priors, (4, 4)), grid_step=step)
+            worst_case_r_prime(priors, (4, 4), SCALE, grid_step=step)
 
     @pytest.mark.parametrize(
         "sizes, step",
@@ -170,7 +207,7 @@ class TestWorstCaseRPrime:
         monkeypatch.setattr(diagnostics, "_count_term_gap", built)
         priors = [PriorSpec.uniform()] * len(sizes)
         with pytest.raises(ValueError, match="worst-case grid"):
-            worst_case_r_prime(priors, sizes, None, grid_step=step)
+            worst_case_r_prime(priors, sizes, grid_step=step)
 
     def test_admits_the_default_axis_up_to_five_groups(self):
         assert 49**5 <= diagnostics.MAX_WORST_CASE_POINTS < 49**6
@@ -196,9 +233,8 @@ class TestWorstCaseRPrime:
     )
     def test_matches_recursion_bit_for_bit(self, prior, sizes, scale, options):
         priors = [prior] * len(sizes)
-        density = make_density(priors, sizes, scale=scale)
-        expected = reference_worst_case_r_prime(priors, sizes, density, **options)
-        assert worst_case_r_prime(priors, sizes, density, **options) == expected
+        expected = reference_worst_case_r_prime(priors, sizes, scale, **options)
+        assert worst_case_r_prime(priors, sizes, scale, **options) == expected
 
     @pytest.mark.parametrize("block_cells", [None, 2000, 1])
     def test_blocks_match_recursion_at_k5(self, monkeypatch, block_cells):
@@ -218,9 +254,8 @@ class TestWorstCaseRPrime:
         priors = [PriorSpec.uniform()] * 5
         sizes = (3, 4, 2, 5, 3)
         options = {"grid_step": 0.1, "bounds": (0.05, 0.95)}
-        density = make_density(priors, sizes)
-        expected = reference_worst_case_r_prime(priors, sizes, density, **options)
-        assert worst_case_r_prime(priors, sizes, density, **options) == expected
+        expected = reference_worst_case_r_prime(priors, sizes, SCALE, **options)
+        assert worst_case_r_prime(priors, sizes, SCALE, **options) == expected
         assert sum(blocks) == 10**5
         if block_cells is None:
             assert blocks == [10**5]
@@ -265,14 +300,13 @@ class TestWorstCaseRPrime:
         # here to p = 1.0000000000000002 and 1.1; those points are dropped.
         priors = [PriorSpec.uniform()] * 2
         sizes = (5, 5)
-        density = make_density(priors, sizes)
         value, argmax = worst_case_r_prime(
-            priors, sizes, density, grid_step=step, bounds=bounds
+            priors, sizes, SCALE, grid_step=step, bounds=bounds
         )
         assert max(argmax) <= bounds[1]
         assert all(any(p == pytest.approx(a) for a in axis) for p in argmax)
         assert value == pytest.approx(max(
-            gap_r_prime(q, priors, sizes, density)
+            gap_r_prime(q, priors, sizes, SCALE)
             for q in itertools.product(axis, repeat=2)), rel=1e-12)
 
 
@@ -298,23 +332,18 @@ class TestRegret:
         p_alt = (0.4, 0.6)
         specs = [PriorSpec.uniform()] * 2
         sizes = (15, 15)
-        density = make_density(specs, sizes)
         r_mic = regret(p_alt, specs, sizes, "gro_mic")
         r_can = regret(p_alt, specs, sizes, "gro_can")
-        r_pse = regret(p_alt, specs, sizes, "pseudo", density=density)
+        r_pse = regret(p_alt, specs, sizes, "pseudo", SCALE)
         # mic and pseudo share their numerator, so the regret difference is
         # exactly the pointwise gap r' at this alternative.
         assert r_mic - r_pse == pytest.approx(
-            gap_r_prime(p_alt, specs, sizes, density), abs=1e-10
+            gap_r_prime(p_alt, specs, sizes, SCALE), abs=1e-10
         )
         # The canonical statistic differs from mic only through the null
         # mass at the total count; under an interior alternative the two
         # regrets agree closely.
         assert abs(r_can - r_mic) < 0.01
-
-    def test_pseudo_needs_density(self):
-        with pytest.raises(ValueError, match="density"):
-            regret((0.5, 0.5), [PriorSpec.uniform()] * 2, (5, 5), "pseudo")
 
     def test_unknown_candidate(self):
         with pytest.raises(ValueError, match="candidate"):
@@ -419,7 +448,7 @@ class TestSweep:
 
     def direct(self, k, m, scale=200):
         specs, sizes = [self.PRIOR] * k, [m] * k
-        return gap_r(specs, sizes, pseudo_null_density(specs, sizes, scale, 20001))
+        return gap_r(specs, sizes, scale)
 
     def test_single_cell_matches_direct_call(self, monkeypatch):
         monkeypatch.setenv("MAXENT_EVALUES_WORKERS", "1")

@@ -222,8 +222,7 @@ class TestPseudo:
 
     def test_pseudo_kind_and_not_evariable(self):
         priors = [PriorSpec.uniform()] * 2
-        pd = pseudo_null_density(priors, (3, 3), scale=200)
-        statistic = Statistic.pseudo((3, 3), priors, pd)
+        statistic = Statistic.pseudo((3, 3), priors, scale=200)
         assert math.isfinite(statistic.log_e((2, 1)))
         assert statistic.kind == "pseudo"
         assert not statistic.is_evariable
@@ -241,7 +240,7 @@ class TestPseudo:
         )
         t = Table(((4, 2), (4, 3)))
         mic = Statistic.mic(t.sizes, priors).log_e(t.ones)
-        pse = Statistic.pseudo(t.sizes, priors, pd).log_e(t.ones)
+        pse = Statistic.pseudo(t.sizes, priors, scale=10_000, density_grid=None).log_e(t.ones)
         c0 = sum(t.ones)
         expect = float(w0.log_weights[c0] - log_w_pseudo0(pd, sum(t.sizes), [c0])[0])
         assert pse - mic == pytest.approx(expect, abs=1e-12)
@@ -647,13 +646,14 @@ class TestEPower:
     def test_matches_enumeration(self, sizes, label):
         priors = [parse_prior(label)] * len(sizes)
         gp = [induced_group_pmf(s, n) for s, n in zip(priors, sizes)]
-        density = pseudo_null_density(priors, sizes, scale=10_000, grid_size=20_001)
+        pseudo = Statistic.pseudo(sizes, priors)
         # Any converged projection serves: the check is of the decomposition.
-        # The oracle builds the statistic afresh for each table, as the CLI does.
+        # The oracle builds the statistic afresh for each table, as the CLI
+        # does, but for the pseudo density, which it builds once.
         cases = [
             lambda: Statistic.mic(sizes, priors),
             lambda: Statistic.can(sizes, priors, grid_size=501),
-            lambda: Statistic.pseudo(sizes, priors, density),
+            lambda: pseudo,
         ]
         for build in cases:
             statistic = build()

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from maxent_evalues import cli, evariables
 from maxent_evalues.cli import build_parser, main, parse_prior
 from maxent_evalues.evariables import RIPR_GRID_SIZE, RIPR_MAX_ITER, RIPR_TOL, Statistic
 from maxent_evalues.models import Table
@@ -387,8 +388,6 @@ class TestCli:
         assert math.isfinite(strict(out)["log_e"])
 
     def test_non_finite_report_is_an_error(self, monkeypatch, capsys):
-        from maxent_evalues import cli
-
         monkeypatch.setattr(cli, "cmd_theorem1", lambda args: {"tv": float("nan")})
         code, out, err = run_cli("theorem1", "--m", "5", capsys=capsys)
         assert code == 1
@@ -414,7 +413,6 @@ class TestCli:
 
     def test_gap_matches_library(self, capsys):
         from maxent_evalues.diagnostics import gap_r
-        from maxent_evalues.priors import pseudo_null_density
 
         code, out, _ = run_cli(
             "gap", "--prior", "beta:1,1", "--k", "2", "--m", "20", "--scale", "2000",
@@ -423,8 +421,7 @@ class TestCli:
         assert code == 0
         payload = json.loads(out)
         priors = [PriorSpec.from_beta(1, 1)] * 2
-        density = pseudo_null_density(priors, (20, 20), scale=2000, grid_size=20001)
-        assert payload["r"] == gap_r(priors, (20, 20), density)
+        assert payload["r"] == gap_r(priors, (20, 20), 2000, 20001)
 
     @pytest.mark.parametrize("argv", [
         ("--k", "80", "--m", "1"),
@@ -461,8 +458,6 @@ class TestCli:
     ):
         # NaN passed a `tol <= 0` check and ran every iteration; inf stopped
         # after one and reported the unsolved projection as an e-variable.
-        from maxent_evalues import evariables
-
         def built(*args):
             raise AssertionError("projection matrix built")
 
@@ -480,8 +475,6 @@ class TestCli:
         assert "(--ripr-tol) must be finite and positive" in strict(err)["error"]
 
     def test_ripr_matrix_refused_past_its_limit(self, monkeypatch, tmp_path, capsys):
-        from maxent_evalues import evariables
-
         def built(*args):
             raise AssertionError("projection matrix built")
 
@@ -560,12 +553,10 @@ class TestCli:
     def test_rprime_needs_palt_or_worst_case_before_building(self, monkeypatch, capsys):
         # Refused before the pseudo density is built, which at m = 400 costs
         # about a second.
-        from maxent_evalues import cli
-
         def built(*args, **kwargs):
             raise AssertionError("pseudo density built")
 
-        monkeypatch.setattr(cli, "pseudo_null_density", built)
+        monkeypatch.setattr(evariables, "pseudo_null_density", built)
         code, out, err = run_cli("rprime", "--k", "2", "--m", "400", capsys=capsys)
         assert code == 1
         assert out == ""
@@ -578,15 +569,94 @@ class TestCli:
         (["--palt", "nan"], "mean parameters must lie in [0, 1]"),
     ])
     def test_rprime_refuses_a_bad_palt_before_building(self, monkeypatch, capsys, flags, error):
-        from maxent_evalues import cli
-
         builds = []
-        monkeypatch.setattr(cli, "pseudo_null_density", lambda *a, **kw: builds.append(a))
+        monkeypatch.setattr(evariables, "pseudo_null_density",
+                            lambda *a, **kw: builds.append(a))
         code, out, err = run_cli("rprime", *flags, capsys=capsys)
         assert code == 1
         assert out == ""
         assert strict(err)["error"] == error
         assert builds == []
+
+    def test_rprime_refuses_bad_bounds_before_building(self, monkeypatch, capsys):
+        builds = []
+        monkeypatch.setattr(evariables, "pseudo_null_density",
+                            lambda *a, **kw: builds.append(a))
+        code, out, err = run_cli(
+            "rprime", "--k", "2", "--m", "1000", "--prior", "nml", "--worst-case",
+            "--lo", "0.9", "--hi", "0.1", capsys=capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert strict(err)["error"] == "bounds must satisfy 0 < lo < hi < 1"
+        assert builds == []
+
+    @pytest.mark.parametrize("command", ["test", "net-test"])
+    @pytest.mark.parametrize("alpha", ["0", "-0.5", "1.5", "nan"])
+    def test_alpha_refused_before_building(self, tmp_path, monkeypatch, capsys,
+                                           command, alpha):
+        # Three groups of 500 trials, whose projection takes most of a second.
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(
+            {"groups": [{"n": 500, "ones": o} for o in (180, 240, 260)]}))
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps({
+            "edges": [["1", "2"], ["2", "3"]],
+            "partition": {"1": "A", "2": "A", "3": "B"},
+        }))
+        source = (["test", "--table", str(path)] if command == "test" else
+                  ["net-test", "--network", str(net), "--mode", "sbm_vs_er_undirected"])
+        built = []
+
+        def spy(*args, **kwargs):
+            built.append(args)
+            raise ValueError("built")
+
+        monkeypatch.setattr(evariables, "ripr_solve", spy)
+        monkeypatch.setattr(evariables, "pseudo_null_density", spy)
+        evariables._projection.cache_clear()
+        for flags in (["--statistic", "can", "--prior", "beta:2,2"],
+                      ["--statistic", "point", "--palt", "0.4"],
+                      ["--statistic", "pseudo"]):
+            code, out, err = run_cli(*source, *flags, "--alpha", alpha, capsys=capsys)
+            assert code == 1, flags
+            assert out == ""
+            assert strict(err)["error"] == "alpha must lie in (0, 1]"
+            assert built == []
+            # The spies do see the build that a valid level reaches.
+            assert run_cli(*source, *flags, capsys=capsys)[2] == '{"error": "built"}\n'
+            built.clear()
+
+    def test_one_parser_serves_every_call(self, tmp_path):
+        # Run in fresh processes: the flags of one call must not leak into
+        # the next, which reuses the parser.
+        path = tmp_path / "t.json"
+        path.write_text('{"groups":[{"n":5,"ones":3},{"n":6,"ones":1}]}')
+        calls = [["test", "--table", str(path), "--statistic", "can", "--ripr-grid", "101"],
+                 ["test", "--table", str(path), "--statistic", "mic"]]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from maxent_evalues import cli\n"
+            "outs = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    buf = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(buf):\n"
+            "        assert cli.main(argv) == 0\n"
+            "    outs.append(buf.getvalue())\n"
+            "assert cli._parser.cache_info().misses == 1\n"
+            "print(json.dumps(outs))\n"
+        )
+        together = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(calls)],
+            capture_output=True, text=True, check=True, env=env,
+        )
+        alone = [subprocess.run([sys.executable, "-m", "maxent_evalues.cli", *argv],
+                                capture_output=True, text=True, check=True, env=env).stdout
+                 for argv in calls]
+        assert json.loads(together.stdout) == alone
+        assert "log_e" in strict(alone[0]) and "log_e" in strict(alone[1])
 
     def test_regret_refuses_no_groups(self, capsys):
         # The empty design is refused where the alternative is read, not deep
@@ -840,7 +910,6 @@ class TestCli:
 
     def test_regret_pseudo_candidate(self, capsys):
         from maxent_evalues.diagnostics import regret
-        from maxent_evalues.priors import pseudo_null_density
 
         code, out, _ = run_cli(
             "regret", "--candidate", "pseudo", "--palt", "0.3,0.6",
@@ -852,8 +921,7 @@ class TestCli:
         specs = [PriorSpec.uniform()] * 2
         for point in points:
             sizes = (point["m"],) * 2
-            density = pseudo_null_density(specs, sizes, 10_000, 20_001)
-            expect = regret((0.3, 0.6), specs, sizes, "pseudo", density=density)
+            expect = regret((0.3, 0.6), specs, sizes, "pseudo", 10_000, 20_001)
             assert point["regret"] == pytest.approx(expect, abs=1e-12)
 
     def test_reproducible_output(self, tmp_path, capsys):

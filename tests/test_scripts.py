@@ -14,7 +14,7 @@ import maxent_evalues
 from maxent_evalues.cli import main
 from maxent_evalues.diagnostics import fit_log_slope, gap_r, regret
 from maxent_evalues.evariables import Statistic
-from maxent_evalues.priors import PriorSpec, pseudo_null_density
+from maxent_evalues.priors import PriorSpec
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -49,7 +49,7 @@ def test_gap_sweep_script(monkeypatch, tmp_path):
         ("n_fixed", 4, 2), ("power_law", 2, 20), ("power_law", 4, 80),
     ]
     specs, sizes = [PriorSpec.uniform()] * 4, [80] * 4
-    expect = gap_r(specs, sizes, pseudo_null_density(specs, sizes, 200, 2001))
+    expect = gap_r(specs, sizes, 200, 2001)
     assert float(rows[-1][3]) == pytest.approx(expect, rel=1e-9)
 
 
