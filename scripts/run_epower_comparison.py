@@ -11,9 +11,8 @@ import argparse
 import contextlib
 import sys
 
-from maxent_evalues.cli import parse_prior
 from maxent_evalues.diagnostics import e_powers
-from maxent_evalues.priors import DEFAULT_DENSITY_GRID, DEFAULT_SCALE
+from maxent_evalues.priors import DEFAULT_DENSITY_GRID, DEFAULT_SCALE, parse_prior
 
 
 def prior_list(text):
@@ -31,7 +30,7 @@ def run(args, out) -> None:
         for m in args.m_values:
             sizes = (m,) * args.k
             priors = [spec] * args.k
-            powers, achieved_kl = e_powers(priors, sizes, args.scale, args.grid_size)
+            powers, achieved_kl = e_powers(priors, sizes, args.scale, args.density_grid)
             mic, can, pse = powers["mic"], powers["can"], powers["pseudo"]
             print(
                 f"{spec.describe()}\t{args.k}\t{m}\t{mic:.8f}\t{can:.8f}"
@@ -48,7 +47,7 @@ def main(argv=None) -> int:
     parser.add_argument("--k", type=int, default=2)
     parser.add_argument("--m-values", type=int_list, default="5,10,20")
     parser.add_argument("--scale", type=int, default=DEFAULT_SCALE)
-    parser.add_argument("--grid-size", type=int, default=DEFAULT_DENSITY_GRID)
+    parser.add_argument("--density-grid", type=int, default=DEFAULT_DENSITY_GRID)
     parser.add_argument("--out", default=None)
     args = parser.parse_args(argv)
     with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:

@@ -10,9 +10,8 @@ import argparse
 import contextlib
 import sys
 
-from maxent_evalues.cli import parse_prior
 from maxent_evalues.diagnostics import cells_n_fixed, cells_power_law, sweep
-from maxent_evalues.priors import DEFAULT_DENSITY_GRID, DEFAULT_SCALE
+from maxent_evalues.priors import DEFAULT_DENSITY_GRID, DEFAULT_SCALE, parse_prior
 
 
 def int_list(text):
@@ -27,7 +26,7 @@ def run(args, out) -> None:
     }
     print("regime\tk\tm\tr", file=out)
     for regime, cells in regimes.items():
-        values = sweep(args.prior, cells, args.scale, args.grid_size)
+        values = sweep(args.prior, cells, args.scale, args.density_grid)
         for (k, m), r in zip(cells, values):
             print(f"{regime}\t{k}\t{m}\t{r:.10e}", file=out)
 
@@ -40,7 +39,7 @@ def main(argv=None) -> int:
     parser.add_argument("--n-fixed", type=int, default=1024)
     parser.add_argument("--k-values", type=int_list, default="2,4,8,16")
     parser.add_argument("--scale", type=int, default=DEFAULT_SCALE)
-    parser.add_argument("--grid-size", type=int, default=DEFAULT_DENSITY_GRID)
+    parser.add_argument("--density-grid", type=int, default=DEFAULT_DENSITY_GRID)
     parser.add_argument("--out", default=None)
     args = parser.parse_args(argv)
     with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:

@@ -37,23 +37,8 @@ from .evariables import (
     ripr_solve,  # noqa: F401
 )
 from .models import Table
-from .priors import DEFAULT_DENSITY_GRID, DEFAULT_SCALE, PriorSpec
+from .priors import DEFAULT_DENSITY_GRID, DEFAULT_SCALE, PriorSpec, parse_prior
 from .table_io import NETWORK_MODES, network_to_table, parse_network, parse_table
-
-
-def parse_prior(text: str) -> PriorSpec:
-    """Prior syntax: 'uniform', 'nml', or 'beta:a,b'."""
-    text = text.strip().lower()
-    if text == "uniform":
-        return PriorSpec.uniform()
-    if text == "nml":
-        return PriorSpec.nml()
-    if text.startswith("beta:"):
-        parts = text[len("beta:"):].split(",")
-        if len(parts) != 2:
-            raise ValueError(f"expected beta:a,b, got {text!r}")
-        return PriorSpec.from_beta(float(parts[0]), float(parts[1]))
-    raise ValueError(f"unknown prior {text!r}")
 
 
 def _priors_for(args, k: int) -> list[PriorSpec]:

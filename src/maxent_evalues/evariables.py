@@ -70,9 +70,9 @@ _MAX_RIPR_CELLS = 50_000_000
 _WEIGHT_FLOOR = 1e-300
 
 # Projections kept by _projection. An entry holds its key's target bytes,
-# 8(n+1), and the solution's grid and log weights, 16·grid_size, so the memo
-# holds at most _PROJECTIONS x (8(n+1) + 16·grid_size) bytes: under 4 MB at
-# the benchmark's sizes (n up to about 11,200 dyads, the default grid).
+# 8(n+1), and the solution's atoms and log weights, at most 16·grid_size, so
+# the memo holds at most _PROJECTIONS x (8(n+1) + 16·grid_size) bytes: under
+# 4 MB at the benchmark's sizes (n up to about 11,200 dyads, the default grid).
 _PROJECTIONS = 32
 
 POST_HOC_LEVEL = float(np.exp(-1.0))
@@ -84,9 +84,11 @@ _EVARIABLE_KINDS = {"gro_mic": True, "gro_can": True, "gro_point": True, "pseudo
 class RiprSolution:
     """Numerical reverse information projection onto the null model.
 
-    The projection is a discrete mixture of binomial total-count laws with
-    mean parameters on a uniform grid; achieved_kl is the divergence from
-    the target total-count law to the mixture total-count law.
+    The projection is a discrete mixture of binomial total-count laws: its
+    atoms are the points of a uniform grid on [0, 1] that kept weight, in
+    increasing order, with their finite log weights. achieved_kl is the
+    divergence from the target total-count law to the mixture total-count
+    law.
     """
 
     grid: np.ndarray
@@ -102,8 +104,8 @@ class RiprSolution:
         object.__setattr__(self, "log_weights", lw)
         g.setflags(write=False)
         lw.setflags(write=False)
-        if g.shape != lw.shape or g.ndim != 1:
-            raise ValueError("grid and log_weights must be matching 1-D arrays")
+        if g.shape != lw.shape or g.ndim != 1 or not np.isfinite(lw).all():
+            raise ValueError("grid and log_weights must be matching 1-D arrays, the weights finite")
 
 
 def _group_pmfs(sizes, priors) -> list[Pmf]:
@@ -125,25 +127,10 @@ def _alt_params(sizes, alt_params) -> np.ndarray:
     pvec = np.atleast_1d(np.asarray(alt_params, dtype=float))
     if pvec.size != len(sizes):
         raise ValueError(f"expected {len(sizes)} parameters, got {pvec.size}")
-    if ((pvec < 0) | (pvec > 1)).any():
+    # Written so that NaN, which fails every comparison, is refused.
+    if not ((pvec >= 0) & (pvec <= 1)).all():
         raise ValueError("mean parameters must lie in [0, 1]")
     return pvec
-
-
-def _projected_mass(target: Pmf, n: int, grid_size, tol, max_iter):
-    """log W0 of the projection of target onto binomial mixtures, solved
-    through _projection, and the projection's achieved KL."""
-    solution = _projection(target.log_weights.tobytes(), n, grid_size, tol, max_iter)
-    if not solution.converged:
-        raise ValueError(
-            f"the reverse information projection did not converge in "
-            f"{solution.iterations} iterations; refine solver settings: raise "
-            "max_iter (--ripr-max-iter) or tol (--ripr-tol)"
-        )
-    return (
-        lambda c: log_binomial_mixture(solution.grid, solution.log_weights, n, c),
-        solution.achieved_kl,
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,11 +208,7 @@ class Statistic:
         """Canonical GRO e-variable: W0 is the projection onto binomial
         mixtures of the optimal null prior, the Bayes marginal's law of the
         total count, for these sizes and priors."""
-        pmfs = _group_pmfs(sizes, priors)
-        mass, kl = _projected_mass(
-            null_optimal_prior(pmfs), sum(sizes), grid_size, tol, max_iter
-        )
-        return Statistic("gro_can", _bayes_terms(pmfs), mass, kl)
+        return _canonical("gro_can", _group_pmfs(sizes, priors), grid_size, tol, max_iter)
 
     @staticmethod
     def point(
@@ -235,19 +218,30 @@ class Statistic:
         tol: float = RIPR_TOL,
         max_iter: int = RIPR_MAX_ITER,
     ) -> "Statistic":
-        """GRO e-variable against a point alternative: the group terms are the
-        Bernoulli log-likelihoods at alt_params (0^0 = 1 at the boundary), and
-        W0 is the projection of the exact law of the total count under the
-        alternative, the convolution of the per-group binomials."""
+        """GRO e-variable against a point alternative: the canonical
+        construction with each group's law Binomial(n_i, alt_params[i]) in
+        place of its prior's induced law. The group terms are then the
+        Bernoulli log-likelihoods (0^0 = 1 at the boundary), and W0 is the
+        projection of the exact law of the total count under the alternative."""
         pvec = _alt_params(sizes, alt_params)
-        terms = []
-        for n, p in zip(sizes, pvec):
-            c = np.arange(n + 1)
-            terms.append(xlogy(c, p) + xlogy(n - c, 1.0 - p))
-        mass, kl = _projected_mass(
-            point_alt_count_pmf(sizes, pvec), sum(sizes), grid_size, tol, max_iter
+        laws = [binomial_pmf(n, p) for n, p in zip(sizes, pvec)]
+        return _canonical("gro_point", laws, grid_size, tol, max_iter)
+
+
+def _canonical(kind: str, group_pmfs, grid_size, tol, max_iter) -> Statistic:
+    """The statistic with these group laws' Bayes terms and W0 the projection
+    of their convolution onto binomial mixtures, solved through _projection."""
+    n = sum(p.support_size - 1 for p in group_pmfs)
+    target = null_optimal_prior(group_pmfs)
+    solution = _projection(target.log_weights.tobytes(), n, grid_size, tol, max_iter)
+    if not solution.converged:
+        raise ValueError(
+            f"the reverse information projection did not converge in "
+            f"{solution.iterations} iterations; refine solver settings: raise "
+            "max_iter (--ripr-max-iter) or tol (--ripr-tol)"
         )
-        return Statistic("gro_point", tuple(terms), mass, kl)
+    mass = functools.partial(log_binomial_mixture, solution.grid, solution.log_weights, n)
+    return Statistic(kind, _bayes_terms(group_pmfs), mass, solution.achieved_kl)
 
 
 def log_w_pseudo0(density: PseudoDensity, n: int, n1) -> np.ndarray:
@@ -399,11 +393,13 @@ def ripr_solve(
             converged = True
             break
         w, kl, q = cand, kl_cand, q_cand
-    full = np.full(grid_size, NEG_INF)
     with np.errstate(divide="ignore"):
         lw = np.log(w)
-    full[active_idx] = lw - log_sum_exp(lw)
-    return RiprSolution(p, full, kl, it, converged)
+    # Normalized before the zero weights are cut (where they sit changes a
+    # sum's rounding), so the atoms' bits are those of the whole active grid.
+    lw -= log_sum_exp(lw)
+    atoms = lw > NEG_INF
+    return RiprSolution(p[active_idx[atoms]], lw[atoms], kl, it, converged)
 
 
 @functools.lru_cache(maxsize=_PROJECTIONS)

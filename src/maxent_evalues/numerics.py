@@ -227,24 +227,22 @@ _WINDOW_NATS = 37.0
 
 
 def _mixture_windows(p, log_w, n: int, counts) -> tuple[np.ndarray, np.ndarray]:
-    """Each count's window [lo, hi) of the increasing grid p, as indices.
+    """Each count's window [lo, hi) of the increasing atoms p, as indices.
 
     With a = c/n, the term at p_j is log w_j + peak_c - n KL(a || p_j), and
     Pinsker's inequality, n KL >= 2n (p_j - a)^2, bounds it by
-    max log w + peak_c - 2n (p_j - a)^2. The window keeps j*, the
-    finite-weight point nearest a, and every p_j with
-    |p_j - a| <= sqrt(tau / 2n), where
-    tau = (max log w - log w_j*) + n KL(a || p_j*) + log G + _WINDOW_NATS.
-    Each of the at most G points left out then has a term below
-    e^-_WINDOW_NATS / G of j*'s. The window depends on c alone. log_w needs
-    one finite weight.
+    max log w + peak_c - 2n (p_j - a)^2. The window keeps j*, the atom
+    nearest a, and every p_j with |p_j - a| <= sqrt(tau / 2n), where
+    tau = (max log w - log w_j*) + n KL(a || p_j*) + log G + _WINDOW_NATS
+    and G is the number of atoms. Each of the at most G atoms left out then
+    has a term below e^-_WINDOW_NATS / G of j*'s. The window depends on c
+    alone. Every log weight must be finite.
     """
-    live = np.flatnonzero(log_w > NEG_INF)
     # At n = 0 every count is 0 and the window, wider than 1, is the whole grid.
     a = counts / max(n, 1)
-    right = np.searchsorted(p[live], a).clip(max=live.size - 1)
+    right = np.searchsorted(p, a).clip(max=p.size - 1)
     left = (right - 1).clip(min=0)
-    star = np.where(a - p[live[left]] <= p[live[right]] - a, live[left], live[right])
+    star = np.where(a - p[left] <= p[right] - a, left, right)
     # n KL(a || p_j*): infinite, and the window the whole grid, where the
     # binomial at p_j* cannot reach c.
     n_kl = xlogy(counts, a) + xlogy(n - counts, (n - counts) / max(n, 1))
@@ -259,10 +257,12 @@ def log_binomial_mixture(p, log_w, n: int, counts) -> np.ndarray:
 
     The log pmf of the total count of n trials under a mixture of
     Binomial(n, p_j) on the increasing grid p with log weights log_w,
-    evaluated at the given counts only. Each count's row sums only its own
-    window of the grid (_mixture_windows), whose left-out terms sum to less
+    evaluated at the given counts only. The mixture is its atoms: points of
+    weight zero (-inf) are dropped first. Each count's row sums only its own
+    window of the atoms (_mixture_windows), whose left-out terms sum to less
     than e^-37 of the kept ones, so all n + 1 counts cost about
-    sqrt(2 tau n) G cells, not (n + 1) G. Each row's cells equal the
+    sqrt(2 tau n) G cells, not (n + 1) G, and log p and log(1 - p) are taken
+    once, over the atoms the windows span. Each row's cells equal the
     cellwise xlogy form bit for bit, and its max, exp and sum run over its
     window alone, so a count's value is the same whichever counts it is
     asked for with.
@@ -274,12 +274,15 @@ def log_binomial_mixture(p, log_w, n: int, counts) -> np.ndarray:
     build.
     """
     c = np.atleast_1d(np.asarray(counts, dtype=np.int64))
-    if not (log_w > NEG_INF).any():
+    live = log_w > NEG_INF
+    p, log_w = p[live], log_w[live]
+    if not p.size:
         return np.full(c.size, NEG_INF)
     u, inverse = np.unique(c, return_inverse=True)
     lo, hi = _mixture_windows(p, log_w, n, u)
-    log_p = xlogy(1.0, p)
-    log_q = xlogy(1.0, 1.0 - p)
+    first, last = int(lo.min()), int(hi.max())
+    p, log_w, lo, hi = p[first:last], log_w[first:last], lo - first, hi - first
+    log_p, log_q = xlogy(1.0, p), xlogy(1.0, 1.0 - p)
     rows = max(1, _BLOCK_CELLS // p.size)
     cells = np.empty(min(rows, u.size) * p.size)
     tail = np.empty_like(cells)

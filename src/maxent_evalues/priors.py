@@ -101,6 +101,21 @@ class PriorSpec:
         return self.kind
 
 
+def parse_prior(text: str) -> PriorSpec:
+    """Prior syntax: 'uniform', 'nml', or 'beta:a,b'."""
+    text = text.strip().lower()
+    if text == "uniform":
+        return PriorSpec.uniform()
+    if text == "nml":
+        return PriorSpec.nml()
+    if text.startswith("beta:"):
+        parts = text[len("beta:"):].split(",")
+        if len(parts) != 2:
+            raise ValueError(f"expected beta:a,b, got {text!r}")
+        return PriorSpec.from_beta(float(parts[0]), float(parts[1]))
+    raise ValueError(f"unknown prior {text!r}")
+
+
 @dataclass(frozen=True)
 class PseudoDensity:
     """Continuous null prior on p0."""

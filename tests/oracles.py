@@ -118,6 +118,23 @@ def uniform_convolution_closed_form(sizes, n1: int) -> float:
     return count / denom
 
 
+def log_equal_uniform_count(k: int, m: int, n1: int) -> float:
+    """log of the number of ways k integers in 0..m sum to n1 (-inf if none).
+
+    Inclusion-exclusion over the upper bounds, sum_j (-1)^j C(k, j)
+    C(n1 - j(m + 1) + k - 1, k - 1), in Python integers, whose log is taken
+    only at the end: exact for any k, where the quotient of
+    uniform_convolution_closed_form underflows past 1e-308.
+    """
+    if not 0 <= n1 <= k * m:
+        return -math.inf
+    count = sum(
+        (-1) ** j * math.comb(k, j) * math.comb(n1 - j * (m + 1) + k - 1, k - 1)
+        for j in range(min(k, n1 // (m + 1)) + 1)
+    )
+    return math.log(count)
+
+
 def redundancy(p_alt, specs, sizes) -> float:
     """Expected log-likelihood advantage of the point alternative over the
     Bayes marginal; sums per-group binomial-to-prior divergences. It bounds

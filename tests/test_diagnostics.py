@@ -135,9 +135,11 @@ class TestChecksBeforeTheDensity:
          "grid_step must be positive"),
         (lambda priors: gap_r_prime((0.5, 1.5), priors, (1000, 1000)),
          r"mean parameters must lie in \[0, 1\]"),
+        (lambda priors: gap_r_prime((math.nan, 0.5), priors, (1000, 1000)),
+         r"mean parameters must lie in \[0, 1\]"),
         (lambda priors: gap_r_prime((0.5,) * 3, priors, (1000, 1000)),
          "expected 2 parameters, got 3"),
-    ], ids=["worst-case-bounds", "worst-case-step", "palt-range", "palt-arity"])
+    ], ids=["worst-case-bounds", "worst-case-step", "palt-range", "palt-nan", "palt-arity"])
     def test_refused_before_the_density_is_built(self, builds, call, error):
         with pytest.raises(ValueError, match=error):
             call([PriorSpec.nml()] * 2)

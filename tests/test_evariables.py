@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 from scipy.special import xlogy
 
 from maxent_evalues import evariables
-from maxent_evalues.cli import main, parse_prior
+from maxent_evalues.cli import main
 from maxent_evalues.evariables import (
     RIPR_GRID_SIZE,
     RIPR_MAX_ITER,
     RIPR_TOL,
+    RiprSolution,
     Statistic,
     decide,
     e_power,
@@ -37,9 +38,10 @@ from maxent_evalues.priors import (
     PseudoDensity,
     induced_group_pmf,
     null_optimal_prior,
+    parse_prior,
     pseudo_null_density,
 )
-from oracles import log_binomial, log_multiplicity, uniform_pmf
+from oracles import log_binomial, log_equal_uniform_count, log_multiplicity, uniform_pmf
 
 
 def exact_null_expectation_micro(sizes, priors, c0):
@@ -199,6 +201,35 @@ class TestGroMic:
             )
 
 
+def exact_mic_equal_uniform(k: int, m: int, c: int) -> float:
+    """log e of mic under uniform priors on k groups of m with c ones each:
+    log C(km, kc) - k log C(m, c) - log #{u in 0..m, k terms, summing to kc}."""
+    return (log_binomial(k * m, k * c) - k * log_binomial(m, c)
+            - log_equal_uniform_count(k, m, k * c))
+
+
+class TestGroMicGrowingK:
+    """mic under uniform priors on k equal groups, against the exact count."""
+
+    def test_matches_the_exact_count_where_the_route_is_exact(self):
+        exact = exact_mic_equal_uniform(4, 100, 30)
+        assert exact == pytest.approx(-5.957463357161, abs=1e-12)
+        got = Statistic.mic((100,) * 4, [PriorSpec.uniform()] * 4).log_e((30,) * 4)
+        assert got == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP finding 3: FFT_CLAMP zeroes the optimal null prior's tails, "
+        "so mic reads +inf; item 2 (exact tilted count laws) is the mend"))
+    @pytest.mark.parametrize("k, m, c, exact", [
+        (50, 100, 0, 0.0), (50, 100, 1, -19.21312), (50, 100, 5, -48.51048),
+        (200, 50, 15, -316.30615),
+    ])
+    def test_many_groups(self, k, m, c, exact):
+        assert exact_mic_equal_uniform(k, m, c) == pytest.approx(exact, abs=1e-5)
+        got = Statistic.mic((m,) * k, [PriorSpec.uniform()] * k).log_e((c,) * k)
+        assert got == pytest.approx(exact_mic_equal_uniform(k, m, c), rel=1e-10, abs=1e-10)
+
+
 class TestPseudo:
     def test_uniform_density_gives_uniform_mass(self):
         # Beta(1,1) integral identity: C(n,j) * B(j+1, n-j+1) = 1/(n+1).
@@ -339,13 +370,17 @@ class TestRipr:
         # Where SQUAREM stops depends on the last bits of every mixture, and
         # those on the order BLAS sums L @ w in, which depends on L's memory
         # layout; so this pins the layout as well as the arithmetic.
+        # The solution is the reference's atoms: the grid points that kept
+        # weight, with their log weights.
         log_w, kl, iterations, converged, active = reference_ripr_solve(target, n)
         assert active.all() != masked
         sol = ripr_solve(target, n)
         assert sol.iterations == iterations
         assert sol.converged == converged
         assert sol.achieved_kl == kl
-        assert np.array_equal(sol.log_weights, log_w)
+        atoms = log_w > NEG_INF
+        assert np.array_equal(sol.grid, np.linspace(0.0, 1.0, RIPR_GRID_SIZE)[atoms])
+        assert np.array_equal(sol.log_weights, log_w[atoms])
 
     def test_holds_one_likelihood_matrix(self):
         # The mask and the pruning compact the grid x counts matrix in its
@@ -400,14 +435,14 @@ class TestRipr:
         n = 12
         sol = ripr_solve(target, n, grid_size=201)
         assert sol.converged
-        # Moving 1% of mass to any single grid point must not reduce the
-        # objective by more than the tolerance scale.
+        # Moving 1% of mass to any single point of the whole grid, atom or
+        # not, must not reduce the objective by more than the tolerance scale.
         w = np.exp(sol.log_weights)
-        c0 = np.arange(n + 1)
+        grid = np.linspace(0.0, 1.0, 201)
         L = np.array(
-            [binomial_pmf(n, p).weights() for p in sol.grid]
+            [binomial_pmf(n, p).weights() for p in grid]
         ).T  # (n+1, grid)
-        q = L @ w
+        q = L[:, np.searchsorted(grid, sol.grid)] @ w
         t = target.weights()
         base = float(np.dot(t, np.log(t) - np.log(q)))
         for j in range(0, 201, 10):
@@ -434,6 +469,12 @@ class TestRipr:
     def test_bad_target_support(self):
         with pytest.raises(ValueError):
             ripr_solve(binomial_pmf(5, 0.5), 7)
+
+    def test_solution_refuses_a_dead_atom(self):
+        # A solution is its atoms; test_matches_reference_bit_for_bit checks
+        # that ripr_solve returns only those.
+        with pytest.raises(ValueError, match="the weights finite"):
+            RiprSolution(np.array([0.0, 1.0]), np.array([0.0, NEG_INF]), 0.0, 1, True)
 
     def test_grid_too_small(self):
         with pytest.raises(ValueError):
@@ -507,6 +548,23 @@ class TestGroPoint:
                 )
                 total += math.exp(lp + log_e)
             assert total <= 1.0 + 1e-6
+
+    @pytest.mark.parametrize("sizes, p_alt", [
+        ((10, 30), (0.2, 0.6)), ((4, 7, 3), (0.0, 0.35, 1.0)),
+    ])
+    def test_canonical_over_binomial_laws(self, solves, sizes, p_alt):
+        # point is can with each group's law the binomial at its parameter:
+        # the projected target is the alternative's count law bit for bit,
+        # and the group terms are the Bernoulli log-likelihoods to round-off
+        # (-inf where a boundary parameter cannot reach the count).
+        statistic = Statistic.point(sizes, p_alt, grid_size=201)
+        assert len(solves) == 1
+        want = point_alt_count_pmf(sizes, p_alt).log_weights
+        assert np.array_equal(solves[0].log_weights, want)
+        for n, p, a in zip(sizes, p_alt, statistic.group_terms):
+            c = np.arange(n + 1)
+            np.testing.assert_allclose(a, xlogy(c, p) + xlogy(n - c, 1.0 - p),
+                                       rtol=1e-13, atol=1e-13)
 
     def test_symmetric_alternative_projects_to_center(self):
         sol = ripr_solve(point_alt_count_pmf((10, 10), (0.2, 0.8)), 20)

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from maxent_evalues import cli, evariables
-from maxent_evalues.cli import build_parser, main, parse_prior
+from maxent_evalues.cli import build_parser, main
 from maxent_evalues.evariables import RIPR_GRID_SIZE, RIPR_MAX_ITER, RIPR_TOL, Statistic
 from maxent_evalues.models import Table
-from maxent_evalues.priors import DEFAULT_DENSITY_GRID, DEFAULT_SCALE, PriorSpec
+from maxent_evalues.priors import DEFAULT_DENSITY_GRID, DEFAULT_SCALE, PriorSpec, parse_prior
 from maxent_evalues.table_io import NetworkInput, network_to_table, parse_table, parse_table_text
 from oracles import log_binomial
 

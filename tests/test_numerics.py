@@ -289,8 +289,10 @@ def cellwise_binomial_mixture(p, log_w, n, counts):
 
 def windowed_binomial_mixture(p, log_w, n, counts):
     """log_binomial_mixture with each row shifted and summed over its own
-    window, one row at a time: the reference its blocks must equal bit for
-    bit."""
+    window of the live atoms (the points of finite weight), one row at a
+    time: the reference its blocks must equal bit for bit."""
+    atoms = log_w > NEG_INF
+    p, log_w = p[atoms], log_w[atoms]
     lo, hi = _mixture_windows(p, log_w, n, np.asarray(counts))
     out = []
     for row, a, b in zip(cellwise_log_terms(p, log_w, n, counts), lo, hi):
@@ -359,11 +361,11 @@ class TestLogBinomialMixture:
         assert np.array_equal(got, cellwise_binomial_mixture(p, log_w, n, counts))
 
     def test_matches_cellwise_xlogy_over_its_windows(self):
-        # At n = 120 the windows leave out part of the 20001-point grid, and
-        # the 121 distinct counts take three blocks of 49. Each row equals
-        # the cellwise terms summed over its own window bit for bit, and the
-        # whole row within the left-out mass, e^-37 relative, and a few ulps
-        # of the sum's round-off in another order.
+        # At n = 120 the windows leave out part of the 19999 live atoms of
+        # the 20001-point grid. Each row equals the cellwise terms summed
+        # over its own window of the atoms bit for bit, and the whole row
+        # within the left-out mass, e^-37 relative, and a few ulps of the
+        # sum's round-off in another order.
         n = 120
         rng = np.random.default_rng(n)
         p = np.linspace(0.0, 1.0, 20_001)
@@ -371,8 +373,9 @@ class TestLogBinomialMixture:
         log_w[1] = NEG_INF
         log_w[-2] = NEG_INF
         counts = np.r_[np.arange(n + 1), [n, 0, n // 2]]
-        lo, hi = _mixture_windows(p, log_w, n, counts)
-        assert ((hi - lo) < p.size).sum() > n // 2
+        atoms = log_w > NEG_INF
+        lo, hi = _mixture_windows(p[atoms], log_w[atoms], n, counts)
+        assert ((hi - lo) < atoms.sum()).sum() > n // 2
         got = log_binomial_mixture(p, log_w, n, counts)
         assert np.array_equal(got, windowed_binomial_mixture(p, log_w, n, counts))
         whole = cellwise_binomial_mixture(p, log_w, n, counts)
@@ -426,6 +429,39 @@ class TestLogBinomialMixture:
         assert sum(built) <= 0.35 * (n + 1) * p.size
         assert np.isfinite(got).all()
         assert np.exp(got).sum() == pytest.approx(1.0, abs=1e-8)
+
+    def test_builds_cells_at_atoms_only(self, monkeypatch):
+        # A sparse point projection (19 atoms), scattered onto the whole
+        # 2001-point grid with -inf weights between its atoms: no cell is
+        # built, and no log taken, at a zero-weight point, so a one-count
+        # read costs the atoms, not the grid.
+        atoms, log_w_atoms, n = mixture_input("ripr/45,60,70,80")
+        assert atoms.size == 19
+        p = np.linspace(0.0, 1.0, 2001)
+        log_w = np.full(p.size, NEG_INF)
+        log_w[np.searchsorted(p, atoms)] = log_w_atoms
+        assert np.array_equal(p[log_w > NEG_INF], atoms)
+        grids, logged = [], []
+        cells, log = numerics._binomial_log_cells, numerics.xlogy
+
+        def cells_spy(out, counts, n, log_p, *args):
+            grids.append(log_p.copy())
+            cells(out, counts, n, log_p, *args)
+
+        def log_spy(x, y):
+            logged.append(np.size(y))
+            return log(x, y)
+
+        monkeypatch.setattr(numerics, "_binomial_log_cells", cells_spy)
+        monkeypatch.setattr(numerics, "xlogy", log_spy)
+        for counts in (n // 2, np.arange(n + 1)):
+            grids.clear()
+            logged.clear()
+            got = log_binomial_mixture(p, log_w, n, counts)
+            # Logs are taken over the atoms or over the counts, never the grid.
+            assert max(logged) <= max(atoms.size, np.size(counts))
+            assert grids and all(np.isin(g, log(1.0, atoms)).all() for g in grids)
+            assert np.array_equal(got, log_binomial_mixture(atoms, log_w_atoms, n, counts))
 
     def test_point_mass_at_one(self):
         # Every count below n has no mass: those rows are all -inf.
