@@ -24,14 +24,19 @@ from .evariables import (
     Statistic,
     _alt_params,
     e_power,
-    point_alt_count_pmf,
     # Nothing here solves a projection; the name stays bound because
     # perfbench's tracer test checks that every module's ripr_solve reaches
     # one wrapper.
     ripr_solve,  # noqa: F401
 )
 from .numerics import NEG_INF, binomial_pmf
-from .priors import DEFAULT_DENSITY_GRID, DEFAULT_SCALE, PriorSpec, induced_group_pmf
+from .priors import (
+    DEFAULT_DENSITY_GRID,
+    DEFAULT_SCALE,
+    PriorSpec,
+    induced_group_pmf,
+    null_optimal_prior,
+)
 
 WORKERS_ENV = "MAXENT_EVALUES_WORKERS"
 
@@ -118,7 +123,8 @@ def gap_r_prime(
     sizes = list(sizes)
     pvec = _alt_params(sizes, p_alt)
     _, gap = _count_term_gap(specs, sizes, scale, density_grid)
-    return float(np.dot(point_alt_count_pmf(sizes, pvec).weights(), gap))
+    law = null_optimal_prior([binomial_pmf(n, p) for n, p in zip(sizes, pvec)])
+    return float(np.dot(law.weights(), gap))
 
 
 def worst_case_r_prime(

@@ -69,11 +69,14 @@ _MAX_RIPR_CELLS = 50_000_000
 # updates to keep likelihood ratios finite.
 _WEIGHT_FLOOR = 1e-300
 
-# Projections kept by _projection. An entry holds its key's target bytes,
-# 8(n+1), and the solution's atoms and log weights, at most 16·grid_size, so
-# the memo holds at most _PROJECTIONS x (8(n+1) + 16·grid_size) bytes: under
-# 4 MB at the benchmark's sizes (n up to about 11,200 dyads, the default grid).
-_PROJECTIONS = 32
+# Statistics kept by _design, one a design. An entry holds the group terms,
+# 8(n+k) bytes for k groups of n trials in all, its null (mic's count law,
+# 8(n+1), or a projection's atoms and log weights, at most 16·grid_size) and
+# about 2 KB of objects. So the memo holds at most
+# _DESIGNS x (8(n+k) + max(8(n+1), 16·grid_size) + 2 KB) bytes: about 140 KB
+# an entry on the benchmark's network design (n = 8,778 dyads in 15 groups),
+# and under 6 MB in all at the benchmark's sizes (n up to about 11,200 dyads).
+_DESIGNS = 32
 
 POST_HOC_LEVEL = float(np.exp(-1.0))
 
@@ -118,7 +121,10 @@ def _group_pmfs(sizes, priors) -> list[Pmf]:
 def _bayes_terms(group_pmfs) -> tuple[np.ndarray, ...]:
     # Bayes marginal probability of one group configuration: the induced
     # prior mass at its one-count over the number of such configurations.
-    return tuple(p.log_weights - log_binomial_row(p.support_size - 1) for p in group_pmfs)
+    terms = tuple(p.log_weights - log_binomial_row(p.support_size - 1) for p in group_pmfs)
+    for a in terms:
+        a.setflags(write=False)
+    return terms
 
 
 def _alt_params(sizes, alt_params) -> np.ndarray:
@@ -140,6 +146,9 @@ class Statistic:
     group_terms[i] is indexed by group i's one-count 0..n_i. log_null_mass
     gives log W0, the null's mass at a total count, at the counts asked
     for only, and count_term(c0) = log C(n, c0) - log W0(c0).
+
+    mic, can and point are fixed by the design alone, so each is built once
+    per process and design (see _design); pseudo is built at every call.
     """
 
     kind: str
@@ -181,9 +190,7 @@ class Statistic:
     @staticmethod
     def mic(sizes, priors) -> "Statistic":
         """Exact microcanonical GRO e-variable: W0 is the optimal null prior."""
-        pmfs = _group_pmfs(sizes, priors)
-        log_w0 = null_optimal_prior(pmfs).log_weights
-        return Statistic("gro_mic", _bayes_terms(pmfs), lambda c: log_w0[c], None)
+        return _statistic("gro_mic", sizes, priors, None)
 
     @staticmethod
     def pseudo(
@@ -208,7 +215,7 @@ class Statistic:
         """Canonical GRO e-variable: W0 is the projection onto binomial
         mixtures of the optimal null prior, the Bayes marginal's law of the
         total count, for these sizes and priors."""
-        return _canonical("gro_can", _group_pmfs(sizes, priors), grid_size, tol, max_iter)
+        return _statistic("gro_can", sizes, priors, (grid_size, tol, max_iter))
 
     @staticmethod
     def point(
@@ -224,22 +231,49 @@ class Statistic:
         Bernoulli log-likelihoods (0^0 = 1 at the boundary), and W0 is the
         projection of the exact law of the total count under the alternative."""
         pvec = _alt_params(sizes, alt_params)
-        laws = [binomial_pmf(n, p) for n, p in zip(sizes, pvec)]
-        return _canonical("gro_point", laws, grid_size, tol, max_iter)
+        return _statistic("gro_point", sizes, pvec.tolist(), (grid_size, tol, max_iter))
 
 
-def _canonical(kind: str, group_pmfs, grid_size, tol, max_iter) -> Statistic:
-    """The statistic with these group laws' Bayes terms and W0 the projection
-    of their convolution onto binomial mixtures, solved through _projection."""
-    n = sum(p.support_size - 1 for p in group_pmfs)
-    target = null_optimal_prior(group_pmfs)
-    solution = _projection(target.log_weights.tobytes(), n, grid_size, tol, max_iter)
-    if not solution.converged:
+def _statistic(kind: str, sizes, params, ripr) -> Statistic:
+    """The statistic _design keeps for this design, or the refusal of its
+    unconverged projection."""
+    built = _design(kind, tuple(sizes), tuple(params), ripr)
+    if isinstance(built, RiprSolution):
         raise ValueError(
             f"the reverse information projection did not converge in "
-            f"{solution.iterations} iterations; refine solver settings: raise "
+            f"{built.iterations} iterations; refine solver settings: raise "
             "max_iter (--ripr-max-iter) or tol (--ripr-tol)"
         )
+    return built
+
+
+@functools.lru_cache(maxsize=_DESIGNS)
+def _design(
+    kind: str, sizes: tuple, params: tuple, ripr: tuple | None
+) -> Statistic | RiprSolution:
+    """The statistic of one design, built once, or the unconverged
+    projection that _statistic refuses in its place.
+
+    The group laws are induced by the priors in params (Binomial(n_i,
+    params[i]) for gro_point); W0 is their convolution, or its projection at
+    ripr = (grid_size, tol, max_iter). A hit builds no group law, convolves
+    no count law and solves no projection; permuted sizes are another design.
+    The statistic is frozen and its arrays read-only, so every caller can
+    share it. induced_group_pmf, null_optimal_prior and ripr_solve stay plain
+    functions, looked up at each miss.
+    """
+    if kind == "gro_point":
+        group_pmfs = [binomial_pmf(n, p) for n, p in zip(sizes, params)]
+    else:
+        group_pmfs = _group_pmfs(sizes, params)
+    target = null_optimal_prior(group_pmfs)
+    if ripr is None:
+        log_w0 = target.log_weights
+        return Statistic(kind, _bayes_terms(group_pmfs), lambda c: log_w0[c], None)
+    n = sum(p.support_size - 1 for p in group_pmfs)
+    solution = ripr_solve(target, n, *ripr)
+    if not solution.converged:
+        return solution
     mass = functools.partial(log_binomial_mixture, solution.grid, solution.log_weights, n)
     return Statistic(kind, _bayes_terms(group_pmfs), mass, solution.achieved_kl)
 
@@ -400,28 +434,6 @@ def ripr_solve(
     lw -= log_sum_exp(lw)
     atoms = lw > NEG_INF
     return RiprSolution(p[active_idx[atoms]], lw[atoms], kl, it, converged)
-
-
-@functools.lru_cache(maxsize=_PROJECTIONS)
-def _projection(
-    target_log_weights: bytes, n: int, grid_size: int, tol: float, max_iter: int
-) -> RiprSolution:
-    """ripr_solve of the target whose log weights are these float64 bytes.
-
-    The target is fixed by the design alone (group sizes and priors, or the
-    point alternative), so every table of one design, and every caller that
-    projects the same law, shares one solve. The solution is frozen and its
-    arrays read-only, so handing it to every caller is safe; an unconverged
-    one is kept too, and the statistic refuses it each time. ripr_solve
-    itself stays an uncached plain function, looked up at each miss.
-    """
-    return ripr_solve(Pmf(np.frombuffer(target_log_weights)), n, grid_size, tol, max_iter)
-
-
-def point_alt_count_pmf(sizes, alt_params) -> Pmf:
-    """Exact law of the total one-count under a point alternative."""
-    pvec = np.atleast_1d(np.asarray(alt_params, dtype=float))
-    return convolve_all([binomial_pmf(n, pi) for n, pi in zip(sizes, pvec)])
 
 
 def e_power(statistic: Statistic, group_pmfs) -> float:

@@ -3,9 +3,16 @@ import pytest
 from maxent_evalues import evariables
 
 
+@pytest.fixture(autouse=True)
+def empty_design_memo():
+    """Every test starts with no statistic built: what one test built, and
+    the spies it saw build it, do not reach the next."""
+    evariables._design.cache_clear()
+
+
 @pytest.fixture
 def solves(monkeypatch):
-    """The targets ripr_solve is called on, starting from an empty memo."""
+    """The targets ripr_solve is called on."""
     calls = []
     real = evariables.ripr_solve
 
@@ -14,6 +21,4 @@ def solves(monkeypatch):
         return real(target, *args, **kwargs)
 
     monkeypatch.setattr(evariables, "ripr_solve", spy)
-    evariables._projection.cache_clear()
-    yield calls
-    evariables._projection.cache_clear()
+    return calls

@@ -135,6 +135,12 @@ def log_equal_uniform_count(k: int, m: int, n1: int) -> float:
     return math.log(count)
 
 
+def point_alt_count_pmf(sizes, alt_params) -> Pmf:
+    """Exact law of the total one-count under a point alternative: the
+    groups' binomial laws convolved in group order."""
+    return null_optimal_prior([binomial_pmf(n, p) for n, p in zip(sizes, alt_params)])
+
+
 def redundancy(p_alt, specs, sizes) -> float:
     """Expected log-likelihood advantage of the point alternative over the
     Bayes marginal; sums per-group binomial-to-prior divergences. It bounds

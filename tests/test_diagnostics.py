@@ -404,7 +404,6 @@ class TestRegretCurve:
             pytest.fail("ripr_solve called before the m values were checked")
 
         monkeypatch.setattr(evariables, "ripr_solve", solve)
-        evariables._projection.cache_clear()
         with pytest.raises(ValueError, match="at least 3 distinct m values"):
             regret_curve((0.3, 0.6), PriorSpec.uniform(), (10, 20, 20))
 

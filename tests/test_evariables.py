@@ -1,3 +1,4 @@
+import functools
 import inspect
 import itertools
 import json
@@ -21,7 +22,6 @@ from maxent_evalues.evariables import (
     decide,
     e_power,
     log_w_pseudo0,
-    point_alt_count_pmf,
     ripr_solve,
 )
 from maxent_evalues.models import Table
@@ -41,7 +41,13 @@ from maxent_evalues.priors import (
     parse_prior,
     pseudo_null_density,
 )
-from oracles import log_binomial, log_equal_uniform_count, log_multiplicity, uniform_pmf
+from oracles import (
+    log_binomial,
+    log_equal_uniform_count,
+    log_multiplicity,
+    point_alt_count_pmf,
+    uniform_pmf,
+)
 
 
 def exact_null_expectation_micro(sizes, priors, c0):
@@ -580,51 +586,92 @@ class TestGroPoint:
             Statistic.point((), ())
 
 
+@pytest.fixture
+def builds(monkeypatch):
+    """The names of the group-law, count-law and projection builders that
+    evariables calls."""
+    calls = []
+    for name in ("induced_group_pmf", "binomial_pmf", "null_optimal_prior", "ripr_solve"):
+        def spy(*args, _real=getattr(evariables, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(evariables, name, spy)
+    return calls
+
+
 class TestProjectionMemo:
-    SIZES = (5, 5)
-    PRIORS = [PriorSpec.uniform()] * 2
+    """The design memo: mic, can and point are built once per process and
+    design."""
 
-    def key(self, target, n=10, grid_size=101, tol=1e-8, max_iter=500):
-        return (target.log_weights.tobytes(), n, grid_size, tol, max_iter)
+    SIZES = (5, 7)
+    PRIORS = (PriorSpec.uniform(), PriorSpec.uniform())
+    RIPR = {"grid_size": 101, "tol": 1e-8, "max_iter": 20_000}
 
-    def test_one_solve_per_design(self, solves):
-        log_es = [Statistic.can(self.SIZES, self.PRIORS, grid_size=101).log_e(ones)
-                  for ones in ((3, 1), (0, 5))]
-        assert len(solves) == 1
-        assert log_es[0] != log_es[1]
-        for alt in ((0.2, 0.7), (0.2, 0.7), (0.3, 0.7)):
-            Statistic.point(self.SIZES, alt, grid_size=101).log_e((3, 1))
-        assert len(solves) == 3
+    def designs(self):
+        """One build of each kind on SIZES."""
+        return {
+            "mic": lambda: Statistic.mic(self.SIZES, self.PRIORS),
+            "can": lambda: Statistic.can(self.SIZES, self.PRIORS, **self.RIPR),
+            "point": lambda: Statistic.point(self.SIZES, (0.2, 0.7), **self.RIPR),
+        }
 
-    def test_each_key_part_misses(self, solves):
-        target = null_optimal_prior(
-            [induced_group_pmf(s, n) for s, n in zip(self.PRIORS, self.SIZES)])
-        other = point_alt_count_pmf(self.SIZES, (0.2, 0.7))
-        evariables._projection(*self.key(target))
-        evariables._projection(*self.key(target))
-        assert len(solves) == 1
-        for key in (self.key(other), self.key(target, grid_size=151),
-                    self.key(target, tol=1e-9), self.key(target, max_iter=501)):
-            evariables._projection(*key)
-        assert len(solves) == 5
-        # The same law at another n fails its support check, and a failure
-        # is not kept: both calls reach ripr_solve.
+    def test_one_solve_per_design(self, builds):
+        # A second table of a design builds no group law, convolves no count
+        # law and solves no projection.
+        for kind, build in self.designs().items():
+            first = build().log_e((3, 1))
+            assert "null_optimal_prior" in builds, kind
+            builds.clear()
+            log_es = [build().log_e(ones) for ones in ((3, 1), (0, 5))]
+            assert builds == [], kind
+            assert log_es[0] == first
+            assert log_es[0] != log_es[1]
+
+    def test_each_key_part_misses(self, builds):
+        uniform = PriorSpec.uniform()
+        settings = [{**self.RIPR, key: value}
+                    for key, value in (("grid_size", 151), ("tol", 1e-9), ("max_iter", 20_001))]
+        designs = [
+            *self.designs().values(),
+            lambda: Statistic.mic((5, 8), self.PRIORS),
+            lambda: Statistic.mic((7, 5), self.PRIORS),
+            lambda: Statistic.mic(self.SIZES, (uniform, PriorSpec.nml())),
+            lambda: Statistic.can((7, 5), self.PRIORS, **self.RIPR),
+            lambda: Statistic.can(self.SIZES, (uniform, PriorSpec.from_beta(2, 2)), **self.RIPR),
+            lambda: Statistic.point(self.SIZES, (0.2, 0.6), **self.RIPR),
+            lambda: Statistic.point(self.SIZES, (0.7, 0.2), **self.RIPR),
+            *(functools.partial(Statistic.can, self.SIZES, self.PRIORS, **r) for r in settings),
+            *(functools.partial(Statistic.point, self.SIZES, (0.2, 0.7), **r) for r in settings),
+        ]
         for _ in range(2):
-            with pytest.raises(ValueError, match="target support"):
-                evariables._projection(*self.key(target, n=11))
-        assert len(solves) == 7
+            for build in designs:
+                build()
+        # Each design reached the count law once, on its first build.
+        assert builds.count("null_optimal_prior") == len(designs) == 16
+        # A build that fails is not kept: both calls reach ripr_solve.
+        builds.clear()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="must be finite and positive"):
+                Statistic.can(self.SIZES, self.PRIORS, tol=math.nan)
+        assert builds.count("ripr_solve") == 2
 
-    def test_hit_equals_fresh_solve(self, solves):
-        target = point_alt_count_pmf(self.SIZES, (0.2, 0.7))
-        evariables._projection(*self.key(target))
-        hit = evariables._projection(*self.key(target))
-        fresh = ripr_solve(target, 10, 101, 1e-8, 500)
-        assert len(solves) == 1
-        assert np.array_equal(hit.grid, fresh.grid)
-        assert np.array_equal(hit.log_weights, fresh.log_weights)
-        assert (hit.achieved_kl, hit.iterations, hit.converged) == (
-            fresh.achieved_kl, fresh.iterations, fresh.converged)
-        assert not hit.log_weights.flags.writeable
+    def test_hit_equals_fresh_solve(self):
+        n = sum(self.SIZES)
+        for kind, build in self.designs().items():
+            built = build()
+            hit = build()
+            evariables._design.cache_clear()
+            fresh = build()
+            assert hit is built and fresh is not built, kind
+            assert hit.kind == fresh.kind and hit.achieved_kl == fresh.achieved_kl
+            for a, b in zip(hit.group_terms, fresh.group_terms, strict=True):
+                assert a.tobytes() == b.tobytes()
+                assert not a.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 0.0
+            counts = np.arange(n + 1)
+            assert hit.count_term(counts).tobytes() == fresh.count_term(counts).tobytes()
 
     def test_unconverged_kept_and_refused_each_time(self, solves):
         for _ in range(2):
@@ -633,11 +680,42 @@ class TestProjectionMemo:
         assert len(solves) == 1
 
     def test_bounded_and_tracer_visible(self):
-        info = evariables._projection.cache_info()
-        assert info.maxsize == evariables._PROJECTIONS
         # A tracer wraps what inspect.isfunction accepts; an lru_cache object
-        # is not a function, so the solver itself must stay plain.
-        assert inspect.isfunction(evariables.ripr_solve)
+        # is not a function, so the builders themselves must stay plain.
+        for name in ("induced_group_pmf", "binomial_pmf", "null_optimal_prior", "ripr_solve"):
+            assert inspect.isfunction(getattr(evariables, name)), name
+        memo = evariables._design
+        assert memo.cache_info().maxsize == evariables._DESIGNS
+        for m in range(1, evariables._DESIGNS + 2):
+            Statistic.mic((m,), self.PRIORS[:1])
+        assert memo.cache_info().currsize == evariables._DESIGNS
+        # The least recent design was dropped, and is built again.
+        misses = memo.cache_info().misses
+        Statistic.mic((1,), self.PRIORS[:1])
+        assert memo.cache_info().misses == misses + 1
+
+    @pytest.mark.parametrize("kind", ["mic", "can", "point"])
+    def test_entry_within_its_byte_bound(self, kind):
+        # What an entry keeps, traced: at most 8(n+k) + max(8(n+1),
+        # 16 grid_size) bytes of arrays and about 2 KB of objects, as the
+        # comment of _DESIGNS states. A projection does not keep the count
+        # law it was solved from: that would add 8(n+1), 16 KB here.
+        sizes, grid_size = (400, 600, 800, 200), 301
+        n, k = sum(sizes), len(sizes)
+        priors = [PriorSpec.from_beta(2, 2)] * k
+        build = {
+            "mic": lambda: Statistic.mic(sizes, priors),
+            "can": lambda: Statistic.can(sizes, priors, grid_size, tol=1e-8),
+            "point": lambda: Statistic.point(sizes, (0.3, 0.4, 0.5, 0.6), grid_size, tol=1e-8),
+        }[kind]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            build()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert 8 * (n + k) < kept <= 8 * (n + k) + max(8 * (n + 1), 16 * grid_size) + 4096
 
 
 def enumerated_e_power(log_e_fn, group_pmfs) -> float:

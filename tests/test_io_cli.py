@@ -462,14 +462,12 @@ class TestCli:
             raise AssertionError("projection matrix built")
 
         monkeypatch.setattr(evariables, "_binomial_log_cells", built)
-        evariables._projection.cache_clear()
         path = tmp_path / "t.json"
         path.write_text('{"groups":[{"n":10,"ones":3},{"n":12,"ones":9}]}')
         code, out, err = run_cli(
             "test", "--table", str(path), "--statistic", "can", "--ripr-tol", tol,
             capsys=capsys,
         )
-        evariables._projection.cache_clear()
         assert code == 1
         assert out == ""
         assert "(--ripr-tol) must be finite and positive" in strict(err)["error"]
@@ -482,7 +480,6 @@ class TestCli:
         # fits three times over.
         assert evariables._MAX_RIPR_CELLS >= 3 * 8265 * evariables.RIPR_GRID_SIZE
         monkeypatch.setattr(evariables, "_binomial_log_cells", built)
-        evariables._projection.cache_clear()
         path = tmp_path / "t.json"
         path.write_text('{"groups":[{"n":10,"ones":3},{"n":12,"ones":9}]}')
         argv = ["test", "--table", str(path), "--statistic", "can", "--ripr-grid"]
@@ -495,7 +492,6 @@ class TestCli:
             assert "--ripr-grid" in strict(err)["error"]
         with pytest.raises(AssertionError, match="built"):
             main([*argv, str(largest)])
-        evariables._projection.cache_clear()
         capsys.readouterr()
 
     def test_palt_refused_unless_read(self, tmp_path, capsys):
@@ -614,7 +610,6 @@ class TestCli:
 
         monkeypatch.setattr(evariables, "ripr_solve", spy)
         monkeypatch.setattr(evariables, "pseudo_null_density", spy)
-        evariables._projection.cache_clear()
         for flags in (["--statistic", "can", "--prior", "beta:2,2"],
                       ["--statistic", "point", "--palt", "0.4"],
                       ["--statistic", "pseudo"]):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp, xlogy
 
 from maxent_evalues import numerics
-from maxent_evalues.evariables import point_alt_count_pmf, ripr_solve
+from maxent_evalues.evariables import ripr_solve
 from maxent_evalues.numerics import (
     FFT_CLAMP,
     FFT_THRESHOLD,
@@ -31,6 +31,7 @@ from oracles import (
     kl_divergence,
     log_binomial,
     moments,
+    point_alt_count_pmf,
     total_variation,
     uniform_pmf,
 )
@@ -306,7 +307,15 @@ def windowed_binomial_mixture(p, log_w, n, counts):
 
 @functools.cache
 def mixture_input(name):
-    """(p, log_w, n) of one test input of log_binomial_mixture."""
+    """(p, log_w, n) of one test input of log_binomial_mixture, cut to its
+    atoms (the points of finite weight), as the kernel passes them to
+    _mixture_windows."""
+    p, log_w, n = _mixture_grid(name)
+    atoms = log_w > NEG_INF
+    return p[atoms], log_w[atoms], n
+
+
+def _mixture_grid(name):
     if name.startswith("pseudo"):
         # The pseudo quadrature of log_w_pseudo0, on the default grid.
         _, prior, sizes = name.split("/")
