@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import OrderedDict
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -69,14 +70,16 @@ _MAX_RIPR_CELLS = 50_000_000
 # updates to keep likelihood ratios finite.
 _WEIGHT_FLOOR = 1e-300
 
-# Statistics kept by _design, one a design. An entry holds the group terms,
-# 8(n+k) bytes for k groups of n trials in all, its null (mic's count law,
-# 8(n+1), or a projection's atoms and log weights, at most 16·grid_size) and
-# about 2 KB of objects. So the memo holds at most
-# _DESIGNS x (8(n+k) + max(8(n+1), 16·grid_size) + 2 KB) bytes: about 140 KB
-# an entry on the benchmark's network design (n = 8,778 dyads in 15 groups),
-# and under 6 MB in all at the benchmark's sizes (n up to about 11,200 dyads).
-_DESIGNS = 32
+# Bytes the design memo (_design) may hold. An entry counts as its arrays
+# and 2 KB for its objects. The arrays are the group terms, 8(n+k) bytes for
+# k groups of n trials in all, and the null: mic's count law or pseudo's log
+# W0 at every count, 8(n+1) each, or a projection's atoms and log weights,
+# at most 16·grid_size. That is 18 KB for mic or pseudo at n = 1,024, and
+# 104 KB for can on the benchmark's network design (n = 8,778 dyads in 15
+# groups); all 141 entries of the benchmark's three pools hold 1.7 MB, so
+# none is dropped. The least recently used entries go first; an entry
+# larger than the whole budget is not kept.
+_DESIGN_BYTES = 64 * 2**20
 
 POST_HOC_LEVEL = float(np.exp(-1.0))
 
@@ -147,8 +150,8 @@ class Statistic:
     gives log W0, the null's mass at a total count, at the counts asked
     for only, and count_term(c0) = log C(n, c0) - log W0(c0).
 
-    mic, can and point are fixed by the design alone, so each is built once
-    per process and design (see _design); pseudo is built at every call.
+    Every kind is fixed by its design alone, so each is built once per
+    process and design (see _design).
     """
 
     kind: str
@@ -198,11 +201,9 @@ class Statistic:
     ) -> "Statistic":
         """The microcanonical form with the pseudo null prior of these sizes
         and priors, built at scale and resampled onto density_grid points
-        (None: not resampled); not an e-variable."""
-        density = pseudo_null_density(priors, sizes, scale, density_grid)
-        n = sum(sizes)
-        terms = _bayes_terms(_group_pmfs(sizes, priors))
-        return Statistic("pseudo", terms, lambda c: log_w_pseudo0(density, n, c), None)
+        (None: not resampled); not an e-variable. Reading a count where the
+        quadrature underflows is refused."""
+        return _statistic("pseudo", sizes, priors, (scale, density_grid))
 
     @staticmethod
     def can(
@@ -234,10 +235,10 @@ class Statistic:
         return _statistic("gro_point", sizes, pvec.tolist(), (grid_size, tol, max_iter))
 
 
-def _statistic(kind: str, sizes, params, ripr) -> Statistic:
+def _statistic(kind: str, sizes, params, settings) -> Statistic:
     """The statistic _design keeps for this design, or the refusal of its
     unconverged projection."""
-    built = _design(kind, tuple(sizes), tuple(params), ripr)
+    built = _design(kind, tuple(sizes), tuple(params), settings)
     if isinstance(built, RiprSolution):
         raise ValueError(
             f"the reverse information projection did not converge in "
@@ -247,52 +248,105 @@ def _statistic(kind: str, sizes, params, ripr) -> Statistic:
     return built
 
 
-@functools.lru_cache(maxsize=_DESIGNS)
+# The design memo: key -> (statistic or unconverged projection, bytes), the
+# least recently used first.
+_designs: OrderedDict = OrderedDict()
+
+
 def _design(
-    kind: str, sizes: tuple, params: tuple, ripr: tuple | None
+    kind: str, sizes: tuple, params: tuple, settings: tuple | None
 ) -> Statistic | RiprSolution:
     """The statistic of one design, built once, or the unconverged
     projection that _statistic refuses in its place.
 
-    The group laws are induced by the priors in params (Binomial(n_i,
-    params[i]) for gro_point); W0 is their convolution, or its projection at
-    ripr = (grid_size, tol, max_iter). A hit builds no group law, convolves
-    no count law and solves no projection; permuted sizes are another design.
-    The statistic is frozen and its arrays read-only, so every caller can
-    share it. induced_group_pmf, null_optimal_prior and ripr_solve stay plain
-    functions, looked up at each miss.
+    The key is the kind, the sizes in order, params (the priors, or the
+    alternative's parameters for gro_point) and the kind's settings: None
+    for gro_mic, (grid_size, tol, max_iter) for a projection, (scale,
+    density_grid) for pseudo. A hit builds nothing; permuted sizes are
+    another design. The memo holds at most _DESIGN_BYTES: a miss drops the
+    least recently used entries, and an entry larger than that is returned
+    but not kept. A build that raises is not kept either.
     """
+    key = (kind, sizes, params, settings)
+    if key in _designs:
+        _designs.move_to_end(key)
+        return _designs[key][0]
+    built, arrays = _build(*key)
+    size = 2048 + sum(a.nbytes for a in arrays)
+    if size <= _DESIGN_BYTES:
+        _designs[key] = (built, size)
+        held = sum(b for _, b in _designs.values())
+        while held > _DESIGN_BYTES:
+            held -= _designs.popitem(last=False)[1][1]
+    return built
+
+
+def _build(kind: str, sizes: tuple, params: tuple, settings: tuple | None):
+    """One design's statistic (or unconverged projection) and the arrays it
+    holds.
+
+    The group laws are induced by the priors in params (Binomial(n_i,
+    params[i]) for gro_point). W0 is their convolution (gro_mic), its
+    projection at settings = (grid_size, tol, max_iter), or the pseudo
+    quadrature of the density built at settings = (scale, density_grid),
+    taken once at every count; the density is not kept. The statistic is
+    frozen and its arrays read-only, so every caller can share it.
+    induced_group_pmf, null_optimal_prior, ripr_solve, pseudo_null_density
+    and log_w_pseudo0 stay plain functions, looked up at each build.
+    """
+    if kind == "pseudo":
+        # The density first, so that its checks run before anything else.
+        density = pseudo_null_density(params, sizes, *settings)
+        n = sum(sizes)
+        log_w0 = log_w_pseudo0(density, n, np.arange(n + 1))
+        log_w0.setflags(write=False)
+        terms = _bayes_terms(_group_pmfs(sizes, params))
+        mass = functools.partial(_quadrature_at, log_w0)
+        return Statistic(kind, terms, mass, None), (*terms, log_w0)
     if kind == "gro_point":
         group_pmfs = [binomial_pmf(n, p) for n, p in zip(sizes, params)]
     else:
         group_pmfs = _group_pmfs(sizes, params)
     target = null_optimal_prior(group_pmfs)
-    if ripr is None:
+    terms = _bayes_terms(group_pmfs)
+    if settings is None:
         log_w0 = target.log_weights
-        return Statistic(kind, _bayes_terms(group_pmfs), lambda c: log_w0[c], None)
+        return Statistic(kind, terms, lambda c: log_w0[c], None), (*terms, log_w0)
     n = sum(p.support_size - 1 for p in group_pmfs)
-    solution = ripr_solve(target, n, *ripr)
+    solution = ripr_solve(target, n, *settings)
+    atoms = (solution.grid, solution.log_weights)
     if not solution.converged:
-        return solution
-    mass = functools.partial(log_binomial_mixture, solution.grid, solution.log_weights, n)
-    return Statistic(kind, _bayes_terms(group_pmfs), mass, solution.achieved_kl)
+        return solution, atoms
+    mass = functools.partial(log_binomial_mixture, *atoms, n)
+    return Statistic(kind, terms, mass, solution.achieved_kl), (*terms, *atoms)
+
+
+def _quadrature_at(log_w0: np.ndarray, counts) -> np.ndarray:
+    """The pseudo quadrature log_w0 at the counts asked for, refusing the
+    first where it underflowed."""
+    c = np.atleast_1d(counts)
+    out = log_w0[c]
+    under = c[out == NEG_INF]
+    if under.size:
+        raise ValueError(
+            f"quadrature underflow at total count {under[0]}; raise density_grid (--density-grid)"
+        )
+    return out
 
 
 def log_w_pseudo0(density: PseudoDensity, n: int, n1) -> np.ndarray:
     """Log mass the pseudo null prior assigns to total counts, by quadrature.
 
     Mixes Binomial(n, p0) over the continuous density with trapezoid
-    weights, at the requested total one-counts; an array, one value a count.
+    weights, at the requested total one-counts; an array, one value a count,
+    -inf where the quadrature underflows.
     """
     density = density.density
     c0 = np.atleast_1d(np.asarray(n1, dtype=np.int64))
     if ((c0 < 0) | (c0 > n)).any():
         raise ValueError("total count out of range")
     base = density.log_density + trapezoid_log_weights(density.grid)
-    out = log_binomial_mixture(density.grid, base, n, c0)
-    if (out == NEG_INF).any():
-        raise ValueError("quadrature underflow")
-    return out
+    return log_binomial_mixture(density.grid, base, n, c0)
 
 
 def _keep_rows(a: np.ndarray, mask) -> np.ndarray:
@@ -329,7 +383,7 @@ def ripr_solve(
     if target.support_size != n + 1:
         raise ValueError(f"target support {target.support_size} != n+1 = {n + 1}")
     if grid_size < 51:
-        raise ValueError("grid_size must be at least 51")
+        raise ValueError(f"grid_size (--ripr-grid) must be at least 51, got {grid_size}")
     # Written so that NaN, which fails every comparison, is refused.
     if not 0 < tol < math.inf or max_iter < 1:
         raise ValueError(

@@ -389,7 +389,7 @@ def pseudo_null_density(
     period, residues = 1, np.zeros(1, dtype=np.int64)
     if resample:
         if grid_size < 2:
-            raise ValueError("grid_size must be at least 2")
+            raise ValueError(f"density_grid (--density-grid) must be at least 2, got {grid_size}")
         grid = np.linspace(lo / total, hi / total, grid_size)
         # Resampled point i sits at index lo + i*(hi - lo)/steps = a + f/steps
         # and is read from a and b = a + 1 by linear weights; from a alone

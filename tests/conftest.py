@@ -7,7 +7,7 @@ from maxent_evalues import evariables
 def empty_design_memo():
     """Every test starts with no statistic built: what one test built, and
     the spies it saw build it, do not reach the next."""
-    evariables._design.cache_clear()
+    evariables._designs.clear()
 
 
 @pytest.fixture

@@ -257,6 +257,23 @@ class TestPseudo:
         with pytest.raises(ValueError):
             log_w_pseudo0(density, 5, 6)
 
+    def test_underflow_refused_where_read(self):
+        # On a two-point density grid, {0, 1}, the quadrature underflows at
+        # every count but 0 and n. The statistic is built, and refuses the
+        # first such count it is asked for, naming the flag to raise.
+        priors = [PriorSpec.uniform()] * 2
+        statistic = Statistic.pseudo((10, 10), priors, scale=100, density_grid=2)
+        assert math.isfinite(statistic.log_e((0, 0)))
+        assert math.isfinite(statistic.log_e((10, 10)))
+        message = r"quadrature underflow at total count {}; raise density_grid \(--density-grid\)"
+        with pytest.raises(ValueError, match=message.format(3)):
+            statistic.log_e((1, 2))
+        with pytest.raises(ValueError, match=message.format(1)):
+            statistic.count_term(np.arange(21))
+        density = pseudo_null_density(priors, (10, 10), 100, 2)
+        log_w0 = log_w_pseudo0(density, 20, np.arange(21))
+        assert np.isfinite(log_w0[[0, 20]]).all() and (log_w0[1:20] == NEG_INF).all()
+
     def test_pseudo_kind_and_not_evariable(self):
         priors = [PriorSpec.uniform()] * 2
         statistic = Statistic.pseudo((3, 3), priors, scale=200)
@@ -586,12 +603,17 @@ class TestGroPoint:
             Statistic.point((), ())
 
 
+# The functions evariables calls to build a statistic: the group laws, the
+# count law, the projection, and the pseudo density and its quadrature.
+BUILDERS = ("induced_group_pmf", "binomial_pmf", "null_optimal_prior", "ripr_solve",
+            "pseudo_null_density", "log_w_pseudo0")
+
+
 @pytest.fixture
 def builds(monkeypatch):
-    """The names of the group-law, count-law and projection builders that
-    evariables calls."""
+    """The names of the builders that evariables calls, in call order."""
     calls = []
-    for name in ("induced_group_pmf", "binomial_pmf", "null_optimal_prior", "ripr_solve"):
+    for name in BUILDERS:
         def spy(*args, _real=getattr(evariables, name), _name=name, **kwargs):
             calls.append(_name)
             return _real(*args, **kwargs)
@@ -600,13 +622,19 @@ def builds(monkeypatch):
     return calls
 
 
+def held_sizes():
+    """The group sizes of each design the memo holds, least recent first."""
+    return [key[1] for key in evariables._designs]
+
+
 class TestProjectionMemo:
-    """The design memo: mic, can and point are built once per process and
-    design."""
+    """The design memo: every statistic is built once per process and
+    design, and the memo is bounded by the bytes it holds."""
 
     SIZES = (5, 7)
     PRIORS = (PriorSpec.uniform(), PriorSpec.uniform())
     RIPR = {"grid_size": 101, "tol": 1e-8, "max_iter": 20_000}
+    DENSITY = {"scale": 100, "density_grid": 501}
 
     def designs(self):
         """One build of each kind on SIZES."""
@@ -614,14 +642,22 @@ class TestProjectionMemo:
             "mic": lambda: Statistic.mic(self.SIZES, self.PRIORS),
             "can": lambda: Statistic.can(self.SIZES, self.PRIORS, **self.RIPR),
             "point": lambda: Statistic.point(self.SIZES, (0.2, 0.7), **self.RIPR),
+            "pseudo": lambda: Statistic.pseudo(self.SIZES, self.PRIORS, **self.DENSITY),
         }
 
     def test_one_solve_per_design(self, builds):
         # A second table of a design builds no group law, convolves no count
-        # law and solves no projection.
+        # law, solves no projection, and builds no pseudo density and runs no
+        # quadrature.
+        first_builders = {
+            "mic": ["null_optimal_prior"],
+            "can": ["null_optimal_prior", "ripr_solve"],
+            "point": ["null_optimal_prior", "ripr_solve"],
+            "pseudo": ["pseudo_null_density", "log_w_pseudo0"],
+        }
         for kind, build in self.designs().items():
             first = build().log_e((3, 1))
-            assert "null_optimal_prior" in builds, kind
+            assert [b for b in builds if b in first_builders[kind]] == first_builders[kind], kind
             builds.clear()
             log_es = [build().log_e(ones) for ones in ((3, 1), (0, 5))]
             assert builds == [], kind
@@ -643,12 +679,18 @@ class TestProjectionMemo:
             lambda: Statistic.point(self.SIZES, (0.7, 0.2), **self.RIPR),
             *(functools.partial(Statistic.can, self.SIZES, self.PRIORS, **r) for r in settings),
             *(functools.partial(Statistic.point, self.SIZES, (0.2, 0.7), **r) for r in settings),
+            lambda: Statistic.pseudo(self.SIZES, self.PRIORS, scale=101, density_grid=501),
+            lambda: Statistic.pseudo(self.SIZES, self.PRIORS, scale=100, density_grid=601),
+            lambda: Statistic.pseudo((7, 5), self.PRIORS, **self.DENSITY),
         ]
         for _ in range(2):
             for build in designs:
                 build()
-        # Each design reached the count law once, on its first build.
-        assert builds.count("null_optimal_prior") == len(designs) == 16
+        # Each design reached its count law or its pseudo density once, on
+        # its first build.
+        assert builds.count("null_optimal_prior") == 16
+        assert builds.count("pseudo_null_density") == builds.count("log_w_pseudo0") == 4
+        assert len(designs) == 20
         # A build that fails is not kept: both calls reach ripr_solve.
         builds.clear()
         for _ in range(2):
@@ -661,7 +703,7 @@ class TestProjectionMemo:
         for kind, build in self.designs().items():
             built = build()
             hit = build()
-            evariables._design.cache_clear()
+            evariables._designs.clear()
             fresh = build()
             assert hit is built and fresh is not built, kind
             assert hit.kind == fresh.kind and hit.achieved_kl == fresh.achieved_kl
@@ -673,40 +715,82 @@ class TestProjectionMemo:
             counts = np.arange(n + 1)
             assert hit.count_term(counts).tobytes() == fresh.count_term(counts).tobytes()
 
+    def test_pseudo_reads_match_one_count_quadrature(self):
+        # The pseudo statistic takes its quadrature once, at every count; each
+        # count reads the bits a quadrature at that count alone gives, as the
+        # statistic read them when it was built at every call.
+        sizes, priors = (9, 4, 6), [PriorSpec.from_beta(3, 3)] * 3
+        statistic = Statistic.pseudo(sizes, priors, scale=200, density_grid=2001)
+        density = pseudo_null_density(priors, sizes, 200, 2001)
+        n = sum(sizes)
+        for c in range(n + 1):
+            one = log_w_pseudo0(density, n, [c])
+            assert statistic.log_null_mass(np.array([c])).tobytes() == one.tobytes()
+
     def test_unconverged_kept_and_refused_each_time(self, solves):
         for _ in range(2):
             with pytest.raises(ValueError, match="did not converge in 1 iterations"):
                 Statistic.can(self.SIZES, self.PRIORS, max_iter=1, tol=1e-16)
         assert len(solves) == 1
 
-    def test_bounded_and_tracer_visible(self):
-        # A tracer wraps what inspect.isfunction accepts; an lru_cache object
-        # is not a function, so the builders themselves must stay plain.
-        for name in ("induced_group_pmf", "binomial_pmf", "null_optimal_prior", "ripr_solve"):
+    def test_bounded_and_tracer_visible(self, monkeypatch):
+        # A tracer wraps what inspect.isfunction accepts, so the builders
+        # must stay plain functions.
+        for name in BUILDERS:
             assert inspect.isfunction(getattr(evariables, name)), name
-        memo = evariables._design
-        assert memo.cache_info().maxsize == evariables._DESIGNS
-        for m in range(1, evariables._DESIGNS + 2):
-            Statistic.mic((m,), self.PRIORS[:1])
-        assert memo.cache_info().currsize == evariables._DESIGNS
-        # The least recent design was dropped, and is built again.
-        misses = memo.cache_info().misses
-        Statistic.mic((1,), self.PRIORS[:1])
-        assert memo.cache_info().misses == misses + 1
+        assert evariables._designs == {}
+        uniform = self.PRIORS[:1]
+        for m in (8, 9, 10):
+            Statistic.mic((m,), uniform)
+        # mic on one group of m keeps its group terms and its count law, 8(m+1)
+        # bytes each, and is counted with 2 KB for its objects.
+        entries = {key[1][0]: size for key, (_, size) in evariables._designs.items()}
+        assert entries == {m: 2048 + 16 * (m + 1) for m in (8, 9, 10)}
+        # Room for the three and what the fourth adds beyond the second.
+        monkeypatch.setattr(evariables, "_DESIGN_BYTES", sum(entries.values()) + 32)
+        Statistic.mic((8,), uniform)  # a hit, now the most recent
+        Statistic.mic((11,), uniform)
+        # The least recent entry went first, and only it.
+        assert held_sizes() == [(10,), (8,), (11,)]
+        assert sum(size for _, size in evariables._designs.values()) <= evariables._DESIGN_BYTES
+        # An entry larger than the whole budget is returned but not kept, and
+        # drops nothing.
+        big = Statistic.mic((1000,), uniform)
+        assert big.sizes == (1000,)
+        assert held_sizes() == [(10,), (8,), (11,)]
+        assert Statistic.mic((1000,), uniform) is not big
 
-    @pytest.mark.parametrize("kind", ["mic", "can", "point"])
+    def test_reused_projection_survives_many_designs(self, solves):
+        # An epower cell keeps three entries (mic, can and pseudo); twelve
+        # small cells overflowed a memo of 32 entries, which dropped the
+        # first cell's projection and solved it again.
+        designs = [(m, m + 1) for m in range(2, 14)]
+        priors = self.PRIORS
+        for sizes in designs:
+            Statistic.mic(sizes, priors)
+            Statistic.can(sizes, priors, **self.RIPR)
+            Statistic.pseudo(sizes, priors, **self.DENSITY)
+        assert len(solves) == len(designs) and len(evariables._designs) == 36
+        Statistic.can(designs[0], priors, **self.RIPR)
+        assert len(solves) == len(designs)
+
+    @pytest.mark.parametrize("kind", ["mic", "can", "point", "pseudo"])
     def test_entry_within_its_byte_bound(self, kind):
-        # What an entry keeps, traced: at most 8(n+k) + max(8(n+1),
-        # 16 grid_size) bytes of arrays and about 2 KB of objects, as the
-        # comment of _DESIGNS states. A projection does not keep the count
-        # law it was solved from: that would add 8(n+1), 16 KB here.
+        # What an entry keeps, traced: at most 8(n+k) bytes of group terms,
+        # its null (8(n+1) for mic's count law and pseudo's log W0 at every
+        # count, 16 grid_size for a projection's atoms) and about 2 KB of
+        # objects, as the comment of _DESIGN_BYTES states. A projection does
+        # not keep the count law it was solved from, which would add 8(n+1),
+        # 16 KB here, and pseudo does not keep its density, 20,001 points.
         sizes, grid_size = (400, 600, 800, 200), 301
         n, k = sum(sizes), len(sizes)
         priors = [PriorSpec.from_beta(2, 2)] * k
-        build = {
-            "mic": lambda: Statistic.mic(sizes, priors),
-            "can": lambda: Statistic.can(sizes, priors, grid_size, tol=1e-8),
-            "point": lambda: Statistic.point(sizes, (0.3, 0.4, 0.5, 0.6), grid_size, tol=1e-8),
+        build, null = {
+            "mic": (lambda: Statistic.mic(sizes, priors), 8 * (n + 1)),
+            "can": (lambda: Statistic.can(sizes, priors, grid_size, tol=1e-8), 16 * grid_size),
+            "point": (lambda: Statistic.point(sizes, (0.3, 0.4, 0.5, 0.6), grid_size, tol=1e-8),
+                      16 * grid_size),
+            "pseudo": (lambda: Statistic.pseudo(sizes, priors, scale=100), 8 * (n + 1)),
         }[kind]
         tracemalloc.start()
         try:
@@ -715,7 +799,9 @@ class TestProjectionMemo:
             kept = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert 8 * (n + k) < kept <= 8 * (n + k) + max(8 * (n + 1), 16 * grid_size) + 4096
+        assert 8 * (n + k) < kept <= 8 * (n + k) + null + 4096
+        (_, size), = evariables._designs.values()
+        assert 8 * (n + k) + 2048 < size <= 8 * (n + k) + null + 2048
 
 
 def enumerated_e_power(log_e_fn, group_pmfs) -> float:
@@ -782,14 +868,13 @@ class TestEPower:
     def test_matches_enumeration(self, sizes, label):
         priors = [parse_prior(label)] * len(sizes)
         gp = [induced_group_pmf(s, n) for s, n in zip(priors, sizes)]
-        pseudo = Statistic.pseudo(sizes, priors)
         # Any converged projection serves: the check is of the decomposition.
-        # The oracle builds the statistic afresh for each table, as the CLI
-        # does, but for the pseudo density, which it builds once.
+        # The oracle asks for the statistic at each table, as the CLI does;
+        # the design memo returns the one built first.
         cases = [
             lambda: Statistic.mic(sizes, priors),
             lambda: Statistic.can(sizes, priors, grid_size=501),
-            lambda: pseudo,
+            lambda: Statistic.pseudo(sizes, priors),
         ]
         for build in cases:
             statistic = build()

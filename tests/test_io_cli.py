@@ -411,6 +411,28 @@ class TestCli:
         assert "refine solver" in error
         assert "--ripr-max-iter" in error and "--ripr-tol" in error
 
+    @pytest.mark.parametrize("argv, error", [
+        (("gap", "--sizes", "10,10", "--density-grid", "1"),
+         "density_grid (--density-grid) must be at least 2, got 1"),
+        (("gap", "--sizes", "10,10", "--density-grid", "2"),
+         "quadrature underflow at total count 1; raise density_grid (--density-grid)"),
+        (("epower", "--sizes", "3,3", "--ripr-grid", "50"),
+         "grid_size (--ripr-grid) must be at least 51, got 50"),
+        (("test", "--statistic", "can", "--ripr-grid", "50"),
+         "grid_size (--ripr-grid) must be at least 51, got 50"),
+        (("test", "--statistic", "pseudo", "--density-grid", "2"),
+         "quadrature underflow at total count 4; raise density_grid (--density-grid)"),
+    ])
+    def test_grid_refusals_name_their_flag(self, tmp_path, capsys, argv, error):
+        path = tmp_path / "t.json"
+        path.write_text('{"groups":[{"n":5,"ones":3},{"n":5,"ones":1}]}')
+        if argv[0] == "test":
+            argv += ("--table", str(path))
+        code, out, err = run_cli(*argv, capsys=capsys)
+        assert code == 1
+        assert out == ""
+        assert strict(err)["error"] == error
+
     def test_gap_matches_library(self, capsys):
         from maxent_evalues.diagnostics import gap_r
 
