@@ -164,8 +164,18 @@ def _run_test(table: Table, args) -> dict:
     return _report_payload(statistic, table.ones, args.alpha, inputs)
 
 
+def _numbers(text: str, flag: str, kind=float) -> list:
+    """The comma-separated values of a flag; one that kind does not read is
+    refused by the flag's name."""
+    try:
+        return [kind(v) for v in text.split(",")]
+    except ValueError:
+        what = "integers" if kind is int else "numbers"
+        raise ValueError(f"{flag} must be comma-separated {what}, got {text!r}") from None
+
+
 def _parse_palt(text: str, k: int) -> tuple[float, ...]:
-    vals = [float(v) for v in text.split(",")]
+    vals = _numbers(text, "--palt")
     if len(vals) == 1:
         vals = vals * k
     if len(vals) != k:
@@ -201,7 +211,7 @@ def _sizes(args) -> tuple[int, ...]:
     if args.sizes is not None:
         if args.k is not None or args.m is not None:
             raise ValueError("--sizes cannot be combined with --k or --m")
-        return tuple(int(s) for s in args.sizes.split(","))
+        return tuple(_numbers(args.sizes, "--sizes", int))
     k = _DEFAULT_K if args.k is None else args.k
     m = _DEFAULT_M[args.command] if args.m is None else args.m
     return (m,) * k
@@ -274,7 +284,7 @@ def cmd_rprime(args) -> dict:
 
 
 def cmd_regret(args) -> dict:
-    ms = [int(m) for m in args.m_list.split(",")]
+    ms = _numbers(args.m_list, "--m-list", int)
     (prior,) = _priors_for(args, 1)
     rows = []
     curves = []

@@ -98,7 +98,7 @@ def _count_term_gap(specs, sizes, scale, density_grid) -> tuple[np.ndarray, np.n
     sizes = list(sizes)
     c = np.arange(sum(sizes) + 1)
     pseudo = Statistic.pseudo(sizes, specs, scale, density_grid)
-    log_w0 = Statistic.mic(sizes, specs).log_null_mass(c)
+    log_w0 = Statistic.mic(sizes, specs).null
     gap = log_w0 - pseudo.log_null_mass(c)
     gap[log_w0 == NEG_INF] = 0.0
     return log_w0, gap
@@ -334,6 +334,8 @@ def theorem1_diagnostic(spec: PriorSpec, m: int, bins: int) -> float:
     NML is compared against Beta(1/2, 1/2) cell probabilities; a residual
     boundary discrepancy is expected and reported, not hidden.
     """
+    if m < 1:
+        raise ValueError("group size must be at least 1")
     if bins < 1:
         raise ValueError("bins must be positive")
     if bins > m + 1:

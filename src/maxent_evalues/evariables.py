@@ -24,10 +24,9 @@ product law evaluates it at every count.
 
 from __future__ import annotations
 
-import functools
 import math
+import operator
 from collections import OrderedDict
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +43,7 @@ from .numerics import (
     log_sum_exp,
     trapezoid_log_weights,
 )
+from .models import _count
 from .priors import (
     DEFAULT_DENSITY_GRID,
     DEFAULT_SCALE,
@@ -146,9 +146,10 @@ def _alt_params(sizes, alt_params) -> np.ndarray:
 class Statistic:
     """log S(c1) = sum_i group_terms[i][c1_i] + count_term(sum(c1)).
 
-    group_terms[i] is indexed by group i's one-count 0..n_i. log_null_mass
-    gives log W0, the null's mass at a total count, at the counts asked
-    for only, and count_term(c0) = log C(n, c0) - log W0(c0).
+    group_terms[i] is indexed by group i's one-count 0..n_i. null is log W0,
+    the null's mass at each total count 0..n, as a read-only array (mic,
+    pseudo), or the projection whose binomial mixture W0 is (can, point).
+    count_term(c0) = log C(n, c0) - log W0(c0).
 
     Every kind is fixed by its design alone, so each is built once per
     process and design (see _design).
@@ -156,8 +157,7 @@ class Statistic:
 
     kind: str
     group_terms: tuple[np.ndarray, ...]
-    log_null_mass: Callable[[np.ndarray], np.ndarray]
-    achieved_kl: float | None
+    null: np.ndarray | RiprSolution
 
     def __post_init__(self):
         if self.kind not in _EVARIABLE_KINDS:
@@ -171,8 +171,32 @@ class Statistic:
     def sizes(self) -> tuple[int, ...]:
         return tuple(a.size - 1 for a in self.group_terms)
 
+    @property
+    def achieved_kl(self) -> float | None:
+        return self.null.achieved_kl if isinstance(self.null, RiprSolution) else None
+
+    def log_null_mass(self, counts) -> np.ndarray:
+        """log W0 at the total counts asked for only; a pseudo count where the
+        quadrature underflowed is refused."""
+        c, null = np.atleast_1d(counts), self.null
+        if isinstance(null, RiprSolution):
+            return log_binomial_mixture(null.grid, null.log_weights, sum(self.sizes), c)
+        out = null[c]
+        if self.kind == "pseudo" and (out == NEG_INF).any():
+            raise ValueError(
+                f"quadrature underflow at total count {c[out == NEG_INF][0]}; "
+                "raise density_grid (--density-grid)"
+            )
+        return out
+
     def count_term(self, counts) -> np.ndarray:
-        c = np.atleast_1d(np.asarray(counts, dtype=np.int64))
+        c = np.atleast_1d(np.asarray(counts))
+        if c.dtype.kind not in "iu":
+            # Table's rule: integral floats pass; bools and fractions do not.
+            bad = c[~(np.isfinite(c) & (c == np.trunc(c)))] if c.dtype.kind == "f" else c.ravel()
+            if bad.size:
+                raise ValueError(f"total count must be an integer, got {bad.tolist()[0]!r}")
+            c = c.astype(np.int64)
         n = sum(self.sizes)
         # Checked here, since numpy would read a negative count from the end.
         outside = c[(c < 0) | (c > n)]
@@ -182,7 +206,7 @@ class Statistic:
 
     def log_e(self, ones) -> float:
         """log S at one table, given its per-group one-counts."""
-        ones = tuple(int(o) for o in ones)
+        ones = tuple(_count(o, f"group {i}: count") for i, o in enumerate(ones))
         log_e = 0.0
         for i, (a, o) in enumerate(zip(self.group_terms, ones, strict=True)):
             if not 0 <= o < a.size:
@@ -193,7 +217,7 @@ class Statistic:
     @staticmethod
     def mic(sizes, priors) -> "Statistic":
         """Exact microcanonical GRO e-variable: W0 is the optimal null prior."""
-        return _statistic("gro_mic", sizes, priors, None)
+        return _design("gro_mic", sizes, priors, None)
 
     @staticmethod
     def pseudo(
@@ -203,7 +227,8 @@ class Statistic:
         and priors, built at scale and resampled onto density_grid points
         (None: not resampled); not an e-variable. Reading a count where the
         quadrature underflows is refused."""
-        return _statistic("pseudo", sizes, priors, (scale, density_grid))
+        grid = None if density_grid is None else operator.index(density_grid)
+        return _design("pseudo", sizes, priors, (operator.index(scale), grid))
 
     @staticmethod
     def can(
@@ -216,7 +241,8 @@ class Statistic:
         """Canonical GRO e-variable: W0 is the projection onto binomial
         mixtures of the optimal null prior, the Bayes marginal's law of the
         total count, for these sizes and priors."""
-        return _statistic("gro_can", sizes, priors, (grid_size, tol, max_iter))
+        settings = (operator.index(grid_size), tol, operator.index(max_iter))
+        return _design("gro_can", sizes, priors, settings)
 
     @staticmethod
     def point(
@@ -232,58 +258,53 @@ class Statistic:
         Bernoulli log-likelihoods (0^0 = 1 at the boundary), and W0 is the
         projection of the exact law of the total count under the alternative."""
         pvec = _alt_params(sizes, alt_params)
-        return _statistic("gro_point", sizes, pvec.tolist(), (grid_size, tol, max_iter))
+        settings = (operator.index(grid_size), tol, operator.index(max_iter))
+        return _design("gro_point", sizes, pvec.tolist(), settings)
 
 
-def _statistic(kind: str, sizes, params, settings) -> Statistic:
-    """The statistic _design keeps for this design, or the refusal of its
-    unconverged projection."""
-    built = _design(kind, tuple(sizes), tuple(params), settings)
-    if isinstance(built, RiprSolution):
+# The design memo: key -> (statistic, bytes), the least recently used first.
+_designs: OrderedDict = OrderedDict()
+
+
+def _design(kind: str, sizes, params, settings: tuple | None) -> Statistic:
+    """The statistic of one design, built once.
+
+    The key is the kind, the sizes in order, params (the priors, or the
+    alternative's parameters for gro_point) and the kind's settings: None
+    for gro_mic, (grid_size, tol, max_iter) for a projection, (scale,
+    density_grid) for pseudo. The sizes and the integer settings are taken
+    by operator.index, so that a float is refused on a hit as on a miss. A
+    hit builds nothing; permuted sizes are another design. The memo holds
+    at most _DESIGN_BYTES: a miss drops the least recently used entries, and
+    an entry larger than that is returned but not kept. A build that raises
+    is not kept either; an unconverged projection is kept and refused on
+    every read.
+    """
+    key = (kind, tuple(operator.index(n) for n in sizes), tuple(params), settings)
+    if key in _designs:
+        _designs.move_to_end(key)
+        built = _designs[key][0]
+    else:
+        built = _build(*key)
+        null = built.null
+        held = (null,) if isinstance(null, np.ndarray) else (null.grid, null.log_weights)
+        size = 2048 + sum(a.nbytes for a in (*built.group_terms, *held))
+        if size <= _DESIGN_BYTES:
+            _designs[key] = (built, size)
+            total = sum(b for _, b in _designs.values())
+            while total > _DESIGN_BYTES:
+                total -= _designs.popitem(last=False)[1][1]
+    if isinstance(built.null, RiprSolution) and not built.null.converged:
         raise ValueError(
             f"the reverse information projection did not converge in "
-            f"{built.iterations} iterations; refine solver settings: raise "
+            f"{built.null.iterations} iterations; refine solver settings: raise "
             "max_iter (--ripr-max-iter) or tol (--ripr-tol)"
         )
     return built
 
 
-# The design memo: key -> (statistic or unconverged projection, bytes), the
-# least recently used first.
-_designs: OrderedDict = OrderedDict()
-
-
-def _design(
-    kind: str, sizes: tuple, params: tuple, settings: tuple | None
-) -> Statistic | RiprSolution:
-    """The statistic of one design, built once, or the unconverged
-    projection that _statistic refuses in its place.
-
-    The key is the kind, the sizes in order, params (the priors, or the
-    alternative's parameters for gro_point) and the kind's settings: None
-    for gro_mic, (grid_size, tol, max_iter) for a projection, (scale,
-    density_grid) for pseudo. A hit builds nothing; permuted sizes are
-    another design. The memo holds at most _DESIGN_BYTES: a miss drops the
-    least recently used entries, and an entry larger than that is returned
-    but not kept. A build that raises is not kept either.
-    """
-    key = (kind, sizes, params, settings)
-    if key in _designs:
-        _designs.move_to_end(key)
-        return _designs[key][0]
-    built, arrays = _build(*key)
-    size = 2048 + sum(a.nbytes for a in arrays)
-    if size <= _DESIGN_BYTES:
-        _designs[key] = (built, size)
-        held = sum(b for _, b in _designs.values())
-        while held > _DESIGN_BYTES:
-            held -= _designs.popitem(last=False)[1][1]
-    return built
-
-
-def _build(kind: str, sizes: tuple, params: tuple, settings: tuple | None):
-    """One design's statistic (or unconverged projection) and the arrays it
-    holds.
+def _build(kind: str, sizes: tuple, params: tuple, settings: tuple | None) -> Statistic:
+    """One design's statistic.
 
     The group laws are induced by the priors in params (Binomial(n_i,
     params[i]) for gro_point). W0 is their convolution (gro_mic), its
@@ -294,44 +315,22 @@ def _build(kind: str, sizes: tuple, params: tuple, settings: tuple | None):
     induced_group_pmf, null_optimal_prior, ripr_solve, pseudo_null_density
     and log_w_pseudo0 stay plain functions, looked up at each build.
     """
+    n = sum(sizes)
     if kind == "pseudo":
         # The density first, so that its checks run before anything else.
         density = pseudo_null_density(params, sizes, *settings)
-        n = sum(sizes)
-        log_w0 = log_w_pseudo0(density, n, np.arange(n + 1))
-        log_w0.setflags(write=False)
-        terms = _bayes_terms(_group_pmfs(sizes, params))
-        mass = functools.partial(_quadrature_at, log_w0)
-        return Statistic(kind, terms, mass, None), (*terms, log_w0)
+        null = log_w_pseudo0(density, n, np.arange(n + 1))
+        null.setflags(write=False)
+        return Statistic(kind, _bayes_terms(_group_pmfs(sizes, params)), null)
     if kind == "gro_point":
-        group_pmfs = [binomial_pmf(n, p) for n, p in zip(sizes, params)]
+        group_pmfs = [binomial_pmf(m, p) for m, p in zip(sizes, params)]
     else:
         group_pmfs = _group_pmfs(sizes, params)
     target = null_optimal_prior(group_pmfs)
     terms = _bayes_terms(group_pmfs)
     if settings is None:
-        log_w0 = target.log_weights
-        return Statistic(kind, terms, lambda c: log_w0[c], None), (*terms, log_w0)
-    n = sum(p.support_size - 1 for p in group_pmfs)
-    solution = ripr_solve(target, n, *settings)
-    atoms = (solution.grid, solution.log_weights)
-    if not solution.converged:
-        return solution, atoms
-    mass = functools.partial(log_binomial_mixture, *atoms, n)
-    return Statistic(kind, terms, mass, solution.achieved_kl), (*terms, *atoms)
-
-
-def _quadrature_at(log_w0: np.ndarray, counts) -> np.ndarray:
-    """The pseudo quadrature log_w0 at the counts asked for, refusing the
-    first where it underflowed."""
-    c = np.atleast_1d(counts)
-    out = log_w0[c]
-    under = c[out == NEG_INF]
-    if under.size:
-        raise ValueError(
-            f"quadrature underflow at total count {under[0]}; raise density_grid (--density-grid)"
-        )
-    return out
+        return Statistic(kind, terms, target.log_weights)
+    return Statistic(kind, terms, ripr_solve(target, n, *settings))
 
 
 def log_w_pseudo0(density: PseudoDensity, n: int, n1) -> np.ndarray:

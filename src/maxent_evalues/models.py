@@ -10,15 +10,15 @@ import numbers
 from dataclasses import dataclass
 
 
-def _count(value, row: int, field: str) -> int:
-    """One count of a table: a Python or NumPy integer, or an integral float.
-    A bool or a fraction is refused rather than truncated."""
+def _count(value, what: str) -> int:
+    """One count (what names it): a Python or NumPy integer, or an integral
+    float. A bool or a fraction is refused rather than truncated."""
     if not isinstance(value, bool):
         if isinstance(value, numbers.Integral):
             return int(value)
         if isinstance(value, numbers.Real) and float(value).is_integer():
             return int(value)
-    raise ValueError(f"table row {row}: {field} must be an integer, got {value!r}")
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,8 @@ class Table:
 
     def __post_init__(self):
         groups = tuple(
-            (_count(n, i, "n"), _count(ones, i, "ones")) for i, (n, ones) in enumerate(self.groups)
+            (_count(n, f"table row {i}: n"), _count(ones, f"table row {i}: ones"))
+            for i, (n, ones) in enumerate(self.groups)
         )
         object.__setattr__(self, "groups", groups)
         if len(groups) < 1:

@@ -3,6 +3,7 @@ import inspect
 import itertools
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -110,6 +111,37 @@ class TestEValueReport:
         with pytest.raises(ValueError, match=rf"total count {bad} out of range 0\.\.10$"):
             statistic.count_term(counts)
 
+    @pytest.mark.parametrize("ones, group, bad", [
+        ((2.7, 3), 0, 2.7), ((True, 3), 0, True), ((2, 0.5), 1, 0.5), ((2, math.nan), 1, math.nan),
+        ((2, "3"), 1, "3"),
+    ])
+    def test_log_e_refuses_fractional_and_bool_counts(self, ones, group, bad):
+        # Read as int(o), 2.7 was the count 2 and True the count 1.
+        statistic = Statistic.mic((5, 7), [PriorSpec.uniform()] * 2)
+        message = rf"^group {group}: count must be an integer, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            statistic.log_e(ones)
+
+    @pytest.mark.parametrize("counts, bad", [
+        ([2.5], 2.5), (True, True), (np.array([1.0, 2.5]), 2.5), (math.inf, math.inf),
+        (["3"], "3"), (np.array([False]), False),
+    ])
+    def test_count_term_refuses_fractional_and_bool_counts(self, counts, bad):
+        # Read as an int64 array, 2.5 was the count 2.
+        statistic = Statistic.mic((5, 7), [PriorSpec.uniform()] * 2)
+        message = rf"^total count must be an integer, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            statistic.count_term(counts)
+
+    def test_integral_counts_pass_as_in_a_table(self):
+        statistic = Statistic.mic((5, 7), [PriorSpec.uniform()] * 2)
+        want = statistic.log_e((2, 3))
+        assert statistic.log_e((2.0, np.int64(3))) == want
+        assert statistic.log_e((np.float64(2.0), 3)) == want
+        assert statistic.count_term([5.0]).tobytes() == statistic.count_term([5]).tobytes()
+        assert statistic.count_term(np.arange(13.0)).tobytes() == \
+            statistic.count_term(np.arange(13)).tobytes()
+
     def test_counts_at_the_group_size(self):
         # Two uniform groups of 5: W0 is the law of the sum of two uniforms
         # on 0..5, so S(5, 0) = C(10, 5) / 6^2 / (6 / 6^2) = 42, and S = 1
@@ -121,7 +153,7 @@ class TestEValueReport:
 
     def test_pseudo_not_evariable(self):
         def of_kind(kind):
-            return Statistic(kind, (np.zeros(2),), lambda c: np.zeros(len(c)), None)
+            return Statistic(kind, (np.zeros(2),), np.zeros(2))
 
         assert not of_kind("pseudo").is_evariable
         for kind in ("gro_mic", "gro_can", "gro_point"):
@@ -129,7 +161,7 @@ class TestEValueReport:
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown statistic kind 'other'"):
-            Statistic("other", (np.zeros(2),), lambda c: np.zeros(len(c)), None)
+            Statistic("other", (np.zeros(2),), np.zeros(2))
 
 
 class TestMarginalAlt:
@@ -715,6 +747,64 @@ class TestProjectionMemo:
             counts = np.arange(n + 1)
             assert hit.count_term(counts).tobytes() == fresh.count_term(counts).tobytes()
 
+    def test_null_is_what_the_statistic_holds(self):
+        # mic holds its count law's log weights and pseudo its quadrature at
+        # every count, read-only; can and point hold their projection, whose
+        # achieved_kl they report. The memo counts an entry as exactly those
+        # arrays and the group terms, plus 2 KB.
+        n = sum(self.SIZES)
+        designs = self.designs()
+        group_pmfs = {
+            "mic": [induced_group_pmf(s, m) for s, m in zip(self.PRIORS, self.SIZES)],
+            "can": [induced_group_pmf(s, m) for s, m in zip(self.PRIORS, self.SIZES)],
+            "point": [binomial_pmf(m, p) for m, p in zip(self.SIZES, (0.2, 0.7))],
+        }
+        mic = designs["mic"]()
+        assert mic.null.tobytes() == null_optimal_prior(group_pmfs["mic"]).log_weights.tobytes()
+        pseudo = designs["pseudo"]()
+        density = pseudo_null_density(self.PRIORS, self.SIZES, *self.DENSITY.values())
+        assert pseudo.null.tobytes() == log_w_pseudo0(density, n, np.arange(n + 1)).tobytes()
+        for statistic in (mic, pseudo):
+            assert statistic.null.shape == (n + 1,) and not statistic.null.flags.writeable
+            assert statistic.achieved_kl is None
+        for kind in ("can", "point"):
+            statistic = designs[kind]()
+            fresh = ripr_solve(null_optimal_prior(group_pmfs[kind]), n, **self.RIPR)
+            assert isinstance(statistic.null, RiprSolution)
+            assert statistic.null.grid.tobytes() == fresh.grid.tobytes()
+            assert statistic.null.log_weights.tobytes() == fresh.log_weights.tobytes()
+            assert statistic.achieved_kl == statistic.null.achieved_kl == fresh.achieved_kl
+        for statistic, size in evariables._designs.values():
+            null = statistic.null
+            held = [null] if isinstance(null, np.ndarray) else [null.grid, null.log_weights]
+            assert size == 2048 + sum(a.nbytes for a in [*statistic.group_terms, *held])
+        assert len(evariables._designs) == 4
+
+    @pytest.mark.parametrize("kind, build", [
+        ("mic", lambda: Statistic.mic((5.0, 7.0), TestProjectionMemo.PRIORS)),
+        ("mic", lambda: Statistic.mic((5, np.float64(7)), TestProjectionMemo.PRIORS)),
+        ("pseudo", lambda: Statistic.pseudo((5, 7), TestProjectionMemo.PRIORS, scale=100.0,
+                                            density_grid=501)),
+        ("pseudo", lambda: Statistic.pseudo((5, 7), TestProjectionMemo.PRIORS, scale=100,
+                                            density_grid=501.0)),
+        ("can", lambda: Statistic.can((5, 7), TestProjectionMemo.PRIORS,
+                                      **{**TestProjectionMemo.RIPR, "grid_size": 101.0})),
+        ("can", lambda: Statistic.can((5, 7), TestProjectionMemo.PRIORS,
+                                      **{**TestProjectionMemo.RIPR, "max_iter": 20_000.0})),
+        ("point", lambda: Statistic.point((5.0, 7), (0.2, 0.7), **TestProjectionMemo.RIPR)),
+    ])
+    def test_float_sizes_and_settings_refused_on_hit_and_miss(self, kind, build):
+        # The key compared numbers by value, so a float size or integer
+        # setting read the entry its integer had built, though a fresh build
+        # with it raised.
+        with pytest.raises(TypeError, match="float.* object cannot be interpreted as an integer"):
+            build()
+        assert evariables._designs == {}
+        self.designs()[kind]()
+        with pytest.raises(TypeError, match="float.* object cannot be interpreted as an integer"):
+            build()
+        assert len(evariables._designs) == 1
+
     def test_pseudo_reads_match_one_count_quadrature(self):
         # The pseudo statistic takes its quadrature once, at every count; each
         # count reads the bits a quadrature at that count alone gives, as the
@@ -819,10 +909,8 @@ def enumerated_e_power(log_e_fn, group_pmfs) -> float:
 
 def count_only_statistic(sizes, h):
     """A statistic with zero group terms and the count term h over 0..n."""
-    lrow = log_binomial_row(sum(sizes))
-    return Statistic(
-        "gro_point", tuple(np.zeros(n + 1) for n in sizes), lambda c: lrow[c] - h[c], None
-    )
+    return Statistic("gro_point", tuple(np.zeros(n + 1) for n in sizes),
+                     log_binomial_row(sum(sizes)) - h)
 
 
 # The nine cells of acceptance criterion 4, a three-group cell and two

@@ -784,6 +784,29 @@ class TestCli:
         assert out == ""
         assert strict(err)["error"] == "--sizes cannot be combined with --k or --m"
 
+    @pytest.mark.parametrize("argv, error", [
+        (("gap", "--sizes", ""), "--sizes must be comma-separated integers, got ''"),
+        (("gap", "--sizes", "10,x"), "--sizes must be comma-separated integers, got '10,x'"),
+        (("epower", "--sizes", "10,1.5"), "--sizes must be comma-separated integers, got '10,1.5'"),
+        (("regret", "--palt", "0.4", "--m-list", "10,x"),
+         "--m-list must be comma-separated integers, got '10,x'"),
+        (("regret", "--palt", "0.4", "--m-list", ""),
+         "--m-list must be comma-separated integers, got ''"),
+        (("regret", "--palt", "0.4,x", "--m-list", "10"),
+         "--palt must be comma-separated numbers, got '0.4,x'"),
+        (("rprime", "--palt", "x"), "--palt must be comma-separated numbers, got 'x'"),
+        # The group size is checked before the bins it bounds.
+        (("theorem1", "--m", "0"), "group size must be at least 1"),
+        (("theorem1", "--m", "-1", "--bins", "0"), "group size must be at least 1"),
+    ])
+    def test_malformed_values_refused_by_name(self, capsys, argv, error):
+        # These printed Python's own int() and float() errors, or, for
+        # theorem1, "bins must not exceed m+1".
+        code, out, err = run_cli(*argv, capsys=capsys)
+        assert code == 1
+        assert out == ""
+        assert strict(err)["error"] == error
+
     def test_size_defaults(self, capsys):
         for argv, sizes in (
             (["epower", "--m", "4"], [4, 4]),
