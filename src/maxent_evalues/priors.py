@@ -27,17 +27,21 @@ from .numerics import (
 DEFAULT_SCALE = 10_000
 
 # Largest high-resolution support pseudo_null_density builds (scale * n + 1
-# points). A resampled build peaks at about 8 bytes a point when every group
-# is uniform or beta(1,1): the spectrum, written in closed form. One other
-# distinct (prior, size) pair adds its rfft's zero-padded buffer, 16 bytes a
-# point; two or more add the next pair's spectrum as well, 24. Where the
-# whole inverse runs, an all-uniform build also takes 16. (tracemalloc at
-# 1.024e7 points: 81 MiB for uniform groups at k = 2 and 8, equal sizes or
-# not; 159 MiB for one group of beta(2,2), NML or beta(0.5,3), or for two of
-# beta(2,2); 238 MiB for beta(2,2) and NML. Peak RSS of `gap`: 138 MB for
-# two uniform groups of 512, 373 MB for one beta(2,2) group of 1024.) So
-# n = 1024 fits at the default scale, and at the limit the traced peak runs
-# from about 210 MB to 600 MB.
+# points). When every group is uniform or beta(1,1) and the density is
+# folded onto the grid (_folded_irfft), the closed-form spectrum is read in
+# blocks and no full-length array is built: 3.4 MiB traced and 5 MB of peak
+# RSS past the import for two uniform groups of 512, equal or not. Where the
+# whole inverse runs, such a build holds the spectrum and the inverse, 16
+# bytes a point. One distinct non-uniform (prior, size) pair holds its rfft's
+# zero-padded buffer and spectrum, 16 bytes a point, and two or more the next
+# pair's spectrum as well, 24. Peak RSS is about twice the traced peak for
+# these builds, as the transforms' own work buffers are not traced.
+# (At 1.02e7 points, traced and peak RSS past the import: 157 MiB and 315 MB
+# for the whole inverse of uniform groups of 500 and 515; 159 MiB and 317 MB
+# for one group of beta(2,2) or NML; 159 MiB and 280 MB for two of beta(2,2)
+# or beta(2,2) with a uniform group; 238 MiB and 358 MB for beta(2,2) and
+# NML.) So n = 1024 fits at the default scale, and at the limit the traced
+# peak runs from a few MB to about 600 MB.
 MAX_PSEUDO_POINTS = 25_000_000
 
 # A build that keeps every point (no resample) runs the whole inverse and
@@ -49,8 +53,9 @@ _MAX_UNRESAMPLED_POINTS = 500_000_000 // 56
 
 # Most residues, mod the period of the resampled indices, at which
 # pseudo_null_density computes the convolution by the folded inverse
-# (_folded_irfft); each costs one pass over the spectrum. The default grid
-# needs 1 to 3. With more, the whole inverse transform runs.
+# (_folded_irfft). The spectrum is read once, in blocks, whatever their
+# number; each adds a row to every block's matrix product and to the folded
+# sum. The default grid needs 1 to 3. With more, the whole inverse runs.
 _MAX_RESIDUES = 8
 
 # Default resample target when a high-resolution density grid gets large.
@@ -61,6 +66,9 @@ DEFAULT_DENSITY_GRID = 20_001
 # arrays. Blocks of 1e6 points raised the peak RSS of a 1e7-point NML build
 # by 13 MB, as the allocator kept their freed buffers; blocks of 64 KB arrays
 # did not, and ran the box spectra of 1e5 to 5e6 frequencies fastest.
+# _folded_irfft reads up to 8 blocks' worth of frequencies at a time (1 MiB):
+# read one row of Q frequencies at a time, each product costs a pass over
+# the folded sum, and a 3-residue fold of 6.75e6 points took 88 ms, not 58.
 _BLOCK_POINTS = 1 << 13
 
 
@@ -193,10 +201,27 @@ def null_optimal_prior(group_pmfs) -> Pmf:
     return convolve_all(group_pmfs)
 
 
-def _box_spectrum(boxes, length: int, spectrum=None) -> np.ndarray:
-    """The one-sided rfft, at length L, of the convolution of boxes of ones:
-    c boxes of M <= L ones for each M: c in boxes, scaled by 1/M^c so that
-    the k = 0 term is 1. If spectrum is given, it is multiplied in place.
+def _power(x, count: int) -> np.ndarray:
+    """x**count for a positive integer count, by repeated squaring in x's
+    buffer: a negative x keeps its sign at an odd count."""
+    out = None
+    while True:
+        if count & 1:
+            if out is None:
+                out = x if count == 1 else x.copy()
+            else:
+                out *= x
+        count >>= 1
+        if not count:
+            return out
+        x *= x
+
+
+def _box_spectrum(boxes, length: int):
+    """A reader of the one-sided rfft, at length L, of the convolution of
+    boxes of ones: c boxes of M <= L ones for each M: c in boxes, scaled by
+    1/M^c so that the k = 0 term is 1. read(start, stop) returns the terms
+    at start <= k < stop, within 0..L//2, as a new array.
 
     A box's transform is e^{-i pi k (M-1)/L} sin(pi k M/L) / sin(pi k/L).
     Every angle is an integer multiple of pi/L, reduced mod 2L in integers
@@ -204,70 +229,77 @@ def _box_spectrum(boxes, length: int, spectrum=None) -> np.ndarray:
     e^{i pi (k0 + j) s/L} is e^{i pi k0 s/L} e^{i pi j s/L}, one rotation a
     block of a table of B entries for each step s, itself the outer product
     of two tables of about sqrt(B) entries: no sin or cos runs per
-    frequency. The phases of all boxes add up to one step.
+    frequency. The phases of all boxes add up to one step, whose conjugated
+    table each block multiplies once.
     """
     half, turn = length // 2 + 1, 2 * length
     rows = min(_BLOCK_POINTS, half)
     shift = sum(c * (m - 1) for m, c in boxes.items()) % turn
     width = math.isqrt(rows - 1) + 1
 
-    def unit(j, step):
-        return np.exp(1j * (j * step % turn) * (np.pi / length))
+    def table(step):
+        def unit(j):
+            return np.exp(1j * (j * step % turn) * (np.pi / length))
 
-    tables = {}
-    for step in {1, shift, *boxes}:
-        table = np.multiply.outer(unit(np.arange(0, rows, width), step),
-                                  unit(np.arange(width), step)).ravel()[:rows]
-        tables[step] = table.real.copy(), table.imag.copy()
+        return np.multiply.outer(unit(np.arange(0, rows, width)),
+                                 unit(np.arange(width))).ravel()[:rows]
 
-    def turned(start, size, step):
-        """e^{i pi k step/L} = (c0 + i s0)(tc + i ts) at k = start + j, j < size."""
+    # The real and imaginary parts of each sine's table, and the conjugated
+    # table of the phase.
+    parts = {}
+    for step in {1, *boxes}:
+        t = table(step)
+        parts[step] = t.real.copy(), t.imag.copy()
+    phase = table(shift).conj()
+
+    def rotation(start, step):
         angle = (start * step % turn) * (math.pi / length)
-        tc, ts = tables[step]
-        return math.cos(angle), math.sin(angle), tc[:size], ts[:size]
+        return math.cos(angle), math.sin(angle)
 
-    fresh = spectrum is None
-    if fresh:
-        spectrum = np.empty(half, dtype=complex)
-        spectrum[0] = 1.0
-    for start in range(1, half, rows):
-        size = min(rows, half - start)
-        c0, s0, tc, ts = turned(start, size, 1)
-        sin_k = s0 * tc + c0 * ts
-        amp = np.ones(size)
-        for m, count in boxes.items():
-            c0, s0, tc, ts = turned(start, size, m)
-            x = (s0 / m) * tc
-            x += (c0 / m) * ts
-            x /= sin_k
-            if count > 1:
-                # pow() takes a slow path on a negative base (40 times slower
-                # here): |x| is raised, and an odd power gets x's sign back.
-                np.copysign(np.abs(x) ** count, x if count % 2 else 1.0, out=x)
-            amp *= x
-        c0, s0, tc, ts = turned(start, size, shift)
-        re = c0 * tc - s0 * ts
-        im = s0 * tc + c0 * ts
-        re *= amp
-        im *= amp
-        block = spectrum[start : start + size]
-        if fresh:
-            block.real = re
-            np.negative(im, out=block.imag)
-        else:
-            block *= re - 1j * im
-    return spectrum
+    def sine(start, size, step):
+        """sin(pi k step/L) / step at k = start + j, j < size."""
+        c0, s0 = rotation(start, step)
+        tc, ts = parts[step]
+        x = (s0 / step) * tc[:size]
+        x += (c0 / step) * ts[:size]
+        return x
+
+    def read(start: int, stop: int) -> np.ndarray:
+        out = np.empty(stop - start, dtype=complex)
+        if start == 0 < stop:
+            out[0] = 1.0
+        for k0 in range(max(start, 1), stop, rows):
+            size = min(rows, stop - k0)
+            sin_k = sine(k0, size, 1)
+            amp = None
+            for m, count in boxes.items():
+                x = sine(k0, size, m)
+                x /= sin_k
+                x = _power(x, count)
+                if amp is None:
+                    amp = x
+                else:
+                    amp *= x
+            c0, s0 = rotation(k0, shift)
+            block = out[k0 - start : k0 - start + size]
+            np.multiply(phase[:size], complex(c0, -s0), out=block)
+            block *= amp
+        return out
+
+    return read
 
 
-def _one_pass_spectrum(specs, sizes, scale: int, length: int) -> np.ndarray:
-    """rfft, at length, of the convolution of the groups' induced pmfs at size
-    scale*n_i, up to a positive constant.
+def _one_pass_spectrum(specs, sizes, scale: int, length: int):
+    """A reader, read(start, stop), of the rfft at length of the convolution
+    of the groups' induced pmfs at size scale*n_i, up to a positive constant.
 
     A uniform group's weights are a box of scale*n_i + 1 ones, whose
     transform has a closed form: all of them enter through _box_spectrum, a
-    beta(1,1) group among them. Each other distinct (prior, size) pair is
-    built and transformed once, at the final length, and enters the product
-    raised to its multiplicity.
+    beta(1,1) group among them. If every group is uniform, its reader is the
+    spectrum's, and no full-length array is built. Each other distinct
+    (prior, size) pair is built and transformed once, at the final length,
+    and enters the product raised to its multiplicity; the boxes are
+    multiplied into that product in blocks, and the reader slices it.
     """
     flat = PriorSpec.from_beta(1, 1)
     spectrum, boxes = None, Counter()
@@ -304,19 +336,27 @@ def _one_pass_spectrum(specs, sizes, scale: int, length: int) -> np.ndarray:
             spectrum *= 2.0 ** -round(math.log2(spectrum[0].real))
         del f
     if boxes:
-        spectrum = _box_spectrum(boxes, length, spectrum)
-    return spectrum
+        box = _box_spectrum(boxes, length)
+        if spectrum is None:
+            return box
+        for start in range(0, spectrum.size, _BLOCK_POINTS):
+            stop = min(start + _BLOCK_POINTS, spectrum.size)
+            spectrum[start:stop] *= box(start, stop)
+    return lambda start, stop: spectrum[start:stop]
 
 
-def _folded_irfft(spectrum, length: int, period: int, residues) -> np.ndarray:
-    """irfft(spectrum, length) at the indices period*q + r, q < length/period,
-    one row per residue r; period must divide length.
+def _folded_irfft(read, length: int, period: int, residues) -> np.ndarray:
+    """irfft, at length, of the one-sided spectrum that read(start, stop)
+    gives, at the indices period*q + r, q < length/period, one row per
+    residue r; period must divide length.
 
     With k = k1 + Q*k2 (Q = length/period), the inverse at period*q + r is
     the length-Q inverse DFT in k1 of e^{2 pi i r k1/length} times the sum
-    over k2 of the spectrum at k weighted by e^{2 pi i r k2/period}: one
+    over k2 of the spectrum at k weighted by e^{2 pi i r k2/period}: a
     (residues x period/2) by (period/2 x Q) matrix product over the one-sided
-    spectrum, whose terms count twice except at k = 0 and k = length/2.
+    spectrum, whose terms count twice except at k = 0 and k = length/2. The
+    spectrum is read in blocks of rows of Q frequencies, each folded in by
+    one matrix product, so only the (residues x Q) sum and one block are held.
     """
     q = length // period
     rows = period // 2
@@ -324,15 +364,20 @@ def _folded_irfft(spectrum, length: int, period: int, residues) -> np.ndarray:
     # r*k2 reduced mod period first: an argument of many turns would carry
     # the rounding of its quotient, up to 1e-13 at period 512, into the sum.
     phase = np.exp(2j * np.pi * (r * np.arange(rows + 1) % period) / period)
-    folded = 2 * (phase[:, :rows] @ spectrum[: q * rows].reshape(rows, q))
+    folded = np.zeros((r.shape[0], q), dtype=complex)
+    step = max(1, 8 * _BLOCK_POINTS // q)
+    for k2 in range(0, rows, step):
+        block = read(k2 * q, min(k2 + step, rows) * q).reshape(-1, q)
+        folded += phase[:, k2 : k2 + block.shape[0]] @ block
     # The rest of the one-sided spectrum sits at k2 = rows: the Nyquist term
     # alone for an even period, the first half of k1's range for an odd one.
-    tail = spectrum[q * rows :]
-    folded[:, : tail.size] += 2 * phase[:, rows:] * tail
+    tail = read(q * rows, length // 2 + 1)
+    folded[:, : tail.size] += phase[:, rows:] * tail
+    folded *= 2
     # The Nyquist term (even length) and k = 0 count once.
     if length % 2 == 0:
         folded[:, tail.size - 1] -= phase[:, rows] * tail[-1]
-    folded[:, 0] -= spectrum[0]
+    folded[:, 0] -= read(0, 1)[0]
     folded *= np.exp(2j * np.pi * r * np.arange(q) / length)
     return fft.ifft(folded, axis=1).real / period
 
@@ -415,12 +460,12 @@ def pseudo_null_density(
                 and fft.next_fast_len(fold_length, real=True) == fold_length
             ):
                 period, residues, length = stride, found, fold_length
-    spectrum = _one_pass_spectrum(specs, sizes, scale, length)
+    read = _one_pass_spectrum(specs, sizes, scale, length)
     if period == 1:
-        conv = fft.irfft(spectrum, length)[None, : total + 1]
+        conv = fft.irfft(read(0, length // 2 + 1), length)[None, : total + 1]
     else:
-        conv = _folded_irfft(spectrum, length, period, residues)
-    del spectrum
+        conv = _folded_irfft(read, length, period, residues)
+    del read
     conv[conv < FFT_CLAMP * conv.max()] = 0.0
     if resample:
         row_a = np.searchsorted(residues, a % period)

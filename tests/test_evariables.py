@@ -972,6 +972,37 @@ class TestEPower:
             )
 
 
+class TestIdentities:
+    """Identities of the statistics that hold whatever the projection's
+    solver returns, or that it should meet (ROADMAP findings 5 and 6)."""
+
+    @pytest.mark.parametrize(
+        "sizes, label",
+        [((5, 5), "beta:3,3"), ((6, 6, 6), "beta:3,3"), ((8, 16), "beta:3,3"), ((4, 4), "nml")],
+    )
+    def test_can_gains_its_achieved_kl_over_mic(self, sizes, label):
+        # Finding 6: can and mic share their group terms, so under the Bayes
+        # marginal can's e-power exceeds mic's by sum_c Q(c) log(Q(c)/W0(c)),
+        # the projection's achieved KL, for any W0.
+        priors = [parse_prior(label)] * len(sizes)
+        gp = [induced_group_pmf(s, n) for s, n in zip(priors, sizes)]
+        can = Statistic.can(sizes, priors)
+        gain = e_power(can, gp) - e_power(Statistic.mic(sizes, priors), gp)
+        assert abs(gain - can.achieved_kl) <= 1e-12
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="finding 5: SQUAREM stops short of the one-atom projection (2.3e-6); "
+        "ROADMAP item 3",
+    )
+    def test_point_inside_the_null_has_no_e_power(self):
+        # Equal alternative parameters make the count law Binomial(40, 0.5),
+        # a one-atom binomial mixture: W0 should be that law, S = 1 at every
+        # table, and the e-power 0.
+        statistic = Statistic.point((20, 20), (0.5, 0.5))
+        assert abs(e_power(statistic, [binomial_pmf(20, 0.5)] * 2)) <= 1e-12
+
+
 class TestCombineAndDecide:
     """Optional continuation multiplies independent e-values: `continue` sums
     their logs."""

@@ -464,19 +464,31 @@ class TestPseudoNullDensity:
         pseudo_null_density(specs, [3, 4, 4, 4, 5, 3], 100)
         assert len(calls) == 3
 
-    @pytest.mark.parametrize("sizes", [(512, 512), (683, 341)])
-    def test_uniform_build_holds_only_its_spectrum(self, sizes):
-        # The closed form writes the one-sided spectrum, 8 bytes a point, in
-        # blocks; no forward buffer is built. An rfft of each distinct size
-        # peaked at 16 and 24 bytes a point.
-        points = 10_000 * sum(sizes) + 1
+    @staticmethod
+    def _traced_peak(sizes, scale):
         tracemalloc.start()
         try:
-            pseudo_null_density([PriorSpec.uniform()] * 2, sizes, grid_size=DEFAULT_DENSITY_GRID)
-            peak = tracemalloc.get_traced_memory()[1]
+            pseudo_null_density([PriorSpec.uniform()] * 2, sizes, scale,
+                                grid_size=DEFAULT_DENSITY_GRID)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 10 * points
+
+    @pytest.mark.parametrize("sizes", [(512, 512), (683, 341)])
+    def test_uniform_build_holds_only_its_spectrum(self, sizes):
+        # Folded: the closed form is read in blocks of rows into the folded
+        # sum, so no full-length array is built, and no forward buffer. The
+        # spectrum alone, written in full, took 8.27 bytes a point; an rfft of
+        # each distinct size, 16 and 24.
+        assert self._traced_peak(sizes, 10_000) < 10_000 * sum(sizes) + 1
+
+    def test_uniform_whole_inverse_holds_its_spectrum_and_inverse(self):
+        # 120 + 170: the points read repeat every 29 indices, so the whole
+        # inverse runs over the spectrum read in full, 8 bytes a point, and
+        # writes 8 more; the resample's arrays of 20001 points add about 0.5
+        # (16.49 traced). One more full-length array would add 8.
+        points = 10_000 * 290 + 1
+        assert self._traced_peak((120, 170), 10_000) < 17 * points
 
     @pytest.mark.parametrize("spec", [PriorSpec.from_beta(2, 2), PriorSpec.nml()],
                              ids=PriorSpec.describe)
@@ -554,56 +566,125 @@ class TestPseudoNullDensity:
         )
 
 
+FOLD_CASES = [
+    (96, 8, [0, 3, 7]),  # even period
+    (90, 9, [0, 4, 8]),  # odd period, even length
+    (45, 9, [1, 5, 8]),  # odd period, odd length
+    # Phases of many turns: e^{2 pi i 511 k2/512} loses 1e-13 unless 511 k2
+    # is reduced mod 512 first.
+    (65536, 512, [0, 255, 511]),
+    (90, 9, [-1]),  # wraps: index 9q - 1 mod 90
+    # Eight residues, the most the folded inverse takes, read in two blocks
+    # of rows (Q = 6075).
+    (194400, 32, [0, 3, 4, 9, 16, 22, 27, 31]),
+]
+
+
+def _check_fold(read, length, period, residues):
+    full = fft.irfft(read(0, length // 2 + 1), length)
+    got = _folded_irfft(read, length, period, residues)
+    q = np.arange(length // period)
+    expected = np.array([full[(period * q + r) % length] for r in residues])
+    # An FFT route's error: a few units of round-off of the peak per level of
+    # the transform.
+    tol = 4 * np.log2(length) * np.finfo(float).eps * np.abs(full).max()
+    np.testing.assert_allclose(got, expected, rtol=0, atol=tol)
+
+
 class TestFoldedIrfft:
-    @pytest.mark.parametrize(
-        "length, period, residues",
-        [
-            (96, 8, [0, 3, 7]),  # even period
-            (90, 9, [0, 4, 8]),  # odd period, even length
-            (45, 9, [1, 5, 8]),  # odd period, odd length
-            # Phases of many turns: e^{2 pi i 511 k2/512} loses 1e-13 unless
-            # 511 k2 is reduced mod 512 first.
-            (65536, 512, [0, 255, 511]),
-            (90, 9, [-1]),  # wraps: index 9q - 1 mod 90
-        ],
-    )
+    @pytest.mark.parametrize("length, period, residues", FOLD_CASES)
     def test_matches_irfft_at_the_sampled_indices(self, length, period, residues):
+        # The spectrum is an array, read by slices.
         rng = np.random.default_rng(length + period)
         spectrum = fft.rfft(rng.random(length))
-        full = fft.irfft(spectrum, length)
-        got = _folded_irfft(spectrum, length, period, residues)
-        q = np.arange(length // period)
-        expected = np.array([full[(period * q + r) % length] for r in residues])
-        # An FFT route's error: a few units of round-off of the peak per
-        # level of the transform.
-        tol = 4 * np.log2(length) * np.finfo(float).eps * np.abs(full).max()
-        np.testing.assert_allclose(got, expected, rtol=0, atol=tol)
+        _check_fold(lambda start, stop: spectrum[start:stop], length, period, residues)
+
+    @pytest.mark.parametrize("length, period, residues", FOLD_CASES)
+    def test_reads_the_closed_form_in_blocks(self, length, period, residues):
+        # The spectrum is the closed form of a product of boxes, read by the
+        # fold in blocks of rows and in full by the reference.
+        read = _box_spectrum({length // 3 + 2: 2, length // 7 + 1: 1}, length)
+        _check_fold(read, length, period, residues)
+
+
+def _exact_box_product(boxes, length, k):
+    """The product of the boxes' transforms at k, each divided by its size,
+    to 40 digits."""
+    with mpmath.workdps(40):
+        if k == 0:
+            return mpmath.mpc(1)
+        x = mpmath.pi * k / length
+        value = mpmath.mpc(1)
+        for m, count in boxes.items():
+            box = mpmath.exp(-1j * x * (m - 1)) * mpmath.sin(x * m) / (m * mpmath.sin(x))
+            value *= box**count
+        return value
 
 
 class TestBoxSpectrum:
     @pytest.mark.parametrize("length", [10**6, 10**6 - 1])
     def test_matches_mpmath(self, length):
         # A box of M ones has the transform e^{-i pi k (M-1)/L} sin(pi k M/L)
-        # / sin(pi k/L); the closed form returns it divided by M.
-        eps = np.finfo(float).eps
-        for m in (length // 3 + 7, 2 * length // 3 + 1):
-            spectrum = _box_spectrum({m: 1}, length)
-            assert spectrum.shape == (length // 2 + 1,) and spectrum[0] == 1
-            for k in (1, 2, length // 3 + 1, length // 2):
-                with mpmath.workdps(40):
-                    x = mpmath.pi * k / length
-                    exact = mpmath.exp(-1j * x * (m - 1)) * mpmath.sin(x * m) / mpmath.sin(x)
-                    err = float(abs(exact - m * mpmath.mpc(spectrum[k])))
-                assert err <= 8 * eps * m, (m, k)
+        # / sin(pi k/L); the closed form returns the product of the boxes'
+        # transforms, each divided by its M. Each box may err by 8 eps of M.
+        m1, m2 = length // 3 + 7, 2 * length // 3 + 1
+        half, block = length // 2 + 1, priors._BLOCK_POINTS
+        for boxes in ({m1: 1}, {m1: 2}, {m2: 3}, {length // 10 + 3: 8}, {m1: 2, m2: 1}):
+            bound = 8 * np.finfo(float).eps * sum(boxes.values())
+            read = _box_spectrum(boxes, length)
+
+            def check(start, stop, ks):
+                got = read(start, stop)
+                assert got.shape == (stop - start,)
+                for k in ks:
+                    exact = _exact_box_product(boxes, length, k)
+                    err = float(abs(exact - mpmath.mpc(got[k - start])))
+                    assert err <= bound, (boxes, start, stop, k)
+
+            assert read(0, half)[0] == 1
+            check(0, half, (0, 1, 2, length // 3 + 1, length // 2))
+            # Reads from k = 0, reads that start and stop off the blocks'
+            # edges and cross them, and reads that end at the last term: the
+            # Nyquist term at the even length.
+            check(0, 3, (0, 1, 2))
+            check(5, 6, (5,))
+            start = 3 * block - 5
+            check(start, start + 2 * block + 9, (start, start + block - 1, start + block,
+                                                 start + 2 * block, start + 2 * block + 8))
+            check(half - 7, half, range(half - 7, half))
+            check(half - block - 3, half, (half - block - 3, half - 4, half - 3, half - 1))
+            assert read(7, 7).shape == (0,)
 
     def test_multiplies_a_given_spectrum(self):
-        length = 1000
-        rng = np.random.default_rng(7)
-        base = fft.rfft(rng.random(length))
-        boxes = {101: 2, 333: 1}
-        want = base * _box_spectrum(boxes, length)
-        got = _box_spectrum(boxes, length, base.copy())
-        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+        # A design with a non-uniform group keeps its product of spectra;
+        # the boxes are multiplied into it in blocks, past the first one.
+        beta = PriorSpec.from_beta(2, 2)
+        specs = [PriorSpec.uniform(), beta, PriorSpec.from_beta(1, 1), PriorSpec.uniform()]
+        sizes, scale = [4, 3, 5, 4], 4000
+        length = fft.next_fast_len(scale * sum(sizes) + 1, real=True)
+        half = length // 2 + 1
+        assert half > 2 * priors._BLOCK_POINTS
+        got = priors._one_pass_spectrum(specs, sizes, scale, length)(0, half)
+        buf = np.zeros(length)
+        w = _induced_log_weights(beta, scale * 3, out=buf[: scale * 3 + 1])
+        w -= w.max()
+        np.exp(w, out=w)
+        f = fft.rfft(buf)
+        boxes = _box_spectrum({scale * 4 + 1: 2, scale * 5 + 1: 1}, length)(0, half)
+        # The product is scaled by a power of two, exactly.
+        power = got[0].real / f[0].real
+        assert power == 2.0 ** round(math.log2(power))
+        want = power * f * boxes
+        err = np.abs(got - want)
+        # The boxes' bound of test_matches_mpmath, relative to the factor.
+        assert (err <= 8 * 3 * np.finfo(float).eps * np.abs(power * f)).all()
+
+    def test_uniform_design_reads_the_closed_form(self):
+        specs, sizes, scale = [PriorSpec.uniform(), PriorSpec.from_beta(1, 1)], [3, 4], 100
+        length = fft.next_fast_len(701, real=True)
+        read = priors._one_pass_spectrum(specs, sizes, scale, length)
+        want = _box_spectrum({301: 1, 401: 1}, length)(0, length // 2 + 1)
+        assert np.array_equal(read(0, length // 2 + 1), want)
 
 
 class TestDirectConvolutionDensity:
