@@ -679,13 +679,6 @@ class TestBoxSpectrum:
         # The boxes' bound of test_matches_mpmath, relative to the factor.
         assert (err <= 8 * 3 * np.finfo(float).eps * np.abs(power * f)).all()
 
-    def test_uniform_design_reads_the_closed_form(self):
-        specs, sizes, scale = [PriorSpec.uniform(), PriorSpec.from_beta(1, 1)], [3, 4], 100
-        length = fft.next_fast_len(701, real=True)
-        read = priors._one_pass_spectrum(specs, sizes, scale, length)
-        want = _box_spectrum({301: 1, 401: 1}, length)(0, length // 2 + 1)
-        assert np.array_equal(read(0, length // 2 + 1), want)
-
 
 class TestDirectConvolutionDensity:
     def test_matches_high_resolution_for_betas(self):
