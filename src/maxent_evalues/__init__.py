@@ -7,7 +7,6 @@ from .diagnostics import (
     gap_r_prime,
     regret,
     regret_curve,
-    sweep,
     theorem1_diagnostic,
     worst_case_r_prime,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "regret",
     "regret_curve",
     "ripr_solve",
-    "sweep",
     "theorem1_diagnostic",
     "worst_case_r_prime",
 ]

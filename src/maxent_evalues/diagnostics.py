@@ -8,7 +8,6 @@ one-dimensional sums against per-group binomials and their convolution.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import reduce
 from itertools import islice, product
@@ -37,8 +36,6 @@ from .priors import (
     induced_group_pmf,
     null_optimal_prior,
 )
-
-WORKERS_ENV = "MAXENT_EVALUES_WORKERS"
 
 # Worst-case search protocol: interior product grid.
 WORST_CASE_BOUNDS = (0.02, 0.98)
@@ -306,25 +303,25 @@ def regret_curve(
     tol: float = RIPR_TOL,
     max_iter: int = RIPR_MAX_ITER,
 ) -> RegretCurve:
-    """Regret at a fixed alternative across balanced designs of size m per group."""
+    """Regret at a fixed alternative across balanced designs of size m per group.
+
+    The m values run in this process, so every projection they solve stays
+    in the design memo: curves that share a prior or an alternative solve
+    its `can` or `point` projection once.
+    """
     pvec = tuple(float(p) for p in np.atleast_1d(np.asarray(p_alt, dtype=float)))
     ms = sorted(int(m) for m in ms)
     # fit_log_slope refuses fewer; check before any cell solves a projection.
     if len(set(ms)) < 3:
         raise ValueError("need at least 3 distinct m values")
-    jobs = [(pvec, spec, m, candidate, grid_size, tol, max_iter) for m in ms]
-    values = _run_parallel(_regret_cell, jobs)
-    points = tuple(zip(ms, values))
+    k = len(pvec)
+    points = tuple(
+        (m, regret(pvec, [spec] * k, [m] * k, candidate,
+                   grid_size=grid_size, tol=tol, max_iter=max_iter))
+        for m in ms
+    )
     a, b, resid = fit_log_slope(points)
     return RegretCurve(points, a, b, resid, pvec)
-
-
-def _regret_cell(job):
-    p_alt, spec, m, candidate, grid_size, tol, max_iter = job
-    specs, sizes = [spec] * len(p_alt), [m] * len(p_alt)
-    return regret(
-        p_alt, specs, sizes, candidate, grid_size=grid_size, tol=tol, max_iter=max_iter
-    )
 
 
 def theorem1_diagnostic(spec: PriorSpec, m: int, bins: int) -> float:
@@ -368,42 +365,3 @@ def cells_n_fixed(k_values, n) -> tuple[tuple[int, int], ...]:
 def cells_power_law(k_values) -> tuple[tuple[int, int], ...]:
     """The (k, m) cells of the regime m = 5k^2."""
     return tuple((int(k), 5 * int(k) ** 2) for k in k_values)
-
-
-def _sweep_cell(job):
-    prior, k, m, scale, density_grid = job
-    return gap_r([prior] * k, [m] * k, scale, density_grid)
-
-
-def _run_parallel(fn, jobs):
-    """fn over jobs, in job order, on a pool of MAXENT_EVALUES_WORKERS
-    processes (default: the CPU count)."""
-    env = os.environ.get(WORKERS_ENV)
-    try:
-        workers = int(env) if env else os.cpu_count() or 1
-    except ValueError:
-        raise ValueError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
-    count = min(max(1, workers), len(jobs))
-    if count <= 1:
-        return [fn(j) for j in jobs]
-    # Imported here, the one place a pool starts, to keep it off every
-    # command's import.
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=count) as pool:
-        return list(pool.map(fn, jobs))
-
-
-def sweep(
-    prior: PriorSpec,
-    cells,
-    scale: int = DEFAULT_SCALE,
-    density_grid: int | None = DEFAULT_DENSITY_GRID,
-) -> list[float]:
-    """The gap r of k groups of size m under prior, for every (k, m) cell.
-
-    Cells run on the worker pool of _run_parallel; the values come back in
-    cell order, so output is identical for any worker count.
-    """
-    jobs = [(prior, int(k), int(m), scale, density_grid) for k, m in cells]
-    return _run_parallel(_sweep_cell, jobs)

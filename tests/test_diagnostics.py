@@ -15,7 +15,6 @@ from maxent_evalues.diagnostics import (
     gap_r_prime,
     regret,
     regret_curve,
-    sweep,
     theorem1_diagnostic,
     worst_case_r_prime,
 )
@@ -28,6 +27,7 @@ from maxent_evalues.priors import (
     DEFAULT_SCALE,
     PriorSpec,
     induced_group_pmf,
+    null_optimal_prior,
 )
 from oracles import gaussian_approx_tv, kl_divergence, redundancy
 
@@ -399,7 +399,6 @@ class TestFitLogSlope:
 
 class TestRegretCurve:
     def test_too_few_m_fails_before_solving(self, monkeypatch):
-        monkeypatch.setenv("MAXENT_EVALUES_WORKERS", "1")
         def solve(*args, **kwargs):
             pytest.fail("ripr_solve called before the m values were checked")
 
@@ -407,12 +406,30 @@ class TestRegretCurve:
         with pytest.raises(ValueError, match="at least 3 distinct m values"):
             regret_curve((0.3, 0.6), PriorSpec.uniform(), (10, 20, 20))
 
-    def test_curve_and_fit(self, monkeypatch):
-        monkeypatch.setenv("MAXENT_EVALUES_WORKERS", "1")
+    def test_curve_and_fit(self):
         curve = regret_curve((0.4, 0.6), PriorSpec.from_beta(1.5, 1.5), (20, 40, 80))
         assert [m for m, _ in curve.points] == [20, 40, 80]
         assert all(np.isfinite(v) for _, v in curve.points)
         assert np.isfinite(curve.fitted_a)
+
+    def test_curves_share_the_design_memo(self, solves, capsys):
+        # The can projection depends on m and the prior, not on the
+        # alternative: the second curve finds all three in the design memo.
+        prior, ms, alts = PriorSpec.from_beta(3, 3), (20, 40, 80), ((0.2, 0.8), (0.3, 0.7))
+        assert main(["regret", "--prior", "beta:3,3", "--candidate", "gro_can",
+                     "--palt", "0.2,0.8", "0.3,0.7", "--m-list", "20,40,80"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["points"]) == 6
+
+        def target(group_pmfs):
+            return null_optimal_prior(group_pmfs).log_weights
+
+        want = []
+        for m in ms:
+            want += [target([induced_group_pmf(prior, m)] * 2),
+                     target([binomial_pmf(m, p) for p in alts[0]])]
+        want += [target([binomial_pmf(m, p) for p in alts[1]]) for m in ms]
+        assert len(solves) == len(want) == 9
+        assert all(np.array_equal(s.log_weights, w) for s, w in zip(solves, want))
 
 
 class TestTheorem1:
@@ -445,36 +462,8 @@ class TestGaussianTv:
 
 
 class TestSweep:
-    PRIOR = PriorSpec.from_beta(2, 2)
-
-    def direct(self, k, m, scale=200):
-        specs, sizes = [self.PRIOR] * k, [m] * k
-        return gap_r(specs, sizes, scale)
-
-    def test_single_cell_matches_direct_call(self, monkeypatch):
-        monkeypatch.setenv("MAXENT_EVALUES_WORKERS", "1")
-        values = sweep(self.PRIOR, ((2, 10),), scale=2000)
-        assert values == [pytest.approx(self.direct(2, 10, scale=2000), abs=1e-15)]
-
-    def test_worker_count_invariance(self, monkeypatch):
-        cells = ((2, 10), (3, 6), (2, 20))
-        monkeypatch.setenv("MAXENT_EVALUES_WORKERS", "1")
-        serial = sweep(self.PRIOR, cells, scale=200)
-        monkeypatch.setenv("MAXENT_EVALUES_WORKERS", "3")
-        assert sweep(self.PRIOR, cells, scale=200) == serial
-
     def test_cell_helpers(self):
         assert cells_n_fixed((2, 4), 16) == ((2, 8), (4, 4))
         with pytest.raises(ValueError):
             cells_n_fixed((3,), 16)
         assert cells_power_law((2, 3)) == ((2, 20), (3, 45))
-
-    def test_worker_count_must_be_an_integer(self, monkeypatch):
-        monkeypatch.setenv("MAXENT_EVALUES_WORKERS", "two")
-        with pytest.raises(ValueError, match="MAXENT_EVALUES_WORKERS must be an integer, got 'two'"):
-            sweep(self.PRIOR, ((2, 10),), scale=200)
-
-    def test_order_preserved(self, monkeypatch):
-        monkeypatch.setenv("MAXENT_EVALUES_WORKERS", "2")
-        values = sweep(self.PRIOR, ((2, 20), (2, 10)), scale=200)
-        assert values == [self.direct(2, 20), self.direct(2, 10)]

@@ -8,13 +8,15 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import maxent_evalues
 from maxent_evalues.cli import main
 from maxent_evalues.diagnostics import fit_log_slope, gap_r, regret
 from maxent_evalues.evariables import Statistic
-from maxent_evalues.priors import PriorSpec
+from maxent_evalues.numerics import binomial_pmf
+from maxent_evalues.priors import PriorSpec, null_optimal_prior
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -36,29 +38,43 @@ def run_script(name, argv, tmp_path):
     return header.split("\t"), [row.split("\t") for row in rows]
 
 
-def test_gap_sweep_script(monkeypatch, tmp_path):
-    monkeypatch.setenv("MAXENT_EVALUES_WORKERS", "1")
+def gap_rows(rows):
+    """The (regime, k, m, r) values of run_gap_sweep's TSV rows."""
+    return [(regime, int(k), int(m), float(r)) for regime, k, m, r in rows]
+
+
+def test_gap_sweep_script(tmp_path):
     header, rows = run_script("run_gap_sweep", [
         "--m-values", "4,6", "--n-fixed", "8", "--k-values", "2,4", "--scale", "200",
         "--density-grid", "2001",
     ], tmp_path)
     assert header == ["regime", "k", "m", "r"]
-    cells = [(regime, int(k), int(m)) for regime, k, m, _ in rows]
-    assert cells == [
+    values = gap_rows(rows)
+    assert [v[:3] for v in values] == [
         ("m_growing", 2, 4), ("m_growing", 2, 6), ("n_fixed", 2, 4),
         ("n_fixed", 4, 2), ("power_law", 2, 20), ("power_law", 4, 80),
     ]
-    specs, sizes = [PriorSpec.uniform()] * 4, [80] * 4
-    expect = gap_r(specs, sizes, 200, 2001)
-    assert float(rows[-1][3]) == pytest.approx(expect, rel=1e-9)
+    for _, k, m, r in values:
+        assert r == pytest.approx(gap_r([PriorSpec.uniform()] * k, [m] * k, 200, 2001),
+                                  rel=1e-9)
 
 
-def test_regret_slopes_script(monkeypatch, tmp_path):
-    monkeypatch.setenv("MAXENT_EVALUES_WORKERS", "1")
-    header, rows = run_script("run_regret_slopes", [
-        "--gammas", "1", "--m-values", "10,20,40", "--grid-lo", "0.3", "--grid-hi", "0.3",
-        "--grid-step", "0.2",
-    ], tmp_path)
+def test_gap_sweep_script_runs_at_its_defaults(tmp_path):
+    # Every default cell fits under the pseudo density's point limit; the
+    # power-law cell k = 8 (m = 320) would need 25,600,001 points at scale 1e4.
+    _, rows = run_script("run_gap_sweep", [], tmp_path)
+    assert [v[:3] for v in gap_rows(rows)] == [
+        *(("m_growing", 2, m) for m in (10, 20, 40, 80, 160, 320)),
+        ("n_fixed", 2, 512), ("n_fixed", 4, 256), ("power_law", 2, 20), ("power_law", 4, 80),
+    ]
+
+
+REGRET_ARGS = ["--m-values", "10,20,40", "--grid-lo", "0.3", "--grid-hi", "0.3",
+               "--grid-step", "0.2"]
+
+
+def test_regret_slopes_script(tmp_path):
+    header, rows = run_script("run_regret_slopes", ["--gammas", "1", *REGRET_ARGS], tmp_path)
     assert header == ["gamma", "p_a", "p_b", "slope", "intercept", "residual"]
     assert [row[:3] for row in rows] == [["1.0", "0.30", "0.30"]]
     specs = [PriorSpec.from_beta(1.0, 1.0)] * 2
@@ -66,6 +82,16 @@ def test_regret_slopes_script(monkeypatch, tmp_path):
         [(m, regret((0.3, 0.3), specs, (m, m), "gro_mic")) for m in (10, 20, 40)]
     )
     assert rows[0][3:5] == [f"{a:.4f}", f"{b:.4f}"]
+
+
+def test_regret_slopes_script_solves_each_point_projection_once(solves, tmp_path):
+    # The point projection depends on m and the alternative, not on gamma:
+    # the second gamma finds all three in the design memo.
+    _, rows = run_script("run_regret_slopes", ["--gammas", "0.5,1", *REGRET_ARGS], tmp_path)
+    assert len(rows) == 2
+    want = [null_optimal_prior([binomial_pmf(m, 0.3)] * 2).log_weights for m in (10, 20, 40)]
+    assert len(solves) == len(want)
+    assert all(np.array_equal(s.log_weights, w) for s, w in zip(solves, want))
 
 
 EPOWER_ARGS = ["--priors", "beta:3,3", "--k", "2", "--m-values", "5", "--scale", "200",
