@@ -35,6 +35,7 @@ from .priors import (
     PriorSpec,
     induced_group_pmf,
     null_optimal_prior,
+    pseudo_points,
 )
 
 # Worst-case search protocol: interior product grid.
@@ -315,6 +316,10 @@ def regret_curve(
     if len(set(ms)) < 3:
         raise ValueError("need at least 3 distinct m values")
     k = len(pvec)
+    if candidate == "pseudo":
+        # regret builds each cell's density at the default scale: the largest
+        # cell is refused here, before any cell solves a projection.
+        pseudo_points([ms[-1]] * k, DEFAULT_SCALE, "lower the largest m (--m-list)")
     points = tuple(
         (m, regret(pvec, [spec] * k, [m] * k, candidate,
                    grid_size=grid_size, tol=tol, max_iter=max_iter))

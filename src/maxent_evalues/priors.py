@@ -27,21 +27,24 @@ from .numerics import (
 DEFAULT_SCALE = 10_000
 
 # Largest high-resolution support pseudo_null_density builds (scale * n + 1
-# points). When every group is uniform or beta(1,1) and the density is
-# folded onto the grid (_folded_irfft), the closed-form spectrum is read in
-# blocks and no full-length array is built: 3.4 MiB traced and 5 MB of peak
-# RSS past the import for two uniform groups of 512, equal or not. Where the
-# whole inverse runs, such a build holds the spectrum and the inverse, 16
-# bytes a point. One distinct non-uniform (prior, size) pair holds its rfft's
-# zero-padded buffer and spectrum, 16 bytes a point, and two or more the next
-# pair's spectrum as well, 24. Peak RSS is about twice the traced peak for
-# these builds, as the transforms' own work buffers are not traced.
-# (At 1.02e7 points, traced and peak RSS past the import: 157 MiB and 315 MB
-# for the whole inverse of uniform groups of 500 and 515; 159 MiB and 317 MB
-# for one group of beta(2,2) or NML; 159 MiB and 280 MB for two of beta(2,2)
-# or beta(2,2) with a uniform group; 238 MiB and 358 MB for beta(2,2) and
-# NML.) So n = 1024 fits at the default scale, and at the limit the traced
-# peak runs from a few MB to about 600 MB.
+# points). When every group is uniform or beta(1,1) and the closed count runs
+# (_box_counts), a resampled build holds arrays of the grid's size, not the
+# support's: 1.84 MiB traced and 2 MB of peak RSS past the import for two
+# groups of 512 or eight of 128. Where such a design takes the spectrum
+# instead and the density is folded onto the grid (_folded_irfft), the
+# spectrum is read in blocks and no full-length array is built either (3.4
+# MiB traced at (512, 512)); where the whole inverse runs, the build holds
+# the spectrum and the inverse, 16 bytes a point. One distinct non-uniform
+# (prior, size) pair holds its rfft's zero-padded buffer and spectrum, 16
+# bytes a point, and two or more the next pair's spectrum as well, 24. Peak
+# RSS is about twice the traced peak for these builds, as the transforms'
+# own work buffers are not traced. (At 1.02e7 points, traced and peak RSS
+# past the import: 157 MiB and 315 MB for the whole inverse of the spectrum
+# of uniform groups of 500 and 515, which are now counted; 159 MiB and 317
+# MB for one group of beta(2,2) or NML; 159 MiB and 280 MB for two of
+# beta(2,2) or beta(2,2) with a uniform group; 238 MiB and 358 MB for
+# beta(2,2) and NML.) So n = 1024 fits at the default scale, and at the
+# limit the traced peak runs from a few MB to about 600 MB.
 MAX_PSEUDO_POINTS = 25_000_000
 
 # A build that keeps every point (no resample) runs the whole inverse and
@@ -345,6 +348,98 @@ def _one_pass_spectrum(specs, sizes, scale: int, length: int):
     return lambda start, stop: spectrum[start:stop]
 
 
+def _box_counts(boxes, length: int):
+    """The convolution of boxes of ones (c boxes of M ones for each M: c in
+    boxes) counted by inclusion-exclusion, up to a positive constant, or None
+    where its rounding bound exceeds that of the FFT route of length L.
+
+    Returns count(points): the values at an int64 array of points, with those
+    below FFT_CLAMP of the peak set to 0, as the FFT route sets them. With k
+    boxes, the number of ways to sum to i is
+        sum over s of coef(s) C(i - s + k - 1, k - 1),   s <= i,
+    where the offsets s = sum t_M M and their signed coefficients, prod over
+    M of (-1)^t_M C(c, t_M), 0 <= t_M <= c, are kept exact in integers. The
+    convolution is symmetric about T/2 (T = sum c (M - 1)), so each point is
+    read from its nearer end: only offsets up to T//2 enter. Each
+    C(x + k - 1, k - 1) is taken as the product of its factors x + j, j < k,
+    each divided by the power of two nearest the largest box so that nothing
+    overflows: the constants dropped, (k-1)! and the powers of two, are the
+    same in every term. Two factors are multiplied exactly (integers below
+    2^53) before their scaling, so a term rounds about k/2 times.
+
+    The rule. The terms grow with i up to T//2, and so does their number,
+    where the lattice peaks (a convolution of symmetric log-concave boxes).
+    So at every point the sum errs by at most its bound at the centre,
+    gamma(p + n - 1) times the sum of the terms' magnitudes there, with p the
+    roundings of a term and n the terms (Higham, ch. 3-4). The closed form
+    runs where that is at most the FFT route's own bound, 4 log2(L) eps
+    times the peak (TestFoldedIrfft): up to 8 or 9 equal groups at the
+    default scale, not 10, whose alternating sum cancels too much.
+    """
+    k = sum(boxes.values())
+    total = sum(c * (m - 1) for m, c in boxes.items())
+    centre = total // 2
+    eps = np.finfo(float).eps
+    # Past 8 log2(L) terms the summation alone, (n - 1) eps/2 of the sum of
+    # magnitudes, can exceed the FFT route's bound: no need to list them.
+    most = 8 * math.log2(length) + 1
+    # offset: [signed coefficient, inclusion-exclusion terms behind it].
+    table = {0: [1, 1]}
+    for m, c in boxes.items():
+        grown = {}
+        for s, (coef, ways) in table.items():
+            for t in range(min(c, (centre - s) // m) + 1):
+                entry = grown.setdefault(s + t * m, [0, 0])
+                entry[0] += (-1) ** t * math.comb(c, t) * coef
+                entry[1] += ways
+        table = grown
+        terms = sum(entry[1] for entry in table.values())
+        if terms > most:
+            return None
+    offsets = sorted(s for s, (coef, _) in table.items() if coef)
+    coefs = [float(table[s][0]) for s in offsets]
+    e = round(math.log2(max(boxes)))
+    pair, single = 2.0 ** (-2 * e), 2.0**-e
+    roundings = k // 2 + any(abs(table[s][0]) > 2**53 for s in offsets)
+
+    def evaluate(points, magnitude=None):
+        near = np.minimum(points, total - points)
+        out = np.zeros(near.shape)
+        for s, coef in zip(offsets, coefs):
+            # x = -1 below the offset: its factor x + 1 zeroes the term.
+            x = np.maximum(near - s, -1).astype(float)
+            term = np.full(near.shape, coef)
+            for j in range(1, k, 2):
+                f = x + j
+                if j + 1 < k:
+                    f *= x + (j + 1)
+                    f *= pair
+                else:
+                    f *= single
+                term *= f
+            out += term
+            if magnitude is not None:
+                magnitude += np.abs(term)
+        return out
+
+    magnitude = np.zeros(1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        peak = evaluate(np.array([centre]), magnitude)[0]
+    n = roundings + terms - 1
+    bound = n * eps / 2 / (1 - n * eps / 2) * magnitude[0]
+    if not (peak > 0 and bound <= 4 * math.log2(length) * eps * peak):
+        return None
+
+    def count(points):
+        out = np.empty(points.shape)
+        for start in range(0, points.size, _BLOCK_POINTS):
+            out[start : start + _BLOCK_POINTS] = evaluate(points[start : start + _BLOCK_POINTS])
+        out[out < FFT_CLAMP * peak] = 0.0
+        return out
+
+    return count
+
+
 def _folded_irfft(read, length: int, period: int, residues) -> np.ndarray:
     """irfft, at length, of the one-sided spectrum that read(start, stop)
     gives, at the indices period*q + r, q < length/period, one row per
@@ -382,6 +477,18 @@ def _folded_irfft(read, length: int, period: int, residues) -> np.ndarray:
     return fft.ifft(folded, axis=1).real / period
 
 
+def pseudo_points(sizes, scale: int, advice: str = "lower scale or the group sizes") -> int:
+    """The points of pseudo_null_density's lattice, scale * sum(sizes) + 1,
+    refused past MAX_PSEUDO_POINTS by a ValueError that ends in advice."""
+    points = scale * sum(int(n) for n in sizes) + 1
+    if points > MAX_PSEUDO_POINTS:
+        raise ValueError(
+            f"pseudo density needs {points} points at scale {scale} "
+            f"(limit {MAX_PSEUDO_POINTS}); {advice}"
+        )
+    return points
+
+
 def pseudo_null_density(
     specs,
     sizes,
@@ -411,12 +518,7 @@ def pseudo_null_density(
         raise ValueError("group size must be at least 1")
     if scale < 10:
         raise ValueError("scale must be at least 10")
-    total = scale * sum(int(n) for n in sizes)
-    if total + 1 > MAX_PSEUDO_POINTS:
-        raise ValueError(
-            f"pseudo density needs {total + 1} points at scale {scale} "
-            f"(limit {MAX_PSEUDO_POINTS}); lower scale or the group sizes"
-        )
+    total = pseudo_points(sizes, scale) - 1
     # The points i/total kept, lo <= i <= hi: all but the end cells of beta
     # priors with a parameter below 1.
     lo = int(any(s.kind == "beta" and (s.alpha < 1 or s.beta < 1) for s in specs))
@@ -460,19 +562,28 @@ def pseudo_null_density(
                 and fft.next_fast_len(fold_length, real=True) == fold_length
             ):
                 period, residues, length = stride, found, fold_length
-    read = _one_pass_spectrum(specs, sizes, scale, length)
-    if period == 1:
-        conv = fft.irfft(read(0, length // 2 + 1), length)[None, : total + 1]
-    else:
-        conv = _folded_irfft(read, length, period, residues)
-    del read
-    conv[conv < FFT_CLAMP * conv.max()] = 0.0
+    # Uniform and beta(1,1) groups are boxes of ones, whose convolution is
+    # counted where its rounding bound is within the FFT route's (_box_counts).
+    flat = PriorSpec.from_beta(1, 1)
+    count = conv = None
+    if all(s.kind == "uniform" or s == flat for s in specs):
+        count = _box_counts(Counter(scale * int(n) + 1 for n in sizes), length)
+    if count is None:
+        read = _one_pass_spectrum(specs, sizes, scale, length)
+        if period == 1:
+            conv = fft.irfft(read(0, length // 2 + 1), length)[None, : total + 1]
+        else:
+            conv = _folded_irfft(read, length, period, residues)
+        del read
+        conv[conv < FFT_CLAMP * conv.max()] = 0.0
+
+        def count(points):
+            return conv[np.searchsorted(residues, points % period), points // period]
+
     if resample:
-        row_a = np.searchsorted(residues, a % period)
-        row_b = np.searchsorted(residues, b % period)
-        at_a = conv[row_a, a // period]
-        weights = at_a + (conv[row_b, b // period] - at_a) * (f / steps)
+        at_a = count(a)
+        weights = at_a + (count(b) - at_a) * (f / steps)
     else:
         grid = np.arange(lo, hi + 1) / total
-        weights = conv[0, lo : hi + 1]
+        weights = count(np.arange(lo, hi + 1)) if conv is None else conv[0, lo : hi + 1]
     return PseudoDensity(GridDensity.from_density(grid, weights))

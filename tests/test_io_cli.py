@@ -964,6 +964,29 @@ class TestCli:
             expect = regret((0.3, 0.6), specs, sizes, "pseudo", 10_000, 20_001)
             assert point["regret"] == pytest.approx(expect, abs=1e-12)
 
+    def test_regret_pseudo_refuses_its_largest_m_first(self, monkeypatch, capsys):
+        # regret has no --scale: a pseudo cell past the point limit at the
+        # default scale is refused by naming --m-list, before the smaller
+        # cells solve anything.
+        solved = []
+
+        def spy(*args, **kwargs):
+            solved.append(args)
+            raise AssertionError("a cell was solved")
+
+        monkeypatch.setattr(evariables, "ripr_solve", spy)
+        monkeypatch.setattr(evariables, "pseudo_null_density", spy)
+        code, out, err = run_cli(
+            "regret", "--candidate", "pseudo", "--palt", "0.4,0.6",
+            "--m-list", "20,1300,1400", capsys=capsys,
+        )
+        assert code == 1
+        assert out == ""
+        message = strict(err)["error"]
+        assert "28000001 points" in message and "--m-list" in message
+        assert "scale" not in message.split(";")[1]
+        assert solved == []
+
     def test_reproducible_output(self, tmp_path, capsys):
         path = tmp_path / "t.json"
         path.write_text('{"groups":[{"n":4,"ones":1},{"n":4,"ones":3}]}')

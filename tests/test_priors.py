@@ -13,6 +13,7 @@ from scipy.stats import betabinom
 
 from maxent_evalues import priors
 from maxent_evalues.numerics import (
+    FFT_CLAMP,
     FFT_THRESHOLD,
     GridDensity,
     Pmf,
@@ -300,15 +301,20 @@ class TestPseudoNullDensity:
         def built(*args):
             raise AssertionError("built before the size was checked")
 
-        monkeypatch.setattr(priors, "_one_pass_spectrum", built)
         specs, sizes = [PriorSpec.uniform()] * 2, [500, 500]
         assert priors._MAX_UNRESAMPLED_POINTS < 10**7 + 1 <= MAX_PSEUDO_POINTS
-        for grid_size in (None, 10**7 + 1):
-            with pytest.raises(ValueError, match="without a resample"):
-                pseudo_null_density(specs, sizes, grid_size=grid_size)
-        # A resampled build of the same design is admitted.
-        with pytest.raises(AssertionError, match="built"):
-            pseudo_null_density(specs, sizes, grid_size=DEFAULT_DENSITY_GRID)
+        with monkeypatch.context() as patch:
+            # Neither route may start: not the spectrum, not the closed form.
+            patch.setattr(priors, "_one_pass_spectrum", built)
+            patch.setattr(priors, "_box_counts", built)
+            for grid_size in (None, 10**7 + 1):
+                with pytest.raises(ValueError, match="without a resample"):
+                    pseudo_null_density(specs, sizes, grid_size=grid_size)
+        # A resampled build of the same design is admitted, and returns its
+        # density on the default grid.
+        got = pseudo_null_density(specs, sizes, grid_size=DEFAULT_DENSITY_GRID).density
+        assert np.array_equal(got.grid, np.linspace(0, 1, DEFAULT_DENSITY_GRID))
+        assert np.isfinite(got.log_density).all()
 
     @pytest.mark.parametrize("grid_size", [None, 501, DEFAULT_DENSITY_GRID])
     def test_flat_beta_builds_as_the_uniform_prior(self, grid_size):
@@ -388,8 +394,9 @@ class TestPseudoNullDensity:
         assert np.array_equal(got.log_density, ref.log_density)
 
     def test_fixed_n_design_runs_no_whole_length_inverse(self, monkeypatch):
-        # (64, 64) at scale 1e4 reads every 64th of its 1.28e6 indices onto
-        # the default grid: only inverse transforms of about 2e4 points run.
+        # (64, 64) at scale 1e4 reads 2 x 20001 of its 1.28e6 indices onto
+        # the default grid: they are counted in closed form, and no inverse
+        # transform runs, of any length.
         lengths = []
         for name in ("irfft", "ifft"):
             inverse = getattr(priors.fft, name)
@@ -403,7 +410,7 @@ class TestPseudoNullDensity:
         pd = pseudo_null_density(specs, sizes, grid_size=DEFAULT_DENSITY_GRID)
         monkeypatch.undo()
         total = 10_000 * 128
-        assert lengths and max(lengths) < total / 50
+        assert lengths == []
         points = np.linspace(0, 1, DEFAULT_DENSITY_GRID)
         ref = np.exp(GridDensity.from_density(
             points,
@@ -427,14 +434,21 @@ class TestPseudoNullDensity:
             ([12, 17], 1000, 2001),  # the whole inverse
             ([3, 3, 3], 1000, None),
             ([3, 3, 3], 1000, 2001),  # folded
+            ([1] * 8, 10_000, None),
+            ([1] * 8, 10_000, DEFAULT_DENSITY_GRID),  # 8 equal groups
+            ([2, 1], 10_000, 2001),  # two to one
         ],
     )
     def test_uniform_density_matches_exact_counts(self, sizes, scale, grid_size):
-        # Uniform groups take the closed-form spectrum; the convolution of
-        # their boxes is counted exactly by inclusion-exclusion.
+        # Uniform groups are boxes of ones, counted in closed form or through
+        # their closed-form spectrum (_box_counts); the oracle counts them
+        # exactly in integers.
         scaled = [scale * n for n in sizes]
         total = sum(scaled)
         exact = np.array([uniform_convolution_closed_form(scaled, c) for c in range(total + 1)])
+        # Cells below FFT_CLAMP of the peak are zeroed, as the FFT route
+        # zeroes them: 432 of the 80001 cells of eight groups.
+        clamped = exact < FFT_CLAMP * exact.max()
         grid = np.arange(total + 1) / total
         if grid_size is not None and total + 1 > grid_size:
             points = np.linspace(0, 1, grid_size)
@@ -446,6 +460,53 @@ class TestPseudoNullDensity:
         length = fft.next_fast_len(total + 1, real=True)
         tol = 4 * np.log2(length) * np.finfo(float).eps * ref.max()
         np.testing.assert_allclose(np.exp(got.density.log_density), ref, rtol=0, atol=tol)
+        if grid_size is None:
+            assert np.array_equal(np.isneginf(got.density.log_density), clamped)
+
+    @pytest.mark.parametrize(
+        "sizes, scale, closed",
+        [
+            ([64, 64], 10_000, True),
+            ([2, 1], 10_000, True),
+            ([1] * 8, 10_000, True),
+            # Two more equal groups: the alternating sum at the centre
+            # cancels too much (terms 35 times the peak, against 16 at 8).
+            ([1] * 10, 10_000, False),
+            # test_uniform_whole_inverse_holds_its_spectrum_and_inverse.
+            ([24, 34] * 5, 10_000, False),
+            # test_many_groups_stay_finite's uniform case.
+            ([1] * 120, 1000, False),
+        ],
+    )
+    def test_route_follows_the_rounding_bound(self, monkeypatch, sizes, scale, closed):
+        # The closed form runs where its rounding bound at the centre is
+        # within the FFT route's, 4 log2(L) eps of the peak; otherwise the
+        # spectrum runs.
+        routes = []
+        for name in ("_box_counts", "_one_pass_spectrum"):
+            builder = getattr(priors, name)
+
+            def spy(*args, _name=name, _builder=builder):
+                result = _builder(*args)
+                routes.append((_name, result is not None))
+                return result
+
+            monkeypatch.setattr(priors, name, spy)
+        pseudo_null_density([PriorSpec.uniform()] * len(sizes), sizes, scale,
+                            grid_size=DEFAULT_DENSITY_GRID)
+        if closed:
+            assert routes == [("_box_counts", True)]
+        else:
+            assert routes == [("_box_counts", False), ("_one_pass_spectrum", True)]
+
+    def test_non_uniform_designs_take_the_spectrum(self, monkeypatch):
+        def counted(*args):
+            raise AssertionError("a non-uniform design was counted as boxes")
+
+        monkeypatch.setattr(priors, "_box_counts", counted)
+        beta = PriorSpec.from_beta(2, 2)
+        for specs in ([beta] * 2, [PriorSpec.uniform(), beta], [PriorSpec.nml()] * 2):
+            pseudo_null_density(specs, [4, 4], 1000, grid_size=501)
 
     def test_rfft_runs_once_per_non_uniform_pair(self, monkeypatch):
         calls = []
@@ -468,27 +529,30 @@ class TestPseudoNullDensity:
     def _traced_peak(sizes, scale):
         tracemalloc.start()
         try:
-            pseudo_null_density([PriorSpec.uniform()] * 2, sizes, scale,
+            pseudo_null_density([PriorSpec.uniform()] * len(sizes), sizes, scale,
                                 grid_size=DEFAULT_DENSITY_GRID)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    @pytest.mark.parametrize("sizes", [(512, 512), (683, 341)])
+    @pytest.mark.parametrize("sizes", [(512, 512), (683, 341), (120, 170)])
     def test_uniform_build_holds_only_its_spectrum(self, sizes):
-        # Folded: the closed form is read in blocks of rows into the folded
-        # sum, so no full-length array is built, and no forward buffer. The
-        # spectrum alone, written in full, took 8.27 bytes a point; an rfft of
-        # each distinct size, 16 and 24.
+        # Counted in closed form at the 2 x 20001 points the resample reads,
+        # whatever their period: no full-length array is built (1.84 MiB
+        # traced, 0.19 bytes a point at (512, 512)). The folded closed-form
+        # spectrum took 0.35 bytes a point; the spectrum alone, written in
+        # full, 8.27; an rfft of each distinct size, 16 and 24.
         assert self._traced_peak(sizes, 10_000) < 10_000 * sum(sizes) + 1
 
     def test_uniform_whole_inverse_holds_its_spectrum_and_inverse(self):
-        # 120 + 170: the points read repeat every 29 indices, so the whole
-        # inverse runs over the spectrum read in full, 8 bytes a point, and
-        # writes 8 more; the resample's arrays of 20001 points add about 0.5
-        # (16.49 traced). One more full-length array would add 8.
+        # Ten groups, whose alternating sum cancels too much for the closed
+        # count, take the spectrum. 5 x (24 + 34) = 290: the points read
+        # repeat every 145 indices, and 145 * Q is never a fast length, so
+        # the whole inverse runs over the spectrum read in full, 8 bytes a
+        # point, and writes 8 more; the resample's arrays of 20001 points add
+        # about 0.5 (16.49 traced). One more full-length array would add 8.
         points = 10_000 * 290 + 1
-        assert self._traced_peak((120, 170), 10_000) < 17 * points
+        assert self._traced_peak((24, 34) * 5, 10_000) < 17 * points
 
     @pytest.mark.parametrize("spec", [PriorSpec.from_beta(2, 2), PriorSpec.nml()],
                              ids=PriorSpec.describe)
