@@ -149,8 +149,8 @@ def worst_case_r_prime(
     lo, hi = bounds
     if not 0 < lo < hi < 1:
         raise ValueError("bounds must satisfy 0 < lo < hi < 1")
-    if not grid_step > 0:
-        raise ValueError(f"grid_step must be positive, got {grid_step}")
+    if not 0 < grid_step < np.inf:
+        raise ValueError(f"grid_step must be positive and finite, got {grid_step}")
     sizes = list(sizes)
     # The length of the arange below, at least the axis size; compared as a
     # float root, since the power can overflow.
@@ -253,17 +253,15 @@ def regret(
     specs,
     sizes,
     candidate: str,
-    scale: int = DEFAULT_SCALE,
-    density_grid: int | None = DEFAULT_DENSITY_GRID,
     grid_size: int = RIPR_GRID_SIZE,
     tol: float = RIPR_TOL,
     max_iter: int = RIPR_MAX_ITER,
 ) -> float:
     """Expected log-growth loss of a candidate statistic against the point GRO.
 
-    candidate is one of "gro_mic", "gro_can", "pseudo"; scale and density_grid
-    are the settings of the pseudo candidate's density. Both e-powers are
-    exact under the point alternative.
+    candidate is one of "gro_mic", "gro_can", "pseudo"; the pseudo candidate's
+    density is built at the default scale and grid. Both e-powers are exact
+    under the point alternative.
     """
     specs = list(specs)
     sizes = list(sizes)
@@ -273,7 +271,7 @@ def regret(
     if candidate == "gro_mic":
         cand = Statistic.mic(sizes, specs)
     elif candidate == "pseudo":
-        cand = Statistic.pseudo(sizes, specs, scale, density_grid)
+        cand = Statistic.pseudo(sizes, specs)
     else:
         cand = Statistic.can(sizes, specs, grid_size, tol, max_iter)
     point = Statistic.point(sizes, pvec, grid_size, tol, max_iter)

@@ -27,24 +27,20 @@ from .numerics import (
 DEFAULT_SCALE = 10_000
 
 # Largest high-resolution support pseudo_null_density builds (scale * n + 1
-# points). When every group is uniform or beta(1,1) and the closed count runs
+# points). When every group is uniform and the closed count runs
 # (_box_counts), a resampled build holds arrays of the grid's size, not the
 # support's: 1.84 MiB traced and 2 MB of peak RSS past the import for two
-# groups of 512 or eight of 128. Where such a design takes the spectrum
-# instead and the density is folded onto the grid (_folded_irfft), the
-# spectrum is read in blocks and no full-length array is built either (3.4
-# MiB traced at (512, 512)); where the whole inverse runs, the build holds
-# the spectrum and the inverse, 16 bytes a point. One distinct non-uniform
-# (prior, size) pair holds its rfft's zero-padded buffer and spectrum, 16
-# bytes a point, and two or more the next pair's spectrum as well, 24. Peak
-# RSS is about twice the traced peak for these builds, as the transforms'
-# own work buffers are not traced. (At 1.02e7 points, traced and peak RSS
-# past the import: 157 MiB and 315 MB for the whole inverse of the spectrum
-# of uniform groups of 500 and 515, which are now counted; 159 MiB and 317
-# MB for one group of beta(2,2) or NML; 159 MiB and 280 MB for two of
-# beta(2,2) or beta(2,2) with a uniform group; 238 MiB and 358 MB for
-# beta(2,2) and NML.) So n = 1024 fits at the default scale, and at the
-# limit the traced peak runs from a few MB to about 600 MB.
+# groups of 512 or eight of 128. Every other design is transformed, a uniform
+# group as a box of ones: one distinct (prior, size) pair holds its rfft's
+# zero-padded buffer and spectrum, 16 bytes a point, and two or more the
+# next pair's spectrum as well, 24. Peak RSS is about twice the traced peak
+# for these builds, as the transforms' own work buffers are not traced. (At
+# 1.02e7 points, traced and peak RSS past the import: 159 MiB and 325 MB for
+# one group of beta(2,2) or NML; 159 MiB and 251 MB for 16 uniform groups of
+# 64; 159 MiB and 285 MB for two of beta(2,2); 238 MiB and 367 MB for
+# beta(2,2) with NML or with a uniform group.) So n = 1024 fits at the
+# default scale, and at the limit the traced peak runs from a few MB to
+# about 600 MB.
 MAX_PSEUDO_POINTS = 25_000_000
 
 # A build that keeps every point (no resample) runs the whole inverse and
@@ -56,22 +52,18 @@ _MAX_UNRESAMPLED_POINTS = 500_000_000 // 56
 
 # Most residues, mod the period of the resampled indices, at which
 # pseudo_null_density computes the convolution by the folded inverse
-# (_folded_irfft). The spectrum is read once, in blocks, whatever their
-# number; each adds a row to every block's matrix product and to the folded
-# sum. The default grid needs 1 to 3. With more, the whole inverse runs.
+# (_folded_irfft); each adds a row to its one matrix product over the
+# spectrum. The default grid needs 1 to 3. With more, the whole inverse runs.
 _MAX_RESIDUES = 8
 
 # Default resample target when a high-resolution density grid gets large.
 DEFAULT_DENSITY_GRID = 20_001
 
 # Points per block of the blocked builds of the high-resolution route (the
-# induced log weights and _box_spectrum), which bounds their temporary
+# induced log weights and the closed count), which bounds their temporary
 # arrays. Blocks of 1e6 points raised the peak RSS of a 1e7-point NML build
 # by 13 MB, as the allocator kept their freed buffers; blocks of 64 KB arrays
-# did not, and ran the box spectra of 1e5 to 5e6 frequencies fastest.
-# _folded_irfft reads up to 8 blocks' worth of frequencies at a time (1 MiB):
-# read one row of Q frequencies at a time, each product costs a pass over
-# the folded sum, and a 3-residue fold of 6.75e6 points took 88 ms, not 58.
+# did not.
 _BLOCK_POINTS = 1 << 13
 
 
@@ -90,6 +82,14 @@ class PriorSpec:
             if a is None or b is None or not (0 < a < math.inf and 0 < b < math.inf):
                 raise ValueError(
                     f"beta prior requires finite, strictly positive parameters, got ({a}, {b})"
+                )
+            # The induced log weights subtract log-gamma terms of size a log a,
+            # so they err by about eps a log a (at n = 50: 4e-9 at 1e6, 6e-5
+            # at 1e10); past 1e16, j + a no longer resolves unit steps.
+            if max(a, b) > 1e6:
+                raise ValueError(
+                    f"beta prior parameters above 1e6 lose the induced pmf to "
+                    f"round-off, got ({a}, {b})"
                 )
         elif self.kind not in ("uniform", "nml"):
             raise ValueError(f"unknown prior kind {self.kind!r}")
@@ -206,7 +206,8 @@ def null_optimal_prior(group_pmfs) -> Pmf:
 
 def _power(x, count: int) -> np.ndarray:
     """x**count for a positive integer count, by repeated squaring in x's
-    buffer: a negative x keeps its sign at an odd count."""
+    buffer; a count with more than one bit set holds a copy of x as well.
+    At a power of two it takes half np.power's time on a complex spectrum."""
     out = None
     while True:
         if count & 1:
@@ -220,96 +221,16 @@ def _power(x, count: int) -> np.ndarray:
         x *= x
 
 
-def _box_spectrum(boxes, length: int):
-    """A reader of the one-sided rfft, at length L, of the convolution of
-    boxes of ones: c boxes of M <= L ones for each M: c in boxes, scaled by
-    1/M^c so that the k = 0 term is 1. read(start, stop) returns the terms
-    at start <= k < stop, within 0..L//2, as a new array.
+def _one_pass_spectrum(specs, sizes, scale: int, length: int) -> np.ndarray:
+    """rfft, at length, of the convolution of the groups' induced pmfs at size
+    scale*n_i, up to a positive constant.
 
-    A box's transform is e^{-i pi k (M-1)/L} sin(pi k M/L) / sin(pi k/L).
-    Every angle is an integer multiple of pi/L, reduced mod 2L in integers
-    before its sine or cosine is taken. The frequencies run in blocks of B:
-    e^{i pi (k0 + j) s/L} is e^{i pi k0 s/L} e^{i pi j s/L}, one rotation a
-    block of a table of B entries for each step s, itself the outer product
-    of two tables of about sqrt(B) entries: no sin or cos runs per
-    frequency. The phases of all boxes add up to one step, whose conjugated
-    table each block multiplies once.
+    Each distinct (prior, size) pair is built and transformed once, at the
+    final length, and enters the product raised to its multiplicity; a
+    uniform group's weights are a box of scale*n_i + 1 ones.
     """
-    half, turn = length // 2 + 1, 2 * length
-    rows = min(_BLOCK_POINTS, half)
-    shift = sum(c * (m - 1) for m, c in boxes.items()) % turn
-    width = math.isqrt(rows - 1) + 1
-
-    def table(step):
-        def unit(j):
-            return np.exp(1j * (j * step % turn) * (np.pi / length))
-
-        return np.multiply.outer(unit(np.arange(0, rows, width)),
-                                 unit(np.arange(width))).ravel()[:rows]
-
-    # The real and imaginary parts of each sine's table, and the conjugated
-    # table of the phase.
-    parts = {}
-    for step in {1, *boxes}:
-        t = table(step)
-        parts[step] = t.real.copy(), t.imag.copy()
-    phase = table(shift).conj()
-
-    def rotation(start, step):
-        angle = (start * step % turn) * (math.pi / length)
-        return math.cos(angle), math.sin(angle)
-
-    def sine(start, size, step):
-        """sin(pi k step/L) / step at k = start + j, j < size."""
-        c0, s0 = rotation(start, step)
-        tc, ts = parts[step]
-        x = (s0 / step) * tc[:size]
-        x += (c0 / step) * ts[:size]
-        return x
-
-    def read(start: int, stop: int) -> np.ndarray:
-        out = np.empty(stop - start, dtype=complex)
-        if start == 0 < stop:
-            out[0] = 1.0
-        for k0 in range(max(start, 1), stop, rows):
-            size = min(rows, stop - k0)
-            sin_k = sine(k0, size, 1)
-            amp = None
-            for m, count in boxes.items():
-                x = sine(k0, size, m)
-                x /= sin_k
-                x = _power(x, count)
-                if amp is None:
-                    amp = x
-                else:
-                    amp *= x
-            c0, s0 = rotation(k0, shift)
-            block = out[k0 - start : k0 - start + size]
-            np.multiply(phase[:size], complex(c0, -s0), out=block)
-            block *= amp
-        return out
-
-    return read
-
-
-def _one_pass_spectrum(specs, sizes, scale: int, length: int):
-    """A reader, read(start, stop), of the rfft at length of the convolution
-    of the groups' induced pmfs at size scale*n_i, up to a positive constant.
-
-    A uniform group's weights are a box of scale*n_i + 1 ones, whose
-    transform has a closed form: all of them enter through _box_spectrum, a
-    beta(1,1) group among them. If every group is uniform, its reader is the
-    spectrum's, and no full-length array is built. Each other distinct
-    (prior, size) pair is built and transformed once, at the final length,
-    and enters the product raised to its multiplicity; the boxes are
-    multiplied into that product in blocks, and the reader slices it.
-    """
-    flat = PriorSpec.from_beta(1, 1)
-    spectrum, boxes = None, Counter()
+    spectrum = None
     for (spec, n), count in Counter(zip(specs, sizes)).items():
-        if spec.kind == "uniform" or spec == flat:
-            boxes[scale * n + 1] += count
-            continue
         # The weights are built straight into a zero-padded buffer of the
         # final length, so rfft makes no padded copy of its own.
         buf = np.zeros(length)
@@ -328,8 +249,7 @@ def _one_pass_spectrum(specs, sizes, scale: int, length: int):
         lead = math.log2(f[0].real)
         near = round(lead)
         f *= 2.0**-near if count * abs(lead - near) < 256 else 1 / f[0].real
-        if count > 1:
-            np.power(f, count, out=f)
+        f = _power(f, count)
         # In place, and each array freed as soon as it is spent: at scale
         # 1e4 these are 1e7-point arrays, and copies raise the peak memory.
         if spectrum is None:
@@ -338,14 +258,7 @@ def _one_pass_spectrum(specs, sizes, scale: int, length: int):
             spectrum *= f
             spectrum *= 2.0 ** -round(math.log2(spectrum[0].real))
         del f
-    if boxes:
-        box = _box_spectrum(boxes, length)
-        if spectrum is None:
-            return box
-        for start in range(0, spectrum.size, _BLOCK_POINTS):
-            stop = min(start + _BLOCK_POINTS, spectrum.size)
-            spectrum[start:stop] *= box(start, stop)
-    return lambda start, stop: spectrum[start:stop]
+    return spectrum
 
 
 def _box_counts(boxes, length: int):
@@ -440,18 +353,15 @@ def _box_counts(boxes, length: int):
     return count
 
 
-def _folded_irfft(read, length: int, period: int, residues) -> np.ndarray:
-    """irfft, at length, of the one-sided spectrum that read(start, stop)
-    gives, at the indices period*q + r, q < length/period, one row per
-    residue r; period must divide length.
+def _folded_irfft(spectrum, length: int, period: int, residues) -> np.ndarray:
+    """irfft(spectrum, length) at the indices period*q + r, q < length/period,
+    one row per residue r; period must divide length.
 
     With k = k1 + Q*k2 (Q = length/period), the inverse at period*q + r is
     the length-Q inverse DFT in k1 of e^{2 pi i r k1/length} times the sum
-    over k2 of the spectrum at k weighted by e^{2 pi i r k2/period}: a
+    over k2 of the spectrum at k weighted by e^{2 pi i r k2/period}: one
     (residues x period/2) by (period/2 x Q) matrix product over the one-sided
-    spectrum, whose terms count twice except at k = 0 and k = length/2. The
-    spectrum is read in blocks of rows of Q frequencies, each folded in by
-    one matrix product, so only the (residues x Q) sum and one block are held.
+    spectrum, whose terms count twice except at k = 0 and k = length/2.
     """
     q = length // period
     rows = period // 2
@@ -459,20 +369,16 @@ def _folded_irfft(read, length: int, period: int, residues) -> np.ndarray:
     # r*k2 reduced mod period first: an argument of many turns would carry
     # the rounding of its quotient, up to 1e-13 at period 512, into the sum.
     phase = np.exp(2j * np.pi * (r * np.arange(rows + 1) % period) / period)
-    folded = np.zeros((r.shape[0], q), dtype=complex)
-    step = max(1, 8 * _BLOCK_POINTS // q)
-    for k2 in range(0, rows, step):
-        block = read(k2 * q, min(k2 + step, rows) * q).reshape(-1, q)
-        folded += phase[:, k2 : k2 + block.shape[0]] @ block
+    folded = phase[:, :rows] @ spectrum[: q * rows].reshape(rows, q)
     # The rest of the one-sided spectrum sits at k2 = rows: the Nyquist term
     # alone for an even period, the first half of k1's range for an odd one.
-    tail = read(q * rows, length // 2 + 1)
+    tail = spectrum[q * rows :]
     folded[:, : tail.size] += phase[:, rows:] * tail
     folded *= 2
     # The Nyquist term (even length) and k = 0 count once.
     if length % 2 == 0:
         folded[:, tail.size - 1] -= phase[:, rows] * tail[-1]
-    folded[:, 0] -= read(0, 1)[0]
+    folded[:, 0] -= spectrum[0]
     folded *= np.exp(2j * np.pi * r * np.arange(q) / length)
     return fft.ifft(folded, axis=1).real / period
 
@@ -508,7 +414,10 @@ def pseudo_null_density(
     points the resample reads where their period allows (_folded_irfft). The
     result is normalized as a density once, at the end.
     """
-    specs = list(specs)
+    # beta(1,1) is the uniform prior: built as one, its weights are the exact
+    # ones, not gammaln's round-off of them, and its groups may be counted.
+    flat = PriorSpec.from_beta(1, 1)
+    specs = [PriorSpec.uniform() if s == flat else s for s in specs]
     sizes = list(sizes)
     if len(specs) != len(sizes):
         raise ValueError("specs and sizes length mismatch")
@@ -562,19 +471,18 @@ def pseudo_null_density(
                 and fft.next_fast_len(fold_length, real=True) == fold_length
             ):
                 period, residues, length = stride, found, fold_length
-    # Uniform and beta(1,1) groups are boxes of ones, whose convolution is
-    # counted where its rounding bound is within the FFT route's (_box_counts).
-    flat = PriorSpec.from_beta(1, 1)
+    # Uniform groups are boxes of ones, whose convolution is counted where its
+    # rounding bound is within the FFT route's (_box_counts).
     count = conv = None
-    if all(s.kind == "uniform" or s == flat for s in specs):
+    if all(s.kind == "uniform" for s in specs):
         count = _box_counts(Counter(scale * int(n) + 1 for n in sizes), length)
     if count is None:
-        read = _one_pass_spectrum(specs, sizes, scale, length)
+        spectrum = _one_pass_spectrum(specs, sizes, scale, length)
         if period == 1:
-            conv = fft.irfft(read(0, length // 2 + 1), length)[None, : total + 1]
+            conv = fft.irfft(spectrum, length)[None, : total + 1]
         else:
-            conv = _folded_irfft(read, length, period, residues)
-        del read
+            conv = _folded_irfft(spectrum, length, period, residues)
+        del spectrum
         conv[conv < FFT_CLAMP * conv.max()] = 0.0
 
         def count(points):

@@ -186,7 +186,7 @@ class TestWorstCaseRPrime:
         with pytest.raises(ValueError):
             worst_case_r_prime(priors, (4, 4), SCALE, bounds=(0.0, 0.9))
 
-    @pytest.mark.parametrize("step", [0.0, -0.1, float("nan")])
+    @pytest.mark.parametrize("step", [0.0, -0.1, float("nan"), float("inf")])
     def test_bad_grid_step(self, step):
         priors = [PriorSpec.uniform()] * 2
         with pytest.raises(ValueError, match="grid_step must be positive"):
@@ -336,12 +336,11 @@ class TestRegret:
         sizes = (15, 15)
         r_mic = regret(p_alt, specs, sizes, "gro_mic")
         r_can = regret(p_alt, specs, sizes, "gro_can")
-        r_pse = regret(p_alt, specs, sizes, "pseudo", SCALE)
+        r_pse = regret(p_alt, specs, sizes, "pseudo")
         # mic and pseudo share their numerator, so the regret difference is
-        # exactly the pointwise gap r' at this alternative.
-        assert r_mic - r_pse == pytest.approx(
-            gap_r_prime(p_alt, specs, sizes, SCALE), abs=1e-10
-        )
+        # exactly the pointwise gap r' at this alternative (both at the
+        # default scale and grid).
+        assert r_mic - r_pse == pytest.approx(gap_r_prime(p_alt, specs, sizes), abs=1e-10)
         # The canonical statistic differs from mic only through the null
         # mass at the total count; under an interior alternative the two
         # regrets agree closely.

@@ -312,6 +312,21 @@ class TestCli:
         error = strict(err)["error"]
         assert "finite" in error and shown in error
 
+    @pytest.mark.parametrize("argv", [
+        # Printed a log_e from a pmf with 0.167 of its mass at n, not 1.
+        ["test", "--table", "{path}", "--prior", "beta:1e300,2"],
+        # Failed with "NaN in log-space reduction".
+        ["theorem1", "--m", "3", "--bins", "2", "--prior", "beta:1e308,1e308"],
+    ])
+    def test_huge_beta_prior_refused(self, tmp_path, capsys, argv):
+        path = tmp_path / "t.json"
+        path.write_text('{"groups":[{"n":5,"ones":2},{"n":5,"ones":3}]}')
+        code, out, err = run_cli(*[a.replace("{path}", str(path)) for a in argv],
+                                 capsys=capsys)
+        assert code == 1
+        assert out == ""
+        assert "above 1e6" in strict(err)["error"]
+
     @pytest.mark.parametrize("item", ["inf", "1e400", "nan", "0"])
     def test_continue_refuses_non_finite_evalues(self, capsys, item):
         code, out, err = run_cli("continue", "2.0", item, capsys=capsys)
@@ -871,7 +886,8 @@ class TestCli:
         assert len(argmax) == 2
         assert all(any(p == pytest.approx(a) for a in axis) for p in argmax)
 
-    @pytest.mark.parametrize("step", ["0", "-0.1"])
+    # An infinite step used to leak numpy's "arange: cannot compute length".
+    @pytest.mark.parametrize("step", ["0", "-0.1", "inf"])
     def test_rprime_bad_grid_step(self, capsys, step):
         code, out, err = run_cli(
             "rprime", "--k", "2", "--m", "6", "--scale", "500", "--worst-case",
@@ -961,7 +977,7 @@ class TestCli:
         specs = [PriorSpec.uniform()] * 2
         for point in points:
             sizes = (point["m"],) * 2
-            expect = regret((0.3, 0.6), specs, sizes, "pseudo", 10_000, 20_001)
+            expect = regret((0.3, 0.6), specs, sizes, "pseudo")
             assert point["regret"] == pytest.approx(expect, abs=1e-12)
 
     def test_regret_pseudo_refuses_its_largest_m_first(self, monkeypatch, capsys):
