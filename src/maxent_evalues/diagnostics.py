@@ -28,7 +28,7 @@ from .evariables import (
     # one wrapper.
     ripr_solve,  # noqa: F401
 )
-from .numerics import NEG_INF, binomial_pmf
+from .numerics import NEG_INF, binomial_log_pmfs, binomial_pmf
 from .priors import (
     DEFAULT_DENSITY_GRID,
     DEFAULT_SCALE,
@@ -42,10 +42,16 @@ from .priors import (
 WORST_CASE_BOUNDS = (0.02, 0.98)
 WORST_CASE_STEP = 0.02
 # Most grid points, P^k for P points an axis and k groups, a worst-case search
-# values. The default 49-point axis at k = 5 (2.8e8 points) took 2.3 s on 2
-# cores, and 17320^2 points (k = 2) 2.4-2.9 s, at group sizes 10 and 50. A
-# single group counts as P^2, so that its P pmfs (about 50 us each) stay few.
+# values. With the pseudo density already built, on 2 shared cores and one
+# BLAS thread, the default 49-point axis at k = 5 (2.8e8 points) took 1.6-1.9
+# s at group size 10 and 3.1 s at 50, and 17320^2 points (k = 2) 0.6 and 1.4
+# s. A single group counts as P^2, so that no axis is longer than the k = 2
+# one; one group of 10 on that axis took 11 ms.
 MAX_WORST_CASE_POINTS = 300_000_000
+# Most binomial weights, P times the sum of n + 1 over the distinct group
+# sizes, that a worst-case search builds: one (point x count) matrix a size,
+# 8 bytes a cell, so at most about 400 MB.
+MAX_WORST_CASE_CELLS = 50_000_000
 # Cells of the largest array one block of the worst-case contraction builds,
 # so that its memory stays bounded for any number of groups.
 _BLOCK_CELLS = 1_000_000
@@ -145,6 +151,9 @@ def worst_case_r_prime(
 
     Every point's value is first computed at once by contraction; only the
     points within round-off of the largest are evaluated again as above.
+    Equal groups share one binomial weight matrix over the axis. A grid past
+    MAX_WORST_CASE_POINTS points or MAX_WORST_CASE_CELLS weights is refused
+    before anything is built.
     """
     lo, hi = bounds
     if not 0 < lo < hi < 1:
@@ -162,12 +171,25 @@ def worst_case_r_prime(
             f"group(s) exceeds the limit of {MAX_WORST_CASE_POINTS} points "
             "(P^k, or P^2 for one group); raise grid_step or narrow the bounds"
         )
-    _, gap = _count_term_gap(specs, sizes, scale, density_grid)
     axis = np.arange(lo, hi + grid_step / 2, grid_step)
     # arange can run up to half a step past hi; a point only round-off past
     # hi is hi itself and stays.
     axis = axis[axis <= hi + 1e-9 * grid_step]
-    per_group = [[binomial_pmf(n, p).weights() for p in axis] for n in sizes]
+    distinct = dict.fromkeys(sizes)
+    cells = axis.size * sum(n + 1 for n in distinct)
+    if cells > MAX_WORST_CASE_CELLS:
+        raise ValueError(
+            f"worst-case grid of {axis.size} points a group needs {cells} binomial "
+            f"weights over its distinct group sizes, past the limit of "
+            f"{MAX_WORST_CASE_CELLS}; raise grid_step (--grid-step) or narrow the "
+            "bounds (--lo, --hi)"
+        )
+    _, gap = _count_term_gap(specs, sizes, scale, density_grid)
+    # One (point x count) weight matrix per distinct size, shared by equal groups.
+    for n in distinct:
+        w = binomial_log_pmfs(n, axis)
+        distinct[n] = np.exp(w, out=w)
+    per_group = [distinct[n] for n in sizes]
     shape = (axis.size,) * len(sizes)
     # A value sums products of k binomial weights, each group's summing to 1,
     # with gap. A term meets at most `terms` roundings in the contraction
@@ -183,7 +205,7 @@ def worst_case_r_prime(
     best = -np.inf
     best_point: tuple[float, ...] = ()
     top = -np.inf
-    for start, values in _leaf_values([np.array(w) for w in per_group], gap):
+    for start, values in _leaf_values(per_group, gap):
         top = max(top, float(values.max()))
         # NaN compares false: a NaN value is kept, and every leaf is when
         # max|gap| is infinite.

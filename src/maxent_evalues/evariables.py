@@ -48,6 +48,7 @@ from .priors import (
     DEFAULT_DENSITY_GRID,
     DEFAULT_SCALE,
     PseudoDensity,
+    canonical_priors,
     induced_group_pmf,
     null_optimal_prior,
     pseudo_null_density,
@@ -226,9 +227,12 @@ class Statistic:
         """The microcanonical form with the pseudo null prior of these sizes
         and priors, built at scale and resampled onto density_grid points
         (None: not resampled); not an e-variable. Reading a count where the
-        quadrature underflows is refused."""
+        quadrature underflows is refused. beta(1,1) is taken as the uniform
+        prior, in the density and the group terms alike, so both spellings
+        share one design."""
         grid = None if density_grid is None else operator.index(density_grid)
-        return _design("pseudo", sizes, priors, (operator.index(scale), grid))
+        settings = (operator.index(scale), grid)
+        return _design("pseudo", sizes, canonical_priors(priors), settings)
 
     @staticmethod
     def can(

@@ -24,18 +24,45 @@ DENSITY_NORM_TOL = 1e-8
 FFT_THRESHOLD = 4096
 FFT_CLAMP = 1e-15
 
+# Cells per block of the binomial log-pmf and log-likelihood builds, which
+# bounds their temporary arrays.
+_BLOCK_CELLS = 1_000_000
+
 
 def log_sum_exp(values) -> float:
     """log(sum(exp(values))) with max-shift; -inf iff all inputs are -inf."""
-    arr = np.asarray(values, dtype=float)
+    arr = np.asarray(values, dtype=float).reshape(1, -1)
     if arr.size == 0:
         raise ValueError("empty reduction")
     if np.isnan(arr).any():
         raise ValueError("NaN in log-space reduction")
-    m = float(arr.max())
-    if m == NEG_INF:
-        return NEG_INF
-    return m + float(np.log(np.exp(arr - m).sum()))
+    return float(_row_log_sum_exp(arr)[0])
+
+
+def _row_log_sum_exp(lw: np.ndarray) -> np.ndarray:
+    """log_sum_exp of each row of a 2-D array: -inf for a row of -inf, NaN
+    for a row with +inf."""
+    m = lw.max(axis=1, keepdims=True)
+    m[m == NEG_INF] = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shifted = lw - m
+        np.exp(shifted, out=shifted)
+        return (m + np.log(shifted.sum(axis=1, keepdims=True)))[:, 0]
+
+
+def _check_log_pmfs(lw: np.ndarray) -> None:
+    """Refuse a 2-D array of log weights unless every row is a pmf: no NaN,
+    normalized within PMF_NORM_TOL, no entry above 1."""
+    if np.isnan(lw).any():
+        raise ValueError("NaN log weight")
+    # A +inf entry makes its row's total NaN, which passes here and is
+    # refused as an entry above 1.
+    total = _row_log_sum_exp(lw)
+    off = np.abs(total) > PMF_NORM_TOL
+    if off.any():
+        raise ValueError(f"pmf not normalized: log total {total[off][0]}")
+    if (lw > PMF_NORM_TOL).any():
+        raise ValueError("pmf entry exceeds 1")
 
 
 def log_binomial_row(n: int) -> np.ndarray:
@@ -66,13 +93,7 @@ class Pmf:
         lw.setflags(write=False)
         if lw.ndim != 1 or lw.size == 0:
             raise ValueError("pmf needs a nonempty 1-D log-weight array")
-        if np.isnan(lw).any():
-            raise ValueError("NaN log weight")
-        total = log_sum_exp(lw)
-        if abs(total) > PMF_NORM_TOL:
-            raise ValueError(f"pmf not normalized: log total {total}")
-        if (lw > PMF_NORM_TOL).any():
-            raise ValueError("pmf entry exceeds 1")
+        _check_log_pmfs(lw[None, :])
 
     @property
     def support_size(self) -> int:
@@ -96,13 +117,37 @@ class Pmf:
             return Pmf.from_log_weights(np.log(w))
 
 
+def binomial_log_pmfs(n: int, ps) -> np.ndarray:
+    """Normalized log pmfs of Binomial(n, p) on 0..n, one row per p in ps,
+    boundary p handled with 0^0 = 1.
+
+    Each row is Pmf.from_log_weights of that p's unnormalized log weights,
+    bit for bit, and passes Pmf's checks. The rows are built in blocks of
+    about _BLOCK_CELLS cells, so the result is the only full-size array.
+    """
+    ps = np.asarray(ps, dtype=float)
+    # Written so that NaN, which fails every comparison, is refused.
+    bad = ps[~((0.0 <= ps) & (ps <= 1.0))]
+    if bad.size:
+        raise ValueError(f"probability out of range: {bad[0]}")
+    j = np.arange(n + 1)
+    row = log_binomial_row(n)
+    out = np.empty((ps.size, n + 1))
+    rows = max(1, _BLOCK_CELLS // (n + 1))
+    for start in range(0, ps.size, rows):
+        lw, p = out[start : start + rows], ps[start : start + rows, None]
+        # log C(n, j) + j log p + (n - j) log(1 - p), added in that order.
+        xlogy(j, p, out=lw)
+        lw += row
+        lw += xlogy(n - j, 1.0 - p)
+        lw -= _row_log_sum_exp(lw)[:, None]
+        _check_log_pmfs(lw)
+    return out
+
+
 def binomial_pmf(n: int, p: float) -> Pmf:
     """Binomial(n, p) on 0..n, boundary p handled with 0^0 = 1."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability out of range: {p}")
-    j = np.arange(n + 1)
-    lw = log_binomial_row(n) + xlogy(j, p) + xlogy(n - j, 1.0 - p)
-    return Pmf.from_log_weights(lw)
+    return Pmf(binomial_log_pmfs(n, [p])[0])
 
 
 def convolve(a: Pmf, b: Pmf) -> Pmf:
@@ -189,11 +234,6 @@ class GridDensity:
             raise ValueError("density integrates to zero")
         with np.errstate(divide="ignore"):
             return GridDensity(g, np.log(d / integral))
-
-
-# Cells per block of the binomial log-likelihood builds, which bounds their
-# temporary arrays.
-_BLOCK_CELLS = 1_000_000
 
 
 def _binomial_log_cells(out, counts, n: int, log_p, log_q, tail=None) -> None:

@@ -127,6 +127,13 @@ def parse_prior(text: str) -> PriorSpec:
     raise ValueError(f"unknown prior {text!r}")
 
 
+def canonical_priors(specs) -> list[PriorSpec]:
+    """specs with beta(1,1) spelled as the uniform prior, which it is: built
+    as one, its weights are the exact ones, not gammaln's round-off of them."""
+    flat = PriorSpec.from_beta(1, 1)
+    return [PriorSpec.uniform() if s == flat else s for s in specs]
+
+
 @dataclass(frozen=True)
 class PseudoDensity:
     """Continuous null prior on p0."""
@@ -205,20 +212,17 @@ def null_optimal_prior(group_pmfs) -> Pmf:
 
 
 def _power(x, count: int) -> np.ndarray:
-    """x**count for a positive integer count, by repeated squaring in x's
-    buffer; a count with more than one bit set holds a copy of x as well.
-    At a power of two it takes half np.power's time on a complex spectrum."""
-    out = None
-    while True:
-        if count & 1:
-            if out is None:
-                out = x if count == 1 else x.copy()
-            else:
-                out *= x
-        count >>= 1
-        if not count:
-            return out
+    """x**count in x's buffer, for a positive integer count. A power of two
+    is taken by repeated squaring, faster than np.power on a complex
+    spectrum (41 against 57 ms at 16 on 5.1e6 points); any other count by
+    np.power, which holds no copy of x, where squaring needs one (33 against
+    52 ms at 3)."""
+    if count & (count - 1):
+        return np.power(x, count, out=x)
+    while count > 1:
         x *= x
+        count >>= 1
+    return x
 
 
 def _one_pass_spectrum(specs, sizes, scale: int, length: int) -> np.ndarray:
@@ -414,10 +418,8 @@ def pseudo_null_density(
     points the resample reads where their period allows (_folded_irfft). The
     result is normalized as a density once, at the end.
     """
-    # beta(1,1) is the uniform prior: built as one, its weights are the exact
-    # ones, not gammaln's round-off of them, and its groups may be counted.
-    flat = PriorSpec.from_beta(1, 1)
-    specs = [PriorSpec.uniform() if s == flat else s for s in specs]
+    # beta(1,1) groups are built as uniform ones, and so may be counted.
+    specs = canonical_priors(specs)
     sizes = list(sizes)
     if len(specs) != len(sizes):
         raise ValueError("specs and sizes length mismatch")

@@ -197,19 +197,54 @@ class TestWorstCaseRPrime:
         [
             ((4, 4), 1e-6),  # 960,001^2 points
             ((4,) * 6, 0.02),  # 49^6 = 1.4e10
-            ((4,), 1e-5),  # one group of 96,001 pmfs counts as 96,001^2
+            ((4,), 1e-5),  # one group of 96,001 points counts as 96,001^2
             ((4, 4), 5e-324),  # the span overflows to inf
+            # 9,601^2 points pass, but 9,601 x 100,001 weights (7.2 GiB) do not.
+            ((100_000,), 1e-4),
+            # Two distinct sizes at 9,601 points: 9,601 x 6,003 = 5.8e7 weights.
+            ((3_000, 3_001), 1e-4),
         ],
     )
     def test_refuses_a_grid_beyond_the_limit(self, monkeypatch, sizes, step):
         def built(*args):
             raise AssertionError("built before the grid was checked")
 
-        monkeypatch.setattr(diagnostics, "binomial_pmf", built)
+        monkeypatch.setattr(diagnostics, "binomial_log_pmfs", built)
         monkeypatch.setattr(diagnostics, "_count_term_gap", built)
         priors = [PriorSpec.uniform()] * len(sizes)
         with pytest.raises(ValueError, match="worst-case grid"):
             worst_case_r_prime(priors, sizes, grid_step=step)
+
+    def test_one_weight_matrix_per_distinct_size(self, monkeypatch):
+        calls = []
+        kernel = diagnostics.binomial_log_pmfs
+
+        def spy(n, ps):
+            calls.append((n, len(ps)))
+            return kernel(n, ps)
+
+        def pmf(*args):
+            raise AssertionError("a Pmf built per point")
+
+        monkeypatch.setattr(diagnostics, "binomial_log_pmfs", spy)
+        monkeypatch.setattr(diagnostics, "binomial_pmf", pmf)
+        monkeypatch.setattr(evariables, "binomial_pmf", pmf)
+        priors = [PriorSpec.uniform()] * 3
+        options = {"grid_step": 0.1, "bounds": (0.1, 0.9)}
+        value = worst_case_r_prime(priors, (7, 19, 7), SCALE, **options)
+        assert calls == [(7, 9), (19, 9)]
+        monkeypatch.undo()
+        assert value == reference_worst_case_r_prime(priors, (7, 19, 7), SCALE, **options)
+
+    def test_equal_groups_share_their_weights_in_the_limit(self, monkeypatch):
+        # 9,601 x 3,001 = 2.9e7 weights for both groups: the checks pass and
+        # the search goes on to the density.
+        def density(*args):
+            raise RuntimeError("checks passed")
+
+        monkeypatch.setattr(diagnostics, "_count_term_gap", density)
+        with pytest.raises(RuntimeError, match="checks passed"):
+            worst_case_r_prime([PriorSpec.uniform()] * 2, (3_000, 3_000), grid_step=1e-4)
 
     def test_admits_the_default_axis_up_to_five_groups(self):
         assert 49**5 <= diagnostics.MAX_WORST_CASE_POINTS < 49**6

@@ -730,6 +730,15 @@ class TestProjectionMemo:
                 Statistic.can(self.SIZES, self.PRIORS, tol=math.nan)
         assert builds.count("ripr_solve") == 2
 
+    def test_both_spellings_of_the_uniform_prior_share_the_pseudo_design(self, builds):
+        flat = Statistic.pseudo(self.SIZES, [PriorSpec.from_beta(1, 1)] * 2, **self.DENSITY)
+        uniform = Statistic.pseudo(self.SIZES, self.PRIORS, **self.DENSITY)
+        assert uniform is flat
+        assert builds.count("pseudo_null_density") == builds.count("log_w_pseudo0") == 1
+        for term, size in zip(flat.group_terms, self.SIZES):
+            expected = induced_group_pmf(PriorSpec.uniform(), size).log_weights
+            assert term.tobytes() == (expected - log_binomial_row(size)).tobytes()
+
     def test_hit_equals_fresh_solve(self):
         n = sum(self.SIZES)
         for kind, build in self.designs().items():

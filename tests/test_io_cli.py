@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from maxent_evalues import cli, evariables
+from maxent_evalues import cli, diagnostics, evariables
 from maxent_evalues.cli import build_parser, main
 from maxent_evalues.evariables import RIPR_GRID_SIZE, RIPR_MAX_ITER, RIPR_TOL, Statistic
 from maxent_evalues.models import Table
@@ -909,6 +909,23 @@ class TestCli:
         assert out == ""
         assert "worst-case grid" in strict(err)["error"]
         assert time.monotonic() - started < 10
+
+    def test_rprime_refuses_a_worst_case_search_past_its_weights(self, monkeypatch, capsys):
+        # 9,601^2 points pass the point limit, but one group of 100,000 needs
+        # 9,601 x 100,001 binomial weights: 7.2 GiB, built after the density.
+        def built(*args):
+            raise AssertionError("built before the weights were checked")
+
+        monkeypatch.setattr(diagnostics, "_count_term_gap", built)
+        monkeypatch.setattr(diagnostics, "binomial_log_pmfs", built)
+        code, out, err = run_cli(
+            "rprime", "--k", "1", "--m", "100000", "--scale", "10", "--worst-case",
+            "--grid-step", "1e-4", capsys=capsys,
+        )
+        assert code == 1
+        assert out == ""
+        error = strict(err)["error"]
+        assert "960109601 binomial weights" in error and "--grid-step" in error
 
     @pytest.mark.parametrize("argv", [
         ("theorem1", "--m", "30"),

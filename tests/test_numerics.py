@@ -16,6 +16,7 @@ from maxent_evalues.numerics import (
     GridDensity,
     Pmf,
     _mixture_windows,
+    binomial_log_pmfs,
     binomial_pmf,
     convolve,
     convolve_all,
@@ -127,6 +128,56 @@ class TestPmf:
     def test_binomial_boundary(self):
         assert binomial_pmf(5, 0.0).weights()[0] == pytest.approx(1.0)
         assert binomial_pmf(5, 1.0).weights()[5] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("log_weights, error", [
+        ([0.0, np.nan], "NaN log weight"),
+        (np.log([0.5, 0.6]), "pmf not normalized"),
+        ([NEG_INF, NEG_INF], "pmf not normalized: log total -inf"),
+        ([np.inf, NEG_INF], "pmf entry exceeds 1"),
+    ])
+    def test_checks_refuse(self, log_weights, error):
+        with pytest.raises(ValueError, match=error):
+            Pmf(np.array(log_weights))
+
+
+def reference_binomial_pmf(n, p):
+    """Binomial(n, p) as one Pmf of its unnormalized log weights: the
+    arithmetic binomial_log_pmfs must reproduce bit for bit."""
+    j = np.arange(n + 1)
+    return Pmf.from_log_weights(log_binomial_row(n) + xlogy(j, p) + xlogy(n - j, 1.0 - p))
+
+
+class TestBinomialLogPmfs:
+    AXES = {
+        "default": np.arange(0.02, 0.98 + 0.01, 0.02),
+        "fine": np.arange(0.02, 0.98 + 5e-4, 1e-3),
+        "random": np.random.default_rng(30).random(40),
+        "ends": np.array([0.0, 1.0, 0.5, 1e-300, 1.0 - 2**-53]),
+    }
+
+    # At n = 8778 the fine axis's 961 rows run in blocks of 113.
+    @pytest.mark.parametrize("n", [1, 7, 10, 128, 129, 1000, 8778])
+    @pytest.mark.parametrize("axis", AXES, ids=str)
+    def test_rows_match_binomial_pmf_bit_for_bit(self, n, axis):
+        ps = self.AXES[axis]
+        rows = binomial_log_pmfs(n, ps)
+        assert rows.shape == (ps.size, n + 1)
+        for p, row in zip(ps.tolist(), rows):
+            reference = reference_binomial_pmf(n, p)
+            pmf = binomial_pmf(n, p)
+            assert row.tobytes() == reference.log_weights.tobytes() == pmf.log_weights.tobytes()
+            assert np.exp(row).tobytes() == pmf.weights().tobytes()
+
+    @pytest.mark.parametrize("ps", [[0.5, 1.5], [np.nan], [-0.0, -1e-300]])
+    def test_refuses_a_probability_out_of_range(self, ps):
+        with pytest.raises(ValueError, match="probability out of range"):
+            binomial_log_pmfs(4, ps)
+
+    def test_every_row_is_checked(self):
+        rows = np.array([[0.0, NEG_INF], np.log([0.5, 0.6])])
+        with pytest.raises(ValueError, match="pmf not normalized"):
+            numerics._check_log_pmfs(rows)
+        numerics._check_log_pmfs(rows[:1])
 
 
 class TestConvolve:

@@ -684,6 +684,36 @@ def _check_fold(spectrum, length, period, residues):
     np.testing.assert_allclose(got, expected, rtol=0, atol=tol)
 
 
+class TestPower:
+    @staticmethod
+    def spectrum(points):
+        rng = np.random.default_rng(30)
+        return rng.standard_normal(points) + 1j * rng.standard_normal(points)
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 5, 10, 16])
+    def test_within_round_off_of_repeated_multiplication(self, count):
+        x = self.spectrum(4096)
+        expected = x.copy()
+        for _ in range(count - 1):
+            expected *= x
+        got = priors._power(x, count)
+        assert got is x
+        # Each product rounds a complex multiply, a few eps, at most count
+        # times over.
+        np.testing.assert_allclose(got, expected, rtol=4 * count * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("count", [3, 5, 10, 16])
+    def test_holds_no_second_full_length_array(self, count):
+        x = self.spectrum(1 << 20)
+        tracemalloc.start()
+        try:
+            priors._power(x, count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes / 8
+
+
 class TestFoldedIrfft:
     @pytest.mark.parametrize("length, period, residues", FOLD_CASES)
     def test_matches_irfft_at_the_sampled_indices(self, length, period, residues):
