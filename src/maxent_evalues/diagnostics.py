@@ -50,7 +50,9 @@ WORST_CASE_STEP = 0.02
 MAX_WORST_CASE_POINTS = 300_000_000
 # Most binomial weights, P times the sum of n + 1 over the distinct group
 # sizes, that a worst-case search builds: one (point x count) matrix a size,
-# 8 bytes a cell, so at most about 400 MB.
+# 8 bytes a cell, so at most about 400 MB. The first contraction's buffer,
+# P x (N - n_k + 1) cells for N trials in all and n_k in the last group, is
+# held to the same limit.
 MAX_WORST_CASE_CELLS = 50_000_000
 # Cells of the largest array one block of the worst-case contraction builds,
 # so that its memory stays bounded for any number of groups.
@@ -152,8 +154,8 @@ def worst_case_r_prime(
     Every point's value is first computed at once by contraction; only the
     points within round-off of the largest are evaluated again as above.
     Equal groups share one binomial weight matrix over the axis. A grid past
-    MAX_WORST_CASE_POINTS points or MAX_WORST_CASE_CELLS weights is refused
-    before anything is built.
+    MAX_WORST_CASE_POINTS points, or past MAX_WORST_CASE_CELLS weights or
+    cells of the first contraction, is refused before anything is built.
     """
     lo, hi = bounds
     if not 0 < lo < hi < 1:
@@ -177,12 +179,13 @@ def worst_case_r_prime(
     axis = axis[axis <= hi + 1e-9 * grid_step]
     distinct = dict.fromkeys(sizes)
     cells = axis.size * sum(n + 1 for n in distinct)
-    if cells > MAX_WORST_CASE_CELLS:
+    buffer = axis.size * (sum(sizes[:-1]) + 1)
+    if max(cells, buffer) > MAX_WORST_CASE_CELLS:
         raise ValueError(
             f"worst-case grid of {axis.size} points a group needs {cells} binomial "
-            f"weights over its distinct group sizes, past the limit of "
-            f"{MAX_WORST_CASE_CELLS}; raise grid_step (--grid-step) or narrow the "
-            "bounds (--lo, --hi)"
+            f"weights over its distinct group sizes and {buffer} cells to contract "
+            f"its last group, past the limit of {MAX_WORST_CASE_CELLS} each; raise "
+            "grid_step (--grid-step) or narrow the bounds (--lo, --hi)"
         )
     _, gap = _count_term_gap(specs, sizes, scale, density_grid)
     # One (point x count) weight matrix per distinct size, shared by equal groups.

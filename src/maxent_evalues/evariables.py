@@ -73,11 +73,11 @@ _WEIGHT_FLOOR = 1e-300
 
 # Bytes the design memo (_design) may hold. An entry counts as its arrays
 # and 2 KB for its objects. The arrays are the group terms, 8(n+k) bytes for
-# k groups of n trials in all, and the null: mic's count law or pseudo's log
-# W0 at every count, 8(n+1) each, or a projection's atoms and log weights,
-# at most 16·grid_size. That is 18 KB for mic or pseudo at n = 1,024, and
-# 104 KB for can on the benchmark's network design (n = 8,778 dyads in 15
-# groups); all 141 entries of the benchmark's three pools hold 1.7 MB, so
+# k groups of n trials in all, the null, log W0 at every count, 8(n+1), and
+# for can and point the projection's atoms and log weights, at most
+# 16·grid_size. That is 18 KB for mic or pseudo at n = 1,024, and
+# 174 KB for can on the benchmark's network design (n = 8,778 dyads in 15
+# groups); all 140 designs of the benchmark's three pools hold 1.8 MB, so
 # none is dropped. The least recently used entries go first; an entry
 # larger than the whole budget is not kept.
 _DESIGN_BYTES = 64 * 2**20
@@ -148,9 +148,11 @@ class Statistic:
     """log S(c1) = sum_i group_terms[i][c1_i] + count_term(sum(c1)).
 
     group_terms[i] is indexed by group i's one-count 0..n_i. null is log W0,
-    the null's mass at each total count 0..n, as a read-only array (mic,
-    pseudo), or the projection whose binomial mixture W0 is (can, point).
-    count_term(c0) = log C(n, c0) - log W0(c0).
+    the null's mass at each total count 0..n, as a read-only array, so
+    count_term(c0) = log C(n, c0) - log W0(c0) is an index read for every
+    kind. For can and point, W0 is the binomial mixture of their projection,
+    taken once at every count when the statistic is built; the projection
+    is kept for its achieved_kl and its convergence.
 
     Every kind is fixed by its design alone, so each is built once per
     process and design (see _design).
@@ -158,7 +160,8 @@ class Statistic:
 
     kind: str
     group_terms: tuple[np.ndarray, ...]
-    null: np.ndarray | RiprSolution
+    null: np.ndarray
+    projection: RiprSolution | None = None
 
     def __post_init__(self):
         if self.kind not in _EVARIABLE_KINDS:
@@ -174,15 +177,13 @@ class Statistic:
 
     @property
     def achieved_kl(self) -> float | None:
-        return self.null.achieved_kl if isinstance(self.null, RiprSolution) else None
+        return None if self.projection is None else self.projection.achieved_kl
 
     def log_null_mass(self, counts) -> np.ndarray:
         """log W0 at the total counts asked for only; a pseudo count where the
         quadrature underflowed is refused."""
-        c, null = np.atleast_1d(counts), self.null
-        if isinstance(null, RiprSolution):
-            return log_binomial_mixture(null.grid, null.log_weights, sum(self.sizes), c)
-        out = null[c]
+        c = np.atleast_1d(counts)
+        out = self.null[c]
         if self.kind == "pseudo" and (out == NEG_INF).any():
             raise ValueError(
                 f"quadrature underflow at total count {c[out == NEG_INF][0]}; "
@@ -279,10 +280,11 @@ def _design(kind: str, sizes, params, settings: tuple | None) -> Statistic:
     density_grid) for pseudo. The sizes and the integer settings are taken
     by operator.index, so that a float is refused on a hit as on a miss. A
     hit builds nothing; permuted sizes are another design. The memo holds
-    at most _DESIGN_BYTES: a miss drops the least recently used entries, and
-    an entry larger than that is returned but not kept. A build that raises
-    is not kept either; an unconverged projection is kept and refused on
-    every read.
+    at most _DESIGN_BYTES, counting an entry as its group terms, its null
+    and its projection's two arrays, plus 2 KB: a miss drops the least
+    recently used entries, and an entry larger than that is returned but
+    not kept. A build that raises is not kept either; an unconverged
+    projection is kept and refused on every read.
     """
     key = (kind, tuple(operator.index(n) for n in sizes), tuple(params), settings)
     if key in _designs:
@@ -290,18 +292,19 @@ def _design(kind: str, sizes, params, settings: tuple | None) -> Statistic:
         built = _designs[key][0]
     else:
         built = _build(*key)
-        null = built.null
-        held = (null,) if isinstance(null, np.ndarray) else (null.grid, null.log_weights)
-        size = 2048 + sum(a.nbytes for a in (*built.group_terms, *held))
+        held = [*built.group_terms, built.null]
+        if built.projection is not None:
+            held += [built.projection.grid, built.projection.log_weights]
+        size = 2048 + sum(a.nbytes for a in held)
         if size <= _DESIGN_BYTES:
             _designs[key] = (built, size)
             total = sum(b for _, b in _designs.values())
             while total > _DESIGN_BYTES:
                 total -= _designs.popitem(last=False)[1][1]
-    if isinstance(built.null, RiprSolution) and not built.null.converged:
+    if built.projection is not None and not built.projection.converged:
         raise ValueError(
             f"the reverse information projection did not converge in "
-            f"{built.null.iterations} iterations; refine solver settings: raise "
+            f"{built.projection.iterations} iterations; refine solver settings: raise "
             "max_iter (--ripr-max-iter) or tol (--ripr-tol)"
         )
     return built
@@ -311,13 +314,16 @@ def _build(kind: str, sizes: tuple, params: tuple, settings: tuple | None) -> St
     """One design's statistic.
 
     The group laws are induced by the priors in params (Binomial(n_i,
-    params[i]) for gro_point). W0 is their convolution (gro_mic), its
-    projection at settings = (grid_size, tol, max_iter), or the pseudo
-    quadrature of the density built at settings = (scale, density_grid),
-    taken once at every count; the density is not kept. The statistic is
-    frozen and its arrays read-only, so every caller can share it.
-    induced_group_pmf, null_optimal_prior, ripr_solve, pseudo_null_density
-    and log_w_pseudo0 stay plain functions, looked up at each build.
+    params[i]) for gro_point). W0 is their convolution (gro_mic), the
+    binomial mixture of its projection at settings = (grid_size, tol,
+    max_iter), or the pseudo quadrature of the density built at settings =
+    (scale, density_grid); a mixture is taken once at every count, and the
+    density and the convolution a projection was solved from are not kept.
+    The statistic is frozen and its arrays read-only, so every caller can
+    share it.
+    induced_group_pmf, null_optimal_prior, ripr_solve, pseudo_null_density,
+    log_w_pseudo0 and log_binomial_mixture stay plain functions, looked up
+    at each build.
     """
     n = sum(sizes)
     if kind == "pseudo":
@@ -334,7 +340,10 @@ def _build(kind: str, sizes: tuple, params: tuple, settings: tuple | None) -> St
     terms = _bayes_terms(group_pmfs)
     if settings is None:
         return Statistic(kind, terms, target.log_weights)
-    return Statistic(kind, terms, ripr_solve(target, n, *settings))
+    solved = ripr_solve(target, n, *settings)
+    null = log_binomial_mixture(solved.grid, solved.log_weights, n, np.arange(n + 1))
+    null.setflags(write=False)
+    return Statistic(kind, terms, null, solved)
 
 
 def log_w_pseudo0(density: PseudoDensity, n: int, n1) -> np.ndarray:

@@ -2,13 +2,15 @@
 
 Nothing in the library calls these. Each is an independent route to a value
 the library computes another way: closed forms, configuration counts, plain
-divergences, a continuous convolution and the whole-length inverse FFT.
+divergences, a continuous convolution, the whole-length inverse FFT and a
+binomial mixture summed in fixed-point arithmetic.
 """
 
 import itertools
 import math
 from collections import Counter
 
+import mpmath
 import numpy as np
 from scipy import fft
 from scipy.special import gammaln, xlogy
@@ -21,6 +23,7 @@ from maxent_evalues.numerics import (
     Pmf,
     binomial_pmf,
     log_beta_fn,
+    log_binomial_row,
 )
 from maxent_evalues.priors import (
     PriorSpec,
@@ -133,6 +136,51 @@ def log_equal_uniform_count(k: int, m: int, n1: int) -> float:
         for j in range(min(k, n1 // (m + 1)) + 1)
     )
     return math.log(count)
+
+
+def log_binomial_mixture_exact(p, log_w, n: int, counts) -> np.ndarray:
+    """log sum_j w_j C(n, c) p_j^c (1 - p_j)^(n - c) at each count c, rounded
+    once.
+
+    Each exponent log w_j + c log p_j + (n - c) log(1 - p_j) is an integer
+    multiple of 2^-120, from the exact binary values of p and log w and
+    50-digit mpmath logs (0^0 = 1 at the grid ends), so it carries none of
+    the cancellation of the float form. The exponentials relative to the
+    largest are each within 1e-14 relative (an exponent below 45 in
+    magnitude, rounded to a float) and summed exactly (math.fsum). log C(n, c)
+    is the library's log_binomial_row, added before the one rounding, so the
+    value measures the mixture's arithmetic alone. A row sums the atoms whose
+    float exponent lies within 45 nats of its largest: the others, at most
+    len(p) of them, add less than len(p) e^-45 relative, 6e-16 on a
+    20001-point grid.
+    """
+    p, log_w = np.asarray(p, dtype=float), np.asarray(log_w, dtype=float)
+    one = 2**120
+    coef = log_binomial_row(n)
+    logs = {}
+    out = []
+    with mpmath.workdps(50):
+        for c in np.atleast_1d(counts).tolist():
+            approx = xlogy(c, p) + xlogy(n - c, 1.0 - p) + log_w
+            if not (approx > -np.inf).any():
+                out.append(-np.inf)
+                continue
+            exponents = []
+            # An atom at p = 0 (p = 1) is kept only at c = 0 (c = n), where
+            # its log p (log(1 - p)) has weight zero.
+            for j in np.flatnonzero(approx >= approx.max() - 45.0).tolist():
+                if j not in logs:
+                    x = mpmath.mpf(float(p[j]))
+                    logs[j] = (int(mpmath.log(x) * one) if x > 0 else 0,
+                               int(mpmath.log(1 - x) * one) if x < 1 else 0)
+                exponents.append(
+                    int(log_w[j] * 2.0**120) + c * logs[j][0] + (n - c) * logs[j][1]
+                )
+            top = max(exponents)
+            total = math.fsum(math.exp((t - top) / one) for t in exponents)
+            log_coef = int(coef[c] * 2.0**120)
+            out.append((top + log_coef + int(mpmath.log(total) * one)) / one)
+    return np.array(out)
 
 
 def point_alt_count_pmf(sizes, alt_params) -> Pmf:

@@ -246,6 +246,19 @@ class TestWorstCaseRPrime:
         with pytest.raises(RuntimeError, match="checks passed"):
             worst_case_r_prime([PriorSpec.uniform()] * 2, (3_000, 3_000), grid_step=1e-4)
 
+    def test_refuses_the_first_contraction_past_the_limit(self, monkeypatch):
+        # Four groups of 600,000 at scale 10 on the default 49-point axis:
+        # the density's 2.4e7 points and the 49 x 600,001 = 2.9e7 weights
+        # pass, but contracting the last group into the other 1,800,000
+        # trials takes 49 x 1,800,001 = 8.8e7 cells (706 MB).
+        def built(*args, **kwargs):
+            raise AssertionError("built before the contraction was checked")
+
+        monkeypatch.setattr(diagnostics, "_count_term_gap", built)
+        monkeypatch.setattr(diagnostics, "binomial_log_pmfs", built)
+        with pytest.raises(ValueError, match=r"88200049 cells to contract.*--grid-step"):
+            worst_case_r_prime([PriorSpec.uniform()] * 4, [600_000] * 4, scale=10)
+
     def test_admits_the_default_axis_up_to_five_groups(self):
         assert 49**5 <= diagnostics.MAX_WORST_CASE_POINTS < 49**6
 

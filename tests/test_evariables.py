@@ -638,7 +638,7 @@ class TestGroPoint:
 # The functions evariables calls to build a statistic: the group laws, the
 # count law, the projection, and the pseudo density and its quadrature.
 BUILDERS = ("induced_group_pmf", "binomial_pmf", "null_optimal_prior", "ripr_solve",
-            "pseudo_null_density", "log_w_pseudo0")
+            "pseudo_null_density", "log_w_pseudo0", "log_binomial_mixture")
 
 
 @pytest.fixture
@@ -683,9 +683,9 @@ class TestProjectionMemo:
         # quadrature.
         first_builders = {
             "mic": ["null_optimal_prior"],
-            "can": ["null_optimal_prior", "ripr_solve"],
-            "point": ["null_optimal_prior", "ripr_solve"],
-            "pseudo": ["pseudo_null_density", "log_w_pseudo0"],
+            "can": ["null_optimal_prior", "ripr_solve", "log_binomial_mixture"],
+            "point": ["null_optimal_prior", "ripr_solve", "log_binomial_mixture"],
+            "pseudo": ["pseudo_null_density", "log_w_pseudo0", "log_binomial_mixture"],
         }
         for kind, build in self.designs().items():
             first = build().log_e((3, 1))
@@ -757,10 +757,11 @@ class TestProjectionMemo:
             assert hit.count_term(counts).tobytes() == fresh.count_term(counts).tobytes()
 
     def test_null_is_what_the_statistic_holds(self):
-        # mic holds its count law's log weights and pseudo its quadrature at
-        # every count, read-only; can and point hold their projection, whose
-        # achieved_kl they report. The memo counts an entry as exactly those
-        # arrays and the group terms, plus 2 KB.
+        # Every kind holds log W0 at every count, read-only: mic its count
+        # law's log weights, pseudo its quadrature, can and point the
+        # binomial mixture of their projection, which they keep for its
+        # achieved_kl. The memo counts an entry as exactly those arrays and
+        # the group terms, plus 2 KB.
         n = sum(self.SIZES)
         designs = self.designs()
         group_pmfs = {
@@ -774,19 +775,22 @@ class TestProjectionMemo:
         density = pseudo_null_density(self.PRIORS, self.SIZES, *self.DENSITY.values())
         assert pseudo.null.tobytes() == log_w_pseudo0(density, n, np.arange(n + 1)).tobytes()
         for statistic in (mic, pseudo):
-            assert statistic.null.shape == (n + 1,) and not statistic.null.flags.writeable
-            assert statistic.achieved_kl is None
+            assert statistic.achieved_kl is None and statistic.projection is None
         for kind in ("can", "point"):
             statistic = designs[kind]()
             fresh = ripr_solve(null_optimal_prior(group_pmfs[kind]), n, **self.RIPR)
-            assert isinstance(statistic.null, RiprSolution)
-            assert statistic.null.grid.tobytes() == fresh.grid.tobytes()
-            assert statistic.null.log_weights.tobytes() == fresh.log_weights.tobytes()
-            assert statistic.achieved_kl == statistic.null.achieved_kl == fresh.achieved_kl
+            solved = statistic.projection
+            assert solved.grid.tobytes() == fresh.grid.tobytes()
+            assert solved.log_weights.tobytes() == fresh.log_weights.tobytes()
+            assert statistic.achieved_kl == solved.achieved_kl == fresh.achieved_kl
+            read = log_binomial_mixture(fresh.grid, fresh.log_weights, n, np.arange(n + 1))
+            assert statistic.null.tobytes() == read.tobytes()
         for statistic, size in evariables._designs.values():
-            null = statistic.null
-            held = [null] if isinstance(null, np.ndarray) else [null.grid, null.log_weights]
-            assert size == 2048 + sum(a.nbytes for a in [*statistic.group_terms, *held])
+            assert statistic.null.shape == (n + 1,) and not statistic.null.flags.writeable
+            held = [*statistic.group_terms, statistic.null]
+            if statistic.projection is not None:
+                held += [statistic.projection.grid, statistic.projection.log_weights]
+            assert size == 2048 + sum(a.nbytes for a in held)
         assert len(evariables._designs) == 4
 
     @pytest.mark.parametrize("kind, build", [
@@ -876,19 +880,20 @@ class TestProjectionMemo:
     @pytest.mark.parametrize("kind", ["mic", "can", "point", "pseudo"])
     def test_entry_within_its_byte_bound(self, kind):
         # What an entry keeps, traced: at most 8(n+k) bytes of group terms,
-        # its null (8(n+1) for mic's count law and pseudo's log W0 at every
-        # count, 16 grid_size for a projection's atoms) and about 2 KB of
-        # objects, as the comment of _DESIGN_BYTES states. A projection does
-        # not keep the count law it was solved from, which would add 8(n+1),
-        # 16 KB here, and pseudo does not keep its density, 20,001 points.
+        # its null, log W0 at every count, 8(n+1), a projection's atoms, 16
+        # grid_size, and about 2 KB of objects, as the comment of
+        # _DESIGN_BYTES states. A projection does not keep the count law it
+        # was solved from, which would add another 8(n+1), 16 KB here, and
+        # pseudo does not keep its density, 20,001 points.
         sizes, grid_size = (400, 600, 800, 200), 301
         n, k = sum(sizes), len(sizes)
         priors = [PriorSpec.from_beta(2, 2)] * k
         build, null = {
             "mic": (lambda: Statistic.mic(sizes, priors), 8 * (n + 1)),
-            "can": (lambda: Statistic.can(sizes, priors, grid_size, tol=1e-8), 16 * grid_size),
+            "can": (lambda: Statistic.can(sizes, priors, grid_size, tol=1e-8),
+                    8 * (n + 1) + 16 * grid_size),
             "point": (lambda: Statistic.point(sizes, (0.3, 0.4, 0.5, 0.6), grid_size, tol=1e-8),
-                      16 * grid_size),
+                      8 * (n + 1) + 16 * grid_size),
             "pseudo": (lambda: Statistic.pseudo(sizes, priors, scale=100), 8 * (n + 1)),
         }[kind]
         tracemalloc.start()

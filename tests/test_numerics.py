@@ -31,6 +31,7 @@ from oracles import (
     delta_pmf,
     kl_divergence,
     log_binomial,
+    log_binomial_mixture_exact,
     moments,
     point_alt_count_pmf,
     total_variation,
@@ -339,23 +340,6 @@ def cellwise_binomial_mixture(p, log_w, n, counts):
         return m[:, 0] + np.log(np.exp(ll - m).sum(axis=1)) + log_binomial_row(n)[counts]
 
 
-def windowed_binomial_mixture(p, log_w, n, counts):
-    """log_binomial_mixture with each row shifted and summed over its own
-    window of the live atoms (the points of finite weight), one row at a
-    time: the reference its blocks must equal bit for bit."""
-    atoms = log_w > NEG_INF
-    p, log_w = p[atoms], log_w[atoms]
-    lo, hi = _mixture_windows(p, log_w, n, np.asarray(counts))
-    out = []
-    for row, a, b in zip(cellwise_log_terms(p, log_w, n, counts), lo, hi):
-        row = row[a:b]
-        m = row.max()
-        m = 0.0 if m == NEG_INF else m
-        with np.errstate(divide="ignore"):
-            out.append(m + np.log(np.exp(row - m).sum()))
-    return np.array(out) + log_binomial_row(n)[counts]
-
-
 @functools.cache
 def mixture_input(name):
     """(p, log_w, n) of one test input of log_binomial_mixture, cut to its
@@ -407,6 +391,42 @@ MIXTURE_INPUTS = (
 )
 
 
+# Largest error in log the kernel may make against the exact sum. Over every
+# count of MIXTURE_INPUTS the blocked kernel is within 2.3e-13, and the
+# cellwise xlogy form summed over each count's window within 3.4e-13, both
+# at ripr/150,...: the rounding of exponents of about n log 2 in magnitude.
+MIXTURE_TOL = 4e-13
+
+
+def oracle_counts(n):
+    """Both ends, their neighbours and counts spread between, some of them
+    at the ends of the kernel's blocks."""
+    spread = np.r_[np.linspace(0, n, 9).astype(int), np.random.default_rng(n).integers(0, n + 1, 6)]
+    c = np.unique(np.r_[0, 1, n - 1, n, spread, spread + 1])
+    return c[(0 <= c) & (c <= n)]
+
+
+class NumpySpy:
+    """numpy, recording the kind and shape of every exp and log taken."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        fn = getattr(np, name)
+        if name not in ("exp", "log"):
+            return fn
+
+        def spy(x, *args, **kwargs):
+            self.calls.append((name, np.shape(x)))
+            return fn(x, *args, **kwargs)
+
+        return spy
+
+    def cells(self, *names):
+        return [math.prod(shape) for name, shape in self.calls if name in names]
+
+
 class TestLogBinomialMixture:
     # Grids of 5 points: every window is the whole grid.
     @pytest.mark.parametrize("n, grid", [(1, 5), (7, 5)])
@@ -418,14 +438,14 @@ class TestLogBinomialMixture:
         log_w[-2] = NEG_INF
         counts = np.r_[np.arange(n + 1), [n, 0, n // 2]]
         got = log_binomial_mixture(p, log_w, n, counts)
-        assert np.array_equal(got, cellwise_binomial_mixture(p, log_w, n, counts))
+        exact = log_binomial_mixture_exact(p, log_w, n, counts)
+        assert np.abs(got - exact).max() <= MIXTURE_TOL
+        assert np.abs(got - cellwise_binomial_mixture(p, log_w, n, counts)).max() <= MIXTURE_TOL
 
     def test_matches_cellwise_xlogy_over_its_windows(self):
         # At n = 120 the windows leave out part of the 19999 live atoms of
-        # the 20001-point grid. Each row equals the cellwise terms summed
-        # over its own window of the atoms bit for bit, and the whole row
-        # within the left-out mass, e^-37 relative, and a few ulps of the
-        # sum's round-off in another order.
+        # the 20001-point grid; each count is still within MIXTURE_TOL of
+        # the exact sum over every atom, and of the cellwise form's.
         n = 120
         rng = np.random.default_rng(n)
         p = np.linspace(0.0, 1.0, 20_001)
@@ -437,12 +457,18 @@ class TestLogBinomialMixture:
         lo, hi = _mixture_windows(p[atoms], log_w[atoms], n, counts)
         assert ((hi - lo) < atoms.sum()).sum() > n // 2
         got = log_binomial_mixture(p, log_w, n, counts)
-        assert np.array_equal(got, windowed_binomial_mixture(p, log_w, n, counts))
         whole = cellwise_binomial_mixture(p, log_w, n, counts)
-        # log C(n, c) and the row's shifted log sum cancel in part: the ulps
-        # are those of the larger.
-        scale = np.maximum(np.abs(whole), log_binomial_row(n)[counts])
-        assert (np.abs(got - whole) <= 4 * np.spacing(scale)).all()
+        assert np.abs(got - whole).max() <= MIXTURE_TOL
+        some = oracle_counts(n)
+        exact = log_binomial_mixture_exact(p, log_w, n, some)
+        assert np.abs(got[some] - exact).max() <= MIXTURE_TOL
+
+    @pytest.mark.parametrize("name", MIXTURE_INPUTS)
+    def test_within_the_exact_sum(self, name):
+        p, log_w, n = mixture_input(name)
+        counts = oracle_counts(n)
+        got = log_binomial_mixture(p, log_w, n, counts)
+        assert np.abs(got - log_binomial_mixture_exact(p, log_w, n, counts)).max() <= MIXTURE_TOL
 
     @pytest.mark.parametrize("name", MIXTURE_INPUTS)
     def test_left_out_mass_within_bound(self, name):
@@ -475,52 +501,37 @@ class TestLogBinomialMixture:
 
     def test_reads_a_third_of_the_cells(self, monkeypatch):
         # At n = 1024 on the 20001-point grid the windows keep 28% of the
-        # cells, and the blocks' unions of windows add about 4 points more.
+        # cells, but a count takes no exponential of its own: its block's
+        # shared table row and one product. The table and the blocks' scaled
+        # weights are 4% of the (n + 1) G cells.
         p, log_w, n = mixture_input("pseudo/uniform/512,512")
-        built = []
-        cells = numerics._binomial_log_cells
-
-        def spy(out, *args):
-            built.append(out.size)
-            cells(out, *args)
-
-        monkeypatch.setattr(numerics, "_binomial_log_cells", spy)
+        spy = NumpySpy()
+        monkeypatch.setattr(numerics, "np", spy)
         got = log_binomial_mixture(p, log_w, n, np.arange(n + 1))
-        assert sum(built) <= 0.35 * (n + 1) * p.size
+        assert sum(spy.cells("exp")) <= 0.05 * (n + 1) * p.size
         assert np.isfinite(got).all()
         assert np.exp(got).sum() == pytest.approx(1.0, abs=1e-8)
 
     def test_builds_cells_at_atoms_only(self, monkeypatch):
         # A sparse point projection (19 atoms), scattered onto the whole
-        # 2001-point grid with -inf weights between its atoms: no cell is
-        # built, and no log taken, at a zero-weight point, so a one-count
-        # read costs the atoms, not the grid.
+        # 2001-point grid with -inf weights between its atoms: no exp or
+        # log is taken at a zero-weight point, so a one-count read costs the
+        # atoms, not the grid, and the values are those of the atoms alone.
         atoms, log_w_atoms, n = mixture_input("ripr/45,60,70,80")
         assert atoms.size == 19
         p = np.linspace(0.0, 1.0, 2001)
         log_w = np.full(p.size, NEG_INF)
         log_w[np.searchsorted(p, atoms)] = log_w_atoms
         assert np.array_equal(p[log_w > NEG_INF], atoms)
-        grids, logged = [], []
-        cells, log = numerics._binomial_log_cells, numerics.xlogy
-
-        def cells_spy(out, counts, n, log_p, *args):
-            grids.append(log_p.copy())
-            cells(out, counts, n, log_p, *args)
-
-        def log_spy(x, y):
-            logged.append(np.size(y))
-            return log(x, y)
-
-        monkeypatch.setattr(numerics, "_binomial_log_cells", cells_spy)
-        monkeypatch.setattr(numerics, "xlogy", log_spy)
         for counts in (n // 2, np.arange(n + 1)):
-            grids.clear()
-            logged.clear()
+            spy = NumpySpy()
+            monkeypatch.setattr(numerics, "np", spy)
             got = log_binomial_mixture(p, log_w, n, counts)
-            # Logs are taken over the atoms or over the counts, never the grid.
-            assert max(logged) <= max(atoms.size, np.size(counts))
-            assert grids and all(np.isin(g, log(1.0, atoms)).all() for g in grids)
+            monkeypatch.undo()
+            # A log is taken over the atoms, or over a block's rows, at most
+            # n + 1 (256) of them; an exp over at most the atoms a row.
+            assert max(spy.cells("log")) <= max(atoms.size, n + 1) < p.size
+            assert all(shape[-1] <= atoms.size for name, shape in spy.calls if name == "exp")
             assert np.array_equal(got, log_binomial_mixture(atoms, log_w_atoms, n, counts))
 
     def test_point_mass_at_one(self):
@@ -533,3 +544,56 @@ class TestLogBinomialMixture:
         assert np.array_equal(got, cellwise_binomial_mixture(p, log_w, 6, counts))
         assert got[-1] == 0.0
         assert (got[:-1] == NEG_INF).all()
+
+    def test_no_trials(self):
+        # At n = 0 every atom, p = 0 and p = 1 among them, puts its whole
+        # weight at c = 0.
+        p = np.linspace(0.0, 1.0, 7)
+        log_w = np.random.default_rng(0).normal(size=p.size)
+        got = log_binomial_mixture(p, log_w, 0, [0, 0])
+        assert got == pytest.approx([logsumexp(log_w)] * 2, abs=1e-15)
+
+    @pytest.mark.parametrize("n", [0, 1, 9])
+    def test_edge_atoms_only(self, n):
+        # Only p = 0 and p = 1 carry weight: their weights sit at c = 0 and
+        # c = n, and every count between has no mass.
+        p = np.linspace(0.0, 1.0, 5)
+        log_w = np.array([-0.4, NEG_INF, NEG_INF, NEG_INF, -1.1])
+        got = log_binomial_mixture(p, log_w, n, np.arange(n + 1))
+        want = np.full(n + 1, NEG_INF)
+        want[0] = -0.4
+        want[n] = np.logaddexp(want[n], -1.1)
+        assert np.array_equal(got, want)
+
+    def test_atoms_at_the_float_limits(self, monkeypatch):
+        # logit(1e-300) = -690.8, past the table's 300 nats: the blocks are
+        # single counts, no table is built, nothing overflows and every count
+        # is within MIXTURE_TOL of the exact sum.
+        p = np.array([1e-300, 0.3, 0.5, 1 - 1e-16])
+        log_w = np.log([0.2, 0.3, 0.1, 0.4])
+        n = 60
+        spy = NumpySpy()
+        monkeypatch.setattr(numerics, "np", spy)
+        got = log_binomial_mixture(p, log_w, n, np.arange(n + 1))
+        monkeypatch.undo()
+        assert all(len(shape) < 2 for name, shape in spy.calls if name == "exp")
+        exact = log_binomial_mixture_exact(p, log_w, n, np.arange(n + 1))
+        assert np.isfinite(got).all()
+        assert np.abs(got - exact).max() <= MIXTURE_TOL
+
+    def test_a_two_million_point_grid(self, monkeypatch):
+        # 2,000,001 atoms, past _BLOCK_CELLS: the blocks are single counts,
+        # and the shared table, which would be a row of 1 over every atom,
+        # is not built, so no 2-D array past _BLOCK_CELLS cells is. The
+        # counts at the ends keep the exact sum's windows short.
+        p = np.linspace(0.0, 1.0, 2_000_001)
+        log_w = trapezoid_log_weights(p)
+        n, counts = 20_000, [0, 1, 2, 20_000]
+        spy = NumpySpy()
+        monkeypatch.setattr(numerics, "np", spy)
+        got = log_binomial_mixture(p, log_w, n, counts)
+        monkeypatch.undo()
+        table = [math.prod(shape) for _, shape in spy.calls if len(shape) == 2]
+        assert max(table, default=0) <= numerics._BLOCK_CELLS
+        exact = log_binomial_mixture_exact(p, log_w, n, counts)
+        assert np.abs(got - exact).max() <= MIXTURE_TOL
