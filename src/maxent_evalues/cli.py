@@ -31,13 +31,15 @@ from .evariables import (
     RIPR_TOL,
     Statistic,
     decide,
+    pseudo_null,
     # Nothing here solves a projection; the name stays bound because
     # perfbench's tracer test checks that every module's ripr_solve reaches
     # one wrapper.
     ripr_solve,  # noqa: F401
 )
 from .models import Table
-from .priors import DEFAULT_DENSITY_GRID, DEFAULT_SCALE, PriorSpec, parse_prior
+from .numerics import log_binomial_row
+from .priors import DEFAULT_DENSITY_GRID, DEFAULT_SCALE, PriorSpec, canonical_priors, parse_prior
 from .table_io import NETWORK_MODES, network_to_table, parse_network, parse_table
 
 
@@ -74,21 +76,6 @@ def _evalue_fields(log_e: float, alpha: float) -> dict:
         "post_hoc_level": POST_HOC_LEVEL,
         "post_hoc_decision": "reject" if log_e >= 1.0 else "continue",
     }
-
-
-def _report_payload(statistic: Statistic, ones, alpha: float, inputs: dict) -> dict:
-    """The report of test and net-test: the statistic at one table."""
-    payload = {
-        "statistic_kind": statistic.kind,
-        "is_evariable": statistic.is_evariable,
-        "c1": list(ones),
-        "c0": sum(ones),
-        **_evalue_fields(statistic.log_e(ones), alpha),
-        "inputs": inputs,
-    }
-    if statistic.achieved_kl is not None:
-        payload["achieved_kl"] = statistic.achieved_kl
-    return payload
 
 
 # The flags of test and net-test that only some statistics read, with the
@@ -146,7 +133,9 @@ def _run_test(table: Table, args) -> dict:
             table.sizes, priors, args.ripr_grid, args.ripr_tol, args.ripr_max_iter
         )
     elif args.statistic == "pseudo":
-        statistic = Statistic.pseudo(table.sizes, priors, args.scale, args.density_grid)
+        # The density first, so that its checks run before anything else.
+        log_w_ps = pseudo_null(table.sizes, priors, args.scale, args.density_grid)
+        statistic = Statistic.mic(table.sizes, canonical_priors(priors))
     else:
         if args.palt is None:
             raise ValueError("--statistic point requires --palt")
@@ -161,7 +150,26 @@ def _run_test(table: Table, args) -> dict:
         statistic = Statistic.point(
             table.sizes, palt, args.ripr_grid, args.ripr_tol, args.ripr_max_iter
         )
-    return _report_payload(statistic, table.ones, args.alpha, inputs)
+    c0 = sum(table.ones)
+    pseudo = args.statistic == "pseudo"
+    if pseudo:
+        # Not an e-variable: mic's group terms, with W_ps in place of W0 at c0;
+        # not mic's log_e, which is +inf where its W0 underflows (ROADMAP finding 3).
+        log_e = sum(float(a[o]) for a, o in zip(statistic.group_terms, table.ones))
+        log_e += float(log_binomial_row(sum(table.sizes))[c0] - log_w_ps[c0])
+    else:
+        log_e = statistic.log_e(table.ones)
+    payload = {
+        "statistic_kind": "pseudo" if pseudo else statistic.kind,
+        "is_evariable": not pseudo,
+        "c1": list(table.ones),
+        "c0": c0,
+        **_evalue_fields(log_e, args.alpha),
+        "inputs": inputs,
+    }
+    if statistic.achieved_kl is not None:
+        payload["achieved_kl"] = statistic.achieved_kl
+    return payload
 
 
 def _numbers(text: str, flag: str, kind=float) -> list:

@@ -4,6 +4,10 @@ Every expectation here is an exact sum over sufficient-statistic supports.
 Statistics on 2xk tables decompose as a sum of per-group terms plus a term
 in the total count, so expectations under product alternatives reduce to
 one-dimensional sums against per-group binomials and their convolution.
+
+The pseudo null W_ps is a count law, not a statistic: on mic's group terms
+its e-power is mic's plus the gap r under the Bayes marginal, and mic's plus
+r'(p) under a point alternative p. e_power is only given e-variables.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from .evariables import (
     Statistic,
     _alt_params,
     e_power,
+    pseudo_null,
     # Nothing here solves a projection; the name stays bound because
     # perfbench's tracer test checks that every module's ripr_solve reaches
     # one wrapper.
@@ -81,18 +86,16 @@ def e_powers(
 ) -> tuple[dict, float]:
     """Exact e-powers of the mic, can and pseudo statistics under the Bayes
     marginal of specs, which should satisfy mic <= can <= pseudo, and the
-    achieved KL of the canonical statistic's projection. scale and
-    density_grid are the pseudo null density's settings.
+    achieved KL of the canonical statistic's projection; pseudo's is mic's
+    plus r. scale and density_grid are the pseudo null density's settings.
     """
     group_pmfs = [induced_group_pmf(s, n) for s, n in zip(specs, sizes)]
-    statistics = {
-        # First, so that its density's checks run before the projection.
-        "pseudo": Statistic.pseudo(sizes, specs, scale, density_grid),
-        "mic": Statistic.mic(sizes, specs),
-        "can": Statistic.can(sizes, specs, grid_size, tol, max_iter),
-    }
-    powers = {name: e_power(s, group_pmfs) for name, s in statistics.items()}
-    return powers, statistics["can"].achieved_kl
+    # First, so that the density's checks run before the projection.
+    r = gap_r(specs, sizes, scale, density_grid)
+    mic = e_power(Statistic.mic(sizes, specs), group_pmfs)
+    can = Statistic.can(sizes, specs, grid_size, tol, max_iter)
+    powers = {"pseudo": mic + r, "mic": mic, "can": e_power(can, group_pmfs)}
+    return powers, can.achieved_kl
 
 
 def _count_term_gap(specs, sizes, scale, density_grid) -> tuple[np.ndarray, np.ndarray]:
@@ -102,10 +105,10 @@ def _count_term_gap(specs, sizes, scale, density_grid) -> tuple[np.ndarray, np.n
     that of the null masses, taken directly.
     """
     sizes = list(sizes)
-    c = np.arange(sum(sizes) + 1)
-    pseudo = Statistic.pseudo(sizes, specs, scale, density_grid)
+    # First, so that the density's checks run before anything else.
+    log_w_ps = pseudo_null(sizes, specs, scale, density_grid)
     log_w0 = Statistic.mic(sizes, specs).null
-    gap = log_w0 - pseudo.log_null_mass(c)
+    gap = log_w0 - log_w_ps
     gap[log_w0 == NEG_INF] = 0.0
     return log_w0, gap
 
@@ -284,24 +287,25 @@ def regret(
 ) -> float:
     """Expected log-growth loss of a candidate statistic against the point GRO.
 
-    candidate is one of "gro_mic", "gro_can", "pseudo"; the pseudo candidate's
-    density is built at the default scale and grid. Both e-powers are exact
-    under the point alternative.
+    candidate is one of "gro_mic", "gro_can", "pseudo". The pseudo
+    candidate's e-power is mic's plus r'(p), its density built at the
+    default scale and grid. Both e-powers are exact under the point
+    alternative.
     """
     specs = list(specs)
     sizes = list(sizes)
     pvec = _alt_params(sizes, p_alt)
     if candidate not in ("gro_mic", "gro_can", "pseudo"):
         raise ValueError(f"unknown candidate kind {candidate!r}")
-    if candidate == "gro_mic":
-        cand = Statistic.mic(sizes, specs)
-    elif candidate == "pseudo":
-        cand = Statistic.pseudo(sizes, specs)
-    else:
+    # r' first, so that the density's checks run before the projection.
+    r_prime = gap_r_prime(pvec, specs, sizes) if candidate == "pseudo" else 0.0
+    if candidate == "gro_can":
         cand = Statistic.can(sizes, specs, grid_size, tol, max_iter)
+    else:
+        cand = Statistic.mic(sizes, specs)
     point = Statistic.point(sizes, pvec, grid_size, tol, max_iter)
     binomials = [binomial_pmf(m, p) for m, p in zip(sizes, pvec)]
-    return e_power(point, binomials) - e_power(cand, binomials)
+    return e_power(point, binomials) - e_power(cand, binomials) - r_prime
 
 
 def fit_log_slope(points) -> tuple[float, float, float]:

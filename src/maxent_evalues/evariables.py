@@ -13,10 +13,11 @@ where W0 is the null's mass at the total count. The statistics are
 - the canonical GRO e-variable: the same a_i, with W0 the projection of the
   Bayes marginal onto binomial mixtures (reverse information projection);
 - its point-alternative variant: a_i is the group's Bernoulli
-  log-likelihood at a fixed alternative;
-- the pseudo statistic: the microcanonical a_i, with W0 the high-resolution
-  limit density of the optimal null prior. It is a close upper proxy but not
-  an e-variable.
+  log-likelihood at a fixed alternative.
+
+The pseudo null, the high-resolution limit density of the optimal null prior
+mixed over binomials, is not a statistic but one count law, log W_ps at
+every count (pseudo_null): the diagnostics compare it with mic's W0.
 
 The e-value of one table evaluates h at one count; an expectation under a
 product law evaluates it at every count.
@@ -72,19 +73,18 @@ _MAX_RIPR_CELLS = 50_000_000
 _WEIGHT_FLOOR = 1e-300
 
 # Bytes the design memo (_design) may hold. An entry counts as its arrays
-# and 2 KB for its objects. The arrays are the group terms, 8(n+k) bytes for
-# k groups of n trials in all, the null, log W0 at every count, 8(n+1), and
-# for can and point the projection's atoms and log weights, at most
-# 16·grid_size. That is 18 KB for mic or pseudo at n = 1,024, and
-# 174 KB for can on the benchmark's network design (n = 8,778 dyads in 15
-# groups); all 140 designs of the benchmark's three pools hold 1.8 MB, so
-# none is dropped. The least recently used entries go first; an entry
+# and 2 KB for its objects. A statistic's arrays are the group terms, 8(n+k)
+# bytes for k groups of n trials in all, the null, log W0 at every count,
+# 8(n+1), and for can and point the projection's atoms and log weights, at
+# most 16·grid_size; a pseudo null's is that null alone, 8(n+1). That is
+# 18 KB for mic and 10 KB for a pseudo null at n = 1,024, and 174 KB for
+# can on the benchmark's network design (n = 8,778 dyads in 15 groups); all
+# 140 designs of the benchmark's three pools hold under 1.8 MB, so none is
+# dropped. The least recently used entries go first; an entry
 # larger than the whole budget is not kept.
 _DESIGN_BYTES = 64 * 2**20
 
 POST_HOC_LEVEL = float(np.exp(-1.0))
-
-_EVARIABLE_KINDS = {"gro_mic": True, "gro_can": True, "gro_point": True, "pseudo": False}
 
 
 @dataclass(frozen=True)
@@ -164,12 +164,8 @@ class Statistic:
     projection: RiprSolution | None = None
 
     def __post_init__(self):
-        if self.kind not in _EVARIABLE_KINDS:
+        if self.kind not in ("gro_mic", "gro_can", "gro_point"):
             raise ValueError(f"unknown statistic kind {self.kind!r}")
-
-    @property
-    def is_evariable(self) -> bool:
-        return _EVARIABLE_KINDS[self.kind]
 
     @property
     def sizes(self) -> tuple[int, ...]:
@@ -178,18 +174,6 @@ class Statistic:
     @property
     def achieved_kl(self) -> float | None:
         return None if self.projection is None else self.projection.achieved_kl
-
-    def log_null_mass(self, counts) -> np.ndarray:
-        """log W0 at the total counts asked for only; a pseudo count where the
-        quadrature underflowed is refused."""
-        c = np.atleast_1d(counts)
-        out = self.null[c]
-        if self.kind == "pseudo" and (out == NEG_INF).any():
-            raise ValueError(
-                f"quadrature underflow at total count {c[out == NEG_INF][0]}; "
-                "raise density_grid (--density-grid)"
-            )
-        return out
 
     def count_term(self, counts) -> np.ndarray:
         c = np.atleast_1d(np.asarray(counts))
@@ -204,7 +188,7 @@ class Statistic:
         outside = c[(c < 0) | (c > n)]
         if outside.size:
             raise ValueError(f"total count {outside[0]} out of range 0..{n}")
-        return log_binomial_row(n)[c] - self.log_null_mass(c)
+        return log_binomial_row(n)[c] - self.null[c]
 
     def log_e(self, ones) -> float:
         """log S at one table, given its per-group one-counts."""
@@ -220,20 +204,6 @@ class Statistic:
     def mic(sizes, priors) -> "Statistic":
         """Exact microcanonical GRO e-variable: W0 is the optimal null prior."""
         return _design("gro_mic", sizes, priors, None)
-
-    @staticmethod
-    def pseudo(
-        sizes, priors, scale=DEFAULT_SCALE, density_grid=DEFAULT_DENSITY_GRID
-    ) -> "Statistic":
-        """The microcanonical form with the pseudo null prior of these sizes
-        and priors, built at scale and resampled onto density_grid points
-        (None: not resampled); not an e-variable. Reading a count where the
-        quadrature underflows is refused. beta(1,1) is taken as the uniform
-        prior, in the density and the group terms alike, so both spellings
-        share one design."""
-        grid = None if density_grid is None else operator.index(density_grid)
-        settings = (operator.index(scale), grid)
-        return _design("pseudo", sizes, canonical_priors(priors), settings)
 
     @staticmethod
     def can(
@@ -267,12 +237,22 @@ class Statistic:
         return _design("gro_point", sizes, pvec.tolist(), settings)
 
 
-# The design memo: key -> (statistic, bytes), the least recently used first.
+def pseudo_null(sizes, priors, scale=DEFAULT_SCALE, density_grid=DEFAULT_DENSITY_GRID):
+    """log W_ps at every total count 0..n, read-only: the pseudo null density
+    of these sizes and priors, built at scale and resampled onto density_grid
+    points (None: not resampled), mixed over binomials by quadrature. A build
+    that underflows at any count is refused. beta(1,1) is keyed as uniform."""
+    grid = None if density_grid is None else operator.index(density_grid)
+    settings = (operator.index(scale), grid)
+    return _design("pseudo", sizes, canonical_priors(priors), settings)
+
+
+# The design memo: key -> (statistic or pseudo null, bytes), least recent first.
 _designs: OrderedDict = OrderedDict()
 
 
-def _design(kind: str, sizes, params, settings: tuple | None) -> Statistic:
-    """The statistic of one design, built once.
+def _design(kind: str, sizes, params, settings: tuple | None):
+    """The statistic, or for pseudo the count law, of one design, built once.
 
     The key is the kind, the sizes in order, params (the priors, or the
     alternative's parameters for gro_point) and the kind's settings: None
@@ -280,11 +260,12 @@ def _design(kind: str, sizes, params, settings: tuple | None) -> Statistic:
     density_grid) for pseudo. The sizes and the integer settings are taken
     by operator.index, so that a float is refused on a hit as on a miss. A
     hit builds nothing; permuted sizes are another design. The memo holds
-    at most _DESIGN_BYTES, counting an entry as its group terms, its null
-    and its projection's two arrays, plus 2 KB: a miss drops the least
-    recently used entries, and an entry larger than that is returned but
-    not kept. A build that raises is not kept either; an unconverged
-    projection is kept and refused on every read.
+    at most _DESIGN_BYTES, counting an entry as its arrays (a statistic's
+    group terms, null and projection's two arrays; a pseudo null itself),
+    plus 2 KB: a miss drops the least recently used entries, and an entry
+    larger than that is returned but not kept. A build that raises is not
+    kept either; an unconverged projection is kept and refused on every
+    read.
     """
     key = (kind, tuple(operator.index(n) for n in sizes), tuple(params), settings)
     if key in _designs:
@@ -292,8 +273,8 @@ def _design(kind: str, sizes, params, settings: tuple | None) -> Statistic:
         built = _designs[key][0]
     else:
         built = _build(*key)
-        held = [*built.group_terms, built.null]
-        if built.projection is not None:
+        held = [built] if kind == "pseudo" else [*built.group_terms, built.null]
+        if kind in ("gro_can", "gro_point"):
             held += [built.projection.grid, built.projection.log_weights]
         size = 2048 + sum(a.nbytes for a in held)
         if size <= _DESIGN_BYTES:
@@ -301,7 +282,7 @@ def _design(kind: str, sizes, params, settings: tuple | None) -> Statistic:
             total = sum(b for _, b in _designs.values())
             while total > _DESIGN_BYTES:
                 total -= _designs.popitem(last=False)[1][1]
-    if built.projection is not None and not built.projection.converged:
+    if kind in ("gro_can", "gro_point") and not built.projection.converged:
         raise ValueError(
             f"the reverse information projection did not converge in "
             f"{built.projection.iterations} iterations; refine solver settings: raise "
@@ -310,28 +291,32 @@ def _design(kind: str, sizes, params, settings: tuple | None) -> Statistic:
     return built
 
 
-def _build(kind: str, sizes: tuple, params: tuple, settings: tuple | None) -> Statistic:
-    """One design's statistic.
+def _build(kind: str, sizes: tuple, params: tuple, settings: tuple | None):
+    """One design's statistic, or pseudo null.
 
     The group laws are induced by the priors in params (Binomial(n_i,
-    params[i]) for gro_point). W0 is their convolution (gro_mic), the
+    params[i]) for gro_point). W0 is their convolution (gro_mic) or the
     binomial mixture of its projection at settings = (grid_size, tol,
-    max_iter), or the pseudo quadrature of the density built at settings =
-    (scale, density_grid); a mixture is taken once at every count, and the
-    density and the convolution a projection was solved from are not kept.
-    The statistic is frozen and its arrays read-only, so every caller can
-    share it.
+    max_iter); the pseudo null is the quadrature of the density built at
+    settings = (scale, density_grid). A mixture is taken once at every
+    count, and the density and the convolution a projection was solved from
+    are not kept. The statistic is frozen and the arrays read-only, so every
+    caller can share them.
     induced_group_pmf, null_optimal_prior, ripr_solve, pseudo_null_density,
     log_w_pseudo0 and log_binomial_mixture stay plain functions, looked up
     at each build.
     """
     n = sum(sizes)
     if kind == "pseudo":
-        # The density first, so that its checks run before anything else.
         density = pseudo_null_density(params, sizes, *settings)
         null = log_w_pseudo0(density, n, np.arange(n + 1))
+        if (null == NEG_INF).any():
+            raise ValueError(
+                f"quadrature underflow at total count {np.argmax(null == NEG_INF)}; "
+                "raise density_grid (--density-grid)"
+            )
         null.setflags(write=False)
-        return Statistic(kind, _bayes_terms(_group_pmfs(sizes, params)), null)
+        return null
     if kind == "gro_point":
         group_pmfs = [binomial_pmf(m, p) for m, p in zip(sizes, params)]
     else:

@@ -25,11 +25,16 @@ from maxent_evalues.numerics import (
     log_beta_fn,
     log_binomial_row,
 )
+from maxent_evalues.evariables import log_w_pseudo0
 from maxent_evalues.priors import (
+    DEFAULT_DENSITY_GRID,
+    DEFAULT_SCALE,
     PriorSpec,
     _induced_log_weights,
+    canonical_priors,
     induced_group_pmf,
     null_optimal_prior,
+    pseudo_null_density,
 )
 
 
@@ -187,6 +192,31 @@ def point_alt_count_pmf(sizes, alt_params) -> Pmf:
     """Exact law of the total one-count under a point alternative: the
     groups' binomial laws convolved in group order."""
     return null_optimal_prior([binomial_pmf(n, p) for n, p in zip(sizes, alt_params)])
+
+
+def pseudo_e_power(specs, sizes, group_pmfs, scale=DEFAULT_SCALE,
+                   density_grid=DEFAULT_DENSITY_GRID) -> float:
+    """Expected log pseudo statistic under a product law on the group counts,
+    summed as one statistic: mic's group terms under the canonical priors,
+    with the pseudo null's mass W_ps in place of W0 at the total count.
+
+    Each group term is summed against its group's law, and log C(n, c) -
+    log W_ps(c) against the groups' convolution, in the order and arithmetic
+    that e_power sums a statistic, so the value has the bits the pseudo
+    e-power had when it was a statistic of its own.
+    """
+    specs = canonical_priors(specs)
+    n = sum(sizes)
+    density = pseudo_null_density(specs, sizes, scale, density_grid)
+    count_term = log_binomial_row(n) - log_w_pseudo0(density, n, np.arange(n + 1))
+    pairs = [(law, induced_group_pmf(s, m).log_weights - log_binomial_row(m))
+             for law, s, m in zip(group_pmfs, specs, sizes)]
+    pairs.append((null_optimal_prior(group_pmfs), count_term))
+    total = 0.0
+    for law, values in pairs:
+        mass = law.log_weights > NEG_INF
+        total += float(np.dot(np.exp(law.log_weights[mass]), values[mass]))
+    return total
 
 
 def redundancy(p_alt, specs, sizes) -> float:

@@ -29,7 +29,7 @@ from maxent_evalues.priors import (
     induced_group_pmf,
     null_optimal_prior,
 )
-from oracles import gaussian_approx_tv, uniform_convolution_closed_form
+from oracles import gaussian_approx_tv, pseudo_e_power, uniform_convolution_closed_form
 
 # Frozen regression values from this implementation's first run.
 GAP_SEQUENCES = {
@@ -173,7 +173,9 @@ def test_criterion_04_sandwich():
             gp = [induced_group_pmf(spec, m) for _ in range(2)]
             mic = e_power(Statistic.mic(sizes, priors), gp)
             can = e_power(Statistic.can(sizes, priors, grid_size=2001, tol=1e-10), gp)
-            pse = e_power(Statistic.pseudo(sizes, priors, 10_000, 20_001), gp)
+            # The pseudo e-power as one statistic; by finding 8 it is mic's
+            # plus r, so the upper half reads KL(W0 || W0_can) <= r.
+            pse = pseudo_e_power(priors, sizes, gp, 10_000, 20_001)
             assert can - mic >= -1e-8, (spec.describe(), m, mic, can)
             assert pse - can >= -1e-8, (spec.describe(), m, can, pse)
     _passed(4, "sandwich", started, 120.0)

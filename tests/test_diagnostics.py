@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from maxent_evalues.diagnostics import (
     cells_n_fixed,
     cells_power_law,
+    e_powers,
     fit_log_slope,
     gap_r,
     gap_r_prime,
@@ -28,8 +29,9 @@ from maxent_evalues.priors import (
     PriorSpec,
     induced_group_pmf,
     null_optimal_prior,
+    parse_prior,
 )
-from oracles import gaussian_approx_tv, kl_divergence, redundancy
+from oracles import gaussian_approx_tv, kl_divergence, pseudo_e_power, redundancy
 
 
 # The pseudo density's scale in these tests: a fifth of the default.
@@ -76,7 +78,7 @@ class TestGapR:
         r = gap_r(priors, sizes, SCALE)
         gp = [induced_group_pmf(s, n) for s, n in zip(priors, sizes)]
         mic = e_power(Statistic.mic(sizes, priors), gp)
-        pse = e_power(Statistic.pseudo(sizes, priors, SCALE), gp)
+        pse = pseudo_e_power(priors, sizes, gp, SCALE)
         assert r == pytest.approx(pse - mic, abs=1e-10)
 
     def test_decreases_with_m(self):
@@ -97,6 +99,61 @@ class TestGapR:
         assert payload["priors"] == ["uniform", "nml"]
         priors = [PriorSpec.uniform(), PriorSpec.nml()]
         assert payload["r"] == gap_r(priors, (4, 6), SCALE)
+
+
+# The nine cells of acceptance criterion 4.
+SANDWICH_CELLS = [((m, m), label) for label in ("beta:1,1", "beta:3,3", "nml")
+                  for m in (5, 10, 20)]
+
+
+class TestPseudoIsMicPlusTheGap:
+    """ROADMAP finding 8: the pseudo null goes with mic's group terms, so its
+    e-power is mic's plus r under the Bayes marginal and mic's plus r'(p)
+    under a point alternative p. The oracle sums the pseudo statistic as one
+    statistic, as the library did before it read pseudo this way."""
+
+    @pytest.mark.parametrize("sizes, label", SANDWICH_CELLS,
+                             ids=[f"{m}-{label}" for (m, _), label in SANDWICH_CELLS])
+    def test_gap_r_is_the_e_power_gain(self, sizes, label):
+        priors = [parse_prior(label)] * 2
+        gp = [induced_group_pmf(s, n) for s, n in zip(priors, sizes)]
+        oracle = pseudo_e_power(priors, sizes, gp)
+        got = e_power(Statistic.mic(sizes, priors), gp) + gap_r(priors, sizes)
+        assert abs(got - oracle) <= 1e-12 * abs(oracle)
+
+    def test_e_powers_reads_pseudo_as_mic_plus_r(self):
+        priors, sizes = [PriorSpec.nml()] * 2, (4, 6)
+        powers, _ = e_powers(priors, sizes, grid_size=101, tol=1e-8)
+        assert powers["pseudo"] == powers["mic"] + gap_r(priors, sizes)
+        gp = [induced_group_pmf(s, n) for s, n in zip(priors, sizes)]
+        oracle = pseudo_e_power(priors, sizes, gp)
+        assert abs(powers["pseudo"] - oracle) <= 1e-12 * abs(oracle)
+
+    def test_regret_reads_pseudo_as_mic_plus_r_prime(self):
+        p_alt, priors, sizes = (0.3, 0.6), [PriorSpec.from_beta(3, 3)] * 2, (6, 9)
+        value = regret(p_alt, priors, sizes, "pseudo", grid_size=101, tol=1e-8)
+        binomials = [binomial_pmf(n, p) for n, p in zip(sizes, p_alt)]
+        point = e_power(Statistic.point(sizes, p_alt, grid_size=101, tol=1e-8), binomials)
+        oracle = pseudo_e_power(priors, sizes, binomials)
+        assert abs(value - (point - oracle)) <= 1e-12 * max(abs(point), abs(oracle))
+
+    def test_e_power_sees_only_e_variables(self, monkeypatch):
+        kinds = []
+        real = diagnostics.e_power
+
+        def spy(statistic, group_pmfs):
+            kinds.append(statistic.kind)
+            return real(statistic, group_pmfs)
+
+        monkeypatch.setattr(diagnostics, "e_power", spy)
+        priors, sizes, ripr = [PriorSpec.nml()] * 2, (4, 6), {"grid_size": 101, "tol": 1e-8}
+        e_powers(priors, sizes, **ripr)
+        assert kinds == ["gro_mic", "gro_can"]
+        for candidate, kind in (("gro_mic", "gro_mic"), ("gro_can", "gro_can"),
+                                ("pseudo", "gro_mic")):
+            kinds.clear()
+            regret((0.3, 0.6), priors, sizes, candidate, **ripr)
+            assert kinds == ["gro_point", kind], candidate
 
 
 class TestGapRPrime:

@@ -436,7 +436,7 @@ class TestCli:
         (("test", "--statistic", "can", "--ripr-grid", "50"),
          "grid_size (--ripr-grid) must be at least 51, got 50"),
         (("test", "--statistic", "pseudo", "--density-grid", "2"),
-         "quadrature underflow at total count 4; raise density_grid (--density-grid)"),
+         "quadrature underflow at total count 1; raise density_grid (--density-grid)"),
     ])
     def test_grid_refusals_name_their_flag(self, tmp_path, capsys, argv, error):
         path = tmp_path / "t.json"
