@@ -159,6 +159,13 @@ def _run_test(table: Table, args) -> dict:
         log_e += float(log_binomial_row(sum(table.sizes))[c0] - log_w_ps[c0])
     else:
         log_e = statistic.log_e(table.ones)
+    if not np.isfinite(log_e):
+        # mic's log_e is +inf where its W0 underflows (ROADMAP finding 3).
+        # JSON has no infinity, and the report's other fields rest on log_e.
+        raise ValueError(
+            f"--statistic {args.statistic} gives log_e = {log_e} at total count {c0}; "
+            "a report needs a finite log_e"
+        )
     payload = {
         "statistic_kind": "pseudo" if pseudo else statistic.kind,
         "is_evariable": not pseudo,

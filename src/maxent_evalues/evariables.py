@@ -36,7 +36,6 @@ from scipy.special import xlogy
 from .numerics import (
     NEG_INF,
     Pmf,
-    _binomial_log_cells,
     binomial_pmf,
     convolve_all,
     log_binomial_mixture,
@@ -62,11 +61,17 @@ RIPR_MAX_ITER = 50_000
 
 # Most cells (grid points x kept counts) of the matrix ripr_solve builds. It
 # holds that one matrix, 8 bytes a cell, masked and pruned in place, and one
-# block of about 8 MB while it fills it (tracemalloc: 8.5 bytes a cell, 134
-# MiB, on the largest benchmark design, 8,265 kept counts at the default
-# grid; 10.1 at 2001 kept counts), so the limit is about 400 MB. That design
+# 256 KiB block while its band fills it (tracemalloc: 8.05 bytes a cell,
+# 127 MiB, on the largest benchmark design, 8,265 kept counts at the default
+# grid; 8.16 at 2001 kept counts), so the limit is about 400 MB. That design
 # (1.65e7 cells) fits three times over.
 _MAX_RIPR_CELLS = 50_000_000
+
+# The likelihood matrix's band (_likelihood_bands): exp returns exactly 0.0
+# below -745.14, and the 55 nats to -_BAND_NATS far exceed a cell's rounding.
+# Blocks of _BAND_CELLS cells take one 256 KiB scratch array.
+_BAND_NATS = 800.0
+_BAND_CELLS = 2**15
 
 # Mixture masses below this floor are clamped during the multiplicative
 # updates to keep likelihood ratios finite.
@@ -346,6 +351,58 @@ def log_w_pseudo0(density: PseudoDensity, n: int, n1) -> np.ndarray:
     return log_binomial_mixture(density.grid, base, n, c0)
 
 
+def _likelihood_bands(p, counts, n: int, log_c) -> tuple[np.ndarray, np.ndarray]:
+    """ripr_solve's likelihood matrix, grid x counts in C order, and each
+    grid point's largest log cell.
+
+    Cell [j, i] is exp(c log p_j + (n - c) log(1 - p_j) + log C(n, c)) at
+    c = counts[i] (increasing; log_c holds log C(n, c)), added in that order
+    with 0 log 0 = 0: the cellwise xlogy form, bit for bit. By Pinsker's
+    bound a cell's log is at most -2n (c/n - p_j)^2, so only the band
+    |c - n p_j| <= sqrt(_BAND_NATS n / 2) is computed; every other cell
+    stays 0.0, as exp gives it. Grid points go in blocks whose rectangle of
+    counts holds at most _BAND_CELLS cells (or one row). A maximum is exact
+    wherever it exceeds 1 - _BAND_NATS, so the 350-nat mask is the whole
+    matrix's whenever the largest cell exceeds 351 - _BAND_NATS; where it
+    does not, every count is taken.
+    """
+    out = np.zeros((p.size, counts.size))
+    maxima = np.full(p.size, NEG_INF)
+    log_p, log_q = xlogy(1.0, p), xlogy(1.0, 1.0 - p)
+    scratch = np.empty(min(max(_BAND_CELLS, counts.size), out.size))
+    for half in (math.sqrt(_BAND_NATS * n / 2), math.inf):
+        lo = np.searchsorted(counts, n * p - half, "left")
+        hi = np.searchsorted(counts, n * p + half, "right")
+        start = 0
+        while start < p.size:
+            # Bands move right with p, so a block's cells grow with its rows.
+            size = (hi[start:] - lo[start]) * np.arange(1, p.size - start + 1)
+            stop = start + max(1, int(np.searchsorted(size, _BAND_CELLS, "right")))
+            a, b = int(lo[start]), int(hi[stop - 1])
+            if a < b:
+                c = counts[a:b]
+                rows = out[start:stop, a:b]
+                logs = scratch[: rows.size].reshape(rows.shape)
+                # c log p in the scratch block, (n - c) log(1 - p) in the
+                # matrix's own cells. 0 * -inf is NaN at the grid ends; those
+                # cells are zeroed next.
+                with np.errstate(invalid="ignore"):
+                    np.multiply.outer(log_p[start:stop], c, out=logs)
+                    np.multiply.outer(log_q[start:stop], n - c, out=rows)
+                if c[0] == 0:
+                    logs[:, 0] = 0.0
+                if c[-1] == n:
+                    rows[:, -1] = 0.0
+                logs += rows
+                logs += log_c[a:b]
+                maxima[start:stop] = logs.max(axis=1)
+                np.exp(logs, out=rows)
+            start = stop
+        if maxima.max() > 351.0 - _BAND_NATS:
+            break
+    return out, maxima
+
+
 def _keep_rows(a: np.ndarray, mask) -> np.ndarray:
     """a[mask] for a C-contiguous 2-D a, built in a's own buffer: the kept
     rows move down in order, and the result is a view of a's leading rows.
@@ -407,15 +464,11 @@ def ripr_solve(
     # It is built transposed, grid x counts in C order, so that L is
     # column-major: BLAS sums L @ w in an order that depends on the layout,
     # and the iterates (and where the iteration stops) depend on those sums.
-    cells = np.empty((grid_size, c0.size))
-    _binomial_log_cells(cells.T, c0, n, xlogy(1.0, p), xlogy(1.0, 1.0 - p))
-    cells += log_binomial_row(n)[keep]
+    cells, col_max = _likelihood_bands(p, c0, n, log_binomial_row(n)[keep])
     # Components that are vanishingly unlikely against every kept row decay
     # to zero weight anyway; exclude them from the iteration.
-    col_max = cells.max(axis=1)
     active = col_max > col_max.max() - 350.0
-    cells = _keep_rows(cells, active)
-    L = np.exp(cells, out=cells).T
+    L = _keep_rows(cells, active).T
     log_t = np.log(t)
 
     def mixture(weights):

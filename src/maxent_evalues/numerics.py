@@ -24,8 +24,8 @@ DENSITY_NORM_TOL = 1e-8
 FFT_THRESHOLD = 4096
 FFT_CLAMP = 1e-15
 
-# Cells per block of the binomial log-pmf and log-likelihood builds, and of
-# the mixture kernel's shared table, which bounds their temporary arrays.
+# Cells per block of the binomial log-pmf build and of the mixture kernel's
+# shared table, which bounds their temporary arrays.
 _BLOCK_CELLS = 1_000_000
 
 
@@ -234,29 +234,6 @@ class GridDensity:
             raise ValueError("density integrates to zero")
         with np.errstate(divide="ignore"):
             return GridDensity(g, np.log(d / integral))
-
-
-def _binomial_log_cells(out, counts, n: int, log_p, log_q) -> None:
-    """Fill out[i, j] = c_i log p_j + (n - c_i) log(1 - p_j) in place.
-
-    out is any (counts x grid) float array, in either memory order. log_p and
-    log_q are the grid's log p and log(1 - p) as xlogy(1.0, .) takes them,
-    and 0 log 0 = 0 at c = 0 and c = n, so every cell equals the cellwise
-    xlogy form bit for bit. The (n - c) term is formed in blocks of about
-    _BLOCK_CELLS cells, in out's memory order so that adding it streams.
-    """
-    tail = np.empty_like(out[: max(1, _BLOCK_CELLS // max(log_p.size, 1))])
-    rows = tail.shape[0]
-    for start in range(0, counts.size, rows):
-        cc = counts[start : start + rows]
-        ll, tl = out[start : start + rows], tail[: cc.size]
-        # 0 * -inf is NaN at the grid ends; those rows are zeroed next.
-        with np.errstate(invalid="ignore"):
-            np.multiply.outer(cc.astype(float), log_p, out=ll)
-            np.multiply.outer((n - cc).astype(float), log_q, out=tl)
-        ll[cc == 0] = 0.0
-        tl[cc == n] = 0.0
-        ll += tl
 
 
 # A row of log_binomial_mixture leaves out terms that sum to less than

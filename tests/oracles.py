@@ -2,8 +2,10 @@
 
 Nothing in the library calls these. Each is an independent route to a value
 the library computes another way: closed forms, configuration counts, plain
-divergences, a continuous convolution, the whole-length inverse FFT and a
-binomial mixture summed in fixed-point arithmetic.
+divergences, a continuous convolution, the whole-length inverse FFT, a
+binomial mixture summed in fixed-point arithmetic and the projection's
+likelihood matrix built cellwise. The benchmark's designs, which several of
+them are checked on, are here too.
 """
 
 import itertools
@@ -36,6 +38,24 @@ from maxent_evalues.priors import (
     null_optimal_prior,
     pseudo_null_density,
 )
+
+
+# The benchmark's designs (perfbench/workloads.py). Each table design: its
+# group sizes, its prior and the point alternative its point ops pass.
+TABLE_DESIGNS = {
+    "t2-uniform": ((16, 40), "uniform", (0.569, 0.402)),
+    "t4-nml": ((55, 80, 70, 62), "nml", (0.8727, 0.8192, 0.8045, 0.6368)),
+    "t8-uniform": ((248, 163, 223, 192, 169, 250, 199, 177), "uniform",
+                   (0.3312, 0.3063, 0.3626, 0.3612, 0.4645, 0.3846, 0.4857, 0.1858)),
+    "t16-beta22": ((41, 56, 44, 58, 42, 39, 46, 59, 44, 60, 40, 47, 43, 60, 54, 58), "beta:2,2",
+                   (0.9407, 0.9206, 0.99, 0.8926, 0.8637, 0.8935, 0.7583, 0.8068,
+                    0.635, 0.6186, 0.866, 0.7676, 0.7471, 0.7705, 0.7699, 0.9425)),
+}
+# The network's 15 block pairs (n = 8778 dyads) under uniform priors, and the
+# point alternative its net-test ops pass.
+NETWORK_DYADS = (351, 729, 729, 702, 702, 351, 729, 702, 702, 351, 702, 702, 325, 676, 325)
+NETWORK_PALT = (0.1857, 0.2402, 0.2648, 0.2643, 0.2305, 0.2648, 0.2515, 0.2299,
+                0.2887, 0.2753, 0.2377, 0.2681, 0.2642, 0.2759, 0.2212)
 
 
 def uniform_pmf(n: int) -> Pmf:
@@ -186,6 +206,18 @@ def log_binomial_mixture_exact(p, log_w, n: int, counts) -> np.ndarray:
             log_coef = int(coef[c] * 2.0**120)
             out.append((top + log_coef + int(mpmath.log(total) * one)) / one)
     return np.array(out)
+
+
+def ripr_log_likelihoods(p, counts, n: int) -> np.ndarray:
+    """log C(n, c) + c log p + (n - c) log(1 - p), counts x grid, cellwise
+    with xlogy (0 log 0 = 0): the logs of ripr_solve's likelihood matrix as
+    it was built before its band, every cell computed."""
+    counts = np.asarray(counts)
+    return (
+        xlogy(counts[:, None], p[None, :])
+        + xlogy((n - counts)[:, None], 1.0 - p[None, :])
+        + log_binomial_row(n)[counts][:, None]
+    )
 
 
 def point_alt_count_pmf(sizes, alt_params) -> Pmf:

@@ -45,11 +45,15 @@ from maxent_evalues.priors import (
     pseudo_null_density,
 )
 from oracles import (
+    NETWORK_DYADS,
+    NETWORK_PALT,
+    TABLE_DESIGNS,
     log_binomial,
     log_equal_uniform_count,
     log_multiplicity,
     point_alt_count_pmf,
     pseudo_e_power,
+    ripr_log_likelihoods,
     uniform_pmf,
 )
 
@@ -345,20 +349,16 @@ class TestPseudo:
 def reference_ripr_solve(target, n, grid_size=RIPR_GRID_SIZE, tol=RIPR_TOL,
                          max_iter=RIPR_MAX_ITER):
     """ripr_solve written the plain way: the likelihood matrix cellwise with
-    xlogy, np.clip for the floors, np.linalg.norm for the step, and every
-    mixture formed afresh. ripr_solve must agree with it bit for bit. Also
-    returns the 350-nat mask of grid points kept."""
+    xlogy (ripr_log_likelihoods), np.clip for the floors, np.linalg.norm for
+    the step, and every mixture formed afresh. ripr_solve must agree with it
+    bit for bit. Also returns the 350-nat mask of grid points kept."""
     t = target.weights()
     keep = t > t.max() * 1e-60
     c0 = np.arange(n + 1)[keep]
     t = t[keep]
     t = t / t.sum()
     p = np.linspace(0.0, 1.0, grid_size)
-    logL = (
-        xlogy(c0[:, None], p[None, :])
-        + xlogy((n - c0)[:, None], 1.0 - p[None, :])
-        + log_binomial_row(n)[keep][:, None]
-    )
+    logL = ripr_log_likelihoods(p, c0, n)
     col_max = logL.max(axis=0)
     active = col_max > col_max.max() - 350.0
     L = np.exp(logL[:, active])
@@ -417,6 +417,75 @@ def reference_ripr_solve(target, n, grid_size=RIPR_GRID_SIZE, tol=RIPR_TOL,
     return full, kl, it, converged, active
 
 
+def _benchmark_targets():
+    """The can and point targets of the benchmark's table designs and network."""
+    designs = {name: (sizes, [parse_prior(prior)] * len(sizes), palt)
+               for name, (sizes, prior, palt) in TABLE_DESIGNS.items()}
+    designs["network"] = (NETWORK_DYADS, [PriorSpec.uniform()] * 15, NETWORK_PALT)
+    for name, (sizes, priors, palt) in designs.items():
+        yield pytest.param(sizes, priors, None, id=f"{name}-can")
+        yield pytest.param(sizes, None, palt, id=f"{name}-point")
+
+
+class TestLikelihoodBands:
+    """ripr_solve's banded likelihood matrix against the cellwise build."""
+
+    @staticmethod
+    def assert_matches_cellwise(p, counts, n):
+        cells, maxima = evariables._likelihood_bands(p, counts, n, log_binomial_row(n)[counts])
+        assert cells.shape == (p.size, counts.size)
+        assert cells.flags.c_contiguous
+        # A slice of the grid at a time, so that the reference's logs stay small.
+        full = np.empty(p.size)
+        for start in range(0, p.size, 256):
+            logs = ripr_log_likelihoods(p[start:start + 256], counts, n)
+            assert np.exp(logs).T.tobytes() == cells[start:start + 256].tobytes()
+            full[start:start + 256] = logs.max(axis=0)
+        # The 350-nat mask, and every maximum it can turn on, keep their bits.
+        assert np.array_equal(maxima > maxima.max() - 350.0, full > full.max() - 350.0)
+        above = full > 1.0 - evariables._BAND_NATS
+        assert np.array_equal(maxima[above], full[above])
+        return cells, full
+
+    # The default grid and --ripr-grid 51; both hold p = 0 and p = 1.
+    @pytest.mark.parametrize("grid_size", [RIPR_GRID_SIZE, 51])
+    @pytest.mark.parametrize("sizes, priors, palt", _benchmark_targets())
+    def test_benchmark_targets(self, sizes, priors, palt, grid_size):
+        if palt is None:
+            target = null_optimal_prior([induced_group_pmf(s, m) for s, m in zip(priors, sizes)])
+        else:
+            target = point_alt_count_pmf(sizes, palt)
+        t = target.weights()
+        counts = np.flatnonzero(t > t.max() * 1e-60)
+        self.assert_matches_cellwise(np.linspace(0.0, 1.0, grid_size), counts, sum(sizes))
+
+    @pytest.mark.parametrize("n, counts", [
+        (56, np.arange(0, 29)),
+        (56, np.arange(28, 57)),
+        (56, np.array([0, 1, 5, 20, 21, 22, 50, 56])),
+        # The grid points between the two runs have no count in their band.
+        (8778, np.r_[0:200, 8600:8779]),
+    ], ids=["from-0", "to-n", "scattered", "two-runs"])
+    def test_kept_sets(self, n, counts):
+        cells, _ = self.assert_matches_cellwise(np.linspace(0.0, 1.0, RIPR_GRID_SIZE), counts, n)
+        # p = 0 and p = 1 put all their mass on counts 0 and n.
+        assert cells[0, 0] == (counts[0] == 0)
+        assert cells[-1, -1] == (counts[-1] == n)
+
+    @pytest.mark.parametrize("block_cells", [1, evariables._BAND_CELLS])
+    def test_every_count_where_the_band_cannot_tell_the_mask(self, monkeypatch, block_cells):
+        # A grid far coarser than the binomial's spread: the largest cell,
+        # at p = 0.4, is -500 nats, and p = 0.6 is within 350 nats of it
+        # (-847) with no count in its band. So every count is taken. With
+        # blocks of one row, each block is its row's band alone.
+        monkeypatch.setattr(evariables, "_BAND_CELLS", block_cells)
+        n = 100_000
+        _, full = self.assert_matches_cellwise(np.linspace(0.0, 1.0, 6),
+                                               np.array([44_900, 53_600]), n)
+        assert full.max() < 351.0 - evariables._BAND_NATS
+        assert np.flatnonzero(full > full.max() - 350.0).tolist() == [2, 3]
+
+
 class TestRipr:
     @pytest.mark.parametrize("target, n, masked", [
         (null_optimal_prior([induced_group_pmf(PriorSpec.nml(), 4)] * 2), 8, False),
@@ -449,9 +518,9 @@ class TestRipr:
 
     def test_holds_one_likelihood_matrix(self):
         # The mask and the pruning compact the grid x counts matrix in its
-        # own buffer, so the solve peaks at 8 bytes a cell and the 8 MB block
-        # that fills the matrix (1.6 bytes a cell here); a masked copy would
-        # double the 8. 2509 counts are kept, on the default grid.
+        # own buffer, so the solve peaks at 8 bytes a cell and the 256 KiB
+        # block that fills the matrix; a masked copy would double the 8.
+        # 2509 counts are kept, on the default grid.
         target = null_optimal_prior([induced_group_pmf(PriorSpec.from_beta(50, 50), 1400)] * 2)
         t = target.weights()
         cells = RIPR_GRID_SIZE * int((t > t.max() * 1e-60).sum())
@@ -464,6 +533,23 @@ class TestRipr:
             tracemalloc.stop()
         assert sol.converged
         assert peak < 1.25 * 8 * cells
+
+    def test_network_solve_peaks_at_its_matrix(self):
+        # The band fill's scratch block is 256 KiB; the cellwise build held an
+        # 8 MB block beside the matrix, which this bound refuses.
+        target = null_optimal_prior([induced_group_pmf(PriorSpec.uniform(), m)
+                                     for m in NETWORK_DYADS])
+        t = target.weights()
+        cells = RIPR_GRID_SIZE * int((t > t.max() * 1e-60).sum())
+        assert cells == RIPR_GRID_SIZE * 8265
+        tracemalloc.start()
+        try:
+            sol = ripr_solve(target, sum(NETWORK_DYADS))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol.converged
+        assert peak <= 8 * cells + 2**20
 
     def test_target_inside_family(self):
         sol = ripr_solve(binomial_pmf(10, 0.3), 10, grid_size=501)

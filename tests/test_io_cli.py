@@ -409,6 +409,24 @@ class TestCli:
         assert out == ""
         assert "JSON" in json.loads(err)["error"]
 
+    def test_non_finite_log_e_names_its_statistic_and_count(self, tmp_path, capsys):
+        # 50 uniform groups of 100, one one each: mic's W0 underflows at the
+        # total count (ROADMAP finding 3), so its log_e is +inf. The pseudo
+        # report of the same table stays finite.
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"groups": [{"n": 100, "ones": 1}] * 50}))
+        code, out, err = run_cli("test", "--table", str(path), "--statistic", "mic",
+                                 capsys=capsys)
+        assert code == 1
+        assert out == ""
+        assert strict(err)["error"] == (
+            "--statistic mic gives log_e = inf at total count 50; a report needs a finite log_e"
+        )
+        code, out, _ = run_cli("test", "--table", str(path), "--statistic", "pseudo",
+                               "--scale", "100", capsys=capsys)
+        assert code == 0
+        assert strict(out)["log_e"] == -143.48778532063687
+
     @pytest.mark.parametrize("argv, iterations", [
         (("test", "--statistic", "can", "--ripr-max-iter", "3"), 3),
         (("epower", "--sizes", "3,3", "--prior", "beta:3,3", "--ripr-max-iter", "5"), 5),
@@ -498,7 +516,7 @@ class TestCli:
         def built(*args):
             raise AssertionError("projection matrix built")
 
-        monkeypatch.setattr(evariables, "_binomial_log_cells", built)
+        monkeypatch.setattr(evariables, "_likelihood_bands", built)
         path = tmp_path / "t.json"
         path.write_text('{"groups":[{"n":10,"ones":3},{"n":12,"ones":9}]}')
         code, out, err = run_cli(
@@ -516,7 +534,7 @@ class TestCli:
         # The largest benchmark design, 8,265 kept counts at the default grid,
         # fits three times over.
         assert evariables._MAX_RIPR_CELLS >= 3 * 8265 * evariables.RIPR_GRID_SIZE
-        monkeypatch.setattr(evariables, "_binomial_log_cells", built)
+        monkeypatch.setattr(evariables, "_likelihood_bands", built)
         path = tmp_path / "t.json"
         path.write_text('{"groups":[{"n":10,"ones":3},{"n":12,"ones":9}]}')
         argv = ["test", "--table", str(path), "--statistic", "can", "--ripr-grid"]
