@@ -195,9 +195,6 @@ def _parse_palt(text: str, k: int) -> tuple[float, ...]:
         vals = vals * k
     if len(vals) != k:
         raise ValueError(f"expected 1 or {k} alternative parameters")
-    # Written so that NaN, which fails every comparison, is refused.
-    if not all(0 <= v <= 1 for v in vals):
-        raise ValueError("mean parameters must lie in [0, 1]")
     return tuple(vals)
 
 

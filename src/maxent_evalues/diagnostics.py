@@ -26,6 +26,7 @@ from .evariables import (
     RIPR_TOL,
     Statistic,
     _alt_params,
+    _trials,
     e_power,
     pseudo_null,
     # Nothing here solves a projection; the name stays bound because
@@ -33,7 +34,7 @@ from .evariables import (
     # one wrapper.
     ripr_solve,  # noqa: F401
 )
-from .numerics import NEG_INF, binomial_log_pmfs, binomial_pmf
+from .numerics import _BLOCK_CELLS, NEG_INF, binomial_log_pmfs, binomial_pmf
 from .priors import (
     DEFAULT_DENSITY_GRID,
     DEFAULT_SCALE,
@@ -59,9 +60,6 @@ MAX_WORST_CASE_POINTS = 300_000_000
 # P x (N - n_k + 1) cells for N trials in all and n_k in the last group, is
 # held to the same limit.
 MAX_WORST_CASE_CELLS = 50_000_000
-# Cells of the largest array one block of the worst-case contraction builds,
-# so that its memory stays bounded for any number of groups.
-_BLOCK_CELLS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -89,9 +87,9 @@ def e_powers(
     achieved KL of the canonical statistic's projection; pseudo's is mic's
     plus r. scale and density_grid are the pseudo null density's settings.
     """
-    group_pmfs = [induced_group_pmf(s, n) for s, n in zip(specs, sizes)]
-    # First, so that the density's checks run before the projection.
+    # First, so that its checks run before anything else is built.
     r = gap_r(specs, sizes, scale, density_grid)
+    group_pmfs = [induced_group_pmf(s, n) for s, n in zip(specs, sizes)]
     mic = e_power(Statistic.mic(sizes, specs), group_pmfs)
     can = Statistic.can(sizes, specs, grid_size, tol, max_iter)
     powers = {"pseudo": mic + r, "mic": mic, "can": e_power(can, group_pmfs)}
@@ -369,6 +367,7 @@ def theorem1_diagnostic(spec: PriorSpec, m: int, bins: int) -> float:
         raise ValueError("bins must be positive")
     if bins > m + 1:
         raise ValueError("bins must not exceed m+1")
+    _trials([m])
     pmf = induced_group_pmf(spec, m)
     j = np.arange(m + 1)
     cell = np.minimum((j * bins) // m, bins - 1)

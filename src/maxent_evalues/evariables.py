@@ -89,6 +89,11 @@ _WEIGHT_FLOOR = 1e-300
 # larger than the whole budget is not kept.
 _DESIGN_BYTES = 64 * 2**20
 
+# Most trials, n in all, of a design that is built. Building mic holds 24
+# bytes a trial for one group and 48 to 56 for 2 to 15 (tracemalloc at n =
+# 2e6): under 560 MB here. The largest benchmark design has 8,778 trials.
+MAX_TRIALS = 10_000_000
+
 POST_HOC_LEVEL = float(np.exp(-1.0))
 
 
@@ -136,6 +141,16 @@ def _bayes_terms(group_pmfs) -> tuple[np.ndarray, ...]:
     return terms
 
 
+def _trials(sizes) -> int:
+    """sum(sizes), refused past MAX_TRIALS before anything is built."""
+    n = sum(sizes)
+    if n > MAX_TRIALS:
+        raise ValueError(
+            f"a design of {n} trials exceeds the limit of {MAX_TRIALS}; lower the group sizes"
+        )
+    return n
+
+
 def _alt_params(sizes, alt_params) -> np.ndarray:
     if not len(sizes):
         raise ValueError("no groups")
@@ -157,7 +172,7 @@ class Statistic:
     count_term(c0) = log C(n, c0) - log W0(c0) is an index read for every
     kind. For can and point, W0 is the binomial mixture of their projection,
     taken once at every count when the statistic is built; the projection
-    is kept for its achieved_kl and its convergence.
+    is kept for its achieved_kl.
 
     Every kind is fixed by its design alone, so each is built once per
     process and design (see _design).
@@ -184,15 +199,14 @@ class Statistic:
         c = np.atleast_1d(np.asarray(counts))
         if c.dtype.kind not in "iu":
             # Table's rule: integral floats pass; bools and fractions do not.
-            bad = c[~(np.isfinite(c) & (c == np.trunc(c)))] if c.dtype.kind == "f" else c.ravel()
-            if bad.size:
-                raise ValueError(f"total count must be an integer, got {bad.tolist()[0]!r}")
-            c = c.astype(np.int64)
+            c = np.array([_count(v, "total count") for v in c.ravel().tolist()],
+                         dtype=object).reshape(c.shape)
         n = sum(self.sizes)
         # Checked here, since numpy would read a negative count from the end.
         outside = c[(c < 0) | (c > n)]
         if outside.size:
             raise ValueError(f"total count {outside[0]} out of range 0..{n}")
+        c = c.astype(np.int64, copy=False)
         return log_binomial_row(n)[c] - self.null[c]
 
     def log_e(self, ones) -> float:
@@ -268,9 +282,8 @@ def _design(kind: str, sizes, params, settings: tuple | None):
     at most _DESIGN_BYTES, counting an entry as its arrays (a statistic's
     group terms, null and projection's two arrays; a pseudo null itself),
     plus 2 KB: a miss drops the least recently used entries, and an entry
-    larger than that is returned but not kept. A build that raises is not
-    kept either; an unconverged projection is kept and refused on every
-    read.
+    larger than that is returned but not kept. A build that raises (an
+    unconverged projection, say) is not kept either.
     """
     key = (kind, tuple(operator.index(n) for n in sizes), tuple(params), settings)
     if key in _designs:
@@ -287,12 +300,6 @@ def _design(kind: str, sizes, params, settings: tuple | None):
             total = sum(b for _, b in _designs.values())
             while total > _DESIGN_BYTES:
                 total -= _designs.popitem(last=False)[1][1]
-    if kind in ("gro_can", "gro_point") and not built.projection.converged:
-        raise ValueError(
-            f"the reverse information projection did not converge in "
-            f"{built.projection.iterations} iterations; refine solver settings: raise "
-            "max_iter (--ripr-max-iter) or tol (--ripr-tol)"
-        )
     return built
 
 
@@ -303,7 +310,8 @@ def _build(kind: str, sizes: tuple, params: tuple, settings: tuple | None):
     params[i]) for gro_point). W0 is their convolution (gro_mic) or the
     binomial mixture of its projection at settings = (grid_size, tol,
     max_iter); the pseudo null is the quadrature of the density built at
-    settings = (scale, density_grid). A mixture is taken once at every
+    settings = (scale, density_grid); an unconverged projection or an
+    underflowed quadrature is refused. A mixture is taken once at every
     count, and the density and the convolution a projection was solved from
     are not kept. The statistic is frozen and the arrays read-only, so every
     caller can share them.
@@ -311,7 +319,7 @@ def _build(kind: str, sizes: tuple, params: tuple, settings: tuple | None):
     log_w_pseudo0 and log_binomial_mixture stay plain functions, looked up
     at each build.
     """
-    n = sum(sizes)
+    n = _trials(sizes)
     if kind == "pseudo":
         density = pseudo_null_density(params, sizes, *settings)
         null = log_w_pseudo0(density, n, np.arange(n + 1))
@@ -331,7 +339,13 @@ def _build(kind: str, sizes: tuple, params: tuple, settings: tuple | None):
     if settings is None:
         return Statistic(kind, terms, target.log_weights)
     solved = ripr_solve(target, n, *settings)
-    null = log_binomial_mixture(solved.grid, solved.log_weights, n, np.arange(n + 1))
+    if not solved.converged:
+        raise ValueError(
+            f"the reverse information projection did not converge in "
+            f"{solved.iterations} iterations; refine solver settings: raise "
+            "max_iter (--ripr-max-iter) or tol (--ripr-tol)"
+        )
+    null = log_binomial_mixture(solved.grid, solved.log_weights, n)
     null.setflags(write=False)
     return Statistic(kind, terms, null, solved)
 
@@ -340,15 +354,15 @@ def log_w_pseudo0(density: PseudoDensity, n: int, n1) -> np.ndarray:
     """Log mass the pseudo null prior assigns to total counts, by quadrature.
 
     Mixes Binomial(n, p0) over the continuous density with trapezoid
-    weights, at the requested total one-counts; an array, one value a count,
-    -inf where the quadrature underflows.
+    weights, at every total one-count, and reads the requested ones; an
+    array, one value a count, -inf where the quadrature underflows.
     """
     density = density.density
     c0 = np.atleast_1d(np.asarray(n1, dtype=np.int64))
     if ((c0 < 0) | (c0 > n)).any():
         raise ValueError("total count out of range")
     base = density.log_density + trapezoid_log_weights(density.grid)
-    return log_binomial_mixture(density.grid, base, n, c0)
+    return log_binomial_mixture(density.grid, base, n)[c0]
 
 
 def _likelihood_bands(p, counts, n: int, log_c) -> tuple[np.ndarray, np.ndarray]:

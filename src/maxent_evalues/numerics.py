@@ -24,8 +24,9 @@ DENSITY_NORM_TOL = 1e-8
 FFT_THRESHOLD = 4096
 FFT_CLAMP = 1e-15
 
-# Cells per block of the binomial log-pmf build and of the mixture kernel's
-# shared table, which bounds their temporary arrays.
+# Cells per block of the binomial log-pmf build, of the mixture kernel's
+# shared table and of the worst-case contraction (diagnostics), which bounds
+# their temporary arrays for any number of groups.
 _BLOCK_CELLS = 1_000_000
 
 
@@ -48,21 +49,6 @@ def _row_log_sum_exp(lw: np.ndarray) -> np.ndarray:
         shifted = lw - m
         np.exp(shifted, out=shifted)
         return (m + np.log(shifted.sum(axis=1, keepdims=True)))[:, 0]
-
-
-def _check_log_pmfs(lw: np.ndarray) -> None:
-    """Refuse a 2-D array of log weights unless every row is a pmf: no NaN,
-    normalized within PMF_NORM_TOL, no entry above 1."""
-    if np.isnan(lw).any():
-        raise ValueError("NaN log weight")
-    # A +inf entry makes its row's total NaN, which passes here and is
-    # refused as an entry above 1.
-    total = _row_log_sum_exp(lw)
-    off = np.abs(total) > PMF_NORM_TOL
-    if off.any():
-        raise ValueError(f"pmf not normalized: log total {total[off][0]}")
-    if (lw > PMF_NORM_TOL).any():
-        raise ValueError("pmf entry exceeds 1")
 
 
 def log_binomial_row(n: int) -> np.ndarray:
@@ -93,7 +79,15 @@ class Pmf:
         lw.setflags(write=False)
         if lw.ndim != 1 or lw.size == 0:
             raise ValueError("pmf needs a nonempty 1-D log-weight array")
-        _check_log_pmfs(lw[None, :])
+        if np.isnan(lw).any():
+            raise ValueError("NaN log weight")
+        # A +inf entry makes the total NaN, which passes here and is refused
+        # as an entry above 1.
+        total = _row_log_sum_exp(lw[None, :])[0]
+        if abs(total) > PMF_NORM_TOL:
+            raise ValueError(f"pmf not normalized: log total {total}")
+        if (lw > PMF_NORM_TOL).any():
+            raise ValueError("pmf entry exceeds 1")
 
     @property
     def support_size(self) -> int:
@@ -122,8 +116,9 @@ def binomial_log_pmfs(n: int, ps) -> np.ndarray:
     boundary p handled with 0^0 = 1.
 
     Each row is Pmf.from_log_weights of that p's unnormalized log weights,
-    bit for bit, and passes Pmf's checks. The rows are built in blocks of
-    about _BLOCK_CELLS cells, so the result is the only full-size array.
+    bit for bit; normalized from a checked p, it needs no check of its own.
+    The rows are built in blocks of about _BLOCK_CELLS cells, so the result
+    is the only full-size array.
     """
     ps = np.asarray(ps, dtype=float)
     # Written so that NaN, which fails every comparison, is refused.
@@ -141,7 +136,6 @@ def binomial_log_pmfs(n: int, ps) -> np.ndarray:
         lw += row
         lw += xlogy(n - j, 1.0 - p)
         lw -= _row_log_sum_exp(lw)[:, None]
-        _check_log_pmfs(lw)
     return out
 
 
@@ -245,8 +239,8 @@ _WINDOW_NATS = 37.0
 _TABLE_NATS = 300.0
 
 
-def _mixture_windows(p, log_w, n: int, counts) -> tuple[np.ndarray, np.ndarray]:
-    """Each count's window [lo, hi) of the increasing atoms p, as indices.
+def _mixture_windows(p, log_w, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each count c = 0..n's window [lo, hi) of the increasing atoms p, as indices.
 
     With a = c/n, the term at p_j is log w_j + peak_c - n KL(a || p_j), and
     Pinsker's inequality, n KL >= 2n (p_j - a)^2, bounds it by
@@ -257,6 +251,7 @@ def _mixture_windows(p, log_w, n: int, counts) -> tuple[np.ndarray, np.ndarray]:
     has a term below e^-_WINDOW_NATS / G of j*'s. The window depends on c
     alone. Every log weight must be finite.
     """
+    counts = np.arange(n + 1)
     # At n = 0 every count is 0 and the window, wider than 1, is the whole grid.
     a = counts / max(n, 1)
     right = np.searchsorted(p, a).clip(max=p.size - 1)
@@ -271,68 +266,60 @@ def _mixture_windows(p, log_w, n: int, counts) -> tuple[np.ndarray, np.ndarray]:
     return np.searchsorted(p, a - half, "left"), np.searchsorted(p, a + half, "right")
 
 
-def log_binomial_mixture(p, log_w, n: int, counts) -> np.ndarray:
-    """log sum_j w_j C(n, c) p_j^c (1 - p_j)^(n - c) at each count c.
+def log_binomial_mixture(p, log_w, n: int) -> np.ndarray:
+    """log sum_j w_j C(n, c) p_j^c (1 - p_j)^(n - c) at every count c = 0..n.
 
     The log pmf of the total count of n trials under a mixture of
-    Binomial(n, p_j) on the increasing grid p with log weights log_w,
-    evaluated at the given counts only. The mixture is its atoms: points of
-    weight zero (-inf) are dropped first, and an atom at p = 0 or 1 adds its
-    weight at c = 0 or n alone. For the G interior atoms the term at count
-    a + d is the term at a plus d l_j, l_j = log p_j - log(1 - p_j), so counts
-    go in blocks [a, a + b), a a multiple of
-    b = max(1, min(300 / max|l|, _BLOCK_CELLS / G, n + 1)). One table
-    E[d, j] = exp(d l_j), d < b, serves every block, and a block is one
-    product E @ A over the union of its counts' windows (_mixture_windows,
-    whose left-out terms sum to less than e^-37 of the kept ones), A_j the
-    terms at a, in the cellwise form, scaled by their largest. All n + 1
-    counts then take exponentials of a few percent of the (n + 1) G cells
-    (4% at n = 1024 on the default 20001-point grid). No exponent exceeds
-    300 in magnitude, so nothing overflows, and a term lost to underflow in
-    A (below e^-708) is below e^-108 of its row's largest, which is at least
-    e^-300. E holds at most _BLOCK_CELLS cells; at b = 1 it is not built and
-    a block is the sum of A. A count's value depends on its block alone, so
-    it is the same whichever counts it is asked for with.
+    Binomial(n, p_j) on the increasing grid p with log weights log_w. The
+    mixture is its atoms: points of weight zero (-inf) are dropped first,
+    and an atom at p = 0 or 1 adds its weight at c = 0 or n alone. For the
+    G interior atoms the term at count a + d is the term at a plus d l_j,
+    l_j = log p_j - log(1 - p_j), so counts go in blocks [a, a + b), a a
+    multiple of b = max(1, min(300 / max|l|, _BLOCK_CELLS / G, n + 1)). One
+    table E[d, j] = exp(d l_j), d < b, serves every block, and a block is
+    one product E @ A over the union of its counts' windows
+    (_mixture_windows, whose left-out terms sum to less than e^-37 of the
+    kept ones), A_j the terms at a, in the cellwise form, scaled by their
+    largest. All n + 1 counts then take exponentials of a few percent of
+    the (n + 1) G cells (4% at n = 1024 on the default 20001-point grid). No
+    exponent exceeds 300 in magnitude, so nothing overflows, and a term lost
+    to underflow in A (below e^-708) is below e^-108 of its row's largest,
+    which is at least e^-300. E holds at most _BLOCK_CELLS cells; at b = 1
+    it is not built and a block is the sum of A.
     """
-    c = np.atleast_1d(np.asarray(counts, dtype=np.int64))
     live = log_w > NEG_INF
     p, log_w = p[live], log_w[live]
     ends = ((0, log_w[p == 0.0]), (n, log_w[p == 1.0]))
     inner = (0.0 < p) & (p < 1.0)
     p, log_w = p[inner], log_w[inner]
-    out = np.full(c.size, NEG_INF)
+    out = np.full(n + 1, NEG_INF)
     if p.size:
         extremes = p[[0, -1]]
         # logit is increasing, so its largest magnitude is at an end.
         with np.errstate(divide="ignore"):
             bound = _TABLE_NATS / np.abs(np.log(extremes) - np.log(1.0 - extremes)).max()
         b = max(1, int(min(bound, _BLOCK_CELLS // p.size, n + 1)))
-        # Every count of each block asked for, in order.
-        starts = np.unique(c // b) * b
-        stops = np.minimum(starts + b, n + 1)
-        rows = np.concatenate([np.arange(a, z) for a, z in zip(starts, stops)])
-        at = np.r_[0, np.cumsum(stops - starts)[:-1]]
-        lo, hi = _mixture_windows(p, log_w, n, rows)
+        starts = np.arange(0, n + 1, b)
+        lo, hi = _mixture_windows(p, log_w, n)
         first, last = int(lo.min()), int(hi.max())
-        lo, hi = np.minimum.reduceat(lo, at) - first, np.maximum.reduceat(hi, at) - first
+        lo, hi = np.minimum.reduceat(lo, starts) - first, np.maximum.reduceat(hi, starts) - first
         # The logs are taken once, over the atoms the blocks' windows span.
         p, log_w = p[first:last], log_w[first:last]
         log_p, log_q = np.log(p), np.log(1.0 - p)
         if b > 1:
             table = np.exp(np.multiply.outer(np.arange(b), log_p - log_q))
-        vals = np.empty(rows.size)
-        for a, z, left, right, i in zip(*(x.tolist() for x in (starts, stops, lo, hi, at))):
+        for a, left, right in zip(*(x.tolist() for x in (starts, lo, hi))):
+            z = min(a + b, n + 1)
             t = a * log_p[left:right] + (n - a) * log_q[left:right] + log_w[left:right]
             m = t.max()
             t -= m
             np.exp(t, out=t)
             sums = table[: z - a, left:right] @ t if b > 1 else t.sum(keepdims=True)
-            vals[i : i + z - a] = m + np.log(sums)
-        out = vals[np.searchsorted(rows, c)]
+            out[a:z] = m + np.log(sums)
     for count, w in ends:
         for log_mass in w:
-            out[c == count] = np.logaddexp(out[c == count], log_mass)
-    return out + log_binomial_row(n)[c]
+            out[count] = np.logaddexp(out[count], log_mass)
+    return out + log_binomial_row(n)
 
 
 def trapezoid_log_weights(grid: np.ndarray) -> np.ndarray:

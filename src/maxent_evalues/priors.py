@@ -153,8 +153,6 @@ def _induced_log_weights(spec: PriorSpec, n: int, out=None) -> np.ndarray:
     if spec.kind == "uniform":
         out[:] = 0.0
         return out
-    if spec.kind not in ("beta", "nml"):
-        raise ValueError(f"unknown prior kind {spec.kind!r}")
     # At scale 1e4 the weights have about 1e7 points: they are built in
     # blocks of _BLOCK_POINTS, so only out is held at full length. Each block
     # of j <= n/2 is built with its mirror n - j, which reads the same

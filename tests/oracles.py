@@ -15,7 +15,7 @@ from collections import Counter
 import mpmath
 import numpy as np
 from scipy import fft
-from scipy.special import gammaln, xlogy
+from scipy.special import gammaln, logsumexp, xlogy
 
 from maxent_evalues.models import Table
 from maxent_evalues.numerics import (
@@ -249,6 +249,65 @@ def pseudo_e_power(specs, sizes, group_pmfs, scale=DEFAULT_SCALE,
         mass = law.log_weights > NEG_INF
         total += float(np.dot(np.exp(law.log_weights[mass]), values[mass]))
     return total
+
+
+def pseudo_null_quadrature(specs, sizes, nodes: int = 400) -> np.ndarray:
+    """log W_ps(c), c = 0..n, of two groups, by a 2-D Gauss-Legendre rule
+    with `nodes` nodes a dimension: the pseudo null without its lattice.
+
+    W_ps(c) is the mean of Binomial(n, (n_1 t_1 + n_2 t_2)/n)(c) over
+    independent t_i from each group's high-resolution limit: its beta
+    density (uniform is beta(1, 1)), integrated in t, or for NML the
+    Beta(1/2, 1/2) limit, integrated in phi with t = sin^2 phi, where its
+    density is the constant 2/pi and the integrand is smooth.
+    """
+    if len(sizes) != 2:
+        raise ValueError("the quadrature takes two groups")
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    axes = []
+    for spec in specs:
+        if spec.kind == "nml":
+            # phi = (x + 1) pi/4 on [0, pi/2]: weight w pi/4 times 2/pi.
+            axes.append((np.sin((x + 1) * np.pi / 4) ** 2, np.log(w / 2)))
+            continue
+        a, b = (1.0, 1.0) if spec.kind == "uniform" else (spec.alpha, spec.beta)
+        t = (x + 1) / 2
+        axes.append((t, np.log(w / 2) + xlogy(a - 1, t) + xlogy(b - 1, 1 - t) - log_beta_fn(a, b)))
+    (t1, w1), (t2, w2) = axes
+    n1, n2 = sizes
+    n = n1 + n2
+    p0 = ((n1 * t1[:, None] + n2 * t2[None, :]) / n).ravel()
+    log_w = (w1[:, None] + w2[None, :]).ravel()
+    out = np.empty(n + 1)
+    for c in range(n + 1):
+        out[c] = logsumexp(xlogy(c, p0) + xlogy(n - c, 1 - p0) + log_w)
+    return out + log_binomial_row(n)
+
+
+def log_sup_null_expectation(log_q, log_w0, points: int = 4001, tail: int = 200) -> float:
+    """log of the largest E_p[S] = sum_c Binom(n, p)(c) Q(c)/W0(c) over iid
+    Bernoulli(p) nulls, for a statistic whose null is log_w0 and whose group
+    terms sum to the count law log_q (n = len - 1).
+
+    In log space, over `points` equally spaced p in [0, 1] and `tail`
+    log-spaced p from 1e-16 toward each end. A count with no mass under Q
+    adds nothing; one with mass under Q and none under W0 makes it +inf.
+    """
+    n = log_q.size - 1
+    c = np.arange(n + 1)
+    # log C(n, c) to 30 digits: log_binomial_row is off by up to 3e-11 at
+    # these n (test_log_binomial_row_ledger), which would show in E_p[S].
+    with mpmath.workdps(30):
+        log_c = np.array([float(mpmath.log(mpmath.binomial(n, j))) for j in range(n + 1)])
+    with np.errstate(invalid="ignore"):
+        ratio = np.where(log_q == NEG_INF, NEG_INF, log_q - log_w0) + log_c
+    ends = np.logspace(-16, math.log10(0.5 / (points - 1)), tail)
+    ps = np.unique(np.r_[np.linspace(0.0, 1.0, points), ends, 1.0 - ends])
+    best = NEG_INF
+    for block in np.array_split(ps, max(1, ps.size * (n + 1) // 1_000_000)):
+        cells = xlogy(c, block[:, None]) + xlogy(n - c, 1.0 - block[:, None]) + ratio
+        best = max(best, float(logsumexp(cells, axis=1).max()))
+    return best
 
 
 def redundancy(p_alt, specs, sizes) -> float:

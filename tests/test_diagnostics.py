@@ -31,7 +31,13 @@ from maxent_evalues.priors import (
     null_optimal_prior,
     parse_prior,
 )
-from oracles import gaussian_approx_tv, kl_divergence, pseudo_e_power, redundancy
+from oracles import (
+    gaussian_approx_tv,
+    kl_divergence,
+    pseudo_e_power,
+    pseudo_null_quadrature,
+    redundancy,
+)
 
 
 # The pseudo density's scale in these tests: a fifth of the default.
@@ -99,6 +105,31 @@ class TestGapR:
         assert payload["priors"] == ["uniform", "nml"]
         priors = [PriorSpec.uniform(), PriorSpec.nml()]
         assert payload["r"] == gap_r(priors, (4, 6), SCALE)
+
+
+# ROADMAP finding 4's ledger: gap_r at the default scale and density grid
+# against r from the pseudo null's 2-D quadrature (oracles). Measured
+# relative errors: uniform (10, 10) +2.1e-4, beta(3,3) (60, 40) +2.4e-3,
+# NML (10, 10) -0.67% and NML (40, 40) -0.92%.
+NML_BIAS = pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP finding 4: the pseudo density reads NML's Beta(1/2, 1/2) limit "
+    "pointwise at its end cells and its log singularity, so r is 0.67-0.92% "
+    "low; item 10 (exact cell masses) is the mend"))
+GAP_LEDGER = [
+    pytest.param("uniform", (10, 10), 3e-4, id="uniform-10,10"),
+    pytest.param("beta:3,3", (60, 40), 3e-3, id="beta33-60,40"),
+    pytest.param("nml", (10, 10), 1e-3, id="nml-10,10", marks=NML_BIAS),
+    pytest.param("nml", (40, 40), 1e-3, id="nml-40,40", marks=NML_BIAS),
+]
+
+
+class TestGapLedger:
+    @pytest.mark.parametrize("label, sizes, bound", GAP_LEDGER)
+    def test_r_against_the_quadrature(self, label, sizes, bound):
+        specs = [parse_prior(label)] * 2
+        log_w0 = Statistic.mic(sizes, specs).null
+        oracle = float(np.dot(np.exp(log_w0), log_w0 - pseudo_null_quadrature(specs, sizes)))
+        assert abs(gap_r(specs, sizes) / oracle - 1) <= bound
 
 
 # The nine cells of acceptance criterion 4.

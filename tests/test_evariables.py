@@ -51,6 +51,7 @@ from oracles import (
     log_binomial,
     log_equal_uniform_count,
     log_multiplicity,
+    log_sup_null_expectation,
     point_alt_count_pmf,
     pseudo_e_power,
     ripr_log_likelihoods,
@@ -116,6 +117,16 @@ class TestEValueReport:
         statistic = Statistic.mic((5, 5), [PriorSpec.uniform()] * 2)
         bad = counts[-1] if isinstance(counts, list) else counts
         with pytest.raises(ValueError, match=rf"total count {bad} out of range 0\.\.10$"):
+            statistic.count_term(counts)
+
+    @pytest.mark.parametrize("counts, total", [
+        (1e30, int(1e30)), ([1e30], int(1e30)), (10**30, 10**30),
+    ])
+    def test_count_term_names_a_huge_total(self, counts, total):
+        # Cast to int64, 1e30 was named as -9223372036854775808 and 10**30
+        # as not an integer.
+        statistic = Statistic.mic((5, 5), [PriorSpec.uniform()] * 2)
+        with pytest.raises(ValueError, match=rf"^total count {total} out of range 0\.\.10$"):
             statistic.count_term(counts)
 
     @pytest.mark.parametrize("ones, group, bad", [
@@ -602,19 +613,13 @@ class TestRipr:
             assert kl_pert >= base - 1e-6
 
     def test_marginal_count_pmf_rows(self):
-        # The rows asked for are bit-identical to those of the whole pmf.
+        # The mixture's law of the total count has a row at every count
+        # 0..n, and it is normalized.
         n = 12
         sol = ripr_solve(null_optimal_prior([uniform_pmf(6), uniform_pmf(6)]), n,
                          grid_size=201)
-        def rows(counts):
-            return log_binomial_mixture(sol.grid, sol.log_weights, n, counts)
-
-        full = rows(np.arange(n + 1))
-        counts = [0, 5, n]
-        np.testing.assert_array_equal(rows(counts), full[counts])
-        for c in counts:
-            assert rows(c)[0] == full[c]
-        # The mixture pmf of the total count is normalized.
+        full = log_binomial_mixture(sol.grid, sol.log_weights, n)
+        assert full.shape == (n + 1,) and np.isfinite(full).all()
         assert np.exp(full).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_bad_target_support(self):
@@ -910,7 +915,7 @@ class TestProjectionMemo:
             assert solved.grid.tobytes() == fresh.grid.tobytes()
             assert solved.log_weights.tobytes() == fresh.log_weights.tobytes()
             assert statistic.achieved_kl == solved.achieved_kl == fresh.achieved_kl
-            read = log_binomial_mixture(fresh.grid, fresh.log_weights, n, np.arange(n + 1))
+            read = log_binomial_mixture(fresh.grid, fresh.log_weights, n)
             assert statistic.null.tobytes() == read.tobytes()
         for built, size in evariables._designs.values():
             null = built if isinstance(built, np.ndarray) else built.null
@@ -944,9 +949,8 @@ class TestProjectionMemo:
         assert len(evariables._designs) == 1
 
     def test_pseudo_reads_match_one_count_quadrature(self):
-        # The pseudo null is its quadrature taken once, at every count; each
-        # count reads the bits a quadrature at that count alone gives, as the
-        # pseudo statistic read them when it was built at every call.
+        # The pseudo null is its quadrature taken once, at every count; a
+        # quadrature asked for one count reads that count of the same law.
         sizes, priors = (9, 4, 6), [PriorSpec.from_beta(3, 3)] * 3
         null = pseudo_null(sizes, priors, scale=200, density_grid=2001)
         density = pseudo_null_density(priors, sizes, 200, 2001)
@@ -955,11 +959,13 @@ class TestProjectionMemo:
             one = log_w_pseudo0(density, n, [c])
             assert null[[c]].tobytes() == one.tobytes()
 
-    def test_unconverged_kept_and_refused_each_time(self, solves):
+    def test_unconverged_refused_at_build_and_not_kept(self, solves):
+        # The memo keeps only successful builds: a repeated request for an
+        # unconverged projection solves again, and is refused again.
         for _ in range(2):
             with pytest.raises(ValueError, match="did not converge in 1 iterations"):
                 Statistic.can(self.SIZES, self.PRIORS, max_iter=1, tol=1e-16)
-        assert len(solves) == 1
+        assert len(solves) == 2 and evariables._designs == {}
 
     def test_bounded_and_tracer_visible(self, monkeypatch):
         # A tracer wraps what inspect.isfunction accepts, so the builders
@@ -1163,6 +1169,31 @@ class TestIdentities:
         # table, and the e-power 0.
         statistic = Statistic.point((20, 20), (0.5, 0.5))
         assert abs(e_power(statistic, [binomial_pmf(20, 0.5)] * 2)) <= 1e-12
+
+
+class TestNullExpectationLedger:
+    """ROADMAP finding 1's ledger. Under iid Bernoulli(p) nulls a statistic
+    has E_p[S] = sum_c Binom(n, p)(c) Q(c)/W0(c), Q the design's exact count
+    law (mic's null) and W0 the statistic's own null, so it is an e-variable
+    only if the supremum over p is at most 1 (oracles.log_sup_null_expectation)."""
+
+    @pytest.mark.parametrize("design", TABLE_DESIGNS)
+    def test_mic_reads_one(self, design):
+        sizes, label, _ = TABLE_DESIGNS[design]
+        mic = Statistic.mic(sizes, [parse_prior(label)] * len(sizes))
+        assert abs(math.expm1(log_sup_null_expectation(mic.null, mic.null))) <= 1e-12
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP finding 1: SQUAREM stops on KL, which cannot see the tails, so "
+        "can's sup_p E_p[S] is 1.00026, 1.000113, 1.00071 and 1.5567 on these "
+        "designs; item 14 (a certified, deflated e-value) is the mend"))
+    @pytest.mark.parametrize("design", TABLE_DESIGNS)
+    def test_can_reads_at_most_one(self, design):
+        sizes, label, _ = TABLE_DESIGNS[design]
+        priors = [parse_prior(label)] * len(sizes)
+        q = Statistic.mic(sizes, priors).null
+        can = Statistic.can(sizes, priors)
+        assert log_sup_null_expectation(q, can.null) <= math.log1p(1e-9)
 
 
 class TestCombineAndDecide:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -13,7 +14,13 @@ import pytest
 
 from maxent_evalues import cli, diagnostics, evariables
 from maxent_evalues.cli import build_parser, main
-from maxent_evalues.evariables import RIPR_GRID_SIZE, RIPR_MAX_ITER, RIPR_TOL, Statistic
+from maxent_evalues.evariables import (
+    MAX_TRIALS,
+    RIPR_GRID_SIZE,
+    RIPR_MAX_ITER,
+    RIPR_TOL,
+    Statistic,
+)
 from maxent_evalues.models import Table
 from maxent_evalues.priors import DEFAULT_DENSITY_GRID, DEFAULT_SCALE, PriorSpec, parse_prior
 from maxent_evalues.table_io import NetworkInput, network_to_table, parse_table, parse_table_text
@@ -368,6 +375,39 @@ class TestCli:
         assert code == 1
         assert out == ""
         assert "points" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("argv, trials", [
+        (("test", "--table", "{dir}/t.json"), 10**9),
+        (("test", "--table", "{dir}/t.json", "--statistic", "can"), 10**9),
+        (("test", "--table", "{dir}/t.json", "--statistic", "point", "--palt", "0.5"), 10**9),
+        (("net-test", "--network", "{dir}/net.json", "--mode", "sbm_vs_er_undirected"),
+         4473 * 4472 // 2),
+        (("epower", "--sizes", "6000000,6000000"), 12_000_000),
+        (("regret", "--palt", "0.4,0.6", "--m-list", "6000000,7000000,8000000"), 12_000_000),
+        (("theorem1", "--m", "1000000000"), 10**9),
+    ], ids=["test-mic", "test-can", "test-point", "net-test", "epower", "regret", "theorem1"])
+    def test_oversized_design_refused_before_building(self, tmp_path, capsys, argv, trials):
+        # One group of 1e9 trials ended in a raw numpy _ArrayMemoryError
+        # traceback, and two of 6e7 inside scipy.fft. A design past
+        # MAX_TRIALS is refused by name before any array of its size exists.
+        (tmp_path / "t.json").write_text('{"groups":[{"n":1000000000,"ones":1}]}')
+        # One block of 4473 nodes: 10,001,628 dyads.
+        partition = {str(i): "A" for i in range(4473)}
+        (tmp_path / "net.json").write_text(json.dumps({"edges": [], "partition": partition}))
+        argv = [a.replace("{dir}", str(tmp_path)) for a in argv]
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(*argv, capsys=capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert out == ""
+        assert strict(err)["error"] == (
+            f"a design of {trials} trials exceeds the limit of {MAX_TRIALS}; "
+            "lower the group sizes"
+        )
+        assert peak < 16 * 2**20
 
     def test_point_contradiction_fails_fast(self, tmp_path, capsys):
         # A mean of 0 or 1 gives probability 0 to a table that contradicts

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 
 import mpmath
@@ -195,10 +196,13 @@ class TestBinomialLogPmfs:
             binomial_log_pmfs(4, ps)
 
     def test_every_row_is_checked(self):
-        rows = np.array([[0.0, NEG_INF], np.log([0.5, 0.6])])
+        # The kernel checks no row itself: each one, normalized from a
+        # checked p, passes every check of Pmf, the one place they are made.
+        for n, ps in itertools.product([0, 1, 20, 8778], self.AXES.values()):
+            for row in binomial_log_pmfs(n, ps):
+                assert Pmf(row).log_weights.tobytes() == row.tobytes()
         with pytest.raises(ValueError, match="pmf not normalized"):
-            numerics._check_log_pmfs(rows)
-        numerics._check_log_pmfs(rows[:1])
+            Pmf(np.log([0.5, 0.6]))
 
 
 class TestConvolve:
@@ -450,8 +454,8 @@ class TestLogBinomialMixture:
         log_w = rng.normal(size=grid)
         log_w[1] = NEG_INF
         log_w[-2] = NEG_INF
-        counts = np.r_[np.arange(n + 1), [n, 0, n // 2]]
-        got = log_binomial_mixture(p, log_w, n, counts)
+        counts = np.arange(n + 1)
+        got = log_binomial_mixture(p, log_w, n)
         exact = log_binomial_mixture_exact(p, log_w, n, counts)
         assert np.abs(got - exact).max() <= MIXTURE_TOL
         assert np.abs(got - cellwise_binomial_mixture(p, log_w, n, counts)).max() <= MIXTURE_TOL
@@ -466,11 +470,11 @@ class TestLogBinomialMixture:
         log_w = rng.normal(size=p.size)
         log_w[1] = NEG_INF
         log_w[-2] = NEG_INF
-        counts = np.r_[np.arange(n + 1), [n, 0, n // 2]]
+        counts = np.arange(n + 1)
         atoms = log_w > NEG_INF
-        lo, hi = _mixture_windows(p[atoms], log_w[atoms], n, counts)
+        lo, hi = _mixture_windows(p[atoms], log_w[atoms], n)
         assert ((hi - lo) < atoms.sum()).sum() > n // 2
-        got = log_binomial_mixture(p, log_w, n, counts)
+        got = log_binomial_mixture(p, log_w, n)
         whole = cellwise_binomial_mixture(p, log_w, n, counts)
         assert np.abs(got - whole).max() <= MIXTURE_TOL
         some = oracle_counts(n)
@@ -481,7 +485,7 @@ class TestLogBinomialMixture:
     def test_within_the_exact_sum(self, name):
         p, log_w, n = mixture_input(name)
         counts = oracle_counts(n)
-        got = log_binomial_mixture(p, log_w, n, counts)
+        got = log_binomial_mixture(p, log_w, n)[counts]
         assert np.abs(got - log_binomial_mixture_exact(p, log_w, n, counts)).max() <= MIXTURE_TOL
 
     @pytest.mark.parametrize("name", MIXTURE_INPUTS)
@@ -490,7 +494,7 @@ class TestLogBinomialMixture:
         # to at most e^-37 of those inside it.
         p, log_w, n = mixture_input(name)
         counts = np.arange(n + 1)
-        lo, hi = _mixture_windows(p, log_w, n, counts)
+        lo, hi = _mixture_windows(p, log_w, n)
         assert (lo < hi).all()
         col = np.arange(p.size)
         for start in range(0, n + 1, 64):
@@ -502,17 +506,6 @@ class TestLogBinomialMixture:
             assert (left_out - kept <= -37.0).all()
             assert np.isfinite(kept).all()
 
-    def test_rows_independent_of_the_counts_asked_with(self):
-        p, log_w, n = mixture_input("pseudo/uniform/512,512")
-        rng = np.random.default_rng(3)
-        counts = np.r_[rng.integers(0, n + 1, size=40), [512, 0, n, 512, 7, 7]]
-        rng.shuffle(counts)
-        together = log_binomial_mixture(p, log_w, n, counts)
-        alone = [log_binomial_mixture(p, log_w, n, c)[0] for c in counts]
-        assert np.array_equal(together, alone)
-        every = log_binomial_mixture(p, log_w, n, np.arange(n + 1))
-        assert np.array_equal(together, every[counts])
-
     def test_reads_a_third_of_the_cells(self, monkeypatch):
         # At n = 1024 on the 20001-point grid the windows keep 28% of the
         # cells, but a count takes no exponential of its own: its block's
@@ -521,7 +514,7 @@ class TestLogBinomialMixture:
         p, log_w, n = mixture_input("pseudo/uniform/512,512")
         spy = NumpySpy()
         monkeypatch.setattr(numerics, "np", spy)
-        got = log_binomial_mixture(p, log_w, n, np.arange(n + 1))
+        got = log_binomial_mixture(p, log_w, n)
         assert sum(spy.cells("exp")) <= 0.05 * (n + 1) * p.size
         assert np.isfinite(got).all()
         assert np.exp(got).sum() == pytest.approx(1.0, abs=1e-8)
@@ -529,33 +522,31 @@ class TestLogBinomialMixture:
     def test_builds_cells_at_atoms_only(self, monkeypatch):
         # A sparse point projection (19 atoms), scattered onto the whole
         # 2001-point grid with -inf weights between its atoms: no exp or
-        # log is taken at a zero-weight point, so a one-count read costs the
-        # atoms, not the grid, and the values are those of the atoms alone.
+        # log is taken at a zero-weight point, so the law costs the atoms,
+        # not the grid, and its values are those of the atoms alone.
         atoms, log_w_atoms, n = mixture_input("ripr/45,60,70,80")
         assert atoms.size == 19
         p = np.linspace(0.0, 1.0, 2001)
         log_w = np.full(p.size, NEG_INF)
         log_w[np.searchsorted(p, atoms)] = log_w_atoms
         assert np.array_equal(p[log_w > NEG_INF], atoms)
-        for counts in (n // 2, np.arange(n + 1)):
-            spy = NumpySpy()
-            monkeypatch.setattr(numerics, "np", spy)
-            got = log_binomial_mixture(p, log_w, n, counts)
-            monkeypatch.undo()
-            # A log is taken over the atoms, or over a block's rows, at most
-            # n + 1 (256) of them; an exp over at most the atoms a row.
-            assert max(spy.cells("log")) <= max(atoms.size, n + 1) < p.size
-            assert all(shape[-1] <= atoms.size for name, shape in spy.calls if name == "exp")
-            assert np.array_equal(got, log_binomial_mixture(atoms, log_w_atoms, n, counts))
+        spy = NumpySpy()
+        monkeypatch.setattr(numerics, "np", spy)
+        got = log_binomial_mixture(p, log_w, n)
+        monkeypatch.undo()
+        # A log is taken over the atoms, or over a block's rows, at most
+        # n + 1 (256) of them; an exp over at most the atoms a row.
+        assert max(spy.cells("log")) <= max(atoms.size, n + 1) < p.size
+        assert all(shape[-1] <= atoms.size for name, shape in spy.calls if name == "exp")
+        assert np.array_equal(got, log_binomial_mixture(atoms, log_w_atoms, n))
 
     def test_point_mass_at_one(self):
         # Every count below n has no mass: those rows are all -inf.
         p = np.linspace(0.0, 1.0, 11)
         log_w = np.full(11, NEG_INF)
         log_w[-1] = 0.0
-        counts = np.arange(7)
-        got = log_binomial_mixture(p, log_w, 6, counts)
-        assert np.array_equal(got, cellwise_binomial_mixture(p, log_w, 6, counts))
+        got = log_binomial_mixture(p, log_w, 6)
+        assert np.array_equal(got, cellwise_binomial_mixture(p, log_w, 6, np.arange(7)))
         assert got[-1] == 0.0
         assert (got[:-1] == NEG_INF).all()
 
@@ -564,8 +555,8 @@ class TestLogBinomialMixture:
         # weight at c = 0.
         p = np.linspace(0.0, 1.0, 7)
         log_w = np.random.default_rng(0).normal(size=p.size)
-        got = log_binomial_mixture(p, log_w, 0, [0, 0])
-        assert got == pytest.approx([logsumexp(log_w)] * 2, abs=1e-15)
+        got = log_binomial_mixture(p, log_w, 0)
+        assert got == pytest.approx([logsumexp(log_w)], abs=1e-15)
 
     @pytest.mark.parametrize("n", [0, 1, 9])
     def test_edge_atoms_only(self, n):
@@ -573,7 +564,7 @@ class TestLogBinomialMixture:
         # c = n, and every count between has no mass.
         p = np.linspace(0.0, 1.0, 5)
         log_w = np.array([-0.4, NEG_INF, NEG_INF, NEG_INF, -1.1])
-        got = log_binomial_mixture(p, log_w, n, np.arange(n + 1))
+        got = log_binomial_mixture(p, log_w, n)
         want = np.full(n + 1, NEG_INF)
         want[0] = -0.4
         want[n] = np.logaddexp(want[n], -1.1)
@@ -588,7 +579,7 @@ class TestLogBinomialMixture:
         n = 60
         spy = NumpySpy()
         monkeypatch.setattr(numerics, "np", spy)
-        got = log_binomial_mixture(p, log_w, n, np.arange(n + 1))
+        got = log_binomial_mixture(p, log_w, n)
         monkeypatch.undo()
         assert all(len(shape) < 2 for name, shape in spy.calls if name == "exp")
         exact = log_binomial_mixture_exact(p, log_w, n, np.arange(n + 1))
@@ -598,16 +589,18 @@ class TestLogBinomialMixture:
     def test_a_two_million_point_grid(self, monkeypatch):
         # 2,000,001 atoms, past _BLOCK_CELLS: the blocks are single counts,
         # and the shared table, which would be a row of 1 over every atom,
-        # is not built, so no 2-D array past _BLOCK_CELLS cells is. The
-        # counts at the ends keep the exact sum's windows short.
+        # is not built, so no 2-D array past _BLOCK_CELLS cells is. At n = 20
+        # every window is the whole grid; weights falling 2e4 nats across it
+        # put every count's mass within a few thousand atoms of p = 0, which
+        # keeps the exact sum short.
         p = np.linspace(0.0, 1.0, 2_000_001)
-        log_w = trapezoid_log_weights(p)
-        n, counts = 20_000, [0, 1, 2, 20_000]
+        log_w = trapezoid_log_weights(p) - 2e4 * p
+        n = 20
         spy = NumpySpy()
         monkeypatch.setattr(numerics, "np", spy)
-        got = log_binomial_mixture(p, log_w, n, counts)
+        got = log_binomial_mixture(p, log_w, n)
         monkeypatch.undo()
         table = [math.prod(shape) for _, shape in spy.calls if len(shape) == 2]
         assert max(table, default=0) <= numerics._BLOCK_CELLS
-        exact = log_binomial_mixture_exact(p, log_w, n, counts)
+        exact = log_binomial_mixture_exact(p, log_w, n, np.arange(n + 1))
         assert np.abs(got - exact).max() <= MIXTURE_TOL
