@@ -341,9 +341,10 @@ def regret_curve(
     if len(set(ms)) < 3:
         raise ValueError("need at least 3 distinct m values")
     k = len(pvec)
+    # The largest cell is refused here, before any cell solves a projection;
+    # regret builds each cell's pseudo density at the default scale.
+    _trials([ms[-1]] * k)
     if candidate == "pseudo":
-        # regret builds each cell's density at the default scale: the largest
-        # cell is refused here, before any cell solves a projection.
         pseudo_points([ms[-1]] * k, DEFAULT_SCALE, "lower the largest m (--m-list)")
     points = tuple(
         (m, regret(pvec, [spec] * k, [m] * k, candidate,

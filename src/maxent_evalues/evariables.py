@@ -26,6 +26,7 @@ product law evaluates it at every count.
 from __future__ import annotations
 
 import math
+import mmap
 import operator
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -60,11 +61,13 @@ RIPR_TOL = 1e-10
 RIPR_MAX_ITER = 50_000
 
 # Most cells (grid points x kept counts) of the matrix ripr_solve builds. It
-# holds that one matrix, 8 bytes a cell, masked and pruned in place, and one
-# 256 KiB block while its band fills it (tracemalloc: 8.05 bytes a cell,
-# 127 MiB, on the largest benchmark design, 8,265 kept counts at the default
-# grid; 8.16 at 2001 kept counts), so the limit is about 400 MB. That design
-# (1.65e7 cells) fits three times over.
+# holds that one matrix, masked and pruned in place, and one 256 KiB block
+# while its band fills it. The matrix is a private anonymous mapping of 8
+# bytes a cell, so the limit is about 400 MB of address space; what is
+# resident is the pages its band wrote (on the largest benchmark design,
+# 8,265 kept counts at the default grid, 39% of the cells: the solve's peak
+# resident growth is 59 MB of the 126 MiB mapped). That design (1.65e7
+# cells) fits three times over.
 _MAX_RIPR_CELLS = 50_000_000
 
 # The likelihood matrix's band (_likelihood_bands): exp returns exactly 0.0
@@ -365,9 +368,9 @@ def log_w_pseudo0(density: PseudoDensity, n: int, n1) -> np.ndarray:
     return log_binomial_mixture(density.grid, base, n)[c0]
 
 
-def _likelihood_bands(p, counts, n: int, log_c) -> tuple[np.ndarray, np.ndarray]:
-    """ripr_solve's likelihood matrix, grid x counts in C order, and each
-    grid point's largest log cell.
+def _likelihood_bands(p, counts, n: int, log_c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """ripr_solve's likelihood matrix, grid x counts in C order, each grid
+    point's largest log cell, and each row's written extent.
 
     Cell [j, i] is exp(c log p_j + (n - c) log(1 - p_j) + log C(n, c)) at
     c = counts[i] (increasing; log_c holds log C(n, c)), added in that order
@@ -379,9 +382,18 @@ def _likelihood_bands(p, counts, n: int, log_c) -> tuple[np.ndarray, np.ndarray]
     wherever it exceeds 1 - _BAND_NATS, so the 350-nat mask is the whole
     matrix's whenever the largest cell exceeds 351 - _BAND_NATS; where it
     does not, every count is taken.
+
+    Row j is 0.0 outside columns extent[j, 0]:extent[j, 1], its block's
+    rectangle ((counts.size, 0) where nothing was written). The matrix is an
+    anonymous private mapping, not huge pages: a page no block writes maps
+    the kernel's zero page, which BLAS reads without making it resident.
     """
-    out = np.zeros((p.size, counts.size))
+    buf = mmap.mmap(-1, 8 * p.size * counts.size, flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        buf.madvise(mmap.MADV_NOHUGEPAGE)
+    out = np.frombuffer(buf, dtype=float).reshape(p.size, counts.size)
     maxima = np.full(p.size, NEG_INF)
+    extent = np.full((p.size, 2), (counts.size, 0))
     log_p, log_q = xlogy(1.0, p), xlogy(1.0, 1.0 - p)
     scratch = np.empty(min(max(_BAND_CELLS, counts.size), out.size))
     for half in (math.sqrt(_BAND_NATS * n / 2), math.inf):
@@ -411,25 +423,38 @@ def _likelihood_bands(p, counts, n: int, log_c) -> tuple[np.ndarray, np.ndarray]
                 logs += log_c[a:b]
                 maxima[start:stop] = logs.max(axis=1)
                 np.exp(logs, out=rows)
+                extent[start:stop] = a, b
             start = stop
         if maxima.max() > 351.0 - _BAND_NATS:
             break
-    return out, maxima
+    return out, maxima, extent
 
 
-def _keep_rows(a: np.ndarray, mask) -> np.ndarray:
-    """a[mask] for a C-contiguous 2-D a, built in a's own buffer: the kept
-    rows move down in order, and the result is a view of a's leading rows.
+def _compact_rows(a: np.ndarray, extent: np.ndarray, mask) -> tuple[np.ndarray, np.ndarray]:
+    """a[mask] and extent[mask] for a C-contiguous 2-D a whose row i is 0.0
+    outside columns extent[i, 0]:extent[i, 1], built in a's own buffer: the
+    kept rows move down in order, and the result is a view of a's leading
+    rows.
 
     Row i moves to an index at most i, so copying row by row overwrites only
-    rows already moved or dropped. The view has the copy's layout, so BLAS
-    sums over it in the same order, and a holds no second copy of itself.
+    rows already moved or dropped. A moved row copies only the span of its
+    own extent and its destination's: it is 0.0 outside its own, so that one
+    slice also clears what the destination held. The view has a[mask]'s
+    layout, so BLAS sums over it in the same order, and a holds no second
+    copy of itself.
     """
     kept = np.flatnonzero(mask)
-    for dst, src in enumerate(kept):
-        if dst != src:
-            a[dst] = a[src]
-    return a[: kept.size]
+    dst = np.flatnonzero(kept != np.arange(kept.size))
+    src = kept[dst]
+    lo = np.minimum(extent[src, 0], extent[dst, 0])
+    hi = np.maximum(extent[src, 1], extent[dst, 1])
+    width = a.shape[1]
+    flat = a.reshape(-1)
+    # A row and its destination written nowhere give hi < lo: an empty slice.
+    for to, at, length in zip((dst * width + lo).tolist(), (src * width + lo).tolist(),
+                              (hi - lo).tolist()):
+        flat[to:to + length] = flat[at:at + length]
+    return a[: kept.size], extent[kept]
 
 
 def ripr_solve(
@@ -478,11 +503,12 @@ def ripr_solve(
     # It is built transposed, grid x counts in C order, so that L is
     # column-major: BLAS sums L @ w in an order that depends on the layout,
     # and the iterates (and where the iteration stops) depend on those sums.
-    cells, col_max = _likelihood_bands(p, c0, n, log_binomial_row(n)[keep])
+    cells, col_max, extent = _likelihood_bands(p, c0, n, log_binomial_row(n)[keep])
     # Components that are vanishingly unlikely against every kept row decay
     # to zero weight anyway; exclude them from the iteration.
     active = col_max > col_max.max() - 350.0
-    L = _keep_rows(cells, active).T
+    cells, extent = _compact_rows(cells, extent, active)
+    L = cells.T
     log_t = np.log(t)
 
     def mixture(weights):
@@ -513,7 +539,8 @@ def ripr_solve(
             if live.sum() < w.size:
                 w = w[live]
                 w /= w.sum()
-                L = _keep_rows(L.T, live).T
+                cells, extent = _compact_rows(cells, extent, live)
+                L = cells.T
                 active_idx = active_idx[live]
                 q = mixture(w)
                 kl = objective(q)

@@ -541,6 +541,13 @@ class TestRegretCurve:
         with pytest.raises(ValueError, match="at least 3 distinct m values"):
             regret_curve((0.3, 0.6), PriorSpec.uniform(), (10, 20, 20))
 
+    def test_largest_cell_refused_before_solving(self, solves):
+        # No cell is solved or built before the largest is refused.
+        with pytest.raises(ValueError, match="a design of 12000000 trials exceeds"):
+            regret_curve((0.4, 0.6), PriorSpec.uniform(), (2, 3, 6_000_000), "gro_can")
+        assert solves == []
+        assert not evariables._designs
+
     def test_curve_and_fit(self):
         curve = regret_curve((0.4, 0.6), PriorSpec.from_beta(1.5, 1.5), (20, 40, 80))
         assert [m for m, _ in curve.points] == [20, 40, 80]

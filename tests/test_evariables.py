@@ -3,8 +3,12 @@ import inspect
 import itertools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -438,14 +442,71 @@ def _benchmark_targets():
         yield pytest.param(sizes, None, palt, id=f"{name}-point")
 
 
+_SOLVE_RSS = """
+import json, mmap, sys
+import numpy as np
+from maxent_evalues import evariables
+from maxent_evalues.priors import induced_group_pmf, null_optimal_prior, parse_prior
+
+def status():
+    with open("/proc/self/status") as f:
+        fields = dict(line.split(":", 1) for line in f)
+    return {k: int(fields[k].split()[0]) * 1024 for k in ("VmHWM", "VmRSS")}
+
+prior, sizes = json.loads(sys.argv[1])
+target = null_optimal_prior([induced_group_pmf(parse_prior(prior), m) for m in sizes])
+built = []
+bands = evariables._likelihood_bands
+def spy(*args):
+    cells, maxima, extent = bands(*args)
+    built.append((cells.shape, extent.copy()))
+    return cells, maxima, extent
+evariables._likelihood_bands = spy
+before = status()
+solved = evariables.ripr_solve(target, sum(sizes))
+after = status()
+assert solved.converged and len(built) == 1
+(rows, cols), extent = built[0]
+# Each row's extent rounded out to whole pages.
+first = 8 * (np.arange(rows) * cols + extent[:, 0])
+last = 8 * (np.arange(rows) * cols + extent[:, 1]) - 1
+pages = (last // mmap.PAGESIZE - first // mmap.PAGESIZE + 1)[first <= last].sum()
+print(json.dumps({"shape": [rows, cols], "written_pages": int(pages) * mmap.PAGESIZE,
+                  "growth": after["VmHWM"] - before["VmRSS"],
+                  "left": after["VmRSS"] - before["VmRSS"]}))
+"""
+
+
+def _solve_in_a_fresh_process(prior, sizes):
+    """ripr_solve's memory on mic's null for one prior over groups of these
+    sizes, read from /proc/self/status in a fresh process: growth is the
+    peak resident set past the resident set before the solve, left what
+    stays resident after it, and written_pages the bytes of the pages the
+    band fill wrote."""
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("no /proc/self/status")
+    src = str(Path(evariables.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _SOLVE_RSS, json.dumps([prior, list(sizes)])],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    return json.loads(done.stdout)
+
+
 class TestLikelihoodBands:
     """ripr_solve's banded likelihood matrix against the cellwise build."""
 
     @staticmethod
     def assert_matches_cellwise(p, counts, n):
-        cells, maxima = evariables._likelihood_bands(p, counts, n, log_binomial_row(n)[counts])
+        cells, maxima, extent = evariables._likelihood_bands(
+            p, counts, n, log_binomial_row(n)[counts])
         assert cells.shape == (p.size, counts.size)
         assert cells.flags.c_contiguous
+        # Every nonzero cell lies inside its row's written extent.
+        assert extent.shape == (p.size, 2)
+        rows, cols = np.nonzero(cells)
+        assert ((extent[rows, 0] <= cols) & (cols < extent[rows, 1])).all()
         # A slice of the grid at a time, so that the reference's logs stay small.
         full = np.empty(p.size)
         for start in range(0, p.size, 256):
@@ -497,6 +558,48 @@ class TestLikelihoodBands:
         assert np.flatnonzero(full > full.max() - 350.0).tolist() == [2, 3]
 
 
+@st.composite
+def banded_rows(draw):
+    """A C-order matrix whose rows are 0.0 outside their extents (some
+    written nowhere), with a mask of rows to keep."""
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 9))
+    a = np.zeros((rows, cols))
+    extent = np.empty((rows, 2), dtype=np.int64)
+    for i in range(rows):
+        lo = draw(st.integers(0, cols))
+        hi = draw(st.integers(lo, cols)) if draw(st.booleans()) else lo
+        extent[i] = (lo, hi) if lo < hi else (cols, 0)
+        a[i, lo:hi] = draw(st.lists(st.floats(), min_size=hi - lo, max_size=hi - lo))
+    mask = np.array(draw(st.lists(st.booleans(), min_size=rows, max_size=rows)))
+    return a, extent, mask
+
+
+class TestCompactRows:
+    """ripr_solve's in-place compaction against fancy indexing."""
+
+    @staticmethod
+    def assert_compacts(a, extent, mask):
+        want, want_extent = a[mask].tobytes(), extent[mask]
+        kept, kept_extent = evariables._compact_rows(a, extent, mask)
+        assert kept.tobytes() == want
+        assert np.array_equal(kept_extent, want_extent)
+        assert kept.flags.c_contiguous and kept.ctypes.data == a.ctypes.data
+
+    @settings(max_examples=300, deadline=None)
+    @given(banded_rows())
+    def test_matches_fancy_indexing(self, drawn):
+        self.assert_compacts(*drawn)
+
+    def test_wider_destinations_and_rows_in_place(self):
+        # Row 0 stays; row 2 moves onto row 1, whose extent is wider than
+        # its own, and row 4 onto row 2; row 3, written nowhere, onto no row.
+        a = np.zeros((5, 6))
+        extent = np.array([[0, 2], [0, 6], [2, 4], [6, 0], [3, 6]])
+        for row, (lo, hi) in enumerate(extent):
+            a[row, lo:hi] = np.arange(1, hi - lo + 1) + 10 * row
+        self.assert_compacts(a, extent, np.array([True, False, True, False, True]))
+
+
 class TestRipr:
     @pytest.mark.parametrize("target, n, masked", [
         (null_optimal_prior([induced_group_pmf(PriorSpec.nml(), 4)] * 2), 8, False),
@@ -529,38 +632,23 @@ class TestRipr:
 
     def test_holds_one_likelihood_matrix(self):
         # The mask and the pruning compact the grid x counts matrix in its
-        # own buffer, so the solve peaks at 8 bytes a cell and the 256 KiB
-        # block that fills the matrix; a masked copy would double the 8.
-        # 2509 counts are kept, on the default grid.
-        target = null_optimal_prior([induced_group_pmf(PriorSpec.from_beta(50, 50), 1400)] * 2)
-        t = target.weights()
-        cells = RIPR_GRID_SIZE * int((t > t.max() * 1e-60).sum())
-        assert 4e6 < cells < 6e6
-        tracemalloc.start()
-        try:
-            sol = ripr_solve(target, 2800)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert sol.converged
-        assert peak < 1.25 * 8 * cells
+        # own buffer, so the solve's resident growth is the pages the band
+        # fill wrote; a masked copy, or whole-row copies, would add pages.
+        # 2509 counts are kept on the default grid, 64% of the cells written.
+        used = _solve_in_a_fresh_process("beta:50,50", (1400, 1400))
+        assert used["shape"] == [RIPR_GRID_SIZE, 2509]
+        assert used["growth"] <= used["written_pages"] + 4 * 2**20
+        assert used["written_pages"] + 4 * 2**20 < 8 * RIPR_GRID_SIZE * 2509
+        assert used["left"] < 4 * 2**20
 
     def test_network_solve_peaks_at_its_matrix(self):
-        # The band fill's scratch block is 256 KiB; the cellwise build held an
-        # 8 MB block beside the matrix, which this bound refuses.
-        target = null_optimal_prior([induced_group_pmf(PriorSpec.uniform(), m)
-                                     for m in NETWORK_DYADS])
-        t = target.weights()
-        cells = RIPR_GRID_SIZE * int((t > t.max() * 1e-60).sum())
-        assert cells == RIPR_GRID_SIZE * 8265
-        tracemalloc.start()
-        try:
-            sol = ripr_solve(target, sum(NETWORK_DYADS))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert sol.converged
-        assert peak <= 8 * cells + 2**20
+        # The network's band fill writes 39% of its 126 MiB matrix; the
+        # pages it never writes stay unbacked while BLAS reads them.
+        used = _solve_in_a_fresh_process("uniform", NETWORK_DYADS)
+        assert used["shape"] == [RIPR_GRID_SIZE, 8265]
+        assert used["growth"] <= used["written_pages"] + 4 * 2**20
+        assert used["growth"] < 0.5 * 8 * RIPR_GRID_SIZE * 8265
+        assert used["left"] < 4 * 2**20
 
     def test_target_inside_family(self):
         sol = ripr_solve(binomial_pmf(10, 0.3), 10, grid_size=501)

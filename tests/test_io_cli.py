@@ -383,7 +383,8 @@ class TestCli:
         (("net-test", "--network", "{dir}/net.json", "--mode", "sbm_vs_er_undirected"),
          4473 * 4472 // 2),
         (("epower", "--sizes", "6000000,6000000"), 12_000_000),
-        (("regret", "--palt", "0.4,0.6", "--m-list", "6000000,7000000,8000000"), 12_000_000),
+        # regret refuses its largest cell first.
+        (("regret", "--palt", "0.4,0.6", "--m-list", "6000000,7000000,8000000"), 16_000_000),
         (("theorem1", "--m", "1000000000"), 10**9),
     ], ids=["test-mic", "test-can", "test-point", "net-test", "epower", "regret", "theorem1"])
     def test_oversized_design_refused_before_building(self, tmp_path, capsys, argv, trials):
