@@ -30,6 +30,7 @@ from .evariables import (
     RIPR_MAX_ITER,
     RIPR_TOL,
     Statistic,
+    _check_design,
     decide,
     pseudo_null,
     # Nothing here solves a projection; the name stays bound because
@@ -116,6 +117,8 @@ def _statistic_flags(args) -> None:
 
 def _run_test(table: Table, args) -> dict:
     _statistic_flags(args)
+    source = "--table" if args.command == "test" else "--network"
+    _check_design(sum(table.sizes), table.k, f"lower the group sizes ({source})")
     # As decide checks it, but before the statistic is built.
     if not 0 < args.alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
@@ -223,9 +226,13 @@ def _sizes(args) -> tuple[int, ...]:
     if args.sizes is not None:
         if args.k is not None or args.m is not None:
             raise ValueError("--sizes cannot be combined with --k or --m")
-        return tuple(_numbers(args.sizes, "--sizes", int))
+        sizes = tuple(_numbers(args.sizes, "--sizes", int))
+        _check_design(sum(sizes), len(sizes), "lower --sizes")
+        return sizes
     k = _DEFAULT_K if args.k is None else args.k
     m = _DEFAULT_M[args.command] if args.m is None else args.m
+    # Checked before the k sizes exist.
+    _check_design(k * m, k, "lower --k or --m")
     return (m,) * k
 
 
@@ -298,6 +305,8 @@ def cmd_rprime(args) -> dict:
 def cmd_regret(args) -> dict:
     ms = _numbers(args.m_list, "--m-list", int)
     (prior,) = _priors_for(args, 1)
+    # Checked before --palt is read out to k values.
+    _check_design(args.k * max(ms), args.k, "lower --k or the largest m (--m-list)")
     rows = []
     curves = []
     for text in args.palt:

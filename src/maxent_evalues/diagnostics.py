@@ -26,7 +26,7 @@ from .evariables import (
     RIPR_TOL,
     Statistic,
     _alt_params,
-    _trials,
+    _check_design,
     e_power,
     pseudo_null,
     # Nothing here solves a projection; the name stays bound because
@@ -34,14 +34,14 @@ from .evariables import (
     # one wrapper.
     ripr_solve,  # noqa: F401
 )
-from .numerics import _BLOCK_CELLS, NEG_INF, binomial_log_pmfs, binomial_pmf
+from .numerics import _BLOCK_CELLS, NEG_INF, _within_budget, binomial_log_pmfs, binomial_pmf
 from .priors import (
     DEFAULT_DENSITY_GRID,
     DEFAULT_SCALE,
     PriorSpec,
+    _lattice,
     induced_group_pmf,
     null_optimal_prior,
-    pseudo_points,
 )
 
 # Worst-case search protocol: interior product grid.
@@ -52,14 +52,8 @@ WORST_CASE_STEP = 0.02
 # BLAS thread, the default 49-point axis at k = 5 (2.8e8 points) took 1.6-1.9
 # s at group size 10 and 3.1 s at 50, and 17320^2 points (k = 2) 0.6 and 1.4
 # s. A single group counts as P^2, so that no axis is longer than the k = 2
-# one; one group of 10 on that axis took 11 ms.
+# one; one group of 10 on that axis took 11 ms. It limits time, not memory.
 MAX_WORST_CASE_POINTS = 300_000_000
-# Most binomial weights, P times the sum of n + 1 over the distinct group
-# sizes, that a worst-case search builds: one (point x count) matrix a size,
-# 8 bytes a cell, so at most about 400 MB. The first contraction's buffer,
-# P x (N - n_k + 1) cells for N trials in all and n_k in the last group, is
-# held to the same limit.
-MAX_WORST_CASE_CELLS = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -155,8 +149,11 @@ def worst_case_r_prime(
     Every point's value is first computed at once by contraction; only the
     points within round-off of the largest are evaluated again as above.
     Equal groups share one binomial weight matrix over the axis. A grid past
-    MAX_WORST_CASE_POINTS points, or past MAX_WORST_CASE_CELLS weights or
-    cells of the first contraction, is refused before anything is built.
+    MAX_WORST_CASE_POINTS points, or past the budget, is refused before
+    anything is built: it is stated at 8 bytes a weight (P times the sum of n
+    + 1 over the distinct sizes n), a cell of the first contraction's buffer
+    (P x (N - n_k + 1) for N trials in all and n_k in the last group) and 4
+    blocks of _BLOCK_CELLS.
     """
     lo, hi = bounds
     if not 0 < lo < hi < 1:
@@ -181,13 +178,10 @@ def worst_case_r_prime(
     distinct = dict.fromkeys(sizes)
     cells = axis.size * sum(n + 1 for n in distinct)
     buffer = axis.size * (sum(sizes[:-1]) + 1)
-    if max(cells, buffer) > MAX_WORST_CASE_CELLS:
-        raise ValueError(
-            f"worst-case grid of {axis.size} points a group needs {cells} binomial "
-            f"weights over its distinct group sizes and {buffer} cells to contract "
-            f"its last group, past the limit of {MAX_WORST_CASE_CELLS} each; raise "
-            "grid_step (--grid-step) or narrow the bounds (--lo, --hi)"
-        )
+    _within_budget(8 * (cells + buffer + 4 * _BLOCK_CELLS),
+                   f"a worst-case grid of {axis.size} points a group ({cells} binomial weights, "
+                   f"{buffer} cells to contract its last group)",
+                   "raise grid_step (--grid-step) or narrow the bounds (--lo, --hi)")
     _, gap = _count_term_gap(specs, sizes, scale, density_grid)
     # One (point x count) weight matrix per distinct size, shared by equal groups.
     for n in distinct:
@@ -342,10 +336,11 @@ def regret_curve(
         raise ValueError("need at least 3 distinct m values")
     k = len(pvec)
     # The largest cell is refused here, before any cell solves a projection;
-    # regret builds each cell's pseudo density at the default scale.
-    _trials([ms[-1]] * k)
+    # regret builds each cell's pseudo density at the default scale and grid.
+    advice = "lower the largest m (--m-list)"
+    _check_design(k * ms[-1], k, advice)
     if candidate == "pseudo":
-        pseudo_points([ms[-1]] * k, DEFAULT_SCALE, "lower the largest m (--m-list)")
+        _lattice([spec] * k, [ms[-1]] * k, DEFAULT_SCALE, DEFAULT_DENSITY_GRID, advice)
     points = tuple(
         (m, regret(pvec, [spec] * k, [m] * k, candidate,
                    grid_size=grid_size, tol=tol, max_iter=max_iter))
@@ -368,7 +363,7 @@ def theorem1_diagnostic(spec: PriorSpec, m: int, bins: int) -> float:
         raise ValueError("bins must be positive")
     if bins > m + 1:
         raise ValueError("bins must not exceed m+1")
-    _trials([m])
+    _check_design(m, 1, "lower --m")
     pmf = induced_group_pmf(spec, m)
     j = np.arange(m + 1)
     cell = np.minimum((j * bins) // m, bins - 1)

@@ -37,6 +37,7 @@ from scipy.special import xlogy
 from .numerics import (
     NEG_INF,
     Pmf,
+    _within_budget,
     binomial_pmf,
     convolve_all,
     log_binomial_mixture,
@@ -60,16 +61,6 @@ RIPR_GRID_SIZE = 2001
 RIPR_TOL = 1e-10
 RIPR_MAX_ITER = 50_000
 
-# Most cells (grid points x kept counts) of the matrix ripr_solve builds. It
-# holds that one matrix, masked and pruned in place, and one 256 KiB block
-# while its band fills it. The matrix is a private anonymous mapping of 8
-# bytes a cell, so the limit is about 400 MB of address space; what is
-# resident is the pages its band wrote (on the largest benchmark design,
-# 8,265 kept counts at the default grid, 39% of the cells: the solve's peak
-# resident growth is 59 MB of the 126 MiB mapped). That design (1.65e7
-# cells) fits three times over.
-_MAX_RIPR_CELLS = 50_000_000
-
 # The likelihood matrix's band (_likelihood_bands): exp returns exactly 0.0
 # below -745.14, and the 55 nats to -_BAND_NATS far exceed a cell's rounding.
 # Blocks of _BAND_CELLS cells take one 256 KiB scratch array.
@@ -91,11 +82,6 @@ _WEIGHT_FLOOR = 1e-300
 # dropped. The least recently used entries go first; an entry
 # larger than the whole budget is not kept.
 _DESIGN_BYTES = 64 * 2**20
-
-# Most trials, n in all, of a design that is built. Building mic holds 24
-# bytes a trial for one group and 48 to 56 for 2 to 15 (tracemalloc at n =
-# 2e6): under 560 MB here. The largest benchmark design has 8,778 trials.
-MAX_TRIALS = 10_000_000
 
 POST_HOC_LEVEL = float(np.exp(-1.0))
 
@@ -144,14 +130,21 @@ def _bayes_terms(group_pmfs) -> tuple[np.ndarray, ...]:
     return terms
 
 
-def _trials(sizes) -> int:
-    """sum(sizes), refused past MAX_TRIALS before anything is built."""
-    n = sum(sizes)
-    if n > MAX_TRIALS:
-        raise ValueError(
-            f"a design of {n} trials exceeds the limit of {MAX_TRIALS}; lower the group sizes"
-        )
-    return n
+def _design_bytes(n: int, k: int) -> int:
+    """The stated peak resident growth of building a design of n trials in k
+    groups, of any kind. The left fold of the group laws (mic's null, can's
+    and point's target) grew by 24 to 213 bytes a trial for 1 to 60 groups
+    (fresh-process VmHWM, n = 2e6: each FFT step's freed buffers stay in the
+    heap), a mixture over every count (the null of can, point and pseudo) by
+    97, and each group's own arrays and objects take under 700 bytes.
+    """
+    return n * max(104, math.ceil(40 * (1 + math.log2(max(k, 1))))) + 2048 * k
+
+
+def _check_design(n: int, k: int, advice: str = "lower the group sizes") -> None:
+    """Refuse a design of n trials in k groups past the budget, before
+    anything of its size is built."""
+    _within_budget(_design_bytes(n, k), f"a design of {n} trials in {k} group(s)", advice)
 
 
 def _alt_params(sizes, alt_params) -> np.ndarray:
@@ -322,7 +315,8 @@ def _build(kind: str, sizes: tuple, params: tuple, settings: tuple | None):
     log_w_pseudo0 and log_binomial_mixture stay plain functions, looked up
     at each build.
     """
-    n = _trials(sizes)
+    n = sum(sizes)
+    _check_design(n, len(sizes))
     if kind == "pseudo":
         density = pseudo_null_density(params, sizes, *settings)
         null = log_w_pseudo0(density, n, np.arange(n + 1))
@@ -489,11 +483,10 @@ def ripr_solve(
     # effective support.
     keep = t > t.max() * 1e-60
     c0 = np.arange(n + 1)[keep]
-    if grid_size * c0.size > _MAX_RIPR_CELLS:
-        raise ValueError(
-            f"the projection needs a {grid_size} x {c0.size} matrix (limit "
-            f"{_MAX_RIPR_CELLS} cells); lower grid_size (--ripr-grid)"
-        )
+    # The matrix takes 8 bytes a cell of address space (resident where its
+    # band writes), and the solve 106 to 110 bytes a grid point besides.
+    _within_budget(8 * grid_size * (c0.size + 16), f"the projection's {grid_size} x "
+                   f"{c0.size} likelihood matrix", "lower grid_size (--ripr-grid)")
     t = t[keep]
     t = t / t.sum()
     p = np.linspace(0.0, 1.0, grid_size)

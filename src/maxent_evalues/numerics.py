@@ -29,6 +29,17 @@ FFT_CLAMP = 1e-15
 # their temporary arrays for any number of groups.
 _BLOCK_CELLS = 1_000_000
 
+# Most bytes of peak resident growth one build may take. Each route states
+# its peak from its design and settings where it builds, and _within_budget
+# refuses it before anything of that size is allocated.
+MAX_BYTES = 2**30
+
+
+def _within_budget(nbytes: int, what: str, advice: str) -> None:
+    """Refuse what, stated at nbytes, past MAX_BYTES; advice names the flag."""
+    if nbytes > MAX_BYTES:
+        raise ValueError(f"{what} needs {nbytes} bytes, past the budget of {MAX_BYTES}; {advice}")
+
 
 def log_sum_exp(values) -> float:
     """log(sum(exp(values))) with max-shift; -inf iff all inputs are -inf."""

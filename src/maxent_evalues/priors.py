@@ -19,36 +19,13 @@ from .numerics import (
     FFT_CLAMP,
     GridDensity,
     Pmf,
+    _within_budget,
     convolve_all,
     log_beta_fn,
 )
 
 # Resolution multiplier of the pseudo density's high-resolution route.
 DEFAULT_SCALE = 10_000
-
-# Largest high-resolution support pseudo_null_density builds (scale * n + 1
-# points). When every group is uniform and the closed count runs
-# (_box_counts), a resampled build holds arrays of the grid's size, not the
-# support's: 1.84 MiB traced and 2 MB of peak RSS past the import for two
-# groups of 512 or eight of 128. Every other design is transformed, a uniform
-# group as a box of ones: one distinct (prior, size) pair holds its rfft's
-# zero-padded buffer and spectrum, 16 bytes a point, and two or more the
-# next pair's spectrum as well, 24. Peak RSS is about twice the traced peak
-# for these builds, as the transforms' own work buffers are not traced. (At
-# 1.02e7 points, traced and peak RSS past the import: 159 MiB and 325 MB for
-# one group of beta(2,2) or NML; 159 MiB and 251 MB for 16 uniform groups of
-# 64; 159 MiB and 285 MB for two of beta(2,2); 238 MiB and 367 MB for
-# beta(2,2) with NML or with a uniform group.) So n = 1024 fits at the
-# default scale, and at the limit the traced peak runs from a few MB to
-# about 600 MB.
-MAX_PSEUDO_POINTS = 25_000_000
-
-# A build that keeps every point (no resample) runs the whole inverse and
-# builds its density over all of them: about 56 bytes a point whatever the
-# priors (tracemalloc: 274 MiB at 5.12e6 points, k = 2, for uniform,
-# beta(2,2), and NML with beta(0.5,3)). It is refused past this many points,
-# which keeps it near 500 MB.
-_MAX_UNRESAMPLED_POINTS = 500_000_000 // 56
 
 # Most residues, mod the period of the resampled indices, at which
 # pseudo_null_density computes the convolution by the folded inverse
@@ -385,36 +362,20 @@ def _folded_irfft(spectrum, length: int, period: int, residues) -> np.ndarray:
     return fft.ifft(folded, axis=1).real / period
 
 
-def pseudo_points(sizes, scale: int, advice: str = "lower scale or the group sizes") -> int:
-    """The points of pseudo_null_density's lattice, scale * sum(sizes) + 1,
-    refused past MAX_PSEUDO_POINTS by a ValueError that ends in advice."""
-    points = scale * sum(int(n) for n in sizes) + 1
-    if points > MAX_PSEUDO_POINTS:
-        raise ValueError(
-            f"pseudo density needs {points} points at scale {scale} "
-            f"(limit {MAX_PSEUDO_POINTS}); {advice}"
-        )
-    return points
+def _lattice(specs, sizes, scale: int, grid_size: int | None,
+             advice: str = "lower scale (--scale) or the group sizes, or resample "
+                           "onto fewer points (--density-grid)"):
+    """pseudo_null_density's checked design: its specs (beta(1,1) as
+    uniform), sizes, last lattice index total = scale * sum(sizes), the
+    indices lo..hi it keeps, and whether it is resampled.
 
-
-def pseudo_null_density(
-    specs,
-    sizes,
-    scale: int = DEFAULT_SCALE,
-    grid_size: int | None = None,
-) -> PseudoDensity:
-    """High-resolution-limit density of the optimal null prior on p0 = n1/n.
-
-    Each group's induced pmf is computed at size scale*n_i, the pmfs are
-    convolved in one FFT pass, and the weights are placed on the grid
-    i/(scale*n) of [0, 1]. Supports above MAX_PSEUDO_POINTS points, or above
-    _MAX_UNRESAMPLED_POINTS without a resample, are refused before anything
-    is built. Beta priors with a parameter below 1 diverge at the boundary;
-    their endpoint grid cells are dropped. If
-    grid_size is given and smaller, the weights are linearly resampled onto
-    that many points, and the inverse transform is evaluated only at the
-    points the resample reads where their period allows (_folded_irfft). The
-    result is normalized as a density once, at the end.
+    Refused past the budget before anything is built: stated at 56 bytes a
+    point and 80 a grid point resampled (a transform's padded buffer, its
+    spectrum and work buffer, and another pair's spectrum: 29 to 47 bytes a
+    point at 1e6 to 1.02e7 points, VmHWM), and 80 bytes a point kept whole,
+    which builds its density over every point (58 to 67). A counted build
+    (2.3 MB at 1.02e7 points) is stated as the transformed one it falls back
+    to.
     """
     # beta(1,1) groups are built as uniform ones, and so may be counted.
     specs = canonical_priors(specs)
@@ -427,18 +388,36 @@ def pseudo_null_density(
         raise ValueError("group size must be at least 1")
     if scale < 10:
         raise ValueError("scale must be at least 10")
-    total = pseudo_points(sizes, scale) - 1
+    total = scale * sum(int(n) for n in sizes)
     # The points i/total kept, lo <= i <= hi: all but the end cells of beta
     # priors with a parameter below 1.
     lo = int(any(s.kind == "beta" and (s.alpha < 1 or s.beta < 1) for s in specs))
     hi = total - lo
     resample = grid_size is not None and hi - lo + 1 > grid_size
-    if not resample and total + 1 > _MAX_UNRESAMPLED_POINTS:
-        raise ValueError(
-            f"pseudo density without a resample needs {total + 1} points at scale "
-            f"{scale} (limit {_MAX_UNRESAMPLED_POINTS}); lower scale or the group "
-            "sizes, or resample onto fewer grid points"
-        )
+    nbytes = 56 * (total + 1) + 80 * grid_size if resample else 80 * (total + 1)
+    _within_budget(nbytes, f"a pseudo density of {total + 1} points at scale {scale}", advice)
+    return specs, sizes, total, lo, hi, resample
+
+
+def pseudo_null_density(
+    specs,
+    sizes,
+    scale: int = DEFAULT_SCALE,
+    grid_size: int | None = None,
+) -> PseudoDensity:
+    """High-resolution-limit density of the optimal null prior on p0 = n1/n.
+
+    Each group's induced pmf is computed at size scale*n_i, the pmfs are
+    convolved in one FFT pass, and the weights are placed on the grid
+    i/(scale*n) of [0, 1]. A lattice past the budget is refused before
+    anything is built (_lattice). Beta priors with a parameter below 1
+    diverge at the boundary; their endpoint grid cells are dropped. If
+    grid_size is given and smaller, the weights are linearly resampled onto
+    that many points, and the inverse transform is evaluated only at the
+    points the resample reads where their period allows (_folded_irfft). The
+    result is normalized as a density once, at the end.
+    """
+    specs, sizes, total, lo, hi, resample = _lattice(specs, sizes, scale, grid_size)
     # The convolution is computed at the indices period*q + r for r in
     # residues; period 1 is the whole inverse transform.
     length = fft.next_fast_len(total + 1, real=True)

@@ -289,8 +289,10 @@ class TestWorstCaseRPrime:
             ((4, 4), 5e-324),  # the span overflows to inf
             # 9,601^2 points pass, but 9,601 x 100,001 weights (7.2 GiB) do not.
             ((100_000,), 1e-4),
-            # Two distinct sizes at 9,601 points: 9,601 x 6,003 = 5.8e7 weights.
-            ((3_000, 3_001), 1e-4),
+            # Two distinct sizes at 9,601 points: 9,601 x 12,003 weights and
+            # 9,601 x 6,001 cells to contract, 1.4 GB; one size's weights
+            # alone would pass.
+            ((6_000, 6_001), 1e-4),
         ],
     )
     def test_refuses_a_grid_beyond_the_limit(self, monkeypatch, sizes, step):
@@ -325,27 +327,15 @@ class TestWorstCaseRPrime:
         assert value == reference_worst_case_r_prime(priors, (7, 19, 7), SCALE, **options)
 
     def test_equal_groups_share_their_weights_in_the_limit(self, monkeypatch):
-        # 9,601 x 3,001 = 2.9e7 weights for both groups: the checks pass and
-        # the search goes on to the density.
+        # 9,601 x 5,001 weights for both groups and as many cells to contract,
+        # 800 MB: the budget admits them and the search goes on to the
+        # density. A weight matrix a group would be 1.2 GB.
         def density(*args):
             raise RuntimeError("checks passed")
 
         monkeypatch.setattr(diagnostics, "_count_term_gap", density)
         with pytest.raises(RuntimeError, match="checks passed"):
-            worst_case_r_prime([PriorSpec.uniform()] * 2, (3_000, 3_000), grid_step=1e-4)
-
-    def test_refuses_the_first_contraction_past_the_limit(self, monkeypatch):
-        # Four groups of 600,000 at scale 10 on the default 49-point axis:
-        # the density's 2.4e7 points and the 49 x 600,001 = 2.9e7 weights
-        # pass, but contracting the last group into the other 1,800,000
-        # trials takes 49 x 1,800,001 = 8.8e7 cells (706 MB).
-        def built(*args, **kwargs):
-            raise AssertionError("built before the contraction was checked")
-
-        monkeypatch.setattr(diagnostics, "_count_term_gap", built)
-        monkeypatch.setattr(diagnostics, "binomial_log_pmfs", built)
-        with pytest.raises(ValueError, match=r"88200049 cells to contract.*--grid-step"):
-            worst_case_r_prime([PriorSpec.uniform()] * 4, [600_000] * 4, scale=10)
+            worst_case_r_prime([PriorSpec.uniform()] * 2, (5_000, 5_000), grid_step=1e-4)
 
     def test_admits_the_default_axis_up_to_five_groups(self):
         assert 49**5 <= diagnostics.MAX_WORST_CASE_POINTS < 49**6
@@ -542,8 +532,10 @@ class TestRegretCurve:
             regret_curve((0.3, 0.6), PriorSpec.uniform(), (10, 20, 20))
 
     def test_largest_cell_refused_before_solving(self, solves):
-        # No cell is solved or built before the largest is refused.
-        with pytest.raises(ValueError, match="a design of 12000000 trials exceeds"):
+        # No cell is solved or built before the largest is refused, by the
+        # statement of its design.
+        with pytest.raises(ValueError, match=r"a design of 12000000 trials in 2 group\(s\) "
+                                             r"needs \d+ bytes, past the budget.*--m-list"):
             regret_curve((0.4, 0.6), PriorSpec.uniform(), (2, 3, 6_000_000), "gro_can")
         assert solves == []
         assert not evariables._designs

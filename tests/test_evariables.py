@@ -32,6 +32,7 @@ from maxent_evalues.evariables import (
 )
 from maxent_evalues.models import Table
 from maxent_evalues.numerics import (
+    MAX_BYTES,
     NEG_INF,
     GridDensity,
     binomial_pmf,
@@ -442,18 +443,62 @@ def _benchmark_targets():
         yield pytest.param(sizes, None, palt, id=f"{name}-point")
 
 
-_SOLVE_RSS = """
-import json, mmap, sys
-import numpy as np
-from maxent_evalues import evariables
-from maxent_evalues.priors import induced_group_pmf, null_optimal_prior, parse_prior
+_FRESH = """
+import json, sys
+from maxent_evalues import diagnostics, evariables, priors
 
 def status():
     with open("/proc/self/status") as f:
         fields = dict(line.split(":", 1) for line in f)
     return {k: int(fields[k].split()[0]) * 1024 for k in ("VmHWM", "VmRSS")}
 
-prior, sizes = json.loads(sys.argv[1])
+# The bytes of every statement checked against the budget, in order.
+stated = []
+for module in (diagnostics, evariables, priors):
+    def spy(nbytes, what, advice, check=module._within_budget):
+        stated.append(nbytes)
+        check(nbytes, what, advice)
+    module._within_budget = spy
+report = {}
+setup, run, finish = sys.argv[1:]
+exec(setup)
+del stated[:]
+before = status()
+try:
+    exec(run)
+except ValueError as exc:
+    report["refused"] = str(exc)
+after = status()
+exec(finish)
+report.update(growth=after["VmHWM"] - before["VmRSS"], left=after["VmRSS"] - before["VmRSS"],
+              stated=stated)
+print(json.dumps(report))
+"""
+
+
+def _in_a_fresh_process(setup, run, finish=""):
+    """Memory of the Python source run, read from /proc/self/status in a
+    fresh process after setup has run: growth is the peak resident set past
+    the resident set before run, left what stays resident after it, stated
+    the bytes of each statement run checked against the budget, and refused
+    the message of a ValueError run raised. finish runs after the reading,
+    and may add keys to the report dict."""
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("no /proc/self/status")
+    src = str(Path(evariables.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _FRESH, setup, run, finish],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    return json.loads(done.stdout)
+
+
+_SOLVE_SETUP = """
+import mmap
+import numpy as np
+from maxent_evalues.priors import induced_group_pmf, null_optimal_prior, parse_prior
+prior, sizes = {!r}, {!r}
 target = null_optimal_prior([induced_group_pmf(parse_prior(prior), m) for m in sizes])
 built = []
 bands = evariables._likelihood_bands
@@ -462,36 +507,26 @@ def spy(*args):
     built.append((cells.shape, extent.copy()))
     return cells, maxima, extent
 evariables._likelihood_bands = spy
-before = status()
-solved = evariables.ripr_solve(target, sum(sizes))
-after = status()
+"""
+
+_SOLVE_FINISH = """
 assert solved.converged and len(built) == 1
 (rows, cols), extent = built[0]
 # Each row's extent rounded out to whole pages.
 first = 8 * (np.arange(rows) * cols + extent[:, 0])
 last = 8 * (np.arange(rows) * cols + extent[:, 1]) - 1
 pages = (last // mmap.PAGESIZE - first // mmap.PAGESIZE + 1)[first <= last].sum()
-print(json.dumps({"shape": [rows, cols], "written_pages": int(pages) * mmap.PAGESIZE,
-                  "growth": after["VmHWM"] - before["VmRSS"],
-                  "left": after["VmRSS"] - before["VmRSS"]}))
+report.update(shape=[rows, cols], written_pages=int(pages) * mmap.PAGESIZE)
 """
 
 
 def _solve_in_a_fresh_process(prior, sizes):
     """ripr_solve's memory on mic's null for one prior over groups of these
-    sizes, read from /proc/self/status in a fresh process: growth is the
-    peak resident set past the resident set before the solve, left what
-    stays resident after it, and written_pages the bytes of the pages the
-    band fill wrote."""
-    if not os.path.exists("/proc/self/status"):
-        pytest.skip("no /proc/self/status")
-    src = str(Path(evariables.__file__).resolve().parents[1])
-    done = subprocess.run(
-        [sys.executable, "-c", _SOLVE_RSS, json.dumps([prior, list(sizes)])],
-        capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    return json.loads(done.stdout)
+    sizes (_in_a_fresh_process), with the shape of its matrix and
+    written_pages, the bytes of the pages the band fill wrote."""
+    return _in_a_fresh_process(_SOLVE_SETUP.format(prior, list(sizes)),
+                               "solved = evariables.ripr_solve(target, sum(sizes))",
+                               _SOLVE_FINISH)
 
 
 class TestLikelihoodBands:
@@ -643,11 +678,14 @@ class TestRipr:
 
     def test_network_solve_peaks_at_its_matrix(self):
         # The network's band fill writes 39% of its 126 MiB matrix; the
-        # pages it never writes stay unbacked while BLAS reads them.
+        # pages it never writes stay unbacked while BLAS reads them. The
+        # target keeps 8,265 counts under numpy's AVX-512 kernels and 8,267
+        # under its AVX2 ones, so the count is read from the solve.
         used = _solve_in_a_fresh_process("uniform", NETWORK_DYADS)
-        assert used["shape"] == [RIPR_GRID_SIZE, 8265]
+        grid, kept = used["shape"]
+        assert grid == RIPR_GRID_SIZE and 8000 < kept < 8500
         assert used["growth"] <= used["written_pages"] + 4 * 2**20
-        assert used["growth"] < 0.5 * 8 * RIPR_GRID_SIZE * 8265
+        assert used["growth"] < 0.5 * 8 * grid * kept
         assert used["left"] < 4 * 2**20
 
     def test_target_inside_family(self):
@@ -723,6 +761,55 @@ class TestRipr:
     def test_grid_too_small(self):
         with pytest.raises(ValueError):
             ripr_solve(binomial_pmf(5, 0.5), 5, grid_size=10)
+
+
+_PRIORS = "from maxent_evalues.priors import parse_prior as prior\n"
+
+
+class TestMemoryBudget:
+    """Each route's stated bytes bound what it holds, in a fresh process."""
+
+    @pytest.mark.parametrize("setup, run", [
+        # mic: one group, convolved by nothing, and the FFT fold over 2, 15
+        # and 60 groups.
+        ("", "evariables.Statistic.mic([500_000], [prior('uniform')])"),
+        ("", "evariables.Statistic.mic([250_000] * 2, [prior('nml')] * 2)"),
+        ("", "evariables.Statistic.mic([33_000] * 15, [prior('beta:2,3')] * 15)"),
+        ("", "evariables.Statistic.mic([8_000] * 60, [prior('uniform')] * 60)"),
+        # can and point: the fold, the projection's matrix and the mixture.
+        ("", f"evariables.Statistic.can({list(NETWORK_DYADS)}, [prior('uniform')] * 15)"),
+        ("", f"evariables.Statistic.point({list(NETWORK_DYADS)}, {list(NETWORK_PALT)})"),
+        # The pseudo lattice counted, transformed with one and two distinct
+        # (prior, size) pairs, and unresampled, counted and transformed.
+        ("", "priors.pseudo_null_density([prior('uniform')] * 2, [512, 512], 10_000, 20_001)"),
+        ("", "priors.pseudo_null_density([prior('beta:2,2')], [400], 10_000, 20_001)"),
+        ("", "priors.pseudo_null_density([prior('beta:2,2'), prior('nml')], [200, 200], "
+             "10_000, 20_001)"),
+        ("", "priors.pseudo_null_density([prior('uniform')] * 2, [100, 100], 10_000, None)"),
+        ("", "priors.pseudo_null_density([prior('nml')] * 2, [100, 100], 10_000, None)"),
+        # The pseudo null: its lattice and the quadrature over every count.
+        ("", "evariables.pseudo_null([200_000, 100_000], [prior('uniform')] * 2, 10, 2001)"),
+        # The worst-case search, its density and mic's null built first.
+        ("diagnostics._count_term_gap([prior('nml')], [10_000], 10, 2001)",
+         "diagnostics.worst_case_r_prime([prior('nml')], [10_000], 10, 2001, 5e-4)"),
+    ], ids=["mic-1", "mic-2", "mic-15", "mic-60", "can", "point", "pseudo-counted",
+            "pseudo-transformed", "pseudo-two-pairs", "pseudo-unresampled-counted",
+            "pseudo-unresampled-transformed", "pseudo-null", "worst-case"])
+    def test_statement_holds(self, setup, run):
+        # Measured growth is at most the statements the build checked plus a
+        # fixed slack for the interpreter's own allocations.
+        used = _in_a_fresh_process(_PRIORS + setup, run)
+        assert "refused" not in used and used["stated"]
+        assert used["growth"] <= sum(used["stated"]) + 8 * 2**20
+
+    def test_a_design_just_over_the_budget_is_refused_at_once(self):
+        # One group stated one trial past the budget: refused before anything
+        # of its size is built.
+        n = (MAX_BYTES - 2048) // 104 + 1
+        assert evariables._design_bytes(n, 1) > MAX_BYTES >= evariables._design_bytes(n - 1, 1)
+        used = _in_a_fresh_process(_PRIORS, f"evariables.Statistic.mic([{n}], [prior('nml')])")
+        assert "past the budget" in used["refused"]
+        assert used["growth"] < 16 * 2**20
 
 
 class TestGroCan:

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 import warnings
@@ -11,17 +15,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from maxent_evalues import cli, diagnostics, evariables
+from maxent_evalues import cli, diagnostics, evariables, priors
 from maxent_evalues.cli import build_parser, main
 from maxent_evalues.evariables import (
-    MAX_TRIALS,
     RIPR_GRID_SIZE,
     RIPR_MAX_ITER,
     RIPR_TOL,
     Statistic,
 )
 from maxent_evalues.models import Table
+from maxent_evalues.numerics import MAX_BYTES
 from maxent_evalues.priors import DEFAULT_DENSITY_GRID, DEFAULT_SCALE, PriorSpec, parse_prior
 from maxent_evalues.table_io import NetworkInput, network_to_table, parse_table, parse_table_text
 from oracles import log_binomial
@@ -376,26 +382,83 @@ class TestCli:
         assert out == ""
         assert "points" in json.loads(err)["error"]
 
-    @pytest.mark.parametrize("argv, trials", [
-        (("test", "--table", "{dir}/t.json"), 10**9),
-        (("test", "--table", "{dir}/t.json", "--statistic", "can"), 10**9),
-        (("test", "--table", "{dir}/t.json", "--statistic", "point", "--palt", "0.5"), 10**9),
+    @pytest.mark.parametrize("argv, flag, spies", [
+        (("test", "--table", "{dir}/t.json"), "--table", ["evariables._build"]),
+        (("test", "--table", "{dir}/t.json", "--statistic", "can"), "--table",
+         ["evariables._build"]),
+        (("test", "--table", "{dir}/t.json", "--statistic", "point", "--palt", "0.5"),
+         "--table", ["evariables._build"]),
         (("net-test", "--network", "{dir}/net.json", "--mode", "sbm_vs_er_undirected"),
-         4473 * 4472 // 2),
-        (("epower", "--sizes", "6000000,6000000"), 12_000_000),
-        # regret refuses its largest cell first.
-        (("regret", "--palt", "0.4,0.6", "--m-list", "6000000,7000000,8000000"), 16_000_000),
-        (("theorem1", "--m", "1000000000"), 10**9),
-    ], ids=["test-mic", "test-can", "test-point", "net-test", "epower", "regret", "theorem1"])
-    def test_oversized_design_refused_before_building(self, tmp_path, capsys, argv, trials):
-        # One group of 1e9 trials ended in a raw numpy _ArrayMemoryError
-        # traceback, and two of 6e7 inside scipy.fft. A design past
-        # MAX_TRIALS is refused by name before any array of its size exists.
+         "--network", ["evariables._build"]),
+        (("epower", "--sizes", "6000000,6000000"), "--sizes", ["evariables._build"]),
+        (("regret", "--palt", "0.4,0.6", "--m-list", "6000000,7000000,8000000"), "--m-list",
+         ["evariables._build"]),
+        (("theorem1", "--m", "1000000000"), "--m", ["diagnostics.induced_group_pmf"]),
+        # 8 x grid x (23 kept counts + 16) bytes: the largest grid the budget
+        # admits reaches the matrix.
+        (("test", "--table", "{dir}/small.json", "--statistic", "can", "--ripr-grid",
+          str(MAX_BYTES // (8 * 39) + 1)), "--ripr-grid", ["evariables._likelihood_bands"]),
+        (("test", "--table", "{dir}/small.json", "--statistic", "can", "--ripr-grid",
+          str(MAX_BYTES // (8 * 39))), None, ["evariables._likelihood_bands"]),
+        # 2.8e7 points at the default scale, 56 bytes a point resampled.
+        (("gap", "--sizes", "1400,1400"), "--scale",
+         ["priors._one_pass_spectrum", "priors._box_counts"]),
+        # 1.4e7 points: 80 bytes a point kept whole, but 56 resampled.
+        (("gap", "--sizes", "700,700", "--density-grid", "20000000"), "--density-grid",
+         ["priors._one_pass_spectrum", "priors._box_counts"]),
+        (("gap", "--sizes", "700,700"), None, ["priors._one_pass_spectrum", "priors._box_counts"]),
+        # 9,601^2 points pass the time limit, but one group of 100,000 needs
+        # 9,601 x 100,001 binomial weights, 7.7 GB, built after the density.
+        (("rprime", "--k", "1", "--m", "100000", "--scale", "10", "--worst-case",
+          "--grid-step", "1e-4"), "--grid-step",
+         ["diagnostics._count_term_gap", "diagnostics.binomial_log_pmfs"]),
+        # Four groups of 700,000: the 49 x 700,001 weights (274 MB) pass, but
+        # contracting the last group into the other 2.1e6 trials takes 49 x
+        # 2,100,001 cells (823 MB) more, after a 2.8e7-point density.
+        (("rprime", "--k", "4", "--m", "700000", "--scale", "10", "--worst-case"),
+         "--grid-step", ["diagnostics._count_term_gap", "diagnostics.binomial_log_pmfs"]),
+        # regret has no --scale: a pseudo cell past the budget at the default
+        # scale (2.8e7 points) is refused first, before the smaller cells
+        # solve or build anything.
+        (("regret", "--candidate", "pseudo", "--palt", "0.4,0.6", "--m-list", "20,1300,1400"),
+         "--m-list", ["evariables.ripr_solve", "evariables.pseudo_null_density",
+                      "evariables._build"]),
+        # --k is checked before any list of k sizes or alternatives exists.
+        (("gap", "--k", "10000000000000"), "--k", ["evariables._build"]),
+        (("epower", "--k", "10000000000000", "--m", "1"), "--k", ["evariables._build"]),
+        (("rprime", "--worst-case", "--k", "10000000000000"), "--k", ["evariables._build"]),
+        (("regret", "--k", "10000000000000", "--palt", "0.5", "--m-list", "1,2,3"), "--k",
+         ["evariables._build"]),
+    ], ids=["test-mic", "test-can", "test-point", "net-test", "epower", "regret", "theorem1",
+            "ripr-grid", "ripr-grid-admitted", "pseudo", "pseudo-unresampled",
+            "pseudo-resampled-admitted", "worst-case-weights", "worst-case-contraction",
+            "regret-pseudo-largest-first", "gap-k", "epower-k", "rprime-k", "regret-k"])
+    def test_oversized_design_refused_before_building(self, tmp_path, monkeypatch, capsys,
+                                                      argv, flag, spies):
+        # Every route's refusal past the one budget. One group of 1e9 trials
+        # ended in a raw numpy _ArrayMemoryError traceback, two of 6e7 inside
+        # scipy.fft, and --k 1e13 in a MemoryError building its sizes. A
+        # refused design exits 1 with one JSON error that names its bytes, the
+        # budget and a flag of the command, before any of the functions in
+        # spies runs and under 16 MiB traced; an admitted one (flag None)
+        # reaches them.
+        def built(*args, **kwargs):
+            raise AssertionError("built")
+
+        for name in spies:
+            module, attr = name.split(".")
+            monkeypatch.setattr({"evariables": evariables, "diagnostics": diagnostics,
+                                 "priors": priors}[module], attr, built)
         (tmp_path / "t.json").write_text('{"groups":[{"n":1000000000,"ones":1}]}')
-        # One block of 4473 nodes: 10,001,628 dyads.
-        partition = {str(i): "A" for i in range(4473)}
+        (tmp_path / "small.json").write_text('{"groups":[{"n":10,"ones":3},{"n":12,"ones":9}]}')
+        # One block of 4,600 nodes: 10,577,700 dyads.
+        partition = {str(i): "A" for i in range(4600)}
         (tmp_path / "net.json").write_text(json.dumps({"edges": [], "partition": partition}))
         argv = [a.replace("{dir}", str(tmp_path)) for a in argv]
+        if flag is None:
+            with pytest.raises(AssertionError, match="built"):
+                main(argv)
+            return
         tracemalloc.start()
         try:
             code, out, err = run_cli(*argv, capsys=capsys)
@@ -404,10 +467,16 @@ class TestCli:
             tracemalloc.stop()
         assert code == 1
         assert out == ""
-        assert strict(err)["error"] == (
-            f"a design of {trials} trials exceeds the limit of {MAX_TRIALS}; "
-            "lower the group sizes"
-        )
+        assert len(err.splitlines()) == 1
+        stated, advice = re.fullmatch(
+            rf".* needs (\d+) bytes, past the budget of {MAX_BYTES}; (.*)", strict(err)["error"]
+        ).groups()
+        assert int(stated) > MAX_BYTES
+        # The advice names the flag, and only flags the command takes: regret
+        # has no --scale.
+        options = build_parser()._subparsers._group_actions[0].choices[argv[0]]
+        assert flag in advice
+        assert set(re.findall(r"--[a-z-]+", advice)) <= set(options._option_string_actions)
         assert peak < 16 * 2**20
 
     def test_point_contradiction_fails_fast(self, tmp_path, capsys):
@@ -567,28 +636,6 @@ class TestCli:
         assert code == 1
         assert out == ""
         assert "(--ripr-tol) must be finite and positive" in strict(err)["error"]
-
-    def test_ripr_matrix_refused_past_its_limit(self, monkeypatch, tmp_path, capsys):
-        def built(*args):
-            raise AssertionError("projection matrix built")
-
-        # The largest benchmark design, 8,265 kept counts at the default grid,
-        # fits three times over.
-        assert evariables._MAX_RIPR_CELLS >= 3 * 8265 * evariables.RIPR_GRID_SIZE
-        monkeypatch.setattr(evariables, "_likelihood_bands", built)
-        path = tmp_path / "t.json"
-        path.write_text('{"groups":[{"n":10,"ones":3},{"n":12,"ones":9}]}')
-        argv = ["test", "--table", str(path), "--statistic", "can", "--ripr-grid"]
-        # Uniform groups keep all 23 total counts.
-        largest = evariables._MAX_RIPR_CELLS // 23
-        for grid in (largest + 1, 20_000_000):
-            code, out, err = run_cli(*argv, str(grid), capsys=capsys)
-            assert code == 1
-            assert out == ""
-            assert "--ripr-grid" in strict(err)["error"]
-        with pytest.raises(AssertionError, match="built"):
-            main([*argv, str(largest)])
-        capsys.readouterr()
 
     def test_palt_refused_unless_read(self, tmp_path, capsys):
         path = tmp_path / "t.json"
@@ -969,40 +1016,6 @@ class TestCli:
         assert "worst-case grid" in strict(err)["error"]
         assert time.monotonic() - started < 10
 
-    def test_rprime_refuses_a_worst_case_search_past_its_weights(self, monkeypatch, capsys):
-        # 9,601^2 points pass the point limit, but one group of 100,000 needs
-        # 9,601 x 100,001 binomial weights: 7.2 GiB, built after the density.
-        def built(*args):
-            raise AssertionError("built before the weights were checked")
-
-        monkeypatch.setattr(diagnostics, "_count_term_gap", built)
-        monkeypatch.setattr(diagnostics, "binomial_log_pmfs", built)
-        code, out, err = run_cli(
-            "rprime", "--k", "1", "--m", "100000", "--scale", "10", "--worst-case",
-            "--grid-step", "1e-4", capsys=capsys,
-        )
-        assert code == 1
-        assert out == ""
-        error = strict(err)["error"]
-        assert "960109601 binomial weights" in error and "--grid-step" in error
-
-    def test_rprime_refuses_a_worst_case_contraction_past_the_limit(self, monkeypatch, capsys):
-        # Four groups of 600,000: the weights pass, but the first contraction
-        # needs 49 x 1,800,001 cells, 706 MB, after a 2.4e7-point density.
-        def built(*args):
-            raise AssertionError("built before the contraction was checked")
-
-        monkeypatch.setattr(diagnostics, "_count_term_gap", built)
-        monkeypatch.setattr(diagnostics, "binomial_log_pmfs", built)
-        code, out, err = run_cli(
-            "rprime", "--k", "4", "--m", "600000", "--scale", "10", "--worst-case",
-            capsys=capsys,
-        )
-        assert code == 1
-        assert out == ""
-        error = strict(err)["error"]
-        assert "88200049 cells to contract" in error and "--grid-step" in error
-
     @pytest.mark.parametrize("argv", [
         ("theorem1", "--m", "30"),
         ("regret", "--palt", "0.4,0.6", "--m-list", "10,20,40"),
@@ -1073,29 +1086,6 @@ class TestCli:
             expect = regret((0.3, 0.6), specs, sizes, "pseudo")
             assert point["regret"] == pytest.approx(expect, abs=1e-12)
 
-    def test_regret_pseudo_refuses_its_largest_m_first(self, monkeypatch, capsys):
-        # regret has no --scale: a pseudo cell past the point limit at the
-        # default scale is refused by naming --m-list, before the smaller
-        # cells solve anything.
-        solved = []
-
-        def spy(*args, **kwargs):
-            solved.append(args)
-            raise AssertionError("a cell was solved")
-
-        monkeypatch.setattr(evariables, "ripr_solve", spy)
-        monkeypatch.setattr(evariables, "pseudo_null_density", spy)
-        code, out, err = run_cli(
-            "regret", "--candidate", "pseudo", "--palt", "0.4,0.6",
-            "--m-list", "20,1300,1400", capsys=capsys,
-        )
-        assert code == 1
-        assert out == ""
-        message = strict(err)["error"]
-        assert "28000001 points" in message and "--m-list" in message
-        assert "scale" not in message.split(";")[1]
-        assert solved == []
-
     def test_reproducible_output(self, tmp_path, capsys):
         path = tmp_path / "t.json"
         path.write_text('{"groups":[{"n":4,"ones":1},{"n":4,"ones":3}]}')
@@ -1130,3 +1120,140 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["e"] == pytest.approx(4.0)
+
+
+@st.composite
+def _cli_call(draw, directory):
+    """argv for one CLI call the parsers accept: every command, its flags
+    drawn or left out, at small sizes (k <= 3 groups of at most 6). A value
+    the command refuses is drawn about one time in 32."""
+    def pick(valid, invalid=()):
+        rare = invalid and draw(st.integers(0, 31)) == 13
+        return draw(st.sampled_from(invalid if rare else valid))
+
+    def maybe(flag, valid, invalid=()):
+        return [flag, str(pick(valid, invalid))] if draw(st.booleans()) else []
+
+    def priors(k):
+        count = pick([1, k], [k + 1])
+        texts = ("uniform", "nml", "beta:2,3", "beta:0.5,3", "beta:1,1")
+        return ["--prior", *[pick(texts, ("beta:0,1", "cauchy")) for _ in range(count)]]
+
+    def palt(k):
+        values = [pick([0.0, 0.3, 0.5, 0.8, 1.0], [1.5, math.nan])
+                  for _ in range(pick([1, k], [k + 1]))]
+        return ",".join(map(str, values))
+
+    # A projection converges in a few hundred iterations on these sizes at
+    # this tolerance, or is refused as unconverged.
+    ripr = (["--ripr-tol", str(pick([1e-3, 1e-5], [0.0]))] + maybe("--ripr-grid", [51, 201], [40])
+            + ["--ripr-max-iter", str(pick([2000], [0, 1]))])
+    density = maybe("--scale", [10, 100, 10_000], [5]) + maybe("--density-grid", [51, 2001], [1])
+    k = draw(st.integers(1, 3))
+    sizes = [pick([1, 2, 3, 4, 5, 6], [0]) for _ in range(k)]
+    if draw(st.booleans()):
+        size_flags = ["--sizes", ",".join(map(str, sizes))]
+    else:
+        size_flags = ["--k", str(k), *maybe("--m", [1, 4, 6], [0])]
+    command = draw(st.sampled_from(["test", "net-test", "epower", "gap", "rprime", "regret",
+                                    "theorem1"]))
+    if command in ("test", "net-test"):
+        statistic = draw(st.sampled_from(["mic", "can", "pseudo", "point"]))
+        reads = cli._READ_BY[statistic]
+        argv = ["--statistic", statistic, *maybe("--alpha", [0.05, 0.5], [0.0, 1.5, math.nan])]
+        # A flag the statistic does not read is refused: drawn rarely.
+        if "prior" in reads and draw(st.booleans()) or pick([False], [True]):
+            argv += priors(k)
+        if "ripr_grid" in reads or pick([False], [True]):
+            argv += ripr
+        if "scale" in reads or pick([False], [True]):
+            argv += density
+        if "palt" in reads or pick([False], [True]):
+            argv += ["--palt", palt(k)]
+        if command == "test":
+            ones = [draw(st.integers(0, max(n, 0))) for n in sizes]
+            path = os.path.join(directory, "table.json")
+            with open(path, "w") as fh:
+                json.dump({"groups": [{"n": n, "ones": o} for n, o in zip(sizes, ones)]}, fh)
+            return ["test", "--table", path, *argv]
+        mode = draw(st.sampled_from(["sbm_vs_er_undirected", "sbm_vs_er_directed",
+                                     "pcm_vs_er_bipartite"]))
+        nodes = [str(i) for i in range(draw(st.integers(2, 6)))]
+        blocks = "AB" if mode == "pcm_vs_er_bipartite" else pick(["AB", "ABC"])
+        partition = {node: draw(st.sampled_from(blocks)) for node in nodes}
+        edges = []
+        for _ in range(draw(st.integers(0, 8))):
+            a = draw(st.sampled_from(nodes))
+            edge = [a, pick([n for n in nodes if n != a], [a])]
+            if sorted(edge) not in map(sorted, edges) or pick([False], [True]):
+                edges.append(edge)
+        path = os.path.join(directory, "network.json")
+        with open(path, "w") as fh:
+            json.dump({"edges": edges, "partition": partition}, fh)
+        argv = ["net-test", "--network", path, "--mode", mode, *argv]
+        if mode == "pcm_vs_er_bipartite" or pick([False], [True]):
+            argv += maybe("--constrained-block", ["A", "B"], ["Z"])
+        return argv
+    if command == "epower":
+        return ["epower", *size_flags, *priors(k), *ripr, *density]
+    if command == "gap":
+        return ["gap", *size_flags, *priors(k), *density]
+    if command == "rprime":
+        argv = ["rprime", *size_flags, *priors(k), *density]
+        if draw(st.booleans()):
+            return [*argv, "--palt", palt(k)]
+        return [*argv, "--worst-case", *maybe("--grid-step", [0.02, 0.1], [0.0]),
+                *maybe("--lo", [0.02, 0.3], [0.9]), *maybe("--hi", [0.7, 0.98], [0.1])]
+    if command == "regret":
+        ms = sorted(draw(st.sets(st.integers(1, 6), min_size=pick([3], [2]), max_size=3)))
+        alternatives = [palt(k) for _ in range(draw(st.integers(1, 2)))]
+        return ["regret", "--k", str(k), "--palt", *alternatives,
+                "--m-list", ",".join(map(str, ms)),
+                *maybe("--candidate", ["gro_mic", "gro_can", "pseudo"]), *priors(1), *ripr]
+    m = pick([1, 10, 40], [0])
+    return ["theorem1", "--m", str(m), *maybe("--bins", [1, min(m + 1, 20)], [0, m + 2]),
+            *priors(1)]
+
+
+class TestCliContract:
+    @staticmethod
+    def call(argv):
+        """Exit code, stdout and stderr of one main call; a traceback fails
+        the test."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        return code, out.getvalue(), err.getvalue()
+
+    @staticmethod
+    def check(code, out, err):
+        """Exit 0 with strict JSON and a finite log_e where one is printed,
+        or exit 1 with one JSON error line and nothing on stdout."""
+        if code == 0:
+            payload = strict(out)
+            if "log_e" in payload:
+                assert math.isfinite(payload["log_e"])
+            return payload
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert set(strict(err)) == {"error"}
+        return None
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_every_call_gives_a_report_or_one_json_error(self, data):
+        with tempfile.TemporaryDirectory() as directory, warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            argv = data.draw(_cli_call(directory))
+            payload = self.check(*self.call(argv))
+            if payload is None or argv[0] != "test":
+                return
+            # test reports go to continue, with a number or two.
+            report = os.path.join(directory, "report.json")
+            with open(report, "w") as fh:
+                json.dump(payload, fh)
+            numbers = data.draw(st.lists(st.sampled_from(["2.0", "0.5", "0", "-1", "inf"]),
+                                         max_size=2))
+            result = self.check(*self.call(["continue", report, *numbers]))
+            if result is not None:
+                assert result["components"] == 1 + len(numbers)

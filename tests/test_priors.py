@@ -16,6 +16,7 @@ from maxent_evalues import priors
 from maxent_evalues.numerics import (
     FFT_CLAMP,
     FFT_THRESHOLD,
+    MAX_BYTES,
     GridDensity,
     Pmf,
     convolve_all,
@@ -25,7 +26,7 @@ from maxent_evalues.numerics import (
 )
 from maxent_evalues.priors import (
     DEFAULT_DENSITY_GRID,
-    MAX_PSEUDO_POINTS,
+    DEFAULT_SCALE,
     PriorSpec,
     _folded_irfft,
     _induced_log_weights,
@@ -306,29 +307,28 @@ class TestPseudoNullDensity:
             pseudo_null_density([PriorSpec.uniform()] * 2, [3, 3], scale=5)
 
     def test_too_large_rejected_before_building(self):
-        # 2e10 points: without the guard this fails at allocation.
-        assert 2 * 10**10 > MAX_PSEUDO_POINTS
-        with pytest.raises(ValueError, match="points"):
+        # 2e10 points: without the budget this fails at allocation.
+        with pytest.raises(ValueError, match="of 20000000001 points .* past the budget"):
             pseudo_null_density([PriorSpec.uniform()] * 2, [10**6] * 2)
 
     def test_unresampled_build_refused_past_its_limit(self, monkeypatch):
-        # About 56 bytes a point without a resample against 20 with one: a
-        # build that keeps every one of 1e7 points would hold about 560 MB.
+        # 80 bytes a point without a resample against 56 with one: 1.4e7
+        # points resampled pass the budget, kept whole they do not.
         def built(*args):
             raise AssertionError("built before the size was checked")
 
-        specs, sizes = [PriorSpec.uniform()] * 2, [500, 500]
-        assert priors._MAX_UNRESAMPLED_POINTS < 10**7 + 1 <= MAX_PSEUDO_POINTS
+        specs, sizes = [PriorSpec.uniform()] * 2, [700, 700]
+        assert 56 * (14 * 10**6 + 1) < MAX_BYTES < 80 * (14 * 10**6 + 1)
         with monkeypatch.context() as patch:
             # Neither route may start: not the spectrum, not the closed form.
             patch.setattr(priors, "_one_pass_spectrum", built)
             patch.setattr(priors, "_box_counts", built)
-            for grid_size in (None, 10**7 + 1):
-                with pytest.raises(ValueError, match="without a resample"):
+            for grid_size in (None, 14 * 10**6 + 1):
+                with pytest.raises(ValueError, match="past the budget.*--density-grid"):
                     pseudo_null_density(specs, sizes, grid_size=grid_size)
-        # A resampled build of the same design is admitted, and returns its
-        # density on the default grid.
-        got = pseudo_null_density(specs, sizes, grid_size=DEFAULT_DENSITY_GRID).density
+        # A resampled build of a design of 1e7 points is admitted, and returns
+        # its density on the default grid.
+        got = pseudo_null_density(specs, [500, 500], grid_size=DEFAULT_DENSITY_GRID).density
         assert np.array_equal(got.grid, np.linspace(0, 1, DEFAULT_DENSITY_GRID))
         assert np.isfinite(got.log_density).all()
 
@@ -440,8 +440,13 @@ class TestPseudoNullDensity:
         )
 
     def test_limit_admits_fixed_n_cells(self):
-        # n = 1024 at the default scale: criterion 6 and the gap benchmark.
-        assert 10_000 * 1024 + 1 <= MAX_PSEUDO_POINTS
+        # n = 1024 at the default scale and grid: criterion 6 and the gap
+        # benchmark, up to eight groups of distinct priors.
+        specs = [PriorSpec.from_beta(0.5, 3), PriorSpec.nml()] * 4
+        for k in (1, 2, 4, 8):
+            *_, resample = priors._lattice(specs[:k], [1024 // k] * k, DEFAULT_SCALE,
+                                           DEFAULT_DENSITY_GRID)
+            assert resample
 
     @pytest.mark.parametrize(
         "sizes, scale, grid_size",
