@@ -22,7 +22,7 @@ from maxent_evalues.diagnostics import (
 from maxent_evalues import diagnostics, evariables
 from maxent_evalues.cli import main
 from maxent_evalues.evariables import Statistic, e_power
-from maxent_evalues.numerics import binomial_pmf
+from maxent_evalues.numerics import MAX_BYTES, binomial_pmf
 from maxent_evalues.priors import (
     DEFAULT_DENSITY_GRID,
     DEFAULT_SCALE,
@@ -336,6 +336,20 @@ class TestWorstCaseRPrime:
         monkeypatch.setattr(diagnostics, "_count_term_gap", density)
         with pytest.raises(RuntimeError, match="checks passed"):
             worst_case_r_prime([PriorSpec.uniform()] * 2, (5_000, 5_000), grid_step=1e-4)
+
+    def test_refuses_the_first_contraction_past_the_limit(self, monkeypatch):
+        # Four groups of 700,000 at scale 10 on the default 49-point axis:
+        # the 49 x 700,001 = 3.4e7 weights (274 MB) pass the budget alone,
+        # but contracting the last group into the other 2,100,000 trials
+        # takes 49 x 2,100,001 = 1.0e8 cells (823 MB) more.
+        def built(*args, **kwargs):
+            raise AssertionError("built before the contraction was checked")
+
+        monkeypatch.setattr(diagnostics, "_count_term_gap", built)
+        monkeypatch.setattr(diagnostics, "binomial_log_pmfs", built)
+        assert 8 * 49 * 700_001 < MAX_BYTES
+        with pytest.raises(ValueError, match=r"102900049 cells to contract.*--grid-step"):
+            worst_case_r_prime([PriorSpec.uniform()] * 4, [700_000] * 4, scale=10)
 
     def test_admits_the_default_axis_up_to_five_groups(self):
         assert 49**5 <= diagnostics.MAX_WORST_CASE_POINTS < 49**6

@@ -1016,6 +1016,23 @@ class TestCli:
         assert "worst-case grid" in strict(err)["error"]
         assert time.monotonic() - started < 10
 
+    def test_rprime_refuses_a_worst_case_contraction_past_the_limit(self, monkeypatch, capsys):
+        # Four groups of 700,000: the weights pass, but the first contraction
+        # needs 49 x 2,100,001 cells, 823 MB, after a 2.8e7-point density.
+        def built(*args):
+            raise AssertionError("built before the contraction was checked")
+
+        monkeypatch.setattr(diagnostics, "_count_term_gap", built)
+        monkeypatch.setattr(diagnostics, "binomial_log_pmfs", built)
+        code, out, err = run_cli(
+            "rprime", "--k", "4", "--m", "700000", "--scale", "10", "--worst-case",
+            capsys=capsys,
+        )
+        assert code == 1
+        assert out == ""
+        error = strict(err)["error"]
+        assert "102900049 cells to contract" in error and "--grid-step" in error
+
     @pytest.mark.parametrize("argv", [
         ("theorem1", "--m", "30"),
         ("regret", "--palt", "0.4,0.6", "--m-list", "10,20,40"),
