@@ -23,7 +23,6 @@ from .priors import (
     PriorSpec,
     induced_group_pmf,
     null_optimal_prior,
-    pseudo_null_density,
 )
 from .table_io import NetworkInput, network_to_table, parse_table
 
@@ -47,7 +46,6 @@ __all__ = [
     "network_to_table",
     "null_optimal_prior",
     "parse_table",
-    "pseudo_null_density",
     "regret",
     "regret_curve",
     "ripr_solve",

@@ -380,15 +380,25 @@ def theorem1_diagnostic(spec: PriorSpec, m: int, bins: int) -> float:
     return 0.5 * float(np.abs(observed - expected).sum())
 
 
+def _group_counts(k_values) -> list[int]:
+    """The numbers of groups k_values, each refused below 1."""
+    ks = [int(k) for k in k_values]
+    for k in ks:
+        if k < 1:
+            raise ValueError(f"k must be at least 1, got {k}")
+    return ks
+
+
 def cells_n_fixed(k_values, n) -> tuple[tuple[int, int], ...]:
+    """The (k, m) cells of the regime k m = n."""
     cells = []
-    for k in k_values:
+    for k in _group_counts(k_values):
         if n % k:
             raise ValueError(f"n={n} not divisible by k={k}")
-        cells.append((int(k), n // int(k)))
+        cells.append((k, n // k))
     return tuple(cells)
 
 
 def cells_power_law(k_values) -> tuple[tuple[int, int], ...]:
     """The (k, m) cells of the regime m = 5k^2."""
-    return tuple((int(k), 5 * int(k) ** 2) for k in k_values)
+    return tuple((k, 5 * k**2) for k in _group_counts(k_values))

@@ -15,9 +15,9 @@ where W0 is the null's mass at the total count. The statistics are
 - its point-alternative variant: a_i is the group's Bernoulli
   log-likelihood at a fixed alternative.
 
-The pseudo null, the high-resolution limit density of the optimal null prior
-mixed over binomials, is not a statistic but one count law, log W_ps at
-every count (pseudo_null): the diagnostics compare it with mic's W0.
+The pseudo null, binomials mixed over the high-resolution limit of the
+optimal null prior, is not a statistic but one count law, log W_ps at every
+count (pseudo_null): the diagnostics compare it with mic's W0.
 
 The e-value of one table evaluates h at one count; an expectation under a
 product law evaluates it at every count.
@@ -43,17 +43,15 @@ from .numerics import (
     log_binomial_mixture,
     log_binomial_row,
     log_sum_exp,
-    trapezoid_log_weights,
 )
 from .models import _count
 from .priors import (
     DEFAULT_DENSITY_GRID,
     DEFAULT_SCALE,
-    PseudoDensity,
     canonical_priors,
     induced_group_pmf,
     null_optimal_prior,
-    pseudo_null_density,
+    pseudo_atoms,
 )
 
 # Defaults for the numerical reverse information projection.
@@ -253,10 +251,11 @@ class Statistic:
 
 
 def pseudo_null(sizes, priors, scale=DEFAULT_SCALE, density_grid=DEFAULT_DENSITY_GRID):
-    """log W_ps at every total count 0..n, read-only: the pseudo null density
-    of these sizes and priors, built at scale and resampled onto density_grid
-    points (None: not resampled), mixed over binomials by quadrature. A build
-    that underflows at any count is refused. beta(1,1) is keyed as uniform."""
+    """log W_ps at every total count 0..n, read-only: binomials mixed over
+    the quadrature atoms of the pseudo null density of these sizes and
+    priors, built at scale and resampled onto density_grid points (None: not
+    resampled; pseudo_atoms). A build that underflows at any count is
+    refused. beta(1,1) is keyed as uniform."""
     grid = None if density_grid is None else operator.index(density_grid)
     settings = (operator.index(scale), grid)
     return _design("pseudo", sizes, canonical_priors(priors), settings)
@@ -305,21 +304,19 @@ def _build(kind: str, sizes: tuple, params: tuple, settings: tuple | None):
     The group laws are induced by the priors in params (Binomial(n_i,
     params[i]) for gro_point). W0 is their convolution (gro_mic) or the
     binomial mixture of its projection at settings = (grid_size, tol,
-    max_iter); the pseudo null is the quadrature of the density built at
-    settings = (scale, density_grid); an unconverged projection or an
-    underflowed quadrature is refused. A mixture is taken once at every
-    count, and the density and the convolution a projection was solved from
-    are not kept. The statistic is frozen and the arrays read-only, so every
-    caller can share them.
-    induced_group_pmf, null_optimal_prior, ripr_solve, pseudo_null_density,
-    log_w_pseudo0 and log_binomial_mixture stay plain functions, looked up
-    at each build.
+    max_iter); the pseudo null is the binomial mixture over the quadrature
+    atoms built at settings = (scale, density_grid); an unconverged
+    projection or an underflowed quadrature is refused. A mixture is taken
+    once at every count, and the atoms and the convolution a projection was
+    solved from are not kept. The statistic is frozen and the arrays
+    read-only, so every caller can share them.
+    induced_group_pmf, null_optimal_prior, ripr_solve, pseudo_atoms and
+    log_binomial_mixture stay plain functions, looked up at each build.
     """
     n = sum(sizes)
     _check_design(n, len(sizes))
     if kind == "pseudo":
-        density = pseudo_null_density(params, sizes, *settings)
-        null = log_w_pseudo0(density, n, np.arange(n + 1))
+        null = log_binomial_mixture(*pseudo_atoms(params, sizes, *settings), n)
         if (null == NEG_INF).any():
             raise ValueError(
                 f"quadrature underflow at total count {np.argmax(null == NEG_INF)}; "
@@ -345,21 +342,6 @@ def _build(kind: str, sizes: tuple, params: tuple, settings: tuple | None):
     null = log_binomial_mixture(solved.grid, solved.log_weights, n)
     null.setflags(write=False)
     return Statistic(kind, terms, null, solved)
-
-
-def log_w_pseudo0(density: PseudoDensity, n: int, n1) -> np.ndarray:
-    """Log mass the pseudo null prior assigns to total counts, by quadrature.
-
-    Mixes Binomial(n, p0) over the continuous density with trapezoid
-    weights, at every total one-count, and reads the requested ones; an
-    array, one value a count, -inf where the quadrature underflows.
-    """
-    density = density.density
-    c0 = np.atleast_1d(np.asarray(n1, dtype=np.int64))
-    if ((c0 < 0) | (c0 > n)).any():
-        raise ValueError("total count out of range")
-    base = density.log_density + trapezoid_log_weights(density.grid)
-    return log_binomial_mixture(density.grid, base, n)[c0]
 
 
 def _likelihood_bands(p, counts, n: int, log_c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,4 +1,5 @@
-"""Log-space primitives: stable reductions, special functions, pmf/density containers.
+"""Log-space primitives: stable reductions, special functions, the pmf container
+and the binomial mixture kernel.
 
 All probability mass is carried as natural logarithms; exact zero is the
 float('-inf') sentinel, never a denormal. Operations here are pure and
@@ -15,9 +16,8 @@ from scipy.special import gammaln, xlogy
 
 NEG_INF = float("-inf")
 
-# Normalization tolerance for Pmf (log-space) and GridDensity (trapezoid).
+# Normalization tolerance for Pmf (log-space).
 PMF_NORM_TOL = 1e-12
-DENSITY_NORM_TOL = 1e-8
 
 # Combined support above which convolution switches to FFT, and the relative
 # level below which post-FFT round-off is clamped to zero.
@@ -196,51 +196,6 @@ def convolve_all(pmfs) -> Pmf:
     return acc
 
 
-@dataclass(frozen=True)
-class GridDensity:
-    """Nonnegative density on a uniform grid inside [0, 1], trapezoid-normalized."""
-
-    grid: np.ndarray
-    log_density: np.ndarray
-
-    def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float)
-        ld = np.asarray(self.log_density, dtype=float)
-        object.__setattr__(self, "grid", g)
-        object.__setattr__(self, "log_density", ld)
-        g.setflags(write=False)
-        ld.setflags(write=False)
-        if g.ndim != 1 or g.size < 2 or g.shape != ld.shape:
-            raise ValueError("grid and log_density must be matching 1-D arrays")
-        steps = np.diff(g)
-        if (steps <= 0).any():
-            raise ValueError("grid must be strictly increasing")
-        # Floor of a few ulps: rounding of x/total makes adjacent steps
-        # differ by up to one ulp of 1.0 regardless of the step size.
-        if abs(steps.max() - steps.min()) > max(1e-9 * steps.mean(), 4e-16):
-            raise ValueError("grid must be uniform")
-        if g[0] < -1e-12 or g[-1] > 1 + 1e-12:
-            raise ValueError("grid must lie inside [0, 1]")
-        if np.isnan(ld).any():
-            raise ValueError("NaN log density")
-        integral = np.trapezoid(np.exp(ld), g)
-        if abs(integral - 1.0) > DENSITY_NORM_TOL:
-            raise ValueError(f"density not normalized: trapezoid integral {integral}")
-
-    @staticmethod
-    def from_density(grid, values) -> "GridDensity":
-        """Build a density from nonnegative samples, normalizing the trapezoid integral."""
-        g = np.asarray(grid, dtype=float)
-        d = np.asarray(values, dtype=float)
-        if (d < 0).any():
-            raise ValueError("negative density value")
-        integral = np.trapezoid(d, g)
-        if integral <= 0:
-            raise ValueError("density integrates to zero")
-        with np.errstate(divide="ignore"):
-            return GridDensity(g, np.log(d / integral))
-
-
 # A row of log_binomial_mixture leaves out terms that sum to less than
 # e^-_WINDOW_NATS of those it keeps; e^-37 < 2^-53, below one ulp.
 _WINDOW_NATS = 37.0
@@ -331,11 +286,3 @@ def log_binomial_mixture(p, log_w, n: int) -> np.ndarray:
         for log_mass in w:
             out[count] = np.logaddexp(out[count], log_mass)
     return out + log_binomial_row(n)
-
-
-def trapezoid_log_weights(grid: np.ndarray) -> np.ndarray:
-    """Log trapezoid quadrature weights for a uniform grid."""
-    lw = np.full(grid.size, np.log(grid[1] - grid[0]))
-    lw[0] -= np.log(2.0)
-    lw[-1] -= np.log(2.0)
-    return lw

@@ -1,8 +1,8 @@
-"""Group-level induced priors, the optimal null prior, and pseudo densities.
+"""Group-level induced priors, the optimal null prior, and the pseudo null's atoms.
 
 The optimal null prior is the convolution of the per-group induced pmfs; the
-pseudo density is its high-resolution limit on the null mean-value space
-p0 = n1/n.
+pseudo null mixes binomials over its high-resolution limit on the null
+mean-value space p0 = n1/n, taken by quadrature on a grid (pseudo_atoms).
 """
 
 from __future__ import annotations
@@ -17,18 +17,17 @@ from scipy.special import gammaln, xlogy
 
 from .numerics import (
     FFT_CLAMP,
-    GridDensity,
     Pmf,
     _within_budget,
     convolve_all,
     log_beta_fn,
 )
 
-# Resolution multiplier of the pseudo density's high-resolution route.
+# Resolution multiplier of the pseudo null's high-resolution route.
 DEFAULT_SCALE = 10_000
 
 # Most residues, mod the period of the resampled indices, at which
-# pseudo_null_density computes the convolution by the folded inverse
+# pseudo_atoms computes the convolution by the folded inverse
 # (_folded_irfft); each adds a row to its one matrix product over the
 # spectrum. The default grid needs 1 to 3. With more, the whole inverse runs.
 _MAX_RESIDUES = 8
@@ -109,13 +108,6 @@ def canonical_priors(specs) -> list[PriorSpec]:
     as one, its weights are the exact ones, not gammaln's round-off of them."""
     flat = PriorSpec.from_beta(1, 1)
     return [PriorSpec.uniform() if s == flat else s for s in specs]
-
-
-@dataclass(frozen=True)
-class PseudoDensity:
-    """Continuous null prior on p0."""
-
-    density: GridDensity
 
 
 def _induced_log_weights(spec: PriorSpec, n: int, out=None) -> np.ndarray:
@@ -365,7 +357,7 @@ def _folded_irfft(spectrum, length: int, period: int, residues) -> np.ndarray:
 def _lattice(specs, sizes, scale: int, grid_size: int | None,
              advice: str = "lower scale (--scale) or the group sizes, or resample "
                            "onto fewer points (--density-grid)"):
-    """pseudo_null_density's checked design: its specs (beta(1,1) as
+    """pseudo_atoms' checked design: its specs (beta(1,1) as
     uniform), sizes, last lattice index total = scale * sum(sizes), the
     indices lo..hi it keeps, and whether it is resampled.
 
@@ -399,23 +391,22 @@ def _lattice(specs, sizes, scale: int, grid_size: int | None,
     return specs, sizes, total, lo, hi, resample
 
 
-def pseudo_null_density(
-    specs,
-    sizes,
-    scale: int = DEFAULT_SCALE,
-    grid_size: int | None = None,
-) -> PseudoDensity:
-    """High-resolution-limit density of the optimal null prior on p0 = n1/n.
+def pseudo_atoms(specs, sizes, scale: int,
+                 grid_size: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """The pseudo null's mixing law on p0 = n1/n: the atoms of the trapezoid
+    quadrature of the optimal null prior's high-resolution-limit density,
+    and their log weights, which sum to 1 up to rounding.
 
     Each group's induced pmf is computed at size scale*n_i, the pmfs are
     convolved in one FFT pass, and the weights are placed on the grid
     i/(scale*n) of [0, 1]. A lattice past the budget is refused before
     anything is built (_lattice). Beta priors with a parameter below 1
     diverge at the boundary; their endpoint grid cells are dropped. If
-    grid_size is given and smaller, the weights are linearly resampled onto
-    that many points, and the inverse transform is evaluated only at the
-    points the resample reads where their period allows (_folded_irfft). The
-    result is normalized as a density once, at the end.
+    grid_size is not None and smaller, the weights are linearly resampled
+    onto that many points, and the inverse transform is evaluated only at
+    the points the resample reads where their period allows (_folded_irfft).
+    The weights are normalized as a density once, at the end, and take the
+    trapezoid rule's step, half of it at the two end atoms.
     """
     specs, sizes, total, lo, hi, resample = _lattice(specs, sizes, scale, grid_size)
     # The convolution is computed at the indices period*q + r for r in
@@ -473,4 +464,13 @@ def pseudo_null_density(
     else:
         grid = np.arange(lo, hi + 1) / total
         weights = count(np.arange(lo, hi + 1)) if conv is None else conv[0, lo : hi + 1]
-    return PseudoDensity(GridDensity.from_density(grid, weights))
+    integral = np.trapezoid(weights, grid)
+    # Written so that NaN, which fails every comparison, is refused.
+    if not 0 < integral < math.inf:
+        raise ValueError("density integrates to zero")
+    with np.errstate(divide="ignore"):
+        log_w = np.log(weights / integral)
+    step = np.log(grid[1] - grid[0])
+    log_w[1:-1] += step
+    log_w[[0, -1]] += step - np.log(2.0)
+    return grid, log_w

@@ -21,13 +21,12 @@ from maxent_evalues.models import Table
 from maxent_evalues.numerics import (
     FFT_CLAMP,
     NEG_INF,
-    GridDensity,
     Pmf,
     binomial_pmf,
     log_beta_fn,
+    log_binomial_mixture,
     log_binomial_row,
 )
-from maxent_evalues.evariables import log_w_pseudo0
 from maxent_evalues.priors import (
     DEFAULT_DENSITY_GRID,
     DEFAULT_SCALE,
@@ -36,7 +35,7 @@ from maxent_evalues.priors import (
     canonical_priors,
     induced_group_pmf,
     null_optimal_prior,
-    pseudo_null_density,
+    pseudo_atoms,
 )
 
 
@@ -239,8 +238,8 @@ def pseudo_e_power(specs, sizes, group_pmfs, scale=DEFAULT_SCALE,
     """
     specs = canonical_priors(specs)
     n = sum(sizes)
-    density = pseudo_null_density(specs, sizes, scale, density_grid)
-    count_term = log_binomial_row(n) - log_w_pseudo0(density, n, np.arange(n + 1))
+    atoms = pseudo_atoms(specs, sizes, scale, density_grid)
+    count_term = log_binomial_row(n) - log_binomial_mixture(*atoms, n)
     pairs = [(law, induced_group_pmf(s, m).log_weights - log_binomial_row(m))
              for law, s, m in zip(group_pmfs, specs, sizes)]
     pairs.append((null_optimal_prior(group_pmfs), count_term))
@@ -325,9 +324,10 @@ def redundancy(p_alt, specs, sizes) -> float:
     return total
 
 
-def direct_convolution_density(specs, grid_size: int) -> GridDensity:
+def direct_convolution_density(specs, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
     """Continuous convolution of beta prior densities, rescaled to the 1/k
-    average: the limit of the pseudo density for equal group sizes.
+    average: the limit of the pseudo density for equal group sizes, as its
+    grid on [0, 1] and its values there, trapezoid-normalized.
 
     Only defined for beta priors bounded on [0, 1] (all parameters >= 1).
     """
@@ -354,8 +354,45 @@ def direct_convolution_density(specs, grid_size: int) -> GridDensity:
         acc = np.convolve(acc, beta_density(s)) * h
     # acc samples the density of the sum on [0, k]; the density of the mean
     # is k * f_sum(k * p0), which lands back on the original grid points.
-    idx = np.arange(grid_size) * k
-    return GridDensity.from_density(x, k * acc[idx])
+    values = k * acc[np.arange(grid_size) * k]
+    return x, values / np.trapezoid(values, x)
+
+
+def trapezoid_rule(grid: np.ndarray) -> np.ndarray:
+    """Log weights of the trapezoid rule on a uniform grid."""
+    rule = np.full(grid.size, np.log(grid[1] - grid[0]))
+    rule[[0, -1]] -= np.log(2.0)
+    return rule
+
+
+def trapezoid_atoms(grid, density) -> tuple[np.ndarray, np.ndarray]:
+    """The trapezoid rule on a uniform grid as a mixing law: the grid, and
+    the log of each point's rule weight times the density that density
+    samples up to a constant, normalized so that the weights sum to 1. The
+    steps are those pseudo_atoms takes, so its atoms match these bit for
+    bit."""
+    grid, density = np.asarray(grid, dtype=float), np.asarray(density, dtype=float)
+    with np.errstate(divide="ignore"):
+        log_density = np.log(density / np.trapezoid(density, grid))
+    return grid, log_density + trapezoid_rule(grid)
+
+
+def assert_quadrature_of(atoms, grid, density, rtol=0.0, atol=0.0):
+    """Assert that atoms, pseudo_atoms' (grid, log weights), are the
+    trapezoid rule's mixing law (trapezoid_atoms) of the density that
+    density samples up to a constant on the uniform grid: the grid bit for
+    bit, and the log weights bit for bit unless a tolerance is given. With
+    one, the density each atom carries, its weight over its rule weight, is
+    within rtol of the reference and atol times the reference's peak."""
+    grid, density = np.asarray(grid, dtype=float), np.asarray(density, dtype=float)
+    got_grid, got_log_w = atoms
+    assert np.array_equal(got_grid, grid)
+    if not (rtol or atol):
+        assert np.array_equal(got_log_w, trapezoid_atoms(grid, density)[1])
+        return
+    ref = density / np.trapezoid(density, grid)
+    np.testing.assert_allclose(np.exp(got_log_w - trapezoid_rule(grid)), ref,
+                               rtol=rtol, atol=atol * ref.max())
 
 
 def discrete_gaussian_approx(group_pmfs) -> Pmf:
@@ -385,7 +422,7 @@ def one_pass_convolution(specs, sizes, scale: int, total: int) -> np.ndarray:
     length.
 
     Unnormalized, with round-off below FFT_CLAMP of its peak clamped to zero:
-    the weights pseudo_null_density resamples.
+    the weights pseudo_atoms resamples.
     """
     length = fft.next_fast_len(total + 1, real=True)
     spectrum = 1.0

@@ -213,7 +213,7 @@ class TestChecksBeforeTheDensity:
             builds.append(args)
             raise AssertionError("pseudo density built")
 
-        monkeypatch.setattr(evariables, "pseudo_null_density", built)
+        monkeypatch.setattr(evariables, "pseudo_atoms", built)
         return builds
 
     @pytest.mark.parametrize("call, error", [
@@ -235,13 +235,13 @@ class TestChecksBeforeTheDensity:
 
     def test_the_density_follows_the_settings(self, monkeypatch):
         seen = []
-        build = evariables.pseudo_null_density
+        build = evariables.pseudo_atoms
 
         def spy(specs, sizes, scale, grid_size):
             seen.append((list(sizes), scale, grid_size))
             return build(specs, sizes, scale, grid_size)
 
-        monkeypatch.setattr(evariables, "pseudo_null_density", spy)
+        monkeypatch.setattr(evariables, "pseudo_atoms", spy)
         priors = [PriorSpec.uniform()] * 2
         gap_r(priors, (4, 6), SCALE, 501)
         gap_r_prime((0.3, 0.6), priors, (4, 6))
@@ -615,3 +615,9 @@ class TestSweep:
         with pytest.raises(ValueError):
             cells_n_fixed((3,), 16)
         assert cells_power_law((2, 3)) == ((2, 20), (3, 45))
+        # k = 0 divided by zero, and k = -2 built the cell (-2, -4).
+        for k in (0, -2):
+            with pytest.raises(ValueError, match=f"^k must be at least 1, got {k}$"):
+                cells_n_fixed((2, k), 16)
+            with pytest.raises(ValueError, match=f"^k must be at least 1, got {k}$"):
+                cells_power_law((2, k))

@@ -26,7 +26,6 @@ from maxent_evalues.evariables import (
     Statistic,
     decide,
     e_power,
-    log_w_pseudo0,
     pseudo_null,
     ripr_solve,
 )
@@ -34,7 +33,6 @@ from maxent_evalues.models import Table
 from maxent_evalues.numerics import (
     MAX_BYTES,
     NEG_INF,
-    GridDensity,
     binomial_pmf,
     log_binomial_mixture,
     log_binomial_row,
@@ -42,12 +40,11 @@ from maxent_evalues.numerics import (
 )
 from maxent_evalues.priors import (
     PriorSpec,
-    PseudoDensity,
     canonical_priors,
     induced_group_pmf,
     null_optimal_prior,
     parse_prior,
-    pseudo_null_density,
+    pseudo_atoms,
 )
 from oracles import (
     NETWORK_DYADS,
@@ -60,6 +57,7 @@ from oracles import (
     point_alt_count_pmf,
     pseudo_e_power,
     ripr_log_likelihoods,
+    trapezoid_atoms,
     uniform_pmf,
 )
 
@@ -297,22 +295,14 @@ class TestPseudo:
     def test_uniform_density_gives_uniform_mass(self):
         # Beta(1,1) integral identity: C(n,j) * B(j+1, n-j+1) = 1/(n+1).
         grid = np.linspace(0, 1, 20001)
-        density = PseudoDensity(GridDensity.from_density(grid, np.ones_like(grid)))
-        pd_vals = log_w_pseudo0(density, 10, np.arange(11))
+        pd_vals = log_binomial_mixture(*trapezoid_atoms(grid, np.ones_like(grid)), 10)
         assert np.exp(pd_vals) == pytest.approx(np.full(11, 1 / 11), rel=1e-6)
 
     def test_beta_density_gives_beta_binomial(self):
         grid = np.linspace(0, 1, 40001)
         dens = grid * (1 - grid) * 6  # Beta(2,2)
-        density = PseudoDensity(GridDensity.from_density(grid, dens))
-        vals = np.exp(log_w_pseudo0(density, 2, np.arange(3)))
+        vals = np.exp(log_binomial_mixture(*trapezoid_atoms(grid, dens), 2))
         assert vals == pytest.approx([0.3, 0.4, 0.3], abs=1e-6)
-
-    def test_out_of_range(self):
-        grid = np.linspace(0, 1, 101)
-        density = PseudoDensity(GridDensity.from_density(grid, np.ones_like(grid)))
-        with pytest.raises(ValueError):
-            log_w_pseudo0(density, 5, 6)
 
     def test_underflow_refused_when_built(self, builds):
         # On a two-point density grid, {0, 1}, the quadrature underflows at
@@ -324,9 +314,9 @@ class TestPseudo:
         for _ in range(2):
             with pytest.raises(ValueError, match=message):
                 pseudo_null((10, 10), priors, scale=100, density_grid=2)
-        assert builds.count("log_w_pseudo0") == 2 and evariables._designs == {}
-        density = pseudo_null_density(priors, (10, 10), 100, 2)
-        log_w0 = log_w_pseudo0(density, 20, np.arange(21))
+        assert builds.count("pseudo_atoms") == builds.count("log_binomial_mixture") == 2
+        assert evariables._designs == {}
+        log_w0 = log_binomial_mixture(*pseudo_atoms(priors, (10, 10), 100, 2), 20)
         assert np.isfinite(log_w0[[0, 20]]).all() and (log_w0[1:20] == NEG_INF).all()
 
     def test_pseudo_kind_and_not_evariable(self):
@@ -347,7 +337,7 @@ class TestPseudo:
         # of null masses.
         priors = [PriorSpec.uniform()] * 2
         sizes = (4, 4)
-        pd = pseudo_null_density(priors, sizes, 10_000, 20_001)  # the CLI's defaults
+        atoms = pseudo_atoms(priors, sizes, 10_000, 20_001)  # the CLI's defaults
         w0 = null_optimal_prior(
             [induced_group_pmf(s, n) for s, n in zip(priors, sizes)]
         )
@@ -358,7 +348,7 @@ class TestPseudo:
         pse = json.loads(capsys.readouterr().out)["log_e"]
         mic = Statistic.mic(t.sizes, priors).log_e(t.ones)
         c0 = sum(t.ones)
-        expect = float(w0.log_weights[c0] - log_w_pseudo0(pd, sum(t.sizes), [c0])[0])
+        expect = float(w0.log_weights[c0] - log_binomial_mixture(*atoms, sum(t.sizes))[c0])
         assert pse - mic == pytest.approx(expect, abs=1e-12)
 
 
@@ -703,9 +693,8 @@ class TestRipr:
         w0 = null_optimal_prior(
             [induced_group_pmf(s, n) for s, n in zip(priors, sizes)]
         )
-        pd = pseudo_null_density(priors, sizes, scale=10_000)
         sol = ripr_solve(w0, 20)
-        log_pseudo = log_w_pseudo0(pd, 20, np.arange(21))
+        log_pseudo = log_binomial_mixture(*pseudo_atoms(priors, sizes, 10_000, None), 20)
         kl_pseudo = float(np.dot(w0.weights(), w0.log_weights - log_pseudo))
         assert sol.achieved_kl <= kl_pseudo + 1e-12
 
@@ -781,12 +770,12 @@ class TestMemoryBudget:
         ("", f"evariables.Statistic.point({list(NETWORK_DYADS)}, {list(NETWORK_PALT)})"),
         # The pseudo lattice counted, transformed with one and two distinct
         # (prior, size) pairs, and unresampled, counted and transformed.
-        ("", "priors.pseudo_null_density([prior('uniform')] * 2, [512, 512], 10_000, 20_001)"),
-        ("", "priors.pseudo_null_density([prior('beta:2,2')], [400], 10_000, 20_001)"),
-        ("", "priors.pseudo_null_density([prior('beta:2,2'), prior('nml')], [200, 200], "
+        ("", "priors.pseudo_atoms([prior('uniform')] * 2, [512, 512], 10_000, 20_001)"),
+        ("", "priors.pseudo_atoms([prior('beta:2,2')], [400], 10_000, 20_001)"),
+        ("", "priors.pseudo_atoms([prior('beta:2,2'), prior('nml')], [200, 200], "
              "10_000, 20_001)"),
-        ("", "priors.pseudo_null_density([prior('uniform')] * 2, [100, 100], 10_000, None)"),
-        ("", "priors.pseudo_null_density([prior('nml')] * 2, [100, 100], 10_000, None)"),
+        ("", "priors.pseudo_atoms([prior('uniform')] * 2, [100, 100], 10_000, None)"),
+        ("", "priors.pseudo_atoms([prior('nml')] * 2, [100, 100], 10_000, None)"),
         # The pseudo null: its lattice and the quadrature over every count.
         ("", "evariables.pseudo_null([200_000, 100_000], [prior('uniform')] * 2, 10, 2001)"),
         # The worst-case search, its density and mic's null built first.
@@ -911,9 +900,9 @@ class TestGroPoint:
 
 
 # The functions evariables calls to build a statistic: the group laws, the
-# count law, the projection, and the pseudo density and its quadrature.
+# count law, the projection, the pseudo null's atoms and the binomial mixture.
 BUILDERS = ("induced_group_pmf", "binomial_pmf", "null_optimal_prior", "ripr_solve",
-            "pseudo_null_density", "log_w_pseudo0", "log_binomial_mixture")
+            "pseudo_atoms", "log_binomial_mixture")
 
 
 @pytest.fixture
@@ -972,13 +961,13 @@ class TestProjectionMemo:
 
     def test_one_solve_per_design(self, builds):
         # A second table of a design builds no group law, convolves no count
-        # law, solves no projection, and builds no pseudo density and runs no
-        # quadrature.
+        # law, solves no projection, and builds no pseudo null's atoms and
+        # takes no mixture.
         first_builders = {
             "mic": ["null_optimal_prior"],
             "can": ["null_optimal_prior", "ripr_solve", "log_binomial_mixture"],
             "point": ["null_optimal_prior", "ripr_solve", "log_binomial_mixture"],
-            "pseudo": ["pseudo_null_density", "log_w_pseudo0", "log_binomial_mixture"],
+            "pseudo": ["pseudo_atoms", "log_binomial_mixture"],
         }
         for kind, build in self.designs().items():
             first = read_at(build(), (3, 1))
@@ -1011,10 +1000,12 @@ class TestProjectionMemo:
         for _ in range(2):
             for build in designs:
                 build()
-        # Each design reached its count law or its pseudo density once, on
-        # its first build.
+        # Each design reached its count law or its pseudo null's atoms once,
+        # on its first build, and its mixture once: 12 projections and 4
+        # pseudo nulls.
         assert builds.count("null_optimal_prior") == 16
-        assert builds.count("pseudo_null_density") == builds.count("log_w_pseudo0") == 4
+        assert builds.count("pseudo_atoms") == 4
+        assert builds.count("log_binomial_mixture") == 16
         assert len(designs) == 20
         # A build that fails is not kept: both calls reach ripr_solve.
         builds.clear()
@@ -1029,7 +1020,7 @@ class TestProjectionMemo:
         flat = pseudo_null(self.SIZES, [PriorSpec.from_beta(1, 1)] * 2, **self.DENSITY)
         uniform = pseudo_null(self.SIZES, self.PRIORS, **self.DENSITY)
         assert uniform is flat
-        assert builds.count("pseudo_null_density") == builds.count("log_w_pseudo0") == 1
+        assert builds.count("pseudo_atoms") == builds.count("log_binomial_mixture") == 1
         # The CLI's pseudo value takes mic's group terms under the canonical
         # priors too, so both spellings print the same bits; on (10, 10)
         # mic's beta(1,1) group terms differ from the uniform's in the last
@@ -1080,8 +1071,8 @@ class TestProjectionMemo:
         mic = designs["mic"]()
         assert mic.null.tobytes() == null_optimal_prior(group_pmfs["mic"]).log_weights.tobytes()
         pseudo = designs["pseudo"]()
-        density = pseudo_null_density(self.PRIORS, self.SIZES, *self.DENSITY.values())
-        assert pseudo.tobytes() == log_w_pseudo0(density, n, np.arange(n + 1)).tobytes()
+        atoms = pseudo_atoms(self.PRIORS, self.SIZES, *self.DENSITY.values())
+        assert pseudo.tobytes() == log_binomial_mixture(*atoms, n).tobytes()
         assert mic.achieved_kl is None and mic.projection is None
         for kind in ("can", "point"):
             statistic = designs[kind]()
@@ -1122,17 +1113,6 @@ class TestProjectionMemo:
         with pytest.raises(TypeError, match="float.* object cannot be interpreted as an integer"):
             build()
         assert len(evariables._designs) == 1
-
-    def test_pseudo_reads_match_one_count_quadrature(self):
-        # The pseudo null is its quadrature taken once, at every count; a
-        # quadrature asked for one count reads that count of the same law.
-        sizes, priors = (9, 4, 6), [PriorSpec.from_beta(3, 3)] * 3
-        null = pseudo_null(sizes, priors, scale=200, density_grid=2001)
-        density = pseudo_null_density(priors, sizes, 200, 2001)
-        n = sum(sizes)
-        for c in range(n + 1):
-            one = log_w_pseudo0(density, n, [c])
-            assert null[[c]].tobytes() == one.tobytes()
 
     def test_unconverged_refused_at_build_and_not_kept(self, solves):
         # The memo keeps only successful builds: a repeated request for an

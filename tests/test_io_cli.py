@@ -421,7 +421,7 @@ class TestCli:
         # scale (2.8e7 points) is refused first, before the smaller cells
         # solve or build anything.
         (("regret", "--candidate", "pseudo", "--palt", "0.4,0.6", "--m-list", "20,1300,1400"),
-         "--m-list", ["evariables.ripr_solve", "evariables.pseudo_null_density",
+         "--m-list", ["evariables.ripr_solve", "evariables.pseudo_atoms",
                       "evariables._build"]),
         # --k is checked before any list of k sizes or alternatives exists.
         (("gap", "--k", "10000000000000"), "--k", ["evariables._build"]),
@@ -695,7 +695,7 @@ class TestCli:
         def built(*args, **kwargs):
             raise AssertionError("pseudo density built")
 
-        monkeypatch.setattr(evariables, "pseudo_null_density", built)
+        monkeypatch.setattr(evariables, "pseudo_atoms", built)
         code, out, err = run_cli("rprime", "--k", "2", "--m", "400", capsys=capsys)
         assert code == 1
         assert out == ""
@@ -709,7 +709,7 @@ class TestCli:
     ])
     def test_rprime_refuses_a_bad_palt_before_building(self, monkeypatch, capsys, flags, error):
         builds = []
-        monkeypatch.setattr(evariables, "pseudo_null_density",
+        monkeypatch.setattr(evariables, "pseudo_atoms",
                             lambda *a, **kw: builds.append(a))
         code, out, err = run_cli("rprime", *flags, capsys=capsys)
         assert code == 1
@@ -719,7 +719,7 @@ class TestCli:
 
     def test_rprime_refuses_bad_bounds_before_building(self, monkeypatch, capsys):
         builds = []
-        monkeypatch.setattr(evariables, "pseudo_null_density",
+        monkeypatch.setattr(evariables, "pseudo_atoms",
                             lambda *a, **kw: builds.append(a))
         code, out, err = run_cli(
             "rprime", "--k", "2", "--m", "1000", "--prior", "nml", "--worst-case",
@@ -752,7 +752,7 @@ class TestCli:
             raise ValueError("built")
 
         monkeypatch.setattr(evariables, "ripr_solve", spy)
-        monkeypatch.setattr(evariables, "pseudo_null_density", spy)
+        monkeypatch.setattr(evariables, "pseudo_atoms", spy)
         for flags in (["--statistic", "can", "--prior", "beta:2,2"],
                       ["--statistic", "point", "--palt", "0.4"],
                       ["--statistic", "pseudo"]):
@@ -1274,3 +1274,61 @@ class TestCliContract:
             result = self.check(*self.call(["continue", report, *numbers]))
             if result is not None:
                 assert result["components"] == 1 + len(numbers)
+
+
+# numpy's AVX-512 dispatch groups, which NPY_DISABLE_CPU_FEATURES turns off.
+AVX512_GROUPS = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+
+class TestPortability:
+    """Outputs agree with and without numpy's AVX-512 kernels (ROADMAP
+    finding 10), at a stated relative tolerance each."""
+
+    # mic reads no SIMD-dependent float. The pseudo routes take np.log and
+    # np.exp of SIMD-dependent bits; without the AVX-512 kernels they moved
+    # by at most 2.7e-16 (gap on uniform (10, 10)), and the others not at
+    # all. can and point move by more (finding 10), and item 1 owns them.
+    OPS = [
+        (("test", "--statistic", "mic"), 0.0),
+        (("gap", "--sizes", "10,10"), 1e-12),
+        (("gap", "--sizes", "10,10", "--prior", "nml"), 1e-12),
+        (("rprime", "--sizes", "10,10", "--palt", "0.3,0.7"), 1e-12),
+        (("test", "--statistic", "pseudo"), 1e-12),
+    ]
+
+    def test_outputs_hold_without_avx512(self, tmp_path, capsys):
+        from numpy._core._multiarray_umath import __cpu_features__
+
+        if not any(__cpu_features__.get(group) for group in AVX512_GROUPS):
+            pytest.skip("numpy found none of the AVX-512 groups")
+        path = tmp_path / "t.json"
+        path.write_text('{"groups":[{"n":10,"ones":3},{"n":12,"ones":9}]}')
+        calls = [[*argv, "--table", str(path)] if argv[0] == "test" else list(argv)
+                 for argv, _ in self.OPS]
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from numpy._core._multiarray_umath import __cpu_features__\n"
+            "from maxent_evalues import cli\n"
+            "outs = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    buf = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(buf):\n"
+            "        assert cli.main(argv) == 0\n"
+            "    outs.append(json.loads(buf.getvalue()))\n"
+            f"on = [g for g in {AVX512_GROUPS!r} if __cpu_features__.get(g)]\n"
+            "print(json.dumps({'on': on, 'outs': outs}))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]),
+               "NPY_DISABLE_CPU_FEATURES": " ".join(AVX512_GROUPS)}
+        child = json.loads(subprocess.run(
+            [sys.executable, "-c", script, json.dumps(calls)],
+            capture_output=True, text=True, check=True, env=env,
+        ).stdout)
+        assert child["on"] == []
+        for argv, (_, rel), there in zip(calls, self.OPS, child["outs"], strict=True):
+            code, out, _ = run_cli(*argv, capsys=capsys)
+            here = strict(out)
+            assert code == 0
+            assert there == {key: pytest.approx(value, rel=rel, abs=0)
+                             if isinstance(value, float) else value
+                             for key, value in here.items()}, argv

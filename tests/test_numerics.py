@@ -15,7 +15,6 @@ from maxent_evalues.numerics import (
     FFT_CLAMP,
     FFT_THRESHOLD,
     NEG_INF,
-    GridDensity,
     Pmf,
     _mixture_windows,
     binomial_log_pmfs,
@@ -26,9 +25,8 @@ from maxent_evalues.numerics import (
     log_binomial_mixture,
     log_binomial_row,
     log_sum_exp,
-    trapezoid_log_weights,
 )
-from maxent_evalues.priors import PriorSpec, induced_group_pmf, pseudo_null_density
+from maxent_evalues.priors import DEFAULT_SCALE, PriorSpec, induced_group_pmf, pseudo_atoms
 from oracles import (
     NETWORK_DYADS,
     NETWORK_PALT,
@@ -39,6 +37,7 @@ from oracles import (
     moments,
     point_alt_count_pmf,
     total_variation,
+    trapezoid_rule,
     uniform_pmf,
 )
 
@@ -85,8 +84,9 @@ class TestSpecialFunctions:
     # The benchmark's largest pool design has n = 1024, its network n = 8778.
     @pytest.mark.xfail(strict=True, reason=(
         "log_binomial_row takes gammaln differences of values near n log n, off "
-        "by 1.8e-12 at n = 1024 and 3.1e-11 at n = 8778; mending it moves mic's "
-        "bytes, so it waits for ROADMAP item 1"))
+        "by 1.8e-12 at n = 1024 and 3.1e-11 at n = 8778; ROADMAP item 20 step 2 "
+        "(Loader's saddle-point form) mends it, and since that moves mic's bytes "
+        "it goes through item 1's gate"))
     @pytest.mark.parametrize("n", [1024, 8778])
     def test_log_binomial_row_ledger(self, n):
         # Every count step n/400 against mpmath. The bound is 1e-13 over one
@@ -317,27 +317,6 @@ class TestDivergences:
         assert total_variation(p, p) == pytest.approx(0.0)
 
 
-class TestGridDensity:
-    def test_uniform_density(self):
-        g = np.linspace(0, 1, 101)
-        d = GridDensity.from_density(g, np.ones(101))
-        assert np.exp(d.log_density) == pytest.approx(np.ones(101))
-
-    def test_normalization_enforced(self):
-        g = np.linspace(0, 1, 11)
-        with pytest.raises(ValueError, match="not normalized"):
-            GridDensity(g, np.zeros(11) + 0.5)
-
-    def test_nonuniform_grid_rejected(self):
-        g = np.array([0.0, 0.1, 0.3, 1.0])
-        with pytest.raises(ValueError):
-            GridDensity.from_density(g, np.ones(4))
-
-    def test_trapezoid_weights_integrate(self):
-        lw = trapezoid_log_weights(np.linspace(0, 1, 51))
-        assert np.exp(lw).sum() == pytest.approx(1.0, abs=1e-12)
-
-
 def cellwise_log_terms(p, log_w, n, counts):
     """The terms of log_binomial_mixture as one matrix of cellwise xlogy
     terms, a row a count, without log C(n, c)."""
@@ -370,13 +349,13 @@ def mixture_input(name):
 
 def _mixture_grid(name):
     if name.startswith("pseudo"):
-        # The pseudo quadrature of log_w_pseudo0, on the default grid.
+        # The pseudo null's atoms, on the default grid.
         _, prior, sizes = name.split("/")
         spec = {"uniform": PriorSpec.uniform(), "beta22": PriorSpec.from_beta(2, 2),
                 "nml": PriorSpec.nml()}[prior]
         sizes = [int(s) for s in sizes.split(",")]
-        d = pseudo_null_density([spec] * len(sizes), sizes, grid_size=20_001).density
-        return d.grid, d.log_density + trapezoid_log_weights(d.grid), sum(sizes)
+        p, log_w = pseudo_atoms([spec] * len(sizes), sizes, DEFAULT_SCALE, 20_001)
+        return p, log_w, sum(sizes)
     if name.startswith("ripr"):
         # The projections of point alternatives onto binomial mixtures, on
         # sizes within the benchmark's table designs: a few atoms of the
@@ -594,7 +573,7 @@ class TestLogBinomialMixture:
         # put every count's mass within a few thousand atoms of p = 0, which
         # keeps the exact sum short.
         p = np.linspace(0.0, 1.0, 2_000_001)
-        log_w = trapezoid_log_weights(p) - 2e4 * p
+        log_w = trapezoid_rule(p) - 2e4 * p
         n = 20
         spy = NumpySpy()
         monkeypatch.setattr(numerics, "np", spy)
