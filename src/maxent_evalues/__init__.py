@@ -18,12 +18,8 @@ from .evariables import (
     ripr_solve,
 )
 from .models import Table
-from .numerics import Pmf, binomial_pmf, convolve, convolve_all
-from .priors import (
-    PriorSpec,
-    induced_group_pmf,
-    null_optimal_prior,
-)
+from .numerics import Pmf, binomial_pmf, convolve_all
+from .priors import PriorSpec, induced_group_pmf
 from .table_io import NetworkInput, network_to_table, parse_table
 
 __all__ = [
@@ -35,7 +31,6 @@ __all__ = [
     "Statistic",
     "Table",
     "binomial_pmf",
-    "convolve",
     "convolve_all",
     "decide",
     "e_power",
@@ -44,7 +39,6 @@ __all__ = [
     "gap_r_prime",
     "induced_group_pmf",
     "network_to_table",
-    "null_optimal_prior",
     "parse_table",
     "regret",
     "regret_curve",

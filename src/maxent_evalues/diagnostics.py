@@ -41,7 +41,6 @@ from .priors import (
     PriorSpec,
     _lattice,
     induced_group_pmf,
-    null_optimal_prior,
 )
 
 # Worst-case search protocol: interior product grid.
@@ -119,13 +118,21 @@ def gap_r_prime(
     """Expected exact-vs-pseudo log-ratio under a point alternative.
 
     Same integrand as gap_r but weighted by the exact total-count law of the
-    point alternative instead of the Bayes marginal.
+    point alternative instead of the Bayes marginal, evaluated as
+    worst_case_r_prime evaluates a grid point (_count_law), so that its
+    value equals this one at its argmax, bit for bit.
     """
     sizes = list(sizes)
     pvec = _alt_params(sizes, p_alt)
     _, gap = _count_term_gap(specs, sizes, scale, density_grid)
-    law = null_optimal_prior([binomial_pmf(n, p) for n, p in zip(sizes, pvec)])
-    return float(np.dot(law.weights(), gap))
+    rows = [np.exp(binomial_log_pmfs(n, [p])[0]) for n, p in zip(sizes, pvec)]
+    return float(np.dot(_count_law(rows), gap))
+
+
+def _count_law(rows) -> np.ndarray:
+    """The linear law of the total count under independent groups whose
+    laws are rows, convolved in group order."""
+    return reduce(np.convolve, rows, np.array([1.0]))
 
 
 def worst_case_r_prime(
@@ -138,13 +145,14 @@ def worst_case_r_prime(
 ) -> tuple[float, tuple[float, ...]]:
     """Maximum of gap_r_prime over an interior product grid of alternatives.
 
-    The value at a grid point is the dot product of gap with the convolution
-    of its groups' binomial pmfs, convolved in group order. The result is the
-    largest of these float values and the first point, in lexicographic
-    order, that attains it. Points tied in exact arithmetic, such as
-    permutations of one alternative among equal groups, are convolved in
-    different orders and can differ in the last bits; then the largest float
-    wins, which need not be the lexicographically smallest point.
+    The value at a grid point is gap_r_prime's: the dot product of gap with
+    the convolution of its groups' binomial pmfs, convolved in group order
+    (_count_law). The result is the largest of these float values and the
+    first point, in lexicographic order, that attains it. Points tied in
+    exact arithmetic, such as permutations of one alternative among equal
+    groups, are convolved in different orders and can differ in the last
+    bits; then the largest float wins, which need not be the
+    lexicographically smallest point.
 
     Every point's value is first computed at once by contraction; only the
     points within round-off of the largest are evaluated again as above.
@@ -209,10 +217,7 @@ def worst_case_r_prime(
         # max|gap| is infinite.
         for leaf in np.flatnonzero(~(values < top - slack)):
             index = np.unravel_index(start + leaf, shape)
-            conv = np.array([1.0])
-            for w, i in zip(per_group, index):
-                conv = np.convolve(conv, w[i])
-            val = float(np.dot(conv, gap))
+            val = float(np.dot(_count_law([w[i] for w, i in zip(per_group, index)]), gap))
             if val > best:
                 best = val
                 best_point = tuple(float(axis[i]) for i in index)
@@ -257,8 +262,7 @@ def _leaf_values(per_group, gap):
     # Fewer columns than tail rows only when one prefix is a block of its own,
     # so each block's points stay consecutive.
     rows = max(1, _BLOCK_CELLS // (cols + tail.shape[1]))
-    prefixes = (reduce(np.convolve, ws, np.array([1.0]))
-                for ws in product(*per_group[:lead]))
+    prefixes = (_count_law(ws) for ws in product(*per_group[:lead]))
     start = 0
     while block := list(islice(prefixes, rows)):
         block = np.array(block)

@@ -50,7 +50,6 @@ from .priors import (
     DEFAULT_SCALE,
     canonical_priors,
     induced_group_pmf,
-    null_optimal_prior,
     pseudo_atoms,
 )
 
@@ -281,6 +280,8 @@ def _design(kind: str, sizes, params, settings: tuple | None):
     unconverged projection, say) is not kept either.
     """
     key = (kind, tuple(operator.index(n) for n in sizes), tuple(params), settings)
+    if not key[1]:
+        raise ValueError("no groups")
     if key in _designs:
         _designs.move_to_end(key)
         built = _designs[key][0]
@@ -310,7 +311,7 @@ def _build(kind: str, sizes: tuple, params: tuple, settings: tuple | None):
     once at every count, and the atoms and the convolution a projection was
     solved from are not kept. The statistic is frozen and the arrays
     read-only, so every caller can share them.
-    induced_group_pmf, null_optimal_prior, ripr_solve, pseudo_atoms and
+    induced_group_pmf, convolve_all, ripr_solve, pseudo_atoms and
     log_binomial_mixture stay plain functions, looked up at each build.
     """
     n = sum(sizes)
@@ -328,7 +329,7 @@ def _build(kind: str, sizes: tuple, params: tuple, settings: tuple | None):
         group_pmfs = [binomial_pmf(m, p) for m, p in zip(sizes, params)]
     else:
         group_pmfs = _group_pmfs(sizes, params)
-    target = null_optimal_prior(group_pmfs)
+    target = convolve_all(group_pmfs)
     terms = _bayes_terms(group_pmfs)
     if settings is None:
         return Statistic(kind, terms, target.log_weights)

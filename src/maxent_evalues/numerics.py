@@ -113,14 +113,6 @@ class Pmf:
         lw = np.asarray(log_weights, dtype=float)
         return Pmf(lw - log_sum_exp(lw))
 
-    @staticmethod
-    def from_weights(weights) -> "Pmf":
-        w = np.asarray(weights, dtype=float)
-        if (w < 0).any():
-            raise ValueError("negative weight")
-        with np.errstate(divide="ignore"):
-            return Pmf.from_log_weights(np.log(w))
-
 
 def binomial_log_pmfs(n: int, ps) -> np.ndarray:
     """Normalized log pmfs of Binomial(n, p) on 0..n, one row per p in ps,
@@ -155,44 +147,41 @@ def binomial_pmf(n: int, p: float) -> Pmf:
     return Pmf(binomial_log_pmfs(n, [p])[0])
 
 
-def convolve(a: Pmf, b: Pmf) -> Pmf:
-    """Convolution of two pmfs on [0 .. Na+Nb].
+def convolve_all(pmfs) -> Pmf:
+    """Left-fold convolution of a sequence of pmfs, in the given order.
 
-    Direct log-space summation for small supports; FFT on linear weights for
-    large ones, with negative round-off clamped to zero and the result
+    Each step sums directly in log space where the combined support is at
+    most FFT_THRESHOLD; past it, it runs by FFT on linear weights, with
+    round-off below FFT_CLAMP of the peak clamped to zero and the result
     renormalized.
     """
-    na, nb = a.support_size, b.support_size
-    if na + nb - 1 > FFT_THRESHOLD:
-        wa = np.exp(a.log_weights)
-        wb = np.exp(b.log_weights)
-        # The rfft sequence scipy.signal.fftconvolve runs on real 1-D input,
-        # bit for bit where both factors have two points or more, without
-        # importing scipy.signal.
-        length = fft.next_fast_len(na + nb - 1, real=True)
-        out = fft.irfft(fft.rfft(wa, length) * fft.rfft(wb, length), length)[: na + nb - 1]
-        out[out < FFT_CLAMP * out.max()] = 0.0
-        return Pmf.from_weights(out)
-    res = np.full(na + nb - 1, NEG_INF)
-    la, lb = a.log_weights, b.log_weights
-    if na > nb:
-        la, lb = lb, la
-        na, nb = nb, na
-    for i in range(na):
-        if la[i] == NEG_INF:
-            continue
-        np.logaddexp(res[i : i + nb], la[i] + lb, out=res[i : i + nb])
-    return Pmf.from_log_weights(res)
-
-
-def convolve_all(pmfs) -> Pmf:
-    """Left-fold convolution of a sequence of pmfs, in the given order."""
     pmfs = list(pmfs)
     if not pmfs:
         raise ValueError("empty reduction")
     acc = pmfs[0]
-    for p in pmfs[1:]:
-        acc = convolve(acc, p)
+    for b in pmfs[1:]:
+        la, lb = acc.log_weights, b.log_weights
+        na, nb = la.size, lb.size
+        if na + nb - 1 > FFT_THRESHOLD:
+            # The rfft sequence scipy.signal.fftconvolve runs on real 1-D
+            # input, bit for bit where both factors have two points or more,
+            # without importing scipy.signal.
+            length = fft.next_fast_len(na + nb - 1, real=True)
+            out = fft.irfft(fft.rfft(np.exp(la), length) * fft.rfft(np.exp(lb), length),
+                            length)[: na + nb - 1]
+            out[out < FFT_CLAMP * out.max()] = 0.0
+            with np.errstate(divide="ignore"):
+                acc = Pmf.from_log_weights(np.log(out))
+            continue
+        res = np.full(na + nb - 1, NEG_INF)
+        if na > nb:
+            la, lb = lb, la
+            na, nb = nb, na
+        for i in range(na):
+            if la[i] == NEG_INF:
+                continue
+            np.logaddexp(res[i : i + nb], la[i] + lb, out=res[i : i + nb])
+        acc = Pmf.from_log_weights(res)
     return acc
 
 

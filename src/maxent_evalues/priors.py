@@ -1,6 +1,7 @@
 """Group-level induced priors, the optimal null prior, and the pseudo null's atoms.
 
-The optimal null prior is the convolution of the per-group induced pmfs; the
+The optimal null prior is the convolution of the per-group induced pmfs
+(numerics.convolve_all); the
 pseudo null mixes binomials over its high-resolution limit on the null
 mean-value space p0 = n1/n, taken by quadrature on a grid (pseudo_atoms).
 """
@@ -19,7 +20,6 @@ from .numerics import (
     FFT_CLAMP,
     Pmf,
     _within_budget,
-    convolve_all,
     log_beta_fn,
 )
 
@@ -171,11 +171,6 @@ def induced_group_pmf(spec: PriorSpec, n: int) -> Pmf:
     if n < 1:
         raise ValueError("group size must be at least 1")
     return Pmf.from_log_weights(_induced_log_weights(spec, n))
-
-
-def null_optimal_prior(group_pmfs) -> Pmf:
-    """Optimal null prior: convolution of the per-group induced pmfs."""
-    return convolve_all(group_pmfs)
 
 
 def _power(x, count: int) -> np.ndarray:

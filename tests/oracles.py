@@ -23,6 +23,7 @@ from maxent_evalues.numerics import (
     NEG_INF,
     Pmf,
     binomial_pmf,
+    convolve_all,
     log_beta_fn,
     log_binomial_mixture,
     log_binomial_row,
@@ -34,7 +35,6 @@ from maxent_evalues.priors import (
     _induced_log_weights,
     canonical_priors,
     induced_group_pmf,
-    null_optimal_prior,
     pseudo_atoms,
 )
 
@@ -222,7 +222,7 @@ def ripr_log_likelihoods(p, counts, n: int) -> np.ndarray:
 def point_alt_count_pmf(sizes, alt_params) -> Pmf:
     """Exact law of the total one-count under a point alternative: the
     groups' binomial laws convolved in group order."""
-    return null_optimal_prior([binomial_pmf(n, p) for n, p in zip(sizes, alt_params)])
+    return convolve_all([binomial_pmf(n, p) for n, p in zip(sizes, alt_params)])
 
 
 def pseudo_e_power(specs, sizes, group_pmfs, scale=DEFAULT_SCALE,
@@ -242,7 +242,7 @@ def pseudo_e_power(specs, sizes, group_pmfs, scale=DEFAULT_SCALE,
     count_term = log_binomial_row(n) - log_binomial_mixture(*atoms, n)
     pairs = [(law, induced_group_pmf(s, m).log_weights - log_binomial_row(m))
              for law, s, m in zip(group_pmfs, specs, sizes)]
-    pairs.append((null_optimal_prior(group_pmfs), count_term))
+    pairs.append((convolve_all(group_pmfs), count_term))
     total = 0.0
     for law, values in pairs:
         mass = law.log_weights > NEG_INF
@@ -251,35 +251,34 @@ def pseudo_e_power(specs, sizes, group_pmfs, scale=DEFAULT_SCALE,
 
 
 def pseudo_null_quadrature(specs, sizes, nodes: int = 400) -> np.ndarray:
-    """log W_ps(c), c = 0..n, of two groups, by a 2-D Gauss-Legendre rule
-    with `nodes` nodes a dimension: the pseudo null without its lattice.
+    """log W_ps(c), c = 0..n, by the product Gauss-Legendre rule with `nodes`
+    nodes a group (nodes^k points for k groups): the pseudo null without its
+    lattice. At k = 3, 80 and 100 nodes agree to 10 digits.
 
-    W_ps(c) is the mean of Binomial(n, (n_1 t_1 + n_2 t_2)/n)(c) over
+    W_ps(c) is the mean of Binomial(n, sum_i n_i t_i / n)(c) over
     independent t_i from each group's high-resolution limit: its beta
     density (uniform is beta(1, 1)), integrated in t, or for NML the
     Beta(1/2, 1/2) limit, integrated in phi with t = sin^2 phi, where its
     density is the constant 2/pi and the integrand is smooth.
     """
-    if len(sizes) != 2:
-        raise ValueError("the quadrature takes two groups")
     x, w = np.polynomial.legendre.leggauss(nodes)
-    axes = []
-    for spec in specs:
+    # sum_i n_i t_i and the log weight of every point of the product rule.
+    trials, log_w = np.zeros(1), np.zeros(1)
+    for spec, m in zip(specs, sizes, strict=True):
         if spec.kind == "nml":
             # phi = (x + 1) pi/4 on [0, pi/2]: weight w pi/4 times 2/pi.
-            axes.append((np.sin((x + 1) * np.pi / 4) ** 2, np.log(w / 2)))
-            continue
-        a, b = (1.0, 1.0) if spec.kind == "uniform" else (spec.alpha, spec.beta)
-        t = (x + 1) / 2
-        axes.append((t, np.log(w / 2) + xlogy(a - 1, t) + xlogy(b - 1, 1 - t) - log_beta_fn(a, b)))
-    (t1, w1), (t2, w2) = axes
-    n1, n2 = sizes
-    n = n1 + n2
-    p0 = ((n1 * t1[:, None] + n2 * t2[None, :]) / n).ravel()
-    log_w = (w1[:, None] + w2[None, :]).ravel()
-    out = np.empty(n + 1)
-    for c in range(n + 1):
-        out[c] = logsumexp(xlogy(c, p0) + xlogy(n - c, 1 - p0) + log_w)
+            t, lw = np.sin((x + 1) * np.pi / 4) ** 2, np.log(w / 2)
+        else:
+            a, b = (1.0, 1.0) if spec.kind == "uniform" else (spec.alpha, spec.beta)
+            t = (x + 1) / 2
+            lw = np.log(w / 2) + xlogy(a - 1, t) + xlogy(b - 1, 1 - t) - log_beta_fn(a, b)
+        trials = (trials[:, None] + m * t).ravel()
+        log_w = (log_w[:, None] + lw).ravel()
+    n = sum(sizes)
+    # Every node is interior, so 0 < p0 < 1.
+    p0 = trials / n
+    log_p, log_q = np.log(p0), np.log1p(-p0)
+    out = np.array([logsumexp(c * log_p + (n - c) * log_q + log_w) for c in range(n + 1)])
     return out + log_binomial_row(n)
 
 
@@ -413,7 +412,7 @@ def gaussian_approx_tv(spec: PriorSpec, sizes) -> float:
     """TV distance between the exact prior convolution and its discrete
     Gaussian moment-matched approximation."""
     pmfs = [induced_group_pmf(spec, n) for n in sizes]
-    return total_variation(null_optimal_prior(pmfs), discrete_gaussian_approx(pmfs))
+    return total_variation(convolve_all(pmfs), discrete_gaussian_approx(pmfs))
 
 
 def one_pass_convolution(specs, sizes, scale: int, total: int) -> np.ndarray:

@@ -23,12 +23,8 @@ from maxent_evalues.diagnostics import (
 )
 from maxent_evalues.evariables import Statistic, e_power
 from maxent_evalues.models import Table
-from maxent_evalues.numerics import log_binomial_row
-from maxent_evalues.priors import (
-    PriorSpec,
-    induced_group_pmf,
-    null_optimal_prior,
-)
+from maxent_evalues.numerics import convolve_all, log_binomial_row
+from maxent_evalues.priors import PriorSpec, induced_group_pmf
 from oracles import gaussian_approx_tv, pseudo_e_power, uniform_convolution_closed_form
 
 # Frozen regression values from this implementation's first run.
@@ -108,7 +104,7 @@ def test_criterion_01_exact_unity():
             n = sum(sizes)
             for spec_idx in range(len(priors)):
                 pmfs = [group_log_weights(spec_idx, m) for m in sizes]
-                w0 = null_optimal_prior(pmfs).log_weights
+                w0 = convolve_all(pmfs).log_weights
                 shapes = [m + 1 for m in sizes]
                 # S * P0(table | c0) = exp(sum_i log W_i(c1_i) - log W0*(c0)),
                 # so conditional unity reduces to a bincount over c0.
@@ -147,7 +143,7 @@ def test_criterion_01_exact_unity():
 def test_criterion_02_triangular_prior():
     started = time.monotonic()
     pmfs = [induced_group_pmf(PriorSpec.uniform(), m) for m in (8, 10)]
-    w = null_optimal_prior(pmfs).weights()
+    w = convolve_all(pmfs).weights()
     assert w.size == 19
     for n1 in range(19):
         closed = uniform_convolution_closed_form([8, 10], n1)
@@ -363,7 +359,7 @@ def test_criterion_08_stars_and_bars():
     worst = 0.0
     for k in range(1, 6):
         for sizes in itertools.combinations_with_replacement(range(1, 11), k):
-            numeric = null_optimal_prior(
+            numeric = convolve_all(
                 [induced_group_pmf(PriorSpec.uniform(), m) for m in sizes]
             ).weights()
             for n1 in range(sum(sizes) + 1):

@@ -34,6 +34,7 @@ from maxent_evalues.numerics import (
     MAX_BYTES,
     NEG_INF,
     binomial_pmf,
+    convolve_all,
     log_binomial_mixture,
     log_binomial_row,
     log_sum_exp,
@@ -42,7 +43,6 @@ from maxent_evalues.priors import (
     PriorSpec,
     canonical_priors,
     induced_group_pmf,
-    null_optimal_prior,
     parse_prior,
     pseudo_atoms,
 )
@@ -99,7 +99,7 @@ class TestEValueReport:
         num = log_multiplicity(t, "null") + sum(
             float(p.log_weights[o]) for p, o in zip(pmfs, t.ones)
         )
-        den = log_multiplicity(t, "alt") + float(null_optimal_prior(pmfs).log_weights[sum(t.ones)])
+        den = log_multiplicity(t, "alt") + float(convolve_all(pmfs).log_weights[sum(t.ones)])
         log_e = Statistic.mic(t.sizes, priors).log_e(t.ones)
         assert isinstance(log_e, float)
         assert log_e == pytest.approx(num - den, abs=1e-13)
@@ -338,7 +338,7 @@ class TestPseudo:
         priors = [PriorSpec.uniform()] * 2
         sizes = (4, 4)
         atoms = pseudo_atoms(priors, sizes, 10_000, 20_001)  # the CLI's defaults
-        w0 = null_optimal_prior(
+        w0 = convolve_all(
             [induced_group_pmf(s, n) for s, n in zip(priors, sizes)]
         )
         t = Table(((4, 2), (4, 3)))
@@ -487,9 +487,10 @@ def _in_a_fresh_process(setup, run, finish=""):
 _SOLVE_SETUP = """
 import mmap
 import numpy as np
-from maxent_evalues.priors import induced_group_pmf, null_optimal_prior, parse_prior
+from maxent_evalues.numerics import convolve_all
+from maxent_evalues.priors import induced_group_pmf, parse_prior
 prior, sizes = {!r}, {!r}
-target = null_optimal_prior([induced_group_pmf(parse_prior(prior), m) for m in sizes])
+target = convolve_all([induced_group_pmf(parse_prior(prior), m) for m in sizes])
 built = []
 bands = evariables._likelihood_bands
 def spy(*args):
@@ -549,7 +550,7 @@ class TestLikelihoodBands:
     @pytest.mark.parametrize("sizes, priors, palt", _benchmark_targets())
     def test_benchmark_targets(self, sizes, priors, palt, grid_size):
         if palt is None:
-            target = null_optimal_prior([induced_group_pmf(s, m) for s, m in zip(priors, sizes)])
+            target = convolve_all([induced_group_pmf(s, m) for s, m in zip(priors, sizes)])
         else:
             target = point_alt_count_pmf(sizes, palt)
         t = target.weights()
@@ -627,16 +628,16 @@ class TestCompactRows:
 
 class TestRipr:
     @pytest.mark.parametrize("target, n, masked", [
-        (null_optimal_prior([induced_group_pmf(PriorSpec.nml(), 4)] * 2), 8, False),
-        (null_optimal_prior([induced_group_pmf(PriorSpec.from_beta(3, 3), 5)] * 2), 10, False),
-        (null_optimal_prior([induced_group_pmf(PriorSpec.from_beta(3, 3), m)
+        (convolve_all([induced_group_pmf(PriorSpec.nml(), 4)] * 2), 8, False),
+        (convolve_all([induced_group_pmf(PriorSpec.from_beta(3, 3), 5)] * 2), 10, False),
+        (convolve_all([induced_group_pmf(PriorSpec.from_beta(3, 3), m)
                              for m in (6, 13)]), 19, False),
         (point_alt_count_pmf((10, 30), (0.2, 0.6)), 40, False),
         # Counts 0 to 21 and 379 to 400 fall below 1e-60 of the peak, so the
         # mask drops p = 0 and p = 1 and every kept grid row moves down; the
         # solve runs 149 iterations, and the pruning at the 100th moves rows
         # again.
-        (null_optimal_prior([induced_group_pmf(PriorSpec.from_beta(200, 200), 200)] * 2),
+        (convolve_all([induced_group_pmf(PriorSpec.from_beta(200, 200), 200)] * 2),
          400, True),
     ], ids=["4,4-nml", "5,5-beta33", "6,13-beta33", "10,30-point", "200,200-beta200"])
     def test_matches_reference_bit_for_bit(self, target, n, masked):
@@ -690,7 +691,7 @@ class TestRipr:
     def test_achieved_kl_beats_pseudo(self):
         priors = [PriorSpec.uniform()] * 2
         sizes = (10, 10)
-        w0 = null_optimal_prior(
+        w0 = convolve_all(
             [induced_group_pmf(s, n) for s, n in zip(priors, sizes)]
         )
         sol = ripr_solve(w0, 20)
@@ -700,7 +701,7 @@ class TestRipr:
 
     def test_monotone_objective(self):
         # Re-run with increasing iteration caps: the objective never rises.
-        target = null_optimal_prior([uniform_pmf(6), uniform_pmf(6)])
+        target = convolve_all([uniform_pmf(6), uniform_pmf(6)])
         kls = []
         for cap in (1, 2, 5, 10, 50, 200):
             sol = ripr_solve(target, 12, grid_size=201, tol=1e-16, max_iter=cap)
@@ -708,7 +709,7 @@ class TestRipr:
         assert all(a >= b - 1e-15 for a, b in zip(kls, kls[1:]))
 
     def test_stationarity_of_solution(self):
-        target = null_optimal_prior([uniform_pmf(6), uniform_pmf(6)])
+        target = convolve_all([uniform_pmf(6), uniform_pmf(6)])
         n = 12
         sol = ripr_solve(target, n, grid_size=201)
         assert sol.converged
@@ -731,7 +732,7 @@ class TestRipr:
         # The mixture's law of the total count has a row at every count
         # 0..n, and it is normalized.
         n = 12
-        sol = ripr_solve(null_optimal_prior([uniform_pmf(6), uniform_pmf(6)]), n,
+        sol = ripr_solve(convolve_all([uniform_pmf(6), uniform_pmf(6)]), n,
                          grid_size=201)
         full = log_binomial_mixture(sol.grid, sol.log_weights, n)
         assert full.shape == (n + 1,) and np.isfinite(full).all()
@@ -894,14 +895,10 @@ class TestGroPoint:
         with pytest.raises(ValueError):
             Statistic.point((5, 5), (0.5,))
 
-    def test_no_groups(self):
-        with pytest.raises(ValueError, match="^no groups$"):
-            Statistic.point((), ())
-
 
 # The functions evariables calls to build a statistic: the group laws, the
 # count law, the projection, the pseudo null's atoms and the binomial mixture.
-BUILDERS = ("induced_group_pmf", "binomial_pmf", "null_optimal_prior", "ripr_solve",
+BUILDERS = ("induced_group_pmf", "binomial_pmf", "convolve_all", "ripr_solve",
             "pseudo_atoms", "log_binomial_mixture")
 
 
@@ -959,14 +956,26 @@ class TestProjectionMemo:
             "pseudo": lambda: pseudo_null(self.SIZES, self.PRIORS, **self.DENSITY),
         }
 
+    @pytest.mark.parametrize("build", [
+        lambda: Statistic.mic((), ()),
+        lambda: Statistic.can((), ()),
+        lambda: Statistic.point((), ()),
+        lambda: pseudo_null((), ()),
+    ], ids=["mic", "can", "point", "pseudo"])
+    def test_no_groups(self, build, builds):
+        # Every kind refuses an empty design in the memo, before any build.
+        with pytest.raises(ValueError, match="^no groups$"):
+            build()
+        assert builds == []
+
     def test_one_solve_per_design(self, builds):
         # A second table of a design builds no group law, convolves no count
         # law, solves no projection, and builds no pseudo null's atoms and
         # takes no mixture.
         first_builders = {
-            "mic": ["null_optimal_prior"],
-            "can": ["null_optimal_prior", "ripr_solve", "log_binomial_mixture"],
-            "point": ["null_optimal_prior", "ripr_solve", "log_binomial_mixture"],
+            "mic": ["convolve_all"],
+            "can": ["convolve_all", "ripr_solve", "log_binomial_mixture"],
+            "point": ["convolve_all", "ripr_solve", "log_binomial_mixture"],
             "pseudo": ["pseudo_atoms", "log_binomial_mixture"],
         }
         for kind, build in self.designs().items():
@@ -1003,7 +1012,7 @@ class TestProjectionMemo:
         # Each design reached its count law or its pseudo null's atoms once,
         # on its first build, and its mixture once: 12 projections and 4
         # pseudo nulls.
-        assert builds.count("null_optimal_prior") == 16
+        assert builds.count("convolve_all") == 16
         assert builds.count("pseudo_atoms") == 4
         assert builds.count("log_binomial_mixture") == 16
         assert len(designs) == 20
@@ -1069,14 +1078,14 @@ class TestProjectionMemo:
             "point": [binomial_pmf(m, p) for m, p in zip(self.SIZES, (0.2, 0.7))],
         }
         mic = designs["mic"]()
-        assert mic.null.tobytes() == null_optimal_prior(group_pmfs["mic"]).log_weights.tobytes()
+        assert mic.null.tobytes() == convolve_all(group_pmfs["mic"]).log_weights.tobytes()
         pseudo = designs["pseudo"]()
         atoms = pseudo_atoms(self.PRIORS, self.SIZES, *self.DENSITY.values())
         assert pseudo.tobytes() == log_binomial_mixture(*atoms, n).tobytes()
         assert mic.achieved_kl is None and mic.projection is None
         for kind in ("can", "point"):
             statistic = designs[kind]()
-            fresh = ripr_solve(null_optimal_prior(group_pmfs[kind]), n, **self.RIPR)
+            fresh = ripr_solve(convolve_all(group_pmfs[kind]), n, **self.RIPR)
             solved = statistic.projection
             assert solved.grid.tobytes() == fresh.grid.tobytes()
             assert solved.log_weights.tobytes() == fresh.log_weights.tobytes()

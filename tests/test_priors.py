@@ -30,7 +30,6 @@ from maxent_evalues.priors import (
     _folded_irfft,
     _induced_log_weights,
     induced_group_pmf,
-    null_optimal_prior,
     pseudo_atoms,
 )
 from oracles import (
@@ -201,7 +200,7 @@ class TestNullOptimalPrior:
             induced_group_pmf(PriorSpec.uniform(), 8),
             induced_group_pmf(PriorSpec.uniform(), 10),
         ]
-        w0 = null_optimal_prior(pmfs)
+        w0 = convolve_all(pmfs)
         w = w0.weights()
         assert w0.support_size == 19
         for n1 in range(19):
@@ -211,7 +210,7 @@ class TestNullOptimalPrior:
 
     def test_symmetry(self):
         pmfs = [induced_group_pmf(PriorSpec.from_beta(2, 2), n) for n in (4, 6)]
-        w = null_optimal_prior(pmfs).weights()
+        w = convolve_all(pmfs).weights()
         assert w == pytest.approx(w[::-1], abs=1e-13)
 
 
@@ -226,7 +225,7 @@ class TestStarsAndBars:
     def test_equal_sizes_path(self):
         # k=3 equal sizes uses the single-sum branch; compare to convolution.
         pmfs = [uniform_pmf(4)] * 3
-        w = null_optimal_prior(pmfs).weights()
+        w = convolve_all(pmfs).weights()
         for n1 in range(13):
             assert uniform_convolution_closed_form([4, 4, 4], n1) == pytest.approx(
                 w[n1], abs=1e-12
@@ -245,7 +244,7 @@ class TestStarsAndBars:
     )
     @settings(max_examples=30)
     def test_matches_convolution(self, sizes):
-        w = null_optimal_prior([uniform_pmf(n) for n in sizes]).weights()
+        w = convolve_all([uniform_pmf(n) for n in sizes]).weights()
         for n1 in range(sum(sizes) + 1):
             assert uniform_convolution_closed_form(sizes, n1) == pytest.approx(
                 w[n1], abs=1e-12

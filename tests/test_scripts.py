@@ -15,8 +15,8 @@ import maxent_evalues
 from maxent_evalues.cli import main
 from maxent_evalues.diagnostics import fit_log_slope, gap_r, regret
 from maxent_evalues.evariables import Statistic
-from maxent_evalues.numerics import binomial_pmf
-from maxent_evalues.priors import PriorSpec, null_optimal_prior
+from maxent_evalues.numerics import binomial_pmf, convolve_all
+from maxent_evalues.priors import PriorSpec
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -89,7 +89,7 @@ def test_regret_slopes_script_solves_each_point_projection_once(solves, tmp_path
     # the second gamma finds all three in the design memo.
     _, rows = run_script("run_regret_slopes", ["--gammas", "0.5,1", *REGRET_ARGS], tmp_path)
     assert len(rows) == 2
-    want = [null_optimal_prior([binomial_pmf(m, 0.3)] * 2).log_weights for m in (10, 20, 40)]
+    want = [convolve_all([binomial_pmf(m, 0.3)] * 2).log_weights for m in (10, 20, 40)]
     assert len(solves) == len(want)
     assert all(np.array_equal(s.log_weights, w) for s, w in zip(solves, want))
 
