@@ -130,12 +130,12 @@ def _bayes_terms(group_pmfs) -> tuple[np.ndarray, ...]:
 def _design_bytes(n: int, k: int) -> int:
     """The stated peak resident growth of building a design of n trials in k
     groups, of any kind. The left fold of the group laws (mic's null, can's
-    and point's target) grew by 24 to 213 bytes a trial for 1 to 60 groups
-    (fresh-process VmHWM, n = 2e6: each FFT step's freed buffers stay in the
-    heap), a mixture over every count (the null of can, point and pseudo) by
-    97, and each group's own arrays and objects take under 700 bytes.
+    and point's target) grew by 24, 45, 65, 66, 72 and 73 bytes a trial for
+    1, 2, 4, 15, 60 and 200 groups (fresh-process VmHWM, n = 2e6), a mixture
+    over every count (the null of can, point and pseudo) by 97, and each
+    group's own arrays and objects take under 700 bytes.
     """
-    return n * max(104, math.ceil(40 * (1 + math.log2(max(k, 1))))) + 2048 * k
+    return 104 * n + 2048 * k
 
 
 def _check_design(n: int, k: int, advice: str = "lower the group sizes") -> None:

@@ -8,10 +8,12 @@ re-entrant.
 
 from __future__ import annotations
 
+import bisect
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft
+from numpy import fft
 from scipy.special import gammaln, xlogy
 
 NEG_INF = float("-inf")
@@ -147,6 +149,27 @@ def binomial_pmf(n: int, p: float) -> Pmf:
     return Pmf(binomial_log_pmfs(n, [p])[0])
 
 
+@functools.cache
+def _five_smooth_lengths() -> tuple[int, ...]:
+    """Every 2^a 3^b 5^c up to 2^53, in increasing order (7716 of them)."""
+    limit, lengths, f5 = 2**53, [], 1
+    while f5 <= limit:
+        f3 = f5
+        while f3 <= limit:
+            lengths.extend(f3 << s for s in range((limit // f3).bit_length()))
+            f3 *= 3
+        f5 *= 5
+    return tuple(sorted(lengths))
+
+
+def _next_fast_len(m: int) -> int:
+    """The least 5-smooth length at or above m, 1 <= m <= 2^53: the length
+    scipy.fft.next_fast_len(m, real=True) gives, so that numpy.fft, which
+    runs the same pocketfft code, gives scipy.fft's bits."""
+    lengths = _five_smooth_lengths()
+    return lengths[bisect.bisect_left(lengths, m)]
+
+
 def convolve_all(pmfs) -> Pmf:
     """Left-fold convolution of a sequence of pmfs, in the given order.
 
@@ -164,9 +187,10 @@ def convolve_all(pmfs) -> Pmf:
         na, nb = la.size, lb.size
         if na + nb - 1 > FFT_THRESHOLD:
             # The rfft sequence scipy.signal.fftconvolve runs on real 1-D
-            # input, bit for bit where both factors have two points or more,
-            # without importing scipy.signal.
-            length = fft.next_fast_len(na + nb - 1, real=True)
+            # input, bit for bit where both factors have two points or more:
+            # numpy.fft runs scipy.fft's pocketfft code at the same lengths,
+            # and keeps no plan of each length resident as scipy.fft does.
+            length = _next_fast_len(na + nb - 1)
             out = fft.irfft(fft.rfft(np.exp(la), length) * fft.rfft(np.exp(lb), length),
                             length)[: na + nb - 1]
             out[out < FFT_CLAMP * out.max()] = 0.0

@@ -13,12 +13,13 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft
+from numpy import fft
 from scipy.special import gammaln, xlogy
 
 from .numerics import (
     FFT_CLAMP,
     Pmf,
+    _next_fast_len,
     _within_budget,
     log_beta_fn,
 )
@@ -358,11 +359,11 @@ def _lattice(specs, sizes, scale: int, grid_size: int | None,
 
     Refused past the budget before anything is built: stated at 56 bytes a
     point and 80 a grid point resampled (a transform's padded buffer, its
-    spectrum and work buffer, and another pair's spectrum: 29 to 47 bytes a
+    spectrum and work buffer, and another pair's spectrum: 31 to 40 bytes a
     point at 1e6 to 1.02e7 points, VmHWM), and 80 bytes a point kept whole,
-    which builds its density over every point (58 to 67). A counted build
-    (2.3 MB at 1.02e7 points) is stated as the transformed one it falls back
-    to.
+    which builds its density over every point (32 to 33 at 2e6 and 1e7). A
+    counted build (1.9 MB at 1.02e7 points) is stated as the transformed one
+    it falls back to.
     """
     # beta(1,1) groups are built as uniform ones, and so may be counted.
     specs = canonical_priors(specs)
@@ -406,7 +407,7 @@ def pseudo_atoms(specs, sizes, scale: int,
     specs, sizes, total, lo, hi, resample = _lattice(specs, sizes, scale, grid_size)
     # The convolution is computed at the indices period*q + r for r in
     # residues; period 1 is the whole inverse transform.
-    length = fft.next_fast_len(total + 1, real=True)
+    length = _next_fast_len(total + 1)
     period, residues = 1, np.zeros(1, dtype=np.int64)
     if resample:
         if grid_size < 2:
@@ -426,14 +427,14 @@ def pseudo_atoms(specs, sizes, scale: int,
         if cycle <= _MAX_RESIDUES:
             found = np.unique(np.concatenate([a[:cycle], b[:cycle]]) % stride)
             per_residue = -(-(total + 1) // stride)
-            fold_length = stride * fft.next_fast_len(per_residue, real=True)
+            fold_length = stride * _next_fast_len(per_residue)
             # The length must stay fast for the forward transforms, and the
             # period at most its square root, so that the fold's phase matrix
             # (period/2 columns a residue) stays small beside the spectrum.
             if (
                 found.size <= _MAX_RESIDUES
                 and stride * stride <= fold_length
-                and fft.next_fast_len(fold_length, real=True) == fold_length
+                and _next_fast_len(fold_length) == fold_length
             ):
                 period, residues, length = stride, found, fold_length
     # Uniform groups are boxes of ones, whose convolution is counted where its

@@ -792,6 +792,16 @@ class TestMemoryBudget:
         assert "refused" not in used and used["stated"]
         assert used["growth"] <= sum(used["stated"]) + 8 * 2**20
 
+    def test_transforms_leave_no_plans_resident(self):
+        # Criterion 5's NML pseudo nulls, each at its own transform lengths,
+        # after one warm build: scipy.fft kept a plan of each length resident
+        # (42 MiB left after these five), numpy.fft keeps none (9 MiB).
+        used = _in_a_fresh_process(
+            _PRIORS + "evariables.pseudo_null([8, 8], [prior('nml')] * 2)",
+            "for m in (10, 14, 20, 28, 40):\n"
+            "    evariables.pseudo_null([m, m], [prior('nml')] * 2)")
+        assert used["left"] < 16 * 2**20
+
     def test_a_design_just_over_the_budget_is_refused_at_once(self):
         # One group stated one trial past the budget: refused before anything
         # of its size is built.

@@ -1115,12 +1115,13 @@ class TestCli:
 
     def test_cold_import_leaves_out_the_heavy_scipy_modules(self):
         # A command pays for what the CLI imports on every call: scipy.signal
-        # alone pulled in these and about 1 s of start-up.
+        # alone pulled in these and about 1 s of start-up. The transforms run
+        # on numpy.fft, whose plans scipy.fft would keep resident.
         import maxent_evalues
 
         src = str(Path(maxent_evalues.__file__).resolve().parents[1])
         heavy = ("scipy.signal", "scipy.stats", "scipy.optimize",
-                 "scipy.interpolate", "scipy.spatial")
+                 "scipy.interpolate", "scipy.spatial", "scipy.fft")
         proc = subprocess.run(
             [sys.executable, "-c",
              "import json, sys; import maxent_evalues.cli; "

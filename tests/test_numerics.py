@@ -285,6 +285,21 @@ class TestConvolve:
         assert moments(c)[0] == pytest.approx(na / 2 + nb / 2, abs=1e-9)
 
 
+class TestNextFastLen:
+    def test_matches_scipy(self):
+        from scipy import fft
+
+        # Every length up to 1e6, and each 5-smooth length past it up to 2e7
+        # (the budget admits lattices of about 1.9e7 points) with the next
+        # one, where the search steps.
+        smooth = [2**a * 3**b * 5**c for a in range(25) for b in range(16) for c in range(11)]
+        steps = [s for s in smooth if 10**6 < s <= 2 * 10**7]
+        assert all(fft.next_fast_len(s, real=True) == s for s in steps)
+        lengths = [*range(1, 10**6 + 1), *steps, *(s + 1 for s in steps)]
+        got = [numerics._next_fast_len(m) for m in lengths]
+        assert got == [fft.next_fast_len(m, real=True) for m in lengths]
+
+
 class TestDivergences:
     def test_kl_self_zero(self):
         p = binomial_pmf(6, 0.4)
